@@ -7,11 +7,35 @@ package exrquy
 // ~30% headroom for incidental churn.
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/xmark"
 	"repro/internal/xmarkq"
+	"repro/internal/xmltree"
+	"repro/internal/xquery"
 )
+
+// allocEnv is the factor-0.01 XMark instance the allocation bounds were
+// calibrated on, generated once per test binary.
+type allocEnv struct {
+	Store *xmltree.Store
+	Docs  map[string][]uint32
+}
+
+var benv = sync.OnceValue(func() allocEnv {
+	store := xmltree.NewStore()
+	id := store.Add(xmark.Generate(xmark.Config{Factor: 0.01}))
+	return allocEnv{Store: store, Docs: map[string][]uint32{"auction.xml": {id}}}
+})
+
+func unorderedCfg() core.Config {
+	u := xquery.Unordered
+	cfg := core.DefaultConfig()
+	cfg.ForceOrdering = &u
+	return cfg
+}
 
 func TestAllocXMarkQ1EndToEnd(t *testing.T) {
 	if testing.Short() {

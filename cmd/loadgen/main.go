@@ -9,10 +9,6 @@
 // silently stretching the arrival schedule — the coordinated-omission
 // mistake closed-loop generators make.
 //
-// With -json the run is written as a bench.TrajectoryReport whose rows
-// use mode "server<clients>"; the benchdiff gate skips server* rows, so
-// these files are informational trajectory data, never a CI gate.
-//
 // Usage:
 //
 //	loadgen -url http://127.0.0.1:8345 -qps 50 -clients 8 -duration 10s
@@ -26,8 +22,8 @@
 // server's Retry-After hints, bounded by -retry-budget), and -hedge
 // races a speculative duplicate against slow queries after -hedge-delay
 // (default: the p95 of observed latencies). Safe because query reads
-// are idempotent under order indifference; the run report and
-// trajectory rows carry the retry/hedge/watchdog-kill counts.
+// are idempotent under order indifference; the run report carries the
+// retry/hedge/watchdog-kill counts.
 package main
 
 import (
@@ -39,14 +35,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/client"
 	"repro/internal/xmark"
 	"repro/internal/xmarkq"
@@ -59,7 +53,6 @@ func main() {
 		clients    = flag.Int("clients", 8, "concurrent worker connections")
 		duration   = flag.Duration("duration", 10*time.Second, "measured run length")
 		queryList  = flag.String("queries", "1,2,8,9,11", "comma-separated XMark query numbers for the mix")
-		jsonOut    = flag.String("json", "", "write the run as a bench trajectory JSON file")
 		key        = flag.String("key", "", "API key sent as X-API-Key")
 		provision  = flag.Float64("provision-xmark", 0, "upload a synthetic XMark instance at this factor as auction.xml before the run")
 		warm       = flag.Bool("warm", true, "run each mix query once before measuring (warms the plan cache)")
@@ -128,17 +121,6 @@ func main() {
 	kills := after.Resilience.WatchdogKills - before.Resilience.WatchdogKills
 
 	res.report(os.Stdout, *qps, *clients, hitPct, cst, kills)
-	if *jsonOut != "" {
-		rep := res.trajectory(*clients, *provision, hitPct, cst, kills)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal("marshal: %v", err)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *jsonOut, err)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", *jsonOut)
-	}
 	if res.errors > 0 {
 		os.Exit(1)
 	}
@@ -372,44 +354,6 @@ func (r *result) report(w io.Writer, qps float64, clients int, hitPct float64, c
 			pct(q.latencies, 95).Round(time.Microsecond),
 			pct(q.latencies, 99).Round(time.Microsecond))
 	}
-}
-
-// trajectory renders the run as a bench.TrajectoryReport with one
-// "server<clients>" row per query in the mix. NsPerOp carries the p50 as
-// in the contention rows; the benchdiff gate skips server* modes.
-// Retries/hedges/watchdog kills are run totals repeated on each row.
-func (r *result) trajectory(clients int, factor, hitPct float64, cst client.Stats, kills int64) *bench.TrajectoryReport {
-	rep := &bench.TrajectoryReport{
-		Factor:      factor,
-		Workers:     clients,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Concurrency: clients,
-		Meta: bench.TrajectoryMeta{
-			GoVersion: runtime.Version(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			NumCPU:    runtime.NumCPU(),
-		},
-	}
-	mode := "server" + strconv.Itoa(clients)
-	for _, q := range r.byQuery() {
-		qps := float64(q.ok) / r.wall.Seconds()
-		rep.Rows = append(rep.Rows, bench.TrajectoryRow{
-			Query:         "Q" + strconv.Itoa(q.id),
-			Mode:          mode,
-			Typed:         true,
-			NsPerOp:       pct(q.latencies, 50).Nanoseconds(),
-			P95NsPerOp:    pct(q.latencies, 95).Nanoseconds(),
-			P99NsPerOp:    pct(q.latencies, 99).Nanoseconds(),
-			QPS:           qps,
-			Shed:          q.shed,
-			CacheHitPct:   hitPct,
-			Retries:       cst.Retries,
-			Hedges:        cst.Hedges,
-			WatchdogKills: kills,
-		})
-	}
-	return rep
 }
 
 func parseQueries(spec string) ([]int, error) {

@@ -4,22 +4,6 @@
 //	xmarkbench -figure12            Figure 12: speedup sweep over Q1–Q20
 //	xmarkbench -plansizes           Figure 6/9, §4.1: plan statistics
 //	xmarkbench -ablation            per-rewrite timing ablation
-//	xmarkbench -parallel            serial vs morsel-wise parallel execution
-//	xmarkbench -json FILE           benchmark trajectory (typed vs boxed,
-//	                                serial vs parallel, compiled vs
-//	                                tree-walking) as JSON
-//	xmarkbench -json FILE -concurrency N
-//	                                also measure N concurrent clients through
-//	                                a shared resource governor (throughput,
-//	                                latency, shedding, degradation)
-//	xmarkbench -json FILE -store-shards N
-//	                                also measure the corpus served out-of-core
-//	                                from the mmap'd columnar store, single-part
-//	                                ("ooc") and sharded N ways ("shard<N>")
-//	xmarkbench -json FILE -failover
-//	                                also measure recovered latency from a
-//	                                replicated store with one replica killed
-//	                                before every timed run ("failover")
 //
 // Document sizes are scaled to in-memory Go scale; the paper's 30 s
 // cutoff convention is kept (queries that exceed it report "cutoff", as
@@ -43,19 +27,10 @@ func main() {
 		figure12  = flag.Bool("figure12", false, "reproduce Figure 12 (speedup sweep)")
 		planSizes = flag.Bool("plansizes", false, "reproduce the plan-size claims (Figure 6/9, §4.1)")
 		ablation  = flag.Bool("ablation", false, "run the optimizer ablation")
-		parallel  = flag.Bool("parallel", false, "measure serial vs morsel-wise parallel execution")
-		jsonPath  = flag.String("json", "", "write a benchmark-trajectory JSON report to this file")
-		queriesS  = flag.String("queries", "1,8,9,11", "comma-separated XMark query numbers for -json")
-		workers   = flag.Int("workers", 0, "worker pool size for -parallel/-json (0 = GOMAXPROCS)")
-		factor    = flag.Float64("factor", 0.05, "scale factor for -table2/-ablation/-parallel")
+		factor    = flag.Float64("factor", 0.05, "scale factor for -table2/-ablation")
 		factorsS  = flag.String("factors", "0.002,0.01,0.05,0.2", "comma-separated factors for -figure12")
 		cutoff    = flag.Duration("cutoff", 30*time.Second, "per-run cutoff (paper: 30s)")
 		repeats   = flag.Int("repeats", 3, "measurements per point (median)")
-		stats     = flag.Bool("stats", false, "attach per-operator statistics (obs.OpStats) to every -json trajectory row")
-		compileOn = flag.Bool("compile", true, "execute bytecode-compiled programs for -json rows; off runs everything tree-walking and drops the 'walked' control rows")
-		concN     = flag.Int("concurrency", 0, "add contention rows to -json: N clients pushing queries through a shared resource governor (throughput, p50/p95 latency, shed and degraded counts)")
-		shardsN   = flag.Int("store-shards", 0, "add out-of-core rows to -json: mode 'ooc' serves the corpus from a single-part mmap'd store, and N>1 adds mode 'shard<N>' over the corpus sharded N ways, both paging under a ledger a quarter of the mapped size")
-		failover  = flag.Bool("failover", false, "add failover rows to -json: the corpus in a replicated store with one replica killed before every timed run, so p50/p95 price the full detect-swap-rerun recovery path")
 	)
 	flag.Parse()
 
@@ -88,37 +63,6 @@ func main() {
 		ran = true
 		if _, err := bench.Ablation(*factor, *repeats, os.Stdout); err != nil {
 			fatal("ablation: %v", err)
-		}
-	}
-	if *parallel {
-		ran = true
-		if _, err := bench.Parallel(*factor, *workers, *repeats, os.Stdout); err != nil {
-			fatal("parallel: %v", err)
-		}
-	}
-	if *jsonPath != "" {
-		ran = true
-		var ids []int
-		for _, s := range strings.Split(*queriesS, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal("bad query number %q", s)
-			}
-			ids = append(ids, id)
-		}
-		opts := bench.TrajectoryOptions{
-			Factor:      *factor,
-			Queries:     ids,
-			Workers:     *workers,
-			Repeats:     *repeats,
-			Stats:       *stats,
-			Concurrency: *concN,
-			NoCompile:   !*compileOn,
-			StoreShards: *shardsN,
-			Failover:    *failover,
-		}
-		if err := bench.WriteTrajectoryJSON(*jsonPath, opts, os.Stdout); err != nil {
-			fatal("json: %v", err)
 		}
 	}
 	if !ran {

@@ -314,6 +314,35 @@ func TestExternalVariableTypes(t *testing.T) {
 	}
 }
 
+// TestExternalVariablesAcrossModes: prolog variable declarations survive
+// an engine-level ordering override, so external bindings resolve the
+// same way under every execution mode.
+func TestExternalVariablesAcrossModes(t *testing.T) {
+	const query = `declare variable $n external;
+		declare variable $tag external;
+		concat($tag, string(sum(for $i in 1 to $n return $i * count(doc("t.xml")//c))))`
+	vars := map[string]any{"n": 3, "tag": "v"}
+	modes := []struct {
+		name string
+		opts []Option
+	}{
+		{"ordered", []Option{WithOrdering(Ordered)}},
+		{"unordered", []Option{WithOrdering(Unordered)}},
+		{"parallel", []Option{WithOrdering(Unordered), WithParallelism(4)}},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			res, err := newTestEngine(t, m.opts...).QueryWith(query, vars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if xml, _ := res.XML(); xml != "v12" {
+				t.Errorf("result: %q, want %q", xml, "v12")
+			}
+		})
+	}
+}
+
 func TestWithParallelism(t *testing.T) {
 	serial := New()
 	par := New(WithParallelism(4))

@@ -4,16 +4,15 @@
 // document sizes, the plan-size statistics behind Figure 6/9 and §4.1,
 // and ablations over the individual optimizer rewrites.
 //
-// Both cmd/xmarkbench and the repository's testing.B benchmarks drive
-// these entry points, so the printed rows match the paper's tables and
-// figures one to one.
+// cmd/xmarkbench drives these entry points, so the printed rows match
+// the paper's tables and figures one to one. Performance regressions are
+// gated elsewhere, by the workloads under benchmark/.
 package bench
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -257,116 +256,6 @@ func Table2(factor float64, w io.Writer) (*Table2Result, error) {
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// --- Parallel execution (beyond the paper) ---
-
-// ParallelRow is one serial-versus-parallel timing of an
-// order-indifferent query.
-type ParallelRow struct {
-	Query      string
-	Workers    int
-	SerialMS   float64
-	ParallelMS float64
-	SpeedupX   float64 // serial / parallel wall clock
-}
-
-// Parallel measures order-indifferent count-shaped queries (Q6, Q7, Q20
-// and a plain descendant count — one big order-dead scan each) under the
-// serial engine and the morsel-wise parallel executor. This experiment
-// extends the paper: order indifference licenses the partitioning, the
-// speedup column reports what the license buys on a multicore host.
-func Parallel(factor float64, workers, repeats int, w io.Writer) ([]ParallelRow, error) {
-	env := NewEnv(factor)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	queries := []struct{ name, text string }{
-		{"Q6", xmarkq.Get(6).Text},
-		{"Q7", xmarkq.Get(7).Text},
-		{"Q20", xmarkq.Get(20).Text},
-		{"kwcnt", `count(doc("auction.xml")//keyword)`},
-	}
-	scfg := indifferenceCfg(0)
-	pcfg := indifferenceCfg(0)
-	pcfg.Parallelism = workers
-	if w != nil {
-		fmt.Fprintf(w, "parallel execution at factor %g (~%.1f MB, %d nodes), %d workers\n",
-			factor, float64(env.Bytes)/(1<<20), env.Nodes, workers)
-		fmt.Fprintf(w, "%-6s %12s %12s %9s\n", "query", "serial[ms]", "parallel[ms]", "speedup")
-	}
-	var rows []ParallelRow
-	for _, q := range queries {
-		// Paired, interleaved samples: an untimed warm-up run first (page
-		// cache, GC heap target), then serial/parallel alternating, so
-		// neither side systematically benefits from running later.
-		if _, _, _, err := Run(env, q.text, scfg); err != nil {
-			return nil, fmt.Errorf("%s warm-up: %w", q.name, err)
-		}
-		sd, pd, err := pairedMedian(env, q.text, scfg, pcfg, repeats)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", q.name, err)
-		}
-		row := ParallelRow{Query: q.name, Workers: workers, SerialMS: ms(sd), ParallelMS: ms(pd)}
-		if pd > 0 {
-			row.SpeedupX = float64(sd) / float64(pd)
-		}
-		rows = append(rows, row)
-		if w != nil {
-			fmt.Fprintf(w, "%-6s %12.2f %12.2f %8.2fx\n", row.Query, row.SerialMS, row.ParallelMS, row.SpeedupX)
-		}
-	}
-	return rows, nil
-}
-
-// pairedMedian measures two configurations of the same query with
-// alternating (paired) runs and returns the median duration of each.
-// Alternation cancels drift — GC heap growth and cache warming otherwise
-// favor whichever configuration is measured later.
-func pairedMedian(env *Env, query string, a, b core.Config, repeats int) (time.Duration, time.Duration, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	da := make([]time.Duration, 0, repeats)
-	db := make([]time.Duration, 0, repeats)
-	for i := 0; i < repeats; i++ {
-		// ABBA ordering: each configuration runs first equally often, so
-		// the position-in-pair effect (the second run sees a heap the
-		// first just grew) cancels too.
-		first, second := a, b
-		if i%2 == 1 {
-			first, second = b, a
-		}
-		// Start every timed run from a freshly collected heap: without
-		// this, collection cycles triggered by one run land in its
-		// neighbor's wall clock, and their periodicity can resonate with
-		// the pairing.
-		runtime.GC()
-		_, d1, _, err := Run(env, query, first)
-		if err != nil {
-			return 0, 0, err
-		}
-		runtime.GC()
-		_, d2, _, err := Run(env, query, second)
-		if err != nil {
-			return 0, 0, err
-		}
-		if i%2 == 1 {
-			d1, d2 = d2, d1
-		}
-		da = append(da, d1)
-		db = append(db, d2)
-	}
-	return median(da), median(db), nil
-}
-
-func median(d []time.Duration) time.Duration {
-	for i := 1; i < len(d); i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
-	return d[len(d)/2]
-}
 
 // --- Plan sizes (Figure 6/9, §4.1) ---
 

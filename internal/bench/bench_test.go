@@ -4,8 +4,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/xmarkq"
 )
 
+// TestTable2ProfileShape checks the paper's structural claim about Q11 —
+// join work and the reordering around it dominate, path steps are
+// marginal — on cells materialized per operator class, which is the same
+// on every host. Time shares of the same classes are benchmark/'s
+// engine.*_share metrics.
 func TestTable2ProfileShape(t *testing.T) {
 	var sb strings.Builder
 	res, err := Table2(0.005, &sb)
@@ -15,25 +23,41 @@ func TestTable2ProfileShape(t *testing.T) {
 	if len(res.Rows) == 0 || res.TotalMS <= 0 {
 		t.Fatal("empty profile")
 	}
-	// The paper's structural claim: join-related work dominates, path
-	// step evaluation is marginal (<10 % at any scale).
-	var joinPct, stepPct float64
-	for _, r := range res.Rows {
-		if strings.Contains(r.Origin, "join") {
-			joinPct += r.SharePct
-		}
-		if r.Origin == "path step" {
-			stepPct += r.SharePct
-		}
-	}
-	if joinPct < 30 {
-		t.Errorf("join share %.0f%%, expected the dominant cost (paper: 45%%)", joinPct)
-	}
-	if stepPct > 10 {
-		t.Errorf("path step share %.0f%%, expected marginal (paper: <1%%)", stepPct)
-	}
 	if !strings.Contains(sb.String(), "paper: 45%") {
 		t.Error("report text missing the paper reference")
+	}
+
+	cfg := core.BaselineConfig()
+	cfg.Collect = true
+	run, _, _, err := Run(NewEnv(0.005), xmarkq.Get(11).Text, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join, reorder, iterToSeq, step, materialized int64
+	for _, op := range run.Stats.Ops {
+		switch op.Kind {
+		case "project":
+			continue // π aliases its input columns: bookkeeping, not work
+		case "join", "cross", "semijoin":
+			join += op.Cells
+		case "rownum":
+			reorder += op.Cells
+			if strings.HasPrefix(op.Origin, "iter->seq order") {
+				iterToSeq += op.Cells
+			}
+		case "step":
+			step += op.Cells
+		}
+		materialized += op.Cells
+	}
+	if join == 0 || iterToSeq == 0 {
+		t.Fatalf("operator classes missing: join %d cells, iter->seq reorder %d cells", join, iterToSeq)
+	}
+	if 2*(join+reorder) < materialized {
+		t.Errorf("join %d + reorder %d cells of %d materialized, expected the bulk (paper: ~90%% of time)", join, reorder, materialized)
+	}
+	if 50*step > materialized {
+		t.Errorf("path step %d cells of %d materialized, expected marginal (paper: <1%% of time)", step, materialized)
 	}
 }
 

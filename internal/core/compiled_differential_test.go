@@ -91,7 +91,7 @@ func TestDifferentialCompiledVsWalked(t *testing.T) {
 // TestCompiledStatsKeyedByPlanNode pins the observability contract of
 // compiled execution: an EXPLAIN ANALYZE run of a bytecode program
 // produces per-operator statistics keyed by the same plan-node IDs the
-// annotated plan prints, so xmarkbench -stats and ?analyze=1 join
+// annotated plan prints, so exrquy -analyze and ?analyze=1 join
 // compiled runs back to #id lines with no translation layer.
 func TestCompiledStatsKeyedByPlanNode(t *testing.T) {
 	env := bench.NewEnv(0.002)

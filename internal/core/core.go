@@ -157,7 +157,9 @@ func (cfg Config) span(name string) func() {
 // PrepareModule is Prepare over an already-parsed module.
 func PrepareModule(mod *xquery.Module, cfg Config) (p *Prepared, err error) {
 	if cfg.ForceOrdering != nil {
-		mod = &xquery.Module{Ordering: *cfg.ForceOrdering, Functions: mod.Functions, Body: mod.Body}
+		forced := *mod
+		forced.Ordering = *cfg.ForceOrdering
+		mod = &forced
 	}
 	end := cfg.span("normalize")
 	nm, err := normalize(mod, cfg)

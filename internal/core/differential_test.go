@@ -195,6 +195,19 @@ var diffCases = []diffCase{
 	{name: "percontext-pos2", query: bindT + `$t//b/c[1]`},
 	{name: "percontext-mixed", query: bindA + `$a//open_auction/bidder[increase > 1][1]/date/text()`},
 	{name: "percontext-vs-filter", query: bindT + `(count($t//c[1]), count(($t//c)[1]))`},
+	// Mixed-kind sequences: no typed column holds them, so these run
+	// through the []Item fallback of xdm.Column and its kernels.
+	{name: "mixed-for", query: `for $x in (1, "a", 2.5, <x/>) return $x`},
+	{name: "mixed-for-nested", query: `for $x in (1, "a", 2.5), $y in (<x/>, "b") return ($y, $x)`},
+	{name: "mixed-let-count", query: `let $s := (1, "a", 2.5, <x/>) return (count($s), $s[2], $s[last()])`},
+	{name: "mixed-orderby-key", query: `for $x in (1, "b", 2.5, <x>a</x>) order by string($x) return $x`},
+	{name: "mixed-orderby-numeric", query: `for $x in (3, 1.5, 2, 0.25) order by $x descending return $x`},
+	{name: "mixed-distinct-values", query: `distinct-values((1, "a", 2.5, 1, "a", 1.0, 2.5))`, bagOnly: true},
+	{name: "mixed-gencmp", query: `((1, 2.5, 3) = 2.5, (1, 2.5, 3) > 2.75, ("a", "b") = "b")`},
+	{name: "mixed-where-numeric", query: `for $x in (1, 2.5, 3, 0.5) where $x > 1.5 return $x * 2`},
+	{name: "mixed-aggregates", query: `(sum((1, 2.5, 3)), max((1, 2.5)), min((3, 0.5)), avg((1, 2.5)))`},
+	{name: "mixed-string-of", query: `for $x in (1, "a", 2.5, <x>n</x>) return concat("[", string($x), "]")`},
+	{name: "mixed-constructor", query: `<e>{ for $x in (1, "a", <x/>, 2.5) return $x }</e>`},
 }
 
 func buildStore(t *testing.T) (*xmltree.Store, map[string][]uint32) {

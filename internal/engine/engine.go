@@ -712,31 +712,61 @@ func (ex *Exec) evalSelect(n *algebra.Node, in *Table) (*Table, error) {
 type JoinIndex struct {
 	intIdx map[int64][]int32
 	strIdx map[string][]int32
+	// fanout is the mean number of right rows per key (at least 1): the
+	// pairs one probed left row is expected to emit.
+	fanout int
 }
 
 // BuildJoinIndex indexes a join's right-hand key column.
 func BuildJoinIndex(rk *xdm.Column) *JoinIndex {
-	if ints, ok := rk.Ints(); ok {
-		idx := make(map[int64][]int32, len(ints))
-		for i, v := range ints {
-			idx[v] = append(idx[v], int32(i))
-		}
-		return &JoinIndex{intIdx: idx}
-	}
-	if items, ok := rk.RawItems(); ok && allIntegers(items) {
-		idx := make(map[int64][]int32, len(items))
-		for i, it := range items {
-			idx[it.I] = append(idx[it.I], int32(i))
-		}
-		return &JoinIndex{intIdx: idx}
-	}
+	ix, _ := buildJoinIndex(rk, func() error { return nil })
+	return ix
+}
+
+// BuildJoinIndex is the package-level BuildJoinIndex polling for
+// cancellation every probeChunk rows — hashing a multi-million-row build
+// side is otherwise a cancellation blind spot.
+func (ex *Exec) BuildJoinIndex(rk *xdm.Column) (*JoinIndex, error) {
+	return buildJoinIndex(rk, ex.CheckCancel)
+}
+
+func buildJoinIndex(rk *xdm.Column, poll func() error) (*JoinIndex, error) {
 	nr := rk.Len()
-	idx := make(map[string][]int32, nr)
-	for i := 0; i < nr; i++ {
-		k := xdm.DistinctKey(rk.Get(i))
-		idx[k] = append(idx[k], int32(i))
+	ix := &JoinIndex{}
+	if ints, ok := rk.Ints(); ok {
+		ix.intIdx = make(map[int64][]int32, nr)
+		for i, v := range ints {
+			if i&(probeChunk-1) == 0 {
+				if err := poll(); err != nil {
+					return nil, err
+				}
+			}
+			ix.intIdx[v] = append(ix.intIdx[v], int32(i))
+		}
+	} else if items, ok := rk.RawItems(); ok && allIntegers(items) {
+		ix.intIdx = make(map[int64][]int32, nr)
+		for i, it := range items {
+			if i&(probeChunk-1) == 0 {
+				if err := poll(); err != nil {
+					return nil, err
+				}
+			}
+			ix.intIdx[it.I] = append(ix.intIdx[it.I], int32(i))
+		}
+	} else {
+		ix.strIdx = make(map[string][]int32, nr)
+		for i := 0; i < nr; i++ {
+			if i&(probeChunk-1) == 0 {
+				if err := poll(); err != nil {
+					return nil, err
+				}
+			}
+			k := xdm.DistinctKey(rk.Get(i))
+			ix.strIdx[k] = append(ix.strIdx[k], int32(i))
+		}
 	}
-	return &JoinIndex{strIdx: idx}
+	ix.fanout = max(nr/max(len(ix.intIdx)+len(ix.strIdx), 1), 1)
+	return ix, nil
 }
 
 // Probe appends the matching (left, right) row pairs for left rows
@@ -813,27 +843,35 @@ func (ex *Exec) MaterializeJoin(n *algebra.Node, l, r *Table, lperm, rperm []int
 	return t, nil
 }
 
-// probeChunk bounds the left-hand rows probed between cancellation and
-// budget polls in the serial join, keeping cancellation latency low even
-// when a single join is the whole query.
+// probeChunk bounds the rows a kernel processes between cancellation and
+// budget polls, keeping cancellation latency low even when a single
+// operator is the whole query.
 const probeChunk = 1 << 15
+
+// ProbeJoin probes left rows [lo, hi) against ix and returns the matching
+// (left, right) row pairs. The rows probed between cancellation and
+// budget polls are sized by the index's fan-out, so that about probeChunk
+// pairs are emitted per poll whether each left row matches one right row
+// or thousands. width is the join output's column count.
+func (ex *Exec) ProbeJoin(ix *JoinIndex, lk *xdm.Column, lo, hi, width int) (lperm, rperm []int32, err error) {
+	step := max(probeChunk/ix.fanout, 1)
+	for ; lo < hi; lo += step {
+		lperm, rperm = ix.Probe(lk, lo, min(lo+step, hi), lperm, rperm)
+		if err := ex.CheckCells(len(lperm), width); err != nil {
+			return nil, nil, err
+		}
+	}
+	return lperm, rperm, nil
+}
 
 func (ex *Exec) evalJoin(n *algebra.Node, l, r *Table) (*Table, error) {
 	lk, rk := l.Col(n.LCol), r.Col(n.RCol)
-	ix := BuildJoinIndex(rk)
-	nl := lk.Len()
-	var lperm, rperm []int32
-	for lo := 0; lo < nl; lo += probeChunk {
-		hi := lo + probeChunk
-		if hi > nl {
-			hi = nl
-		}
-		lperm, rperm = ix.Probe(lk, lo, hi, lperm, rperm)
-		if err := ex.checkCells(len(lperm), len(l.Cols)+len(r.Cols)); err != nil {
-			return nil, err
-		}
+	ix, err := ex.BuildJoinIndex(rk)
+	if err != nil {
+		return nil, err
 	}
-	if err := ex.checkCells(len(lperm), len(l.Cols)+len(r.Cols)); err != nil {
+	lperm, rperm, err := ex.ProbeJoin(ix, lk, 0, lk.Len(), len(l.Cols)+len(r.Cols))
+	if err != nil {
 		return nil, err
 	}
 	t, err := ex.MaterializeJoin(n, l, r, lperm, rperm)

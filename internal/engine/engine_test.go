@@ -129,6 +129,38 @@ func TestJoinDuplicatesAndTypes(t *testing.T) {
 	}
 }
 
+// TestJoinPollsByPairsEmitted: the join kernel polls for cancellation in
+// proportion to its work — rows hashed on the build side, pairs emitted on
+// the probe side — so neither a huge build input nor a high-fan-out key
+// (few left rows, millions of pairs) is a cancellation blind spot.
+func TestJoinPollsByPairsEmitted(t *testing.T) {
+	polls := 0
+	ex := NewExec(xmltree.NewStore(), nil, Options{StoreProbe: func() error { polls++; return nil }})
+
+	const buildRows = 4 * probeChunk
+	rk := xdm.IntColumn(make([]int64, buildRows)) // one key: fan-out = buildRows
+	ix, err := ex.BuildJoinIndex(rk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls < buildRows/probeChunk {
+		t.Errorf("build of %d rows polled %d times, want >= %d", buildRows, polls, buildRows/probeChunk)
+	}
+
+	const leftRows = 8
+	polls = 0
+	lperm, rperm, err := ex.ProbeJoin(ix, xdm.IntColumn(make([]int64, leftRows)), 0, leftRows, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lperm) != leftRows*buildRows || len(rperm) != len(lperm) {
+		t.Fatalf("probe emitted %d/%d pairs, want %d", len(lperm), len(rperm), leftRows*buildRows)
+	}
+	if polls < leftRows {
+		t.Errorf("probe emitting %d pairs polled %d times, want one per left row (%d)", len(lperm), polls, leftRows)
+	}
+}
+
 func TestSemiDiffDistinct(t *testing.T) {
 	store, docs, b := testEnv(t, "")
 	l := litTable(b, "k", 1, 2, 3, 2)

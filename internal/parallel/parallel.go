@@ -525,16 +525,20 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, erro
 	if cs == nil {
 		return nil, nil
 	}
-	ix := engine.BuildJoinIndex(rk)
+	ix, err := e.ex.BuildJoinIndex(rk)
+	if err != nil {
+		return nil, err
+	}
+	width := len(l.Cols) + len(r.Cols)
 	type part struct{ lperm, rperm []int32 }
 	parts := make([]part, len(cs))
 	tasks := make([]func() error, len(cs))
 	for ci, c := range cs {
 		ci, lo, hi := ci, c[0], c[1]
 		tasks[ci] = func() error {
-			lp, rp := ix.Probe(lk, lo, hi, nil, nil)
+			lp, rp, err := e.ex.ProbeJoin(ix, lk, lo, hi, width)
 			parts[ci] = part{lp, rp}
-			return e.ex.CheckCells(len(lp), len(l.Cols)+len(r.Cols))
+			return err
 		}
 	}
 	busy, err := e.runTasks(n, tasks)
@@ -545,7 +549,7 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, erro
 	for _, p := range parts {
 		total += len(p.lperm)
 	}
-	if err := e.ex.CheckCells(total, len(l.Cols)+len(r.Cols)); err != nil {
+	if err := e.ex.CheckCells(total, width); err != nil {
 		return nil, err
 	}
 	lperm := xdm.GetInt32s(total)[:0]

@@ -14,8 +14,8 @@
 //
 // Everything the serving layers hook into is preserved: the executor
 // polls the same budget/cancel/heartbeat points (engine.Exec), feeds the
-// same per-plan-node statistics collector (so EXPLAIN ANALYZE and
-// xmarkbench -stats join compiled runs back to plan #ids), and brackets
+// same per-plan-node statistics collector (so EXPLAIN ANALYZE joins
+// compiled runs back to plan #ids), and brackets
 // Par-marked operators with a fork/join instruction pair that hands
 // morsel ranges to internal/parallel — order indifference licenses the
 // parallel run, the join's deterministic serial merge keeps the bytes.

@@ -34,10 +34,9 @@ const (
 
 // ForceBoxed, when true, makes every column constructor and builder
 // produce the boxed []Item representation regardless of homogeneity. It
-// exists for the benchmark-trajectory harness (internal/bench), which
-// measures the typed kernels against the pre-typed boxed engine, and for
-// differential tests pinning typed-versus-boxed result identity. It must
-// only be toggled while no queries are running.
+// exists only for the differential tests pinning typed-versus-boxed
+// result identity (internal/core) and must only be toggled while no
+// queries are running.
 var ForceBoxed = false
 
 // Column is one table column. The zero value is an empty mixed column.
