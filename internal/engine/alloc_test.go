@@ -3,7 +3,10 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/xdm"
+	"repro/internal/xmltree"
+	"repro/internal/xquery"
 )
 
 // Allocation regression bounds for the typed column kernels. The bounds
@@ -63,4 +66,54 @@ func stampInts(rows int) []int64 {
 		num[i] = int64(i + 1)
 	}
 	return num
+}
+
+// TestAllocStepIterations pins the step kernel: child::name over 4096
+// single-context iterations and over one iteration of 4096 contexts must
+// both allocate a handful of times, whatever the row count — grouping
+// builds no per-iteration map or group, and the scans append straight
+// into pooled output columns.
+func TestAllocStepIterations(t *testing.T) {
+	const rows = 4096
+	b := xmltree.NewBuilder()
+	b.StartDoc("d.xml")
+	b.StartElem("r")
+	for i := 0; i < rows; i++ {
+		b.StartElem("p")
+		b.StartElem("c")
+		b.EndElem()
+		b.StartElem("d")
+		b.EndElem()
+		b.EndElem()
+	}
+	doc := b.Close()
+	store := xmltree.NewStore()
+	frag := store.Add(doc)
+	ps := make([]xdm.NodeID, 0, rows)
+	for _, p := range doc.Children(1) {
+		ps = append(ps, xdm.NodeID{Frag: frag, Pre: p})
+	}
+	perIter, oneIter := make([]int64, rows), make([]int64, rows)
+	for i := range perIter {
+		perIter[i], oneIter[i] = int64(i+1), 1
+	}
+	ab := algebra.NewBuilder()
+	n := ab.Step(ab.EmptyLit("iter", "item"), xquery.AxisChild, xquery.NodeTest{Kind: xquery.TestName, Name: "c"})
+	ex := NewExec(store, nil, Options{})
+	for name, iters := range map[string][]int64{"4096 iterations x 1 context": perIter, "1 iteration x 4096 contexts": oneIter} {
+		in := NewTable([]string{"iter", "item"})
+		in.Data[0], in.Data[1] = xdm.IntColumn(iters), xdm.NodeColumn(ps)
+		avg := testing.AllocsPerRun(20, func() {
+			out, err := ex.evalStep(n, in)
+			if err != nil || out.NumRows() != rows {
+				t.Fatalf("%s: %d rows, err %v", name, out.NumRows(), err)
+			}
+			xdm.RecycleColumn(out.Col("iter")) // return the buffers: steady-state pooling
+			xdm.RecycleColumn(out.Col("item"))
+		})
+		if avg > 16 {
+			t.Errorf("%s: evalStep allocates %.1f times, want <= 16 (row-independent)", name, avg)
+		}
+		t.Logf("%s: %.1f allocs per evalStep", name, avg)
+	}
 }

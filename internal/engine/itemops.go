@@ -212,9 +212,45 @@ func (ex *Exec) ApplyTern(n *algebra.Node, a, b, c xdm.Item) (xdm.Item, error) {
 	return ex.applyTernFn(n, a, b, c)
 }
 
-// ApplyUn evaluates one OpMap1 row; safe for concurrent use.
-func (ex *Exec) ApplyUn(n *algebra.Node, it xdm.Item) (xdm.Item, error) {
-	return ex.applyUnFn(n, it)
+// MapUn evaluates OpMap1 over rows [lo, hi) of arg into out — the kernel
+// evalMap1 runs chunk by chunk and the parallel executor morsel by
+// morsel. Safe for concurrent use on disjoint ranges (it only reads the
+// store).
+func (ex *Exec) MapUn(n *algebra.Node, arg *xdm.Column, lo, hi int, out []xdm.Item) error {
+	fr := fragRun{store: ex.store}
+	for i := lo; i < hi; i++ {
+		v, err := ex.applyUnFn(n, arg.Get(i), &fr)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
+// fragRun resolves the fragments behind a column of node references,
+// taking the store's lock once per run of equal fragment ids instead of
+// once per row. Fragments never move within an execution's store, so the
+// cached pointer stays valid while constructors append new ones.
+type fragRun struct {
+	store *xmltree.Store
+	f     *xmltree.Fragment
+	id    uint32
+}
+
+func (r *fragRun) frag(id uint32) *xmltree.Fragment {
+	if r.f == nil || r.id != id {
+		r.f, r.id = r.store.Frag(id), id
+	}
+	return r.f
+}
+
+// atomize is Store.Atomize through the cached fragment.
+func (r *fragRun) atomize(it xdm.Item) xdm.Item {
+	if !it.IsNode() {
+		return it
+	}
+	return xdm.NewUntyped(r.frag(it.N.Frag).StringValue(it.N.Pre))
 }
 
 // applyTernFn evaluates ternary item functions.
@@ -314,33 +350,29 @@ func (ex *Exec) evalMap1(n *algebra.Node, in *Table) (*Table, error) {
 	arg := in.Col(n.LCol)
 	rows := arg.Len()
 	out := xdm.GetItems(rows)
-	for i := 0; i < rows; i++ {
-		if i&(probeChunk-1) == 0 {
-			if err := ex.CheckCancel(); err != nil {
-				xdm.PutItems(out)
-				return nil, err
-			}
+	for lo := 0; lo < rows; lo += probeChunk {
+		err := ex.CheckCancel()
+		if err == nil {
+			err = ex.MapUn(n, arg, lo, min(lo+probeChunk, rows), out)
 		}
-		v, err := ex.applyUnFn(n, arg.Get(i))
 		if err != nil {
 			xdm.PutItems(out)
 			return nil, err
 		}
-		out[i] = v
 	}
 	return in.withColumn(n.Res, xdm.FromItemsOwned(out)), nil
 }
 
-func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item) (xdm.Item, error) {
+func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, error) {
 	switch n.UFn {
 	case algebra.UnAtomize:
-		return ex.store.Atomize(it), nil
+		return fr.atomize(it), nil
 	case algebra.UnString:
-		return xdm.NewString(ex.store.Atomize(it).StringValue()), nil
+		return xdm.NewString(fr.atomize(it).StringValue()), nil
 	case algebra.UnNumber:
-		return xdm.NewDouble(ex.store.Atomize(it).NumberOrNaN()), nil
+		return xdm.NewDouble(fr.atomize(it).NumberOrNaN()), nil
 	case algebra.UnStringLength:
-		return xdm.NewInt(int64(len([]rune(ex.store.Atomize(it).StringValue())))), nil
+		return xdm.NewInt(int64(len([]rune(fr.atomize(it).StringValue())))), nil
 	case algebra.UnNot:
 		if it.Kind != xdm.KBoolean {
 			return xdm.Item{}, ex.errf(n, "not over non-boolean")
@@ -356,7 +388,7 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item) (xdm.Item, error) {
 		if !it.IsNode() {
 			return xdm.Item{}, ex.errf(n, "name() over atomic value")
 		}
-		return xdm.NewString(ex.store.NameOf(it.N)), nil
+		return xdm.NewString(fr.frag(it.N.Frag).NodeName(it.N.Pre)), nil
 	case algebra.UnRoot:
 		if !it.IsNode() {
 			return xdm.Item{}, ex.errf(n, "root() over atomic value")
@@ -369,11 +401,11 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item) (xdm.Item, error) {
 		}
 		return xdm.NewDouble(f), nil
 	case algebra.UnNormalizeSpace:
-		return xdm.NewString(strings.Join(strings.Fields(ex.store.Atomize(it).StringValue()), " ")), nil
+		return xdm.NewString(strings.Join(strings.Fields(fr.atomize(it).StringValue()), " ")), nil
 	case algebra.UnUpperCase:
-		return xdm.NewString(strings.ToUpper(ex.store.Atomize(it).StringValue())), nil
+		return xdm.NewString(strings.ToUpper(fr.atomize(it).StringValue())), nil
 	case algebra.UnLowerCase:
-		return xdm.NewString(strings.ToLower(ex.store.Atomize(it).StringValue())), nil
+		return xdm.NewString(strings.ToLower(fr.atomize(it).StringValue())), nil
 	case algebra.UnRound, algebra.UnFloor, algebra.UnCeiling, algebra.UnAbs:
 		return roundingFn(n.UFn, it)
 	default:
@@ -488,6 +520,7 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 	t := NewTable(cols)
 	var keys []int64
 	var rb xdm.ColumnBuilder
+	fr := fragRun{store: ex.store}
 	for _, k := range order {
 		g := groups[k]
 		var res xdm.Item
@@ -521,7 +554,7 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 			sort.SliceStable(g.pairs, func(a, b int) bool { return g.pairs[a].pos < g.pairs[b].pos })
 			parts := make([]string, len(g.pairs))
 			for i, p := range g.pairs {
-				parts[i] = ex.store.Atomize(p.item).StringValue()
+				parts[i] = fr.atomize(p.item).StringValue()
 			}
 			res = xdm.NewString(strings.Join(parts, n.Name))
 		}

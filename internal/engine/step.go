@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/xdm"
@@ -10,71 +11,107 @@ import (
 	"repro/internal/xquery"
 )
 
-// StepGroup is the per-iteration work of one step evaluation: the
-// iteration id and, per fragment, the sorted duplicate-free context set.
-// Groups appear in first-occurrence order of their iteration and FragIDs
-// in ascending (global document) order, so concatenating per-group scan
-// results reproduces the serial operator output exactly.
-type StepGroup struct {
-	Iter    int64
-	FragIDs []uint32
-	ByFrag  map[uint32][]int32
+// StepRuns is a step operator's context table clustered for the staircase
+// join: rows ordered by (first-occurrence rank of their iteration,
+// fragment, preorder rank) with duplicates dropped, walked as maximal runs
+// of one iteration and one fragment. Scanning the runs in order and
+// concatenating the results reproduces the operator output — per
+// iteration duplicate-free and in document order — exactly, so the serial
+// and the morsel executor both start here. Nothing is allocated per
+// iteration or per run.
+type StepRuns struct {
+	iters  []int64
+	nodes  []xdm.NodeID
+	pooled bool // iters and nodes are reordered copies to hand back, not the input columns
+	pos    int
+
+	// The current run, set by Next: the iteration and its sorted,
+	// duplicate-free context nodes in one fragment (valid until Release).
+	Iter int64
+	Ctx  []xdm.NodeID
 }
 
-// CollectStepGroups groups step context nodes by iteration (and fragment
-// within each iteration), sorting and deduplicating each context set. It
-// is the preparation phase of evalStep, shared with the parallel executor.
-func CollectStepGroups(in *Table) ([]StepGroup, error) {
-	itc := in.Col("iter")
+// GroupStep clusters the (iter, item) rows of a step input. Input that a
+// preceding step or a loop-lifted numbering left clustered (iterations
+// non-decreasing, nodes strictly ascending within each) is walked in
+// place; anything else is reordered through one row permutation.
+func GroupStep(in *Table) (StepRuns, error) {
 	itemCol := in.Col("item")
-	rows := in.NumRows()
+	iters := iterInts(in.Col("iter"))
 	// A flat node column needs no per-row kind checks; the boxed fallback
-	// reports the first non-node cell like the old per-row loop did.
+	// reports the first non-node cell.
 	nodes, flat := itemCol.Nodes()
-	var boxed []xdm.Item
-	if !flat {
-		if its, ok := itemCol.RawItems(); ok {
-			boxed = its
-			for r := range boxed {
-				if !boxed[r].IsNode() {
-					return nil, fmt.Errorf("path step over atomic value %s", boxed[r].Kind)
-				}
+	if its, ok := itemCol.RawItems(); ok && !flat {
+		nodes = xdm.GetNodes(len(its))
+		defer xdm.PutNodes(nodes) // scratch: boxed input always takes the reordering path, which copies
+		for r := range its {
+			if !its[r].IsNode() {
+				return StepRuns{}, fmt.Errorf("path step over atomic value %s", its[r].Kind)
 			}
-		} else if rows > 0 {
-			return nil, fmt.Errorf("path step over atomic value %s", itemCol.Get(0).Kind)
+			nodes[r] = its[r].N
 		}
+	} else if !flat && in.NumRows() > 0 {
+		return StepRuns{}, fmt.Errorf("path step over atomic value %s", itemCol.Get(0).Kind)
 	}
-	iters := iterInts(itc)
-	idx := make(map[int64]int)
-	var groups []StepGroup
-	for r := 0; r < rows; r++ {
-		k := iters[r]
-		gi, ok := idx[k]
+	clustered := flat
+	for r := 1; r < len(nodes) && clustered; r++ {
+		clustered = iters[r] > iters[r-1] || iters[r] == iters[r-1] && nodes[r-1].Before(nodes[r])
+	}
+	if clustered {
+		return StepRuns{iters: iters, nodes: nodes}, nil
+	}
+	rank := xdm.GetInt32s(len(nodes)) // first-occurrence rank of each row's iteration
+	perm := xdm.GetInt32s(len(nodes))
+	seen := make(map[int64]int32)
+	for r, k := range iters {
+		id, ok := seen[k]
 		if !ok {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, StepGroup{Iter: k, ByFrag: make(map[uint32][]int32)})
+			id = int32(len(seen))
+			seen[k] = id
 		}
-		g := &groups[gi]
-		var id xdm.NodeID
-		if flat {
-			id = nodes[r]
-		} else {
-			id = boxed[r].N
-		}
-		if _, seen := g.ByFrag[id.Frag]; !seen {
-			g.FragIDs = append(g.FragIDs, id.Frag)
-		}
-		g.ByFrag[id.Frag] = append(g.ByFrag[id.Frag], id.Pre)
+		rank[r], perm[r] = id, int32(r)
 	}
-	for gi := range groups {
-		g := &groups[gi]
-		sort.Slice(g.FragIDs, func(a, b int) bool { return g.FragIDs[a] < g.FragIDs[b] })
-		for fid, ctx := range g.ByFrag {
-			g.ByFrag[fid] = DedupSorted(ctx)
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(rank[a], rank[b]); c != 0 {
+			return c
 		}
+		if c := cmp.Compare(nodes[a].Frag, nodes[b].Frag); c != 0 {
+			return c
+		}
+		return cmp.Compare(nodes[a].Pre, nodes[b].Pre)
+	})
+	g := StepRuns{iters: xdm.GetInts(len(nodes))[:0], nodes: xdm.GetNodes(len(nodes))[:0], pooled: true}
+	for _, r := range perm {
+		if n := len(g.nodes); n > 0 && g.iters[n-1] == iters[r] && g.nodes[n-1] == nodes[r] {
+			continue // duplicate context node
+		}
+		g.iters, g.nodes = append(g.iters, iters[r]), append(g.nodes, nodes[r])
 	}
-	return groups, nil
+	xdm.PutInt32s(rank)
+	xdm.PutInt32s(perm)
+	return g, nil
+}
+
+// Next advances to the next run; false after the last one.
+func (g *StepRuns) Next() bool {
+	start := g.pos
+	if start >= len(g.nodes) {
+		return false
+	}
+	end := start + 1
+	for end < len(g.nodes) && g.iters[end] == g.iters[start] && g.nodes[end].Frag == g.nodes[start].Frag {
+		end++
+	}
+	g.pos, g.Iter, g.Ctx = end, g.iters[start], g.nodes[start:end]
+	return true
+}
+
+// Release hands pooled buffers back; Ctx slices are dead afterwards.
+func (g *StepRuns) Release() {
+	if g.pooled {
+		xdm.PutInts(g.iters)
+		xdm.PutNodes(g.nodes)
+	}
 }
 
 // evalStep implements the XPath step operator ⤋ax::nt with a staircase
@@ -85,153 +122,197 @@ func CollectStepGroups(in *Table) ([]StepGroup, error) {
 // output is duplicate-free per iteration and in document order — but the
 // plan never relies on that: sequence order is (re-)established by ρ, or
 // deliberately left arbitrary by #. Both output columns are flat (iter
-// ids and node refs), so the inner loops never box an Item.
+// ids and node refs) and the scans append straight into them.
 func (ex *Exec) evalStep(n *algebra.Node, in *Table) (*Table, error) {
-	groups, err := CollectStepGroups(in)
+	runs, err := GroupStep(in)
 	if err != nil {
 		return nil, ex.errf(n, "%v", err)
 	}
-	var outIter []int64
-	var outItem []xdm.NodeID
-	for gi, g := range groups {
-		if gi&(probeChunk-1) == 0 {
+	defer runs.Release()
+	outIter := xdm.GetInts(in.NumRows())[:0]
+	outItem := xdm.GetNodes(in.NumRows())[:0]
+	fr := fragRun{store: ex.store}
+	for i := 0; runs.Next(); i++ {
+		if i&(probeChunk-1) == 0 {
 			if err := ex.CheckCancel(); err != nil {
+				xdm.PutInts(outIter)
+				xdm.PutNodes(outItem)
 				return nil, err
 			}
 		}
-		for _, fid := range g.FragIDs {
-			f := ex.store.Frag(fid)
-			res := AxisScan(f, g.ByFrag[fid], n.Axis, n.Test)
-			for _, pre := range res {
-				outIter = append(outIter, g.Iter)
-				outItem = append(outItem, xdm.NodeID{Frag: fid, Pre: pre})
-			}
-		}
+		outItem = AppendAxis(outItem, fr.frag(runs.Ctx[0].Frag), runs.Ctx, n.Axis, n.Test)
+		outIter = AppendIter(outIter, runs.Iter, len(outItem))
 	}
+	return StepTable(outIter, outItem), nil
+}
+
+// StepTable wraps a step's output columns.
+func StepTable(iters []int64, items []xdm.NodeID) *Table {
 	t := NewTable([]string{"iter", "item"})
-	t.Data[0] = xdm.IntColumn(outIter)
-	t.Data[1] = xdm.NodeColumn(outItem)
-	return t, nil
+	t.Data[0] = xdm.IntColumn(iters)
+	t.Data[1] = xdm.NodeColumn(items)
+	return t
 }
 
-// DedupSorted sorts preorder ranks ascending and removes duplicates,
-// reusing the input slice's backing array.
-func DedupSorted(pres []int32) []int32 {
-	sort.Slice(pres, func(a, b int) bool { return pres[a] < pres[b] })
-	out := pres[:0]
-	var last int32 = -1
-	for _, p := range pres {
-		if p != last {
-			out = append(out, p)
-			last = p
-		}
+// AppendIter pads out with iter up to length n, growing through the pool.
+func AppendIter(out []int64, iter int64, n int) []int64 {
+	old := len(out)
+	out = xdm.GrowInts(out, n)[:n]
+	for i := old; i < n; i++ {
+		out[i] = iter
 	}
 	return out
 }
 
-// ScanRegion is one pruned scan interval of a descendant(-or-self) axis
-// evaluation: the preorder range [Start, End] dominated by context Ctx.
-// Regions of one context set are disjoint and ascending, so they may be
+// pushNode is append for step output: a full buffer is swapped for the
+// next pool class instead of being left to the garbage collector.
+func pushNode(out []xdm.NodeID, frag uint32, pre int32) []xdm.NodeID {
+	if len(out) == cap(out) {
+		out = xdm.GrowNodes(out, len(out)+1)
+	}
+	return append(out, xdm.NodeID{Frag: frag, Pre: pre})
+}
+
+// DedupSorted sorts node references of one fragment by preorder rank and
+// removes duplicates, in place.
+func DedupSorted(ns []xdm.NodeID) []xdm.NodeID {
+	byPre := func(a, b xdm.NodeID) int { return cmp.Compare(a.Pre, b.Pre) }
+	if !slices.IsSortedFunc(ns, byPre) {
+		slices.SortFunc(ns, byPre)
+	}
+	return slices.Compact(ns)
+}
+
+// Staircase prunes a sorted duplicate-free context set of fragment f for
+// the descendant or descendant-or-self axis and calls scan with each
+// region the staircase join walks: the preorder range [lo, hi] dominated
+// by context ctx. Regions are disjoint and ascending, so they may be
 // scanned independently (and subdivided) without changing the result.
-type ScanRegion struct {
-	Ctx        int32
-	Start, End int32
-}
-
-// StaircaseRegions prunes a sorted duplicate-free context set for the
-// descendant or descendant-or-self axis, returning the disjoint scan
-// regions the staircase join walks.
-func StaircaseRegions(f *xmltree.Fragment, ctx []int32, axis xquery.Axis) []ScanRegion {
-	var out []ScanRegion
-	scanned := int32(-1)
-	for _, v := range ctx {
-		if v <= scanned {
-			continue // covered by an earlier context's subtree
-		}
-		start := v + 1
-		if axis == xquery.AxisDescendantOrSelf {
-			start = v
-		}
-		end := v + f.Size[v]
-		if start <= end {
-			out = append(out, ScanRegion{Ctx: v, Start: start, End: end})
-		}
-		scanned = end
+func Staircase(f *xmltree.Fragment, ctx []xdm.NodeID, axis xquery.Axis, scan func(ctx, lo, hi int32)) {
+	orSelf := axis == xquery.AxisDescendantOrSelf
+	var root, lo, hi int32 = 0, 0, -1 // the region not yet handed to scan
+	for _, cn := range ctx {
+		v := cn.Pre
+		if v > hi {
+			if lo <= hi {
+				scan(root, lo, hi)
+			}
+			root, lo, hi = v, v+1, v+f.Size[v]
+			if orSelf {
+				lo = v
+			}
+		} else if orSelf && f.Kind[v] == xmltree.KindAttr {
+			// Covered by an earlier context's subtree, but not on its
+			// descendant axis: the attribute is only its own -or-self.
+			if lo < v {
+				scan(root, lo, v-1)
+			}
+			scan(v, v, v)
+			lo = v + 1
+		} // else covered by an earlier context's subtree
 	}
-	return out
+	if lo <= hi {
+		scan(root, lo, hi)
+	}
 }
 
 // ScanRegionRange scans the preorder subrange [lo, hi] of a descendant
-// region rooted at ctx, appending matching ranks to a fresh slice.
-// Subdividing a region into consecutive subranges and concatenating the
-// outputs yields exactly the full-region scan.
-func ScanRegionRange(f *xmltree.Fragment, ctx, lo, hi int32, test xquery.NodeTest) []int32 {
-	var out []int32
+// region rooted at ctx, appending the matches (as nodes of fragment frag)
+// to out. Subdividing a region into consecutive subranges and
+// concatenating the outputs yields exactly the full-region scan. A name
+// test over a document with element postings costs a binary search plus
+// the matches instead of a visit to every node of the range.
+func ScanRegionRange(out []xdm.NodeID, f *xmltree.Fragment, frag uint32, ctx, lo, hi int32, test xquery.NodeTest) []xdm.NodeID {
+	if test.Kind == xquery.TestName {
+		// Postings hold elements only, which is all a name test matches
+		// here — even an attribute context on its own -or-self axis fails it.
+		if post, ok := f.ElemPostings(test.Name); ok {
+			i, _ := slices.BinarySearch(post, lo)
+			for ; i < len(post) && post[i] <= hi; i++ {
+				out = pushNode(out, frag, post[i])
+			}
+			return out
+		}
+	}
 	for c := lo; c <= hi; c++ {
 		// Attributes are not on the descendant axis, but a context node is
 		// on its own descendant-or-self axis even if it is an attribute.
 		if (c == ctx || f.Kind[c] != xmltree.KindAttr) && TestMatch(f, c, xquery.AxisDescendant, test) {
-			out = append(out, c)
+			out = pushNode(out, frag, c)
 		}
 	}
 	return out
 }
 
-// AxisScan evaluates one axis over a sorted, duplicate-free context set in
-// one fragment, returning matching preorder ranks in document order.
-func AxisScan(f *xmltree.Fragment, ctx []int32, axis xquery.Axis, test xquery.NodeTest) []int32 {
-	var out []int32
+// AppendAxis evaluates one axis over a sorted, duplicate-free context set
+// within fragment f, appending the matching nodes to out in document
+// order.
+func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, axis xquery.Axis, test xquery.NodeTest) []xdm.NodeID {
+	if len(ctx) == 0 {
+		return out
+	}
+	base, frag := len(out), ctx[0].Frag
 	switch axis {
 	case xquery.AxisDescendant, xquery.AxisDescendantOrSelf:
-		// Staircase: skip contexts subsumed by the previous scan region.
-		for _, reg := range StaircaseRegions(f, ctx, axis) {
-			out = append(out, ScanRegionRange(f, reg.Ctx, reg.Start, reg.End, test)...)
-		}
+		Staircase(f, ctx, axis, func(ctx, lo, hi int32) {
+			out = ScanRegionRange(out, f, frag, ctx, lo, hi, test)
+		})
 	case xquery.AxisChild:
-		sorted := true
-		last := int32(-1)
-		for _, v := range ctx {
+		sorted, last := true, int32(-1)
+		for _, cn := range ctx {
+			v := cn.Pre
 			end := v + f.Size[v]
 			lvl := f.Level[v] + 1
 			for c := v + 1; c <= end; c += f.Size[c] + 1 {
-				if f.Kind[c] == xmltree.KindAttr {
-					continue
-				}
-				if f.Level[c] == lvl && TestMatch(f, c, axis, test) {
-					if c < last {
-						sorted = false
-					}
+				if f.Kind[c] != xmltree.KindAttr && f.Level[c] == lvl && TestMatch(f, c, axis, test) {
+					sorted = sorted && c > last
 					last = c
-					out = append(out, c)
+					out = pushNode(out, frag, c)
 				}
 			}
 		}
 		if !sorted {
-			out = DedupSorted(out) // children of distinct contexts are disjoint; sort restores doc order
+			DedupSorted(out[base:]) // children of distinct contexts are disjoint; nested contexts only leave them out of document order
 		}
 	case xquery.AxisAttribute:
-		for _, v := range ctx {
+		for _, cn := range ctx {
+			v := cn.Pre
 			end := v + f.Size[v]
 			for c := v + 1; c <= end && f.Kind[c] == xmltree.KindAttr && f.Level[c] == f.Level[v]+1; c++ {
 				if TestMatch(f, c, axis, test) {
-					out = append(out, c)
+					out = pushNode(out, frag, c)
 				}
 			}
 		}
 	case xquery.AxisSelf:
-		for _, v := range ctx {
-			if TestMatch(f, v, axis, test) {
-				out = append(out, v)
+		for _, cn := range ctx {
+			if TestMatch(f, cn.Pre, axis, test) {
+				out = pushNode(out, frag, cn.Pre)
 			}
 		}
 	case xquery.AxisParent:
-		for _, v := range ctx {
-			if p := f.Parent[v]; p >= 0 && TestMatch(f, p, axis, test) {
-				out = append(out, p)
+		for _, cn := range ctx {
+			if p := f.Parent[cn.Pre]; p >= 0 && TestMatch(f, p, axis, test) {
+				out = pushNode(out, frag, p)
 			}
 		}
-		out = DedupSorted(out)
+		out = out[:base+len(DedupSorted(out[base:]))]
 	}
+	return out
+}
+
+// AxisScan is AppendAxis over bare preorder ranks.
+func AxisScan(f *xmltree.Fragment, ctx []int32, axis xquery.Axis, test xquery.NodeTest) []int32 {
+	cs := make([]xdm.NodeID, len(ctx))
+	for i, v := range ctx {
+		cs[i].Pre = v
+	}
+	ns := AppendAxis(nil, f, cs, axis, test)
+	out := make([]int32, len(ns))
+	for i := range ns {
+		out[i] = ns[i].Pre
+	}
+	xdm.PutNodes(ns)
 	return out
 }
 

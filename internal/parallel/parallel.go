@@ -86,12 +86,6 @@ const (
 	// morselsPerWorker over-partitions the work so that morsels of uneven
 	// cost still balance across the pool.
 	morselsPerWorker = 4
-	// minDescSpan is the smallest preorder span worth splitting in a
-	// descendant-axis scan region (scanning a slot is much cheaper than a
-	// row kernel, so the threshold is coarser).
-	minDescSpan = 8192
-	// minCtxChunk bounds context-set chunks for the non-recursive axes.
-	minCtxChunk = 64
 )
 
 // Run evaluates the plan DAG rooted at root with up to opts.Workers
@@ -378,43 +372,40 @@ func (e *executor) ranges(n, min int) [][2]int {
 // order — into flat iter/node columns, no boxing — so the output is
 // identical to evalStep's.
 func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error) {
-	groups, err := engine.CollectStepGroups(in)
+	runs, err := engine.GroupStep(in)
 	if err != nil {
 		return nil, e.ex.Errf(n, "%v", err)
 	}
+	defer runs.Release() // after runTasks: the morsels read the runs' context sets
 	isDesc := n.Axis == xquery.AxisDescendant || n.Axis == xquery.AxisDescendantOrSelf
 
-	// One slot per (iteration group, fragment), in serial output order.
+	// One slot per run, in serial output order.
 	type slot struct {
-		g       *engine.StepGroup
-		fid     uint32
-		frag    *xmltree.Fragment
-		ctx     []int32
-		regions []engine.ScanRegion
-		outs    [][]int32 // per-morsel results, morsel order = scan order
+		iter int64
+		frag *xmltree.Fragment
+		ctx  []xdm.NodeID
+		outs [][]xdm.NodeID // per-morsel results, morsel order = scan order
 	}
-	var slots []*slot
+	var slots []slot
 	totalWork := 0
-	for gi := range groups {
-		g := &groups[gi]
-		for _, fid := range g.FragIDs {
-			f := e.ex.Store().Frag(fid)
-			s := &slot{g: g, fid: fid, frag: f, ctx: g.ByFrag[fid]}
-			if isDesc {
-				s.regions = engine.StaircaseRegions(f, s.ctx, n.Axis)
-				for _, reg := range s.regions {
-					totalWork += int(reg.End-reg.Start) + 1
-				}
-			} else {
-				totalWork += len(s.ctx)
-			}
-			slots = append(slots, s)
+	for runs.Next() {
+		f := e.ex.Store().Frag(runs.Ctx[0].Frag)
+		slots = append(slots, slot{iter: runs.Iter, frag: f, ctx: runs.Ctx})
+		if !isDesc {
+			totalWork += len(runs.Ctx)
+			continue
 		}
+		engine.Staircase(f, runs.Ctx, n.Axis, func(_, lo, hi int32) {
+			totalWork += int(hi-lo) + 1
+		})
 	}
 
-	minChunk := minCtxChunk
+	// Smallest morsel, scaled from the row-kernel unit: a context is worth
+	// a few rows (64 contexts at the default), one preorder slot of a
+	// descendant region far less than a row (8192 slots at the default).
+	minChunk := max(e.minRows/4, 1)
 	if isDesc {
-		minChunk = minDescSpan
+		minChunk = e.minRows * 32
 	}
 	if totalWork < 2*minChunk {
 		return nil, nil
@@ -430,43 +421,35 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 	chargeInWorker := n.Axis != xquery.AxisChild && n.Axis != xquery.AxisParent
 
 	var tasks []func() error
-	for _, s := range slots {
-		s := s
+	for si := range slots {
+		s, f, ctx := &slots[si], slots[si].frag, slots[si].ctx
+		// scan queues one morsel: its output lands in the slot's next cell.
+		scan := func(kernel func() []xdm.NodeID) {
+			ui := len(s.outs)
+			s.outs = append(s.outs, nil)
+			tasks = append(tasks, func() error {
+				res := kernel()
+				s.outs[ui] = res
+				if chargeInWorker {
+					return e.ex.ChargeCells(int64(len(res)) * 2)
+				}
+				return e.ex.CheckCells(0, 0)
+			})
+		}
 		if isDesc {
-			for _, reg := range s.regions {
-				for lo := reg.Start; lo <= reg.End; lo += int32(chunk) {
-					hi := lo + int32(chunk) - 1
-					if hi > reg.End {
-						hi = reg.End
-					}
-					ui := len(s.outs)
-					s.outs = append(s.outs, nil)
-					reg, lo, hi := reg, lo, hi
-					tasks = append(tasks, func() error {
-						res := engine.ScanRegionRange(s.frag, reg.Ctx, lo, hi, n.Test)
-						s.outs[ui] = res
-						return e.ex.ChargeCells(int64(len(res)) * 2)
+			engine.Staircase(f, ctx, n.Axis, func(root, start, end int32) {
+				for lo := start; lo <= end; lo += int32(chunk) {
+					hi := min(lo+int32(chunk)-1, end)
+					scan(func() []xdm.NodeID {
+						return engine.ScanRegionRange(nil, f, ctx[0].Frag, root, lo, hi, n.Test)
 					})
 				}
-			}
-		} else {
-			for lo := 0; lo < len(s.ctx); lo += chunk {
-				hi := lo + chunk
-				if hi > len(s.ctx) {
-					hi = len(s.ctx)
-				}
-				ui := len(s.outs)
-				s.outs = append(s.outs, nil)
-				lo, hi := lo, hi
-				tasks = append(tasks, func() error {
-					res := engine.AxisScan(s.frag, s.ctx[lo:hi], n.Axis, n.Test)
-					s.outs[ui] = res
-					if chargeInWorker {
-						return e.ex.ChargeCells(int64(len(res)) * 2)
-					}
-					return e.ex.CheckCells(0, 0)
-				})
-			}
+			})
+			continue
+		}
+		for lo := 0; lo < len(ctx); lo += chunk {
+			part := ctx[lo:min(lo+chunk, len(ctx))]
+			scan(func() []xdm.NodeID { return engine.AppendAxis(nil, f, part, n.Axis, n.Test) })
 		}
 	}
 	if len(tasks) < 2 {
@@ -478,42 +461,28 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 		return nil, err
 	}
 
-	var outIter []int64
-	var outItem []xdm.NodeID
+	total := 0
 	for _, s := range slots {
-		var pres []int32
 		for _, u := range s.outs {
-			pres = append(pres, u...)
-		}
-		switch n.Axis {
-		case xquery.AxisChild:
-			// Children of distinct contexts are disjoint and duplicate-free;
-			// the sort only restores document order across morsels, exactly
-			// as AxisScan restores it across unsorted contexts.
-			if !sortedAsc(pres) {
-				pres = engine.DedupSorted(pres)
-			}
-		case xquery.AxisParent:
-			pres = engine.DedupSorted(pres)
-		}
-		for _, pre := range pres {
-			outIter = append(outIter, s.g.Iter)
-			outItem = append(outItem, xdm.NodeID{Frag: s.fid, Pre: pre})
+			total += len(u)
 		}
 	}
-	t := engine.NewTable([]string{"iter", "item"})
-	t.Data[0] = xdm.IntColumn(outIter)
-	t.Data[1] = xdm.NodeColumn(outItem)
-	return &opResult{t: t, busy: busy, charged: chargeInWorker}, nil
-}
-
-func sortedAsc(pres []int32) bool {
-	for i := 1; i < len(pres); i++ {
-		if pres[i] < pres[i-1] {
-			return false
+	outIter := xdm.GetInts(total)[:0]
+	outItem := xdm.GetNodes(total)[:0]
+	for _, s := range slots {
+		base := len(outItem)
+		for _, u := range s.outs {
+			outItem = append(outItem, u...)
+			xdm.PutNodes(u)
 		}
+		if len(s.outs) > 1 && !chargeInWorker {
+			// Restore document order (child) and drop duplicates (parent)
+			// across morsels, exactly as AppendAxis does across contexts.
+			outItem = outItem[:base+len(engine.DedupSorted(outItem[base:]))]
+		}
+		outIter = engine.AppendIter(outIter, s.iter, len(outItem))
 	}
-	return true
+	return &opResult{t: engine.StepTable(outIter, outItem), busy: busy, charged: chargeInWorker}, nil
 }
 
 // parJoin builds the hash index serially (builds don't decompose well at
@@ -669,16 +638,7 @@ func (e *executor) parMap1(n *algebra.Node, in *engine.Table) (*opResult, error)
 	tasks := make([]func() error, len(cs))
 	for ci, c := range cs {
 		lo, hi := c[0], c[1]
-		tasks[ci] = func() error {
-			for i := lo; i < hi; i++ {
-				v, err := e.ex.ApplyUn(n, arg.Get(i))
-				if err != nil {
-					return err
-				}
-				out[i] = v
-			}
-			return nil
-		}
+		tasks[ci] = func() error { return e.ex.MapUn(n, arg, lo, hi, out) }
 	}
 	busy, err := e.runTasks(n, tasks)
 	if err != nil {

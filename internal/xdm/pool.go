@@ -97,6 +97,20 @@ func (p *slicePool[T]) put(s []T) {
 	p.classes[cl].Put(&s)
 }
 
+// grow returns s with capacity for at least n elements: a buffer that is
+// too small is swapped for a pool class at least twice its size and
+// recycled, so a kernel that cannot size its output up front still
+// appends into pooled storage.
+func (p *slicePool[T]) grow(s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	grown := p.get(max(n, 2*cap(s), minPooledCap))[:len(s)]
+	copy(grown, s)
+	p.put(s)
+	return grown
+}
+
 var (
 	intPool   = slicePool[int64]{elem: 8}
 	floatPool = slicePool[float64]{elem: 8}
@@ -111,6 +125,9 @@ func GetInts(n int) []int64 { return intPool.get(n) }
 // PutInts recycles an int64 buffer; the caller must not use s afterwards.
 func PutInts(s []int64) { intPool.put(s) }
 
+// GrowInts returns s with room for n cells, through the pool (see grow).
+func GrowInts(s []int64, n int) []int64 { return intPool.grow(s, n) }
+
 // GetFloats returns a float64 buffer of length n (contents undefined).
 func GetFloats(n int) []float64 { return floatPool.get(n) }
 
@@ -122,6 +139,13 @@ func GetNodes(n int) []NodeID { return nodePool.get(n) }
 
 // PutNodes recycles a NodeID buffer.
 func PutNodes(s []NodeID) { nodePool.put(s) }
+
+// GrowNodes returns s with room for n cells, through the pool (see grow).
+// Not inlined: it is the cold branch of per-node append loops, whose hot
+// path must stay within the inliner's budget.
+//
+//go:noinline
+func GrowNodes(s []NodeID, n int) []NodeID { return nodePool.grow(s, n) }
 
 // GetItems returns an Item buffer of length n (contents undefined).
 func GetItems(n int) []Item { return itemPool.get(n) }

@@ -11,7 +11,10 @@
 // skip them, the attribute axis selects exactly them.
 package xmltree
 
-import "strings"
+import (
+	"strings"
+	"sync/atomic"
+)
 
 // NodeKind classifies nodes within a fragment.
 type NodeKind uint8
@@ -55,6 +58,8 @@ type Fragment struct {
 	Size   []int32
 	Level  []int32
 	Parent []int32 // preorder rank of the parent; -1 at the root
+
+	elems atomic.Pointer[elemPostings] // lazily built, see ElemPostings
 }
 
 // Len returns the number of nodes in the fragment.

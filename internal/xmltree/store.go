@@ -57,9 +57,6 @@ func (s *Store) Derive() *Store {
 	return &Store{frags: frags}
 }
 
-// NodeKindOf resolves the kind of a node reference.
-func (s *Store) NodeKindOf(n xdm.NodeID) NodeKind { return s.Frag(n.Frag).Kind[n.Pre] }
-
 // StringValueOf resolves the XDM string value of a node reference.
 func (s *Store) StringValueOf(n xdm.NodeID) string { return s.Frag(n.Frag).StringValue(n.Pre) }
 
