@@ -58,13 +58,13 @@ func TestAllocXMarkQ1EndToEnd(t *testing.T) {
 	}
 }
 
-// TestAllocCompiledNotWorseThanWalked pins the bytecode executor's
-// allocation discipline: a compiled program run must allocate no more
-// than the tree-walking engine evaluating the same plan. The VM's frame
-// pool, precomputed release lists and skipped memo map are exactly the
-// allocations the walked engine pays per run, so compiled should sit
-// strictly below; the bound tolerates equality plus 2% for pool-reuse
-// jitter in AllocsPerRun sampling.
+// TestAllocCompiledNotWorseThanWalked pins what flattening once buys: a
+// run of a program flattened at Prepare (Config.Compiled, pooled frames)
+// must allocate no more than a run that flattens the same plan first
+// ("walked", a name kept from the executor it replaced). The program and
+// its release lists are exactly what the per-run flatten allocates, so
+// compiled should sit strictly below; the bound tolerates equality plus
+// 2% for pool-reuse jitter in AllocsPerRun sampling.
 func TestAllocCompiledNotWorseThanWalked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation bound needs the factor-0.01 instance")
@@ -89,7 +89,7 @@ func TestAllocCompiledNotWorseThanWalked(t *testing.T) {
 		compiled := measure(qn, true)
 		walked := measure(qn, false)
 		if compiled > walked*1.02 {
-			t.Errorf("XMark Q%d: compiled %.0f allocs/run vs walked %.0f — the bytecode executor must not out-allocate the tree walker", qn, compiled, walked)
+			t.Errorf("XMark Q%d: compiled %.0f allocs/run vs walked %.0f — a shared program must not out-allocate flattening per run", qn, compiled, walked)
 		} else {
 			t.Logf("XMark Q%d: compiled %.0f allocs/run, walked %.0f", qn, compiled, walked)
 		}

@@ -74,8 +74,6 @@ func main() {
 		mode       = flag.String("ordering", "prolog", "ordering mode: prolog, ordered, unordered")
 		baseline   = flag.Bool("baseline", false, "disable order indifference (the order-ignorant baseline)")
 		explain    = flag.Bool("explain", false, "print the optimized plan instead of executing")
-		explainBC  = flag.Bool("explain-bytecode", false, "print the optimized plan and its compiled bytecode program instead of executing")
-		compileOn  = flag.Bool("compile", true, "compile plans to bytecode (off = tree-walking engine)")
 		analyze    = flag.Bool("analyze", false, "EXPLAIN ANALYZE: execute, then print the plan annotated with measured per-operator rows and times")
 		traceFile  = flag.String("trace", "", "write a chrome://tracing JSON trace of the run to this file")
 		metrics    = flag.Bool("metrics", false, "print the process-wide engine metrics after execution")
@@ -136,9 +134,6 @@ func main() {
 		opts = append(opts, exrquy.WithOrdering(exrquy.Unordered))
 	default:
 		fatal(nil, "unknown ordering mode %q", *mode)
-	}
-	if !*compileOn {
-		opts = append(opts, exrquy.WithCompiled(false))
 	}
 	if *timeoutSec > 0 {
 		opts = append(opts, exrquy.WithTimeout(time.Duration(*timeoutSec*float64(time.Second))))
@@ -233,14 +228,6 @@ func main() {
 	}
 	if *explain {
 		fmt.Fprint(stdout, q.Explain())
-		return
-	}
-	if *explainBC {
-		// The algebra plan and its flattened register program side by
-		// side: each instruction names its plan node by #id.
-		fmt.Fprint(stdout, q.Explain())
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, q.ExplainProgram())
 		return
 	}
 	// Ctrl-C cancels the running query cooperatively instead of killing

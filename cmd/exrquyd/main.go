@@ -65,7 +65,6 @@ func main() {
 		maxDoc    = flag.Int64("max-doc-bytes", 64<<20, "upload size limit for PUT /documents (bytes)")
 		cacheSize = flag.Int("cache", 256, "prepared-query plan cache capacity (entries)")
 		parallelN = flag.Int("parallel", 0, "morsel-parallel execution with this many workers (0 = serial, -1 = GOMAXPROCS)")
-		compileOn = flag.Bool("compile", true, "compile cached plans to bytecode (off = tree-walking engine; flag is part of the plan-cache key)")
 		govSlots  = flag.Int("gov-slots", 0, "admission slots (0 = 2x GOMAXPROCS)")
 		govQueue  = flag.Int("gov-queue", 0, "admission queue depth (0 = 8x slots)")
 		govWait   = flag.Duration("gov-wait", 0, "max time a query may wait queued before shedding (0 = unbounded)")
@@ -117,7 +116,6 @@ func main() {
 		},
 		Parallelism:      *parallelN,
 		StoreBudget:      *storeBytes,
-		NoCompile:        !*compileOn,
 		Timeout:          *timeout,
 		MaxTimeout:       *maxTime,
 		MaxDocBytes:      *maxDoc,

@@ -197,12 +197,12 @@ func WithInterestingOrders(on bool) Option {
 	return func(o *options) { o.intOrders = on }
 }
 
-// WithParallelism executes queries with the morsel-wise parallel engine:
-// plan regions whose row order is provably unobservable (no live ρ, no
+// WithParallelism evaluates order-dead plan regions morsel-wise: operators
+// whose row order is provably unobservable (no live ρ, no
 // order-sensitive aggregate — the same analysis that licenses # over ρ)
 // are partitioned and evaluated across a pool of n workers; everything
-// else runs on the serial path. n == 0 picks runtime.GOMAXPROCS(0);
-// n == 1 forces the serial engine. Results are identical to serial
+// else runs its serial kernel. n == 0 picks runtime.GOMAXPROCS(0);
+// n == 1 keeps every operator serial. Results are identical to serial
 // execution. Off by default — the paper's engine is single-threaded, and
 // the reproduction's measurements should be too unless asked.
 func WithParallelism(n int) Option {
@@ -214,14 +214,10 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithCompiled toggles bytecode compilation of prepared plans. Enabled
-// (the default), Compile flattens the optimized plan DAG into a linear
-// register program once, and every execution of the Query runs the
-// program instead of re-walking the DAG — which is what makes repeated
-// executions of a cached plan cheap. Disabled, queries run on the
-// tree-walking engine; results are byte-identical either way (the
-// walked engine remains the differential reference), so off is purely a
-// debugging/measurement escape hatch.
+// WithCompiled says when a query's optimized plan is flattened into the
+// executor's program: true (the default) flattens once at Compile — what
+// a cached Query reuses across executions — and false flattens at each
+// Run. Results are byte-identical either way.
 func WithCompiled(on bool) Option {
 	return func(o *options) { o.compiled = on }
 }
@@ -721,13 +717,6 @@ func (q *Query) ExecuteContext(ctx context.Context) (*Result, error) {
 
 // Explain renders the optimized plan DAG as indented text.
 func (q *Query) Explain() string { return q.prepared.Explain() }
-
-// ExplainProgram renders the bytecode program the plan compiled to:
-// register assignments, pre-resolved operands, inferred column types and
-// buffer release points, with each instruction joined back to its plan
-// node by #id. Under WithCompiled(false) it reports that the plan is not
-// compiled. The companion view to Explain.
-func (q *Query) ExplainProgram() string { return q.prepared.ExplainProgram() }
 
 // Analyze is EXPLAIN ANALYZE: it executes the query with statistics
 // collection forced on (regardless of WithCollect) and returns the

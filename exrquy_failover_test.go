@@ -36,8 +36,8 @@ func writeReplicated(t testing.TB, factor float64, nDirs, replicas int) []string
 // plan armed that corrupts one replica of one part on every query
 // execution (alternating injected I/O errors and checksum mismatches),
 // all 20 XMark queries against a replicated store must still return
-// byte-identical results to the in-memory engine — on the bytecode VM
-// and the tree-walking engine alike — because every fault finds a
+// byte-identical results to the in-memory engine — with plans flattened
+// at Compile and at each run alike — because every fault finds a
 // healthy standby replica to fail over to. The same plan against an
 // unreplicated store must surface ErrCorrupt naming the part file, and
 // never panic or return wrong bytes.

@@ -36,8 +36,8 @@ func buildCorpus(t testing.TB, factor float64) (single string, shards []string) 
 // TestStoreDifferentialXMark is the tentpole acceptance gate: all 20
 // XMark queries, evaluated against the mmap-backed store — unsharded
 // and sharded three ways — must produce byte-identical output to the
-// in-memory engine over the same corpus, through both the bytecode VM
-// and the tree-walking engine, with the store held under a byte ledger
+// in-memory engine over the same corpus, with plans flattened at Compile
+// and at each run, with the store held under a byte ledger
 // several times smaller than the mapped corpus (so the run actually
 // exercises demand paging and pressure eviction, not just the format).
 func TestStoreDifferentialXMark(t *testing.T) {

@@ -438,14 +438,13 @@ func WithOrigin(n *Node, origin string) *Node {
 
 // Nodes returns the DAG nodes reachable from root in topological order
 // (inputs before consumers). The order is the deterministic post-order
-// of a depth-first walk following Ins left to right — exactly the order
-// in which the tree-walking engine evaluates operators. The bytecode
-// compiler (internal/vm) relies on this: flattening in Nodes order makes
-// the compiled program's side effects (constructed-node allocation in
-// the derived store) happen in the same sequence as a walked run, which
-// is what keeps compiled and walked results byte-identical. It also
-// makes register assignment stable: position in this slice is the
-// operator's register slot.
+// of a depth-first walk following Ins left to right. The executor
+// (internal/vm) evaluates operators in this order: the order fixes the
+// sequence of a run's side effects (constructed-node allocation in the
+// derived store), so every flattening of a plan — and the reference a
+// test builds by hand — produces byte-identical results. It also makes
+// register assignment stable: position in this slice is the operator's
+// register slot.
 func Nodes(root *Node) []*Node {
 	var out []*Node
 	seen := make(map[*Node]bool)

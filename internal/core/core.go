@@ -3,7 +3,7 @@
 //
 //	parse (xquery) → normalize (norm) → compile (compile)
 //	      → optimize (opt: column dependency analysis & friends)
-//	      → execute (engine)
+//	      → flatten and execute (vm, over the engine's kernels)
 //
 // The Config switches mirror the paper's experimental configurations: the
 // baseline compiler that "proceeds as if strict ordering is required
@@ -25,7 +25,6 @@ import (
 	"repro/internal/norm"
 	"repro/internal/obs"
 	"repro/internal/opt"
-	"repro/internal/parallel"
 	"repro/internal/qerr"
 	"repro/internal/resilience"
 	"repro/internal/vm"
@@ -56,17 +55,14 @@ type Config struct {
 	// InterestingOrders enables the engine's physical sortedness check on
 	// ρ (§6/[15], orthogonal to the paper's technique; off by default).
 	InterestingOrders bool
-	// Parallelism switches execution to the morsel-wise parallel engine:
-	// order-dead plan regions (opt.MarkParallel) are evaluated across a
-	// worker pool of this size. 0 or 1 keeps the serial engine (the
-	// paper's configuration); negative means runtime.GOMAXPROCS(0).
+	// Parallelism offers order-dead plan regions (opt.MarkParallel) to a
+	// morsel worker pool of this size. 0 or 1 keeps every operator serial
+	// (the paper's configuration); negative means runtime.GOMAXPROCS(0).
 	Parallelism int
-	// Compiled flattens the optimized plan into a linear register program
-	// (internal/vm) at Prepare time; executions then run the bytecode
-	// instead of walking the DAG, and a cached Prepared skips every
-	// static phase including the flatten. On in DefaultConfig; off keeps
-	// the tree-walking engine, which remains the differential reference
-	// (results are byte-identical either way).
+	// Compiled says when the optimized plan is flattened into the
+	// executor's program (internal/vm): true (DefaultConfig) flattens once
+	// at Prepare — what a cached Prepared reuses across executions — and
+	// false flattens at each Run. Results are byte-identical either way.
 	Compiled bool
 	// Vars binds external prolog variables (declare variable $x external).
 	Vars map[string][]xdm.Item
@@ -86,8 +82,8 @@ type Config struct {
 	// queueing, possibly shedding with qerr.ErrOverload), a shared byte
 	// ledger charged alongside the per-query cell budget, and graceful
 	// degradation — a lease admitted under pressure runs its Par-marked
-	// plan regions on the serial engine. Shared across Configs/Engines by
-	// design; the budgets are process-global.
+	// plan regions serially. Shared across Configs/Engines by design; the
+	// budgets are process-global.
 	Governor *governor.Governor
 	// StoreProbe, when non-nil, is a per-execution probe factory: it is
 	// invoked once at the start of every RunContext and the closure it
@@ -118,11 +114,11 @@ type Prepared struct {
 	StatsBefore, StatsAfter struct {
 		Operators, RowNums, RowIDs int
 	}
-	// Program is the bytecode-compiled form of the optimized plan, built
-	// once at Prepare time (nil unless Config.Compiled). Document
-	// bindings stay parameter slots resolved at each Run, so a cached
-	// Prepared — the exrquyd plan cache stores these — is safe across
-	// document reloads and concurrent executions.
+	// Program is the flattened form of the optimized plan, built once at
+	// Prepare time (nil unless Config.Compiled; RunContext then flattens
+	// per run). Documents bind at each Run, so a cached Prepared — the
+	// exrquyd plan cache stores these — is safe across document reloads
+	// and concurrent executions.
 	Program *vm.Program
 	cfg     Config
 }
@@ -182,28 +178,25 @@ func PrepareModule(mod *xquery.Module, cfg Config) (p *Prepared, err error) {
 		return nil, err
 	}
 	if cfg.Compiled {
-		end = cfg.span("flatten")
-		err = flatten(p)
-		end()
-		if err != nil {
+		if p.Program, err = flatten(p); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// flatten compiles the optimized plan to bytecode with panic isolation;
-// a compiler bug surfaces as ErrInternal naming the phase, with the
-// algebra plan attached for diagnosis.
-func flatten(p *Prepared) (err error) {
+// flatten turns the optimized plan into the executor's program with
+// panic isolation; a bug there surfaces as ErrInternal naming the phase,
+// with the algebra plan attached for diagnosis.
+func flatten(p *Prepared) (prog *vm.Program, err error) {
+	defer p.cfg.span("flatten")()
 	defer func() {
 		if err != nil {
 			qerr.AttachPlan(err, opt.Explain(p.Plan.Root))
 		}
 	}()
 	defer qerr.RecoverInto("flatten", &err)
-	p.Program = vm.Compile(p.Plan.Root)
-	return nil
+	return vm.Compile(p.Plan.Root), nil
 }
 
 // normalize runs the normalization phase with panic isolation and error
@@ -268,15 +261,13 @@ func planCounts(plan *compile.Plan) struct{ Operators, RowNums, RowIDs int } {
 	return struct{ Operators, RowNums, RowIDs int }{s.Operators, s.RowNums, s.RowIDs}
 }
 
-// Run executes the prepared plan against a store and document registry,
-// dispatching to the morsel-wise parallel executor when Config.Parallelism
-// asks for more than one worker.
+// Run executes the prepared plan against a store and document registry.
 func (p *Prepared) Run(store *xmltree.Store, docs map[string][]uint32) (*engine.Result, error) {
 	return p.RunContext(context.Background(), store, docs)
 }
 
 // RunContext is Run under a context: ctx.Done() aborts the execution
-// cooperatively on both the serial and the parallel path, returning an
+// cooperatively (morsel workers poll it too), returning an
 // error that wraps qerr.ErrCanceled (or qerr.ErrTimeout for a context
 // deadline) and the context's own error. Internal failures during
 // execution come back as qerr.ErrInternal carrying the optimized plan's
@@ -286,9 +277,9 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 	// first claims a slot (possibly queueing, possibly being shed with
 	// qerr.ErrOverload) and draws its memory from the shared ledger. A
 	// lease admitted under pressure degrades the run: Par-marked plan
-	// regions fall back to the serial engine — safe because the parallel
-	// executor only ever touches order-indifferent regions, whose results
-	// are identical either way.
+	// regions run serially — safe because the morsel pool only ever
+	// touches order-indifferent regions, whose results are identical
+	// either way.
 	var lease *governor.Lease
 	var memory *xdm.Account
 	degraded := false
@@ -317,57 +308,32 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 	if p.cfg.StoreProbe != nil {
 		storeProbe = p.cfg.StoreProbe()
 	}
-	end := p.cfg.span("execute")
-	var res *engine.Result
-	var err error
-	if p.Program != nil {
-		// Bytecode path: the program was flattened at Prepare time and is
-		// shared across executions; Par-marked fork/join instructions use
-		// the morsel pool unless the admission was degraded.
-		w := parallelWorkers(p.cfg.Parallelism)
-		if degraded {
-			w = 1
+	prog := p.Program
+	if prog == nil {
+		var err error
+		if prog, err = flatten(p); err != nil {
+			return nil, err
 		}
-		res, err = vm.Run(p.Program, store, docs, vm.Options{
-			Options: engine.Options{
-				Context:           ctx,
-				Timeout:           p.cfg.Timeout,
-				MaxCells:          p.cfg.MaxCells,
-				Memory:            memory,
-				InterestingOrders: p.cfg.InterestingOrders,
-				Collect:           collect,
-				Tracer:            p.cfg.Tracer,
-				Heartbeat:         beat,
-				StoreProbe:        storeProbe,
-			},
-			Workers: w,
-		})
-	} else if w := parallelWorkers(p.cfg.Parallelism); w > 1 && !degraded {
-		res, err = parallel.Run(p.Plan.Root, store, docs, parallel.Options{
-			Context:           ctx,
-			Workers:           w,
-			Timeout:           p.cfg.Timeout,
-			MaxCells:          p.cfg.MaxCells,
-			Memory:            memory,
-			InterestingOrders: p.cfg.InterestingOrders,
-			Collect:           collect,
-			Tracer:            p.cfg.Tracer,
-			Heartbeat:         beat,
-			StoreProbe:        storeProbe,
-		})
-	} else {
-		res, err = engine.Run(p.Plan.Root, store, docs, engine.Options{
-			Context:           ctx,
-			Timeout:           p.cfg.Timeout,
-			MaxCells:          p.cfg.MaxCells,
-			Memory:            memory,
-			InterestingOrders: p.cfg.InterestingOrders,
-			Collect:           collect,
-			Tracer:            p.cfg.Tracer,
-			Heartbeat:         beat,
-			StoreProbe:        storeProbe,
-		})
 	}
+	workers := parallelWorkers(p.cfg.Parallelism)
+	if degraded {
+		workers = 1
+	}
+	end := p.cfg.span("execute")
+	res, err := vm.Run(prog, store, docs, vm.Options{
+		Options: engine.Options{
+			Context:           ctx,
+			Timeout:           p.cfg.Timeout,
+			MaxCells:          p.cfg.MaxCells,
+			Memory:            memory,
+			InterestingOrders: p.cfg.InterestingOrders,
+			Collect:           collect,
+			Tracer:            p.cfg.Tracer,
+			Heartbeat:         beat,
+			StoreProbe:        storeProbe,
+		},
+		Workers: workers,
+	})
 	end()
 	if err != nil {
 		if errors.Is(err, qerr.ErrInternal) {
@@ -388,17 +354,6 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 
 // Explain renders the (optimized) plan DAG as text.
 func (p *Prepared) Explain() string { return opt.Explain(p.Plan.Root) }
-
-// ExplainProgram renders the bytecode program the plan compiled to —
-// register assignments, pre-resolved operands, inferred column types and
-// buffer release points — as the companion view to Explain's annotated
-// algebra. Plans prepared with Config.Compiled off report that instead.
-func (p *Prepared) ExplainProgram() string {
-	if p.Program == nil {
-		return "(plan not compiled: Config.Compiled off)\n"
-	}
-	return p.Program.Explain()
-}
 
 // Documents returns the fn:doc() URIs the plan reads, in first-reference
 // order. The set is exact and static: the compiler only accepts

@@ -25,9 +25,10 @@ var bigLiteral = regexp.MustCompile(`[0-9]{4,}`)
 //     cutoffs — all classified,
 //   - when both evaluators succeed, their item bags agree (order-free
 //     comparison; the hand-written corpus pins exact order separately), and
-//   - the bytecode VM (Config.Compiled, the default) and the tree-walking
-//     engine agree byte-for-byte on the same plan — same kernels, same
-//     deterministic order, so equality is exact.
+//   - the Compiled axis: a plan flattened once at Prepare (Config.Compiled,
+//     the default) and the same query flattened at Run agree
+//     byte-for-byte — one executor loop, same kernels, same deterministic
+//     order, so equality is exact.
 func FuzzQuery(f *testing.F) {
 	for _, seed := range []string{
 		`for $x in doc("f.xml")/r/e return $x/v`,
@@ -71,23 +72,23 @@ func FuzzQuery(f *testing.F) {
 			// queries — but static ones must carry their classification.
 			return
 		}
-		// Executor differential: the same plan through the tree-walking
-		// engine must serialize identically. Walked-side dynamic errors are
-		// not tolerated here — both executors run the same kernels on the
-		// same data, so any divergence (result or error) is a bug.
-		wcfg := cfg
-		wcfg.Compiled = false
-		walkedXML, _, werr := tryPipeline(store, docs, src, wcfg)
-		if werr != nil {
-			// A borderline query can hit the wall-clock cutoff on one
-			// executor and not the other; any other divergent error is a bug.
-			if errors.Is(werr, qerr.ErrTimeout) {
+		// Compiled differential: the same query flattened at Run instead
+		// of at Prepare must serialize identically. Dynamic errors on that
+		// side are not tolerated here — both run the same program shape
+		// over the same data, so any divergence (result or error) is a bug.
+		rcfg := cfg
+		rcfg.Compiled = false
+		perRunXML, _, rerr := tryPipeline(store, docs, src, rcfg)
+		if rerr != nil {
+			// A borderline query can hit the wall-clock cutoff on one run
+			// and not the other; any other divergent error is a bug.
+			if errors.Is(rerr, qerr.ErrTimeout) {
 				return
 			}
-			t.Fatalf("walked engine failed where compiled succeeded on %q: %v", src, werr)
+			t.Fatalf("flatten-at-Run failed where flatten-at-Prepare succeeded on %q: %v", src, rerr)
 		}
-		if walkedXML != gotXML {
-			t.Fatalf("compiled/walked divergence on %q:\n compiled: %q\n walked:   %q", src, gotXML, walkedXML)
+		if perRunXML != gotXML {
+			t.Fatalf("Compiled divergence on %q:\n at Prepare: %q\n at Run:     %q", src, gotXML, perRunXML)
 		}
 		// The pipeline produced a result: the interpreter is the oracle.
 		// Its own dynamic errors are tolerated (it evaluates lazily where

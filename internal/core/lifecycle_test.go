@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -11,14 +12,17 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/qerr"
 	"repro/internal/xmark"
 	"repro/internal/xmarkq"
 	"repro/internal/xmltree"
+	"repro/internal/xquery"
 )
 
-// lifecycleConfigs are the two execution paths every lifecycle guarantee
-// must hold on: the serial engine and the morsel-wise parallel engine.
+// lifecycleConfigs are the two configurations every lifecycle guarantee
+// must hold on: every operator serial, and Par-marked operators on a
+// morsel pool.
 func lifecycleConfigs() map[string]Config {
 	serial := DefaultConfig()
 	par := DefaultConfig()
@@ -27,7 +31,7 @@ func lifecycleConfigs() map[string]Config {
 }
 
 // TestCutoffTaxonomy checks that both cutoff classes surface through
-// errors.Is on the serial and the parallel engine, and that the legacy
+// errors.Is on serial and morsel-pool runs, and that the legacy
 // engine.ErrCutoff identity still holds.
 func TestCutoffTaxonomy(t *testing.T) {
 	store, docs := buildStoreWith(t, map[string]string{"f.xml": fuzzDoc})
@@ -148,7 +152,7 @@ func TestCancelMidFlight(t *testing.T) {
 	q := xmarkq.Get(11).Text
 	const (
 		cancelAt = 1500
-		// The serial engine sees the cancellation at the poll that raised
+		// A serial run sees the cancellation at the poll that raised
 		// it; each of the 4 parallel workers, and the coordinator behind
 		// them, at its next poll.
 		maxPollsAfter = 8
@@ -267,5 +271,60 @@ func TestPanicIsolation(t *testing.T) {
 				t.Error("recovered panic carries no stack trace")
 			}
 		})
+	}
+}
+
+// opSpanCounter counts operator spans opened and closed.
+type opSpanCounter struct{ opened, closed atomic.Int64 }
+
+func (c *opSpanCounter) StartSpan(_ int, cat, _ string) func() {
+	if cat != "op" {
+		return func() {}
+	}
+	c.opened.Add(1)
+	return func() { c.closed.Add(1) }
+}
+
+// TestOpSpanClosedOnFailure: an operator that fails still closes its
+// tracer span — JSONTrace writes an event only on close, so an unclosed
+// span is an operator missing from the trace, and the failed operator is
+// the one a reader of the trace is looking for. The failure is injected
+// inside a Par-marked step, by a cell budget the morsels overrun and by a
+// panicking morsel kernel.
+func TestOpSpanClosedOnFailure(t *testing.T) {
+	store := xmltree.NewStore()
+	docs := map[string][]uint32{"auction.xml": {store.Add(xmark.Generate(xmark.Config{Factor: 0.02}))}}
+	unordered := xquery.Unordered
+	for _, inject := range []string{"maxcells", "morselpanic"} {
+		for _, workers := range []int{1, 4} {
+			for _, compiled := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/workers=%d/compiled=%t", inject, workers, compiled), func(t *testing.T) {
+					tr := &opSpanCounter{}
+					cfg := DefaultConfig()
+					cfg.ForceOrdering = &unordered
+					cfg.Parallelism = workers
+					cfg.Compiled = compiled
+					cfg.Tracer = tr
+					if inject == "maxcells" {
+						cfg.MaxCells = 64
+					} else {
+						parallel.MorselHook = func() { panic("poisoned morsel kernel") }
+						defer func() { parallel.MorselHook = nil }()
+					}
+					p, err := Prepare(`count(doc("auction.xml")//keyword)`, cfg)
+					if err != nil {
+						t.Fatalf("prepare: %v", err)
+					}
+					_, err = p.Run(store, docs)
+					// A pool of one runs no morsels, so the hook never fires.
+					if wantErr := inject == "maxcells" || workers > 1; wantErr && err == nil {
+						t.Fatal("injected failure produced a result")
+					}
+					if o, c := tr.opened.Load(), tr.closed.Load(); o == 0 || o != c {
+						t.Errorf("%d operator spans opened, %d closed (run error: %v)", o, c, err)
+					}
+				})
+			}
+		}
 	}
 }

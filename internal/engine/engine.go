@@ -79,10 +79,11 @@ type Options struct {
 // matching either cutoff class as it always has.
 var ErrCutoff = qerr.ErrCutoff
 
-// EvalHook, when non-nil, runs before every operator kernel evaluation
-// (EvalOp), on the serial engine and on the parallel coordinator alike.
-// It exists for fault injection in tests (panicking kernels, artificial
-// latency) and must not be set while queries are running.
+// EvalHook, when non-nil, runs before every serial operator kernel
+// evaluation (EvalOp); an operator the morsel pool takes runs
+// parallel.MorselHook per morsel instead. It exists for fault injection
+// in tests (panicking kernels, artificial latency) and must not be set
+// while queries are running.
 var EvalHook func(n *algebra.Node)
 
 // ProfileEntry aggregates evaluation time by operator origin; the set of
@@ -120,42 +121,16 @@ func (r *Result) SerializeXML() (string, error) {
 	return xmltree.SerializeItems(r.Store, r.Items)
 }
 
-// Run evaluates the plan DAG rooted at root. docs maps fn:doc() URIs to
-// fragment ids in base — one id for an ordinary document, several for a
-// sharded corpus (internal/store), whose parts fn:doc() returns as one
-// root sequence in part order; constructed fragments go to a derived
-// store. Run never panics: engine invariant violations tripped at
-// runtime are recovered and surface as qerr.ErrInternal.
-func Run(root *algebra.Node, base *xmltree.Store, docs map[string][]uint32, opts Options) (res *Result, err error) {
-	defer qerr.RecoverInto("execute", &err)
-	defer func() {
-		obs.QueriesTotal.Inc()
-		if err != nil {
-			obs.QueryErrorsTotal.Inc()
-		}
-	}()
-	ex := NewExec(base, docs, opts)
-	ex.EnableRecycling(root)
-	start := time.Now()
-	t, err := ex.Eval(root)
-	if err != nil {
-		return nil, err
-	}
-	res = ex.Finish(t, start)
-	obs.QueryNanos.Observe(res.Elapsed.Nanoseconds())
-	return res, nil
-}
-
-// Exec is one plan execution: the derived store receiving constructed
-// fragments, the operator memo table, the per-origin profile, and the
-// shared time/memory budget. The budget counters are atomic so that a
-// parallel executor (package parallel) can charge them cooperatively from
-// several workers; the memo and profile maps are only touched from the
-// single goroutine that walks the DAG.
+// Exec is one plan execution's kernel context: the derived store
+// receiving constructed fragments, the per-origin profile, and the shared
+// time/memory budget. It evaluates one operator at a time (EvalOp); which
+// operator runs next, and where its inputs live, is the driver's business
+// (internal/vm). The budget counters are atomic so that morsel workers
+// (package parallel) can charge them cooperatively; the profile map is
+// only touched from the driver's goroutine.
 type Exec struct {
 	store     *xmltree.Store
 	docs      map[string][]uint32
-	memo      map[*algebra.Node]*Table
 	prof      map[string]*ProfileEntry
 	ctx       context.Context
 	done      <-chan struct{}
@@ -164,13 +139,6 @@ type Exec struct {
 	cells     atomic.Int64
 	mem       *xdm.Account
 	intOrders bool
-	// Buffer recycling (EnableRecycling): uses counts the not-yet-evaluated
-	// consumers of each DAG node, colRefs counts the memoized tables each
-	// column appears in. When a node's last consumer finishes, its table's
-	// columns drop a reference; a column at zero references provably has no
-	// surviving alias and its backing buffer returns to the xdm pool.
-	uses    map[*algebra.Node]int
-	colRefs map[*xdm.Column]int
 	// Observability (see internal/obs): collect is the per-run operator
 	// statistics sink (nil = off, and every call site guards on nil so
 	// the disabled path allocates nothing), tracer the span sink.
@@ -213,71 +181,6 @@ func NewExec(base *xmltree.Store, docs map[string][]uint32, opts Options) *Exec 
 
 // Store returns the execution's derived store.
 func (ex *Exec) Store() *xmltree.Store { return ex.store }
-
-// EnableRecycling turns on column-buffer recycling for an execution that
-// will evaluate exactly the DAG under root, once. It counts each node's
-// consumers so Eval can release a memoized intermediate the moment its
-// last consumer has run. It must not be used on an Exec whose Eval is
-// called for multiple roots (tests do this): a table released under one
-// root may be a live memo hit under the next.
-func (ex *Exec) EnableRecycling(root *algebra.Node) {
-	ex.uses = make(map[*algebra.Node]int)
-	ex.colRefs = make(map[*xdm.Column]int)
-	seen := make(map[*algebra.Node]bool)
-	var visit func(n *algebra.Node)
-	visit = func(n *algebra.Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, in := range n.Ins {
-			ex.uses[in]++
-			visit(in)
-		}
-	}
-	visit(root)
-	ex.uses[root]++ // Finish reads the root table after the walk
-}
-
-// ReleaseInputs records that n's evaluation has consumed its inputs,
-// releasing any input table whose last consumer n was. Must be called
-// after Memoize(n, ...): an output that aliases input columns has then
-// already taken its own references. No-op unless recycling is enabled.
-func (ex *Exec) ReleaseInputs(n *algebra.Node) {
-	if ex.uses == nil {
-		return
-	}
-	for _, in := range n.Ins {
-		c, ok := ex.uses[in]
-		if !ok {
-			continue
-		}
-		if c--; c > 0 {
-			ex.uses[in] = c
-			continue
-		}
-		delete(ex.uses, in)
-		t, ok := ex.memo[in]
-		if !ok {
-			continue
-		}
-		// Deleting the memo entry makes any reference-count bug fail safe:
-		// an unexpected later consumer re-evaluates instead of reading a
-		// recycled buffer.
-		delete(ex.memo, in)
-		for _, col := range t.Data {
-			r := ex.colRefs[col] - 1
-			if r > 0 {
-				ex.colRefs[col] = r
-				continue
-			}
-			delete(ex.colRefs, col)
-			if r == 0 {
-				xdm.RecycleColumn(col)
-			}
-		}
-	}
-}
 
 // CheckCancel reports a cancellation error once the execution's context
 // is done. Safe for concurrent use (the done channel is immutable); a
@@ -393,9 +296,6 @@ func (ex *Exec) ChargeCells(n int64) error {
 	return nil
 }
 
-// checkCells is the internal pre-check used by join and cross.
-func (ex *Exec) checkCells(rows, cols int) error { return ex.CheckCells(rows, cols) }
-
 // Finish assembles the Result from the root table: order by pos rank for
 // serialization and flatten the profile.
 func (ex *Exec) Finish(t *Table, start time.Time) *Result {
@@ -424,55 +324,14 @@ func (ex *Exec) Finish(t *Table, start time.Time) *Result {
 	return res
 }
 
-// Errf formats an operator-attributed evaluation error the way the
-// serial engine does, so parallel and serial runs report identically.
+// Errf formats an operator-attributed evaluation error, so serial and
+// morsel kernels report identically.
 func (ex *Exec) Errf(n *algebra.Node, format string, args ...any) error {
-	return ex.errf(n, format, args...)
-}
-
-func (ex *Exec) errf(n *algebra.Node, format string, args ...any) error {
 	origin := n.Origin
 	if origin == "" {
 		origin = n.Kind.String()
 	}
 	return fmt.Errorf("engine: %s: %s", origin, fmt.Sprintf(format, args...))
-}
-
-// Eval evaluates the DAG rooted at n serially, memoizing shared nodes.
-func (ex *Exec) Eval(n *algebra.Node) (*Table, error) {
-	if t, ok := ex.memo[n]; ok {
-		ex.CollectMemoHit(n)
-		return t, nil
-	}
-	if err := ex.CheckDeadline(); err != nil {
-		return nil, err
-	}
-	ins := make([]*Table, len(n.Ins))
-	for i, in := range n.Ins {
-		t, err := ex.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		ins[i] = t
-	}
-	start := time.Now()
-	endSpan := ex.StartOpSpan(n)
-	t, err := ex.EvalOp(n, ins)
-	if endSpan != nil {
-		endSpan()
-	}
-	if err != nil {
-		return nil, err
-	}
-	d := time.Since(start)
-	ex.Record(n, d, t.NumRows())
-	ex.CollectOp(n, d, ins, t)
-	if err := ex.ChargeCells(int64(t.NumRows()) * int64(len(t.Cols))); err != nil {
-		return nil, err
-	}
-	ex.Memoize(n, t)
-	ex.ReleaseInputs(n)
-	return t, nil
 }
 
 // Collector returns the execution's statistics sink (nil when collection
@@ -491,8 +350,8 @@ func (ex *Exec) StartOpSpan(n *algebra.Node) func() {
 	return ex.tracer.StartSpan(0, "op", algebra.Label(n))
 }
 
-// CollectMemoHit records a memoized reuse of n. No-op unless collection
-// is on.
+// CollectMemoHit records a reuse of n's table by a consumer beyond the
+// first. No-op unless collection is on.
 func (ex *Exec) CollectMemoHit(n *algebra.Node) {
 	if ex.collect == nil {
 		return
@@ -517,30 +376,6 @@ func (ex *Exec) CollectOp(n *algebra.Node, d time.Duration, ins []*Table, t *Tab
 	rows := int64(t.NumRows())
 	ex.collect.OpDone(n.ID, n.Kind.String(), algebra.Label(n), n.Origin, n.Par,
 		d, rowsIn, rows, rows*int64(len(t.Cols)))
-}
-
-// Memoize stores an evaluated table for a node, so shared DAG nodes are
-// evaluated exactly once. Under recycling it also references the table's
-// columns, keeping aliased buffers alive until every holding table dies.
-// The memo map is built lazily: the bytecode VM (internal/vm) drives an
-// Exec without ever memoizing — its compiler turned the DAG sharing into
-// register reuse — so it never pays for the map.
-func (ex *Exec) Memoize(n *algebra.Node, t *Table) {
-	if ex.memo == nil {
-		ex.memo = make(map[*algebra.Node]*Table)
-	}
-	ex.memo[n] = t
-	if ex.colRefs != nil {
-		for _, c := range t.Data {
-			ex.colRefs[c]++
-		}
-	}
-}
-
-// Memoized returns a previously memoized table for n, if any.
-func (ex *Exec) Memoized(n *algebra.Node) (*Table, bool) {
-	t, ok := ex.memo[n]
-	return t, ok
 }
 
 // Record attributes d of evaluation time and rows produced rows to the
@@ -587,7 +422,7 @@ func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 		return t, nil
 
 	case algebra.OpSelect:
-		return ex.evalSelect(n, ins[0])
+		return ex.evalFilter(n, ins[0])
 
 	case algebra.OpJoin:
 		return ex.evalJoin(n, ins[0], ins[1])
@@ -640,7 +475,7 @@ func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 	case algebra.OpDoc:
 		ids, ok := ex.docs[n.URI]
 		if !ok {
-			return nil, ex.errf(n, "unknown document %q", n.URI)
+			return nil, ex.Errf(n, "unknown document %q", n.URI)
 		}
 		// One row per registered root, in registration (shard part)
 		// order: downstream steps preserve this order, so a sharded
@@ -667,13 +502,13 @@ func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 		return ex.evalCheckCard(n, ins)
 
 	default:
-		return nil, ex.errf(n, "unimplemented operator")
+		return nil, ex.Errf(n, "unimplemented operator")
 	}
 }
 
-// evalSelect filters by a boolean column: a flat 0/1 scan on typed
+// evalFilter filters by a boolean column: a flat 0/1 scan on typed
 // columns, per-item kind checks on the boxed fallback.
-func (ex *Exec) evalSelect(n *algebra.Node, in *Table) (*Table, error) {
+func (ex *Exec) evalFilter(n *algebra.Node, in *Table) (*Table, error) {
 	cond := in.Col(n.Col)
 	rows := cond.Len()
 	buf := xdm.GetInt32s(rows)
@@ -688,7 +523,7 @@ func (ex *Exec) evalSelect(n *algebra.Node, in *Table) (*Table, error) {
 		for r, it := range items {
 			if it.Kind != xdm.KBoolean {
 				xdm.PutInt32s(buf)
-				return nil, ex.errf(n, "selection over non-boolean %s", it.Kind)
+				return nil, ex.Errf(n, "selection over non-boolean %s", it.Kind)
 			}
 			if it.I != 0 {
 				keep = append(keep, int32(r))
@@ -696,7 +531,7 @@ func (ex *Exec) evalSelect(n *algebra.Node, in *Table) (*Table, error) {
 		}
 	} else if rows > 0 {
 		xdm.PutInt32s(buf)
-		return nil, ex.errf(n, "selection over non-boolean %s", cond.Get(0).Kind)
+		return nil, ex.Errf(n, "selection over non-boolean %s", cond.Get(0).Kind)
 	}
 	out := in.filter(keep)
 	xdm.PutInt32s(buf)
@@ -886,7 +721,7 @@ func (ex *Exec) evalJoin(n *algebra.Node, l, r *Table) (*Table, error) {
 func (ex *Exec) evalCross(n *algebra.Node, l, r *Table) (*Table, error) {
 	ln, rn := l.NumRows(), r.NumRows()
 	if ln > 1 && rn > 1 {
-		if err := ex.checkCells(ln*rn, len(l.Cols)+len(r.Cols)); err != nil {
+		if err := ex.CheckCells(ln*rn, len(l.Cols)+len(r.Cols)); err != nil {
 			return nil, err
 		}
 	}

@@ -26,10 +26,34 @@ func testEnv(t *testing.T, doc string) (*xmltree.Store, map[string][]uint32, *al
 	return store, docs, algebra.NewBuilder()
 }
 
+// evalDAG evaluates a hand-built DAG kernel by kernel in algebra.Nodes
+// order, each shared node once, polling the deadline and recording the
+// profile per operator: the kernel tests' stand-in for the executor loop
+// (internal/vm), which they must not depend on.
+func evalDAG(ex *Exec, root *algebra.Node) (*Table, error) {
+	out := make(map[*algebra.Node]*Table)
+	for _, n := range algebra.Nodes(root) {
+		if err := ex.CheckDeadline(); err != nil {
+			return nil, err
+		}
+		ins := make([]*Table, len(n.Ins))
+		for i, in := range n.Ins {
+			ins[i] = out[in]
+		}
+		start := time.Now()
+		t, err := ex.EvalOp(n, ins)
+		if err != nil {
+			return nil, err
+		}
+		ex.Record(n, time.Since(start), t.NumRows())
+		out[n] = t
+	}
+	return out[root], nil
+}
+
 func run(t *testing.T, root *algebra.Node, store *xmltree.Store, docs map[string][]uint32) *Table {
 	t.Helper()
-	ex := NewExec(store, docs, Options{})
-	tab, err := ex.Eval(root)
+	tab, err := evalDAG(NewExec(store, docs, Options{}), root)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -211,7 +235,7 @@ func TestAggrEbvSemantics(t *testing.T) {
 	// Multi-item atomic groups are a dynamic error.
 	bad := b.Lit([]string{"iter", "item"}, ints(1, 1), ints(1, 2))
 	ex := NewExec(store, docs, Options{})
-	if _, err := ex.Eval(b.Aggr(bad, algebra.AggrEbv, "res", "item", "iter")); err == nil {
+	if _, err := evalDAG(ex, b.Aggr(bad, algebra.AggrEbv, "res", "item", "iter")); err == nil {
 		t.Error("expected EBV error for multi-item atomic group")
 	}
 }
@@ -266,14 +290,14 @@ func TestCheckCardViolations(t *testing.T) {
 	store, docs, b := testEnv(t, "")
 	in := b.Lit([]string{"iter"}, ints(1), ints(1))
 	ex := NewExec(store, docs, Options{})
-	if _, err := ex.Eval(b.CheckCard(in, nil, "iter", 0, 1, "test")); err == nil {
+	if _, err := evalDAG(ex, b.CheckCard(in, nil, "iter", 0, 1, "test")); err == nil {
 		t.Error("expected max-cardinality error")
 	}
 	loop := litTable(b, "iter", 1, 2)
-	if _, err := ex.Eval(b.CheckCard(in, loop, "iter", 1, -1, "test")); err == nil {
+	if _, err := evalDAG(ex, b.CheckCard(in, loop, "iter", 1, -1, "test")); err == nil {
 		t.Error("expected min-cardinality error for missing iteration 2")
 	}
-	if _, err := ex.Eval(b.CheckCard(in, nil, "iter", 0, -1, "test")); err != nil {
+	if _, err := evalDAG(ex, b.CheckCard(in, nil, "iter", 0, -1, "test")); err != nil {
 		t.Errorf("unbounded check failed: %v", err)
 	}
 }
@@ -285,7 +309,7 @@ func TestTimeoutCutoff(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		n = b.RowID(n, "c"+string(rune('A'+i%26))+string(rune('0'+i/26)))
 	}
-	_, err := Run(b.Keep(n, "v"), store, docs, Options{Timeout: time.Nanosecond})
+	_, err := evalDAG(NewExec(store, docs, Options{Timeout: time.Nanosecond}), b.Keep(n, "v"))
 	if err == nil || !strings.Contains(err.Error(), "cutoff") {
 		t.Errorf("expected cutoff error, got %v", err)
 	}
@@ -295,7 +319,7 @@ func TestUnknownDocument(t *testing.T) {
 	store, docs, b := testEnv(t, "")
 	d := b.Doc("missing.xml")
 	ex := NewExec(store, docs, Options{})
-	if _, err := ex.Eval(d); err == nil {
+	if _, err := evalDAG(ex, d); err == nil {
 		t.Error("expected unknown-document error")
 	}
 }
@@ -308,7 +332,7 @@ func TestMemoizationSharedNodesEvaluateOnce(t *testing.T) {
 	// Two consumers of the same step node.
 	u := b.Union(b.Keep(step, "iter", "item"), b.Keep(step, "iter", "item"))
 	ex := NewExec(store, docs, Options{})
-	if _, err := ex.Eval(u); err != nil {
+	if _, err := evalDAG(ex, u); err != nil {
 		t.Fatal(err)
 	}
 	for origin, e := range ex.prof {

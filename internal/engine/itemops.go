@@ -55,7 +55,7 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 		}
 		if err != nil {
 			xdm.PutItems(out)
-			return nil, ex.errf(n, "%v", err)
+			return nil, ex.Errf(n, "%v", err)
 		}
 		out[i] = v
 	}
@@ -138,7 +138,7 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 			}
 			if ri[i] == 0 {
 				xdm.PutInts(out)
-				return nil, true, ex.errf(n, "%v", fmt.Errorf("xdm: division by zero"))
+				return nil, true, ex.Errf(n, "%v", fmt.Errorf("xdm: division by zero"))
 			}
 			if n.BFn == algebra.BArithIDiv {
 				out[i] = li[i] / ri[i]
@@ -267,7 +267,7 @@ func (ex *Exec) applyTernFn(n *algebra.Node, a, b, c xdm.Item) (xdm.Item, error)
 		}
 		return xdm.NewString(substring(a.StringValue(), start, length, true)), nil
 	default:
-		return xdm.Item{}, ex.errf(n, "unknown ternary function")
+		return xdm.Item{}, ex.Errf(n, "unknown ternary function")
 	}
 }
 
@@ -315,12 +315,12 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 		return xdm.NewBool(ok), nil
 	case algebra.BNodeBefore:
 		if !a.IsNode() || !b.IsNode() {
-			return xdm.Item{}, ex.errf(n, "node comparison over atomic value")
+			return xdm.Item{}, ex.Errf(n, "node comparison over atomic value")
 		}
 		return xdm.NewBool(a.N.Before(b.N)), nil
 	case algebra.BNodeIs:
 		if !a.IsNode() || !b.IsNode() {
-			return xdm.Item{}, ex.errf(n, "node comparison over atomic value")
+			return xdm.Item{}, ex.Errf(n, "node comparison over atomic value")
 		}
 		return xdm.NewBool(a.N == b.N), nil
 	case algebra.BAnd:
@@ -342,7 +342,7 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 		}
 		return xdm.NewString(substring(a.StringValue(), start, 0, false)), nil
 	default:
-		return xdm.Item{}, ex.errf(n, "unknown binary function")
+		return xdm.Item{}, ex.Errf(n, "unknown binary function")
 	}
 }
 
@@ -375,7 +375,7 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 		return xdm.NewInt(int64(len([]rune(fr.atomize(it).StringValue())))), nil
 	case algebra.UnNot:
 		if it.Kind != xdm.KBoolean {
-			return xdm.Item{}, ex.errf(n, "not over non-boolean")
+			return xdm.Item{}, ex.Errf(n, "not over non-boolean")
 		}
 		return xdm.NewBool(it.I == 0), nil
 	case algebra.UnNeg:
@@ -386,12 +386,12 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 		return xdm.Arith(xdm.NewInt(0), v, xdm.OpSub)
 	case algebra.UnNameOf:
 		if !it.IsNode() {
-			return xdm.Item{}, ex.errf(n, "name() over atomic value")
+			return xdm.Item{}, ex.Errf(n, "name() over atomic value")
 		}
 		return xdm.NewString(fr.frag(it.N.Frag).NodeName(it.N.Pre)), nil
 	case algebra.UnRoot:
 		if !it.IsNode() {
-			return xdm.Item{}, ex.errf(n, "root() over atomic value")
+			return xdm.Item{}, ex.Errf(n, "root() over atomic value")
 		}
 		return xdm.NewNode(xdm.NodeID{Frag: it.N.Frag, Pre: 0}), nil
 	case algebra.UnToDouble:
@@ -409,7 +409,7 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 	case algebra.UnRound, algebra.UnFloor, algebra.UnCeiling, algebra.UnAbs:
 		return roundingFn(n.UFn, it)
 	default:
-		return xdm.Item{}, ex.errf(n, "unknown unary function")
+		return xdm.Item{}, ex.Errf(n, "unknown unary function")
 	}
 }
 
@@ -481,10 +481,10 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 		case algebra.AggrSum, algebra.AggrAvg:
 			c, err := coerceArith(v)
 			if err != nil {
-				return nil, ex.errf(n, "%s: %v", n.AFn, err)
+				return nil, ex.Errf(n, "%s: %v", n.AFn, err)
 			}
 			if !c.Kind.IsNumeric() {
-				return nil, ex.errf(n, "%s over non-numeric %s", n.AFn, c.Kind)
+				return nil, ex.Errf(n, "%s over non-numeric %s", n.AFn, c.Kind)
 			}
 			if c.Kind != xdm.KInteger {
 				g.allI = false
@@ -494,7 +494,7 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 		case algebra.AggrMax, algebra.AggrMin:
 			c, err := coerceArith(v)
 			if err != nil {
-				return nil, ex.errf(n, "%s: %v", n.AFn, err)
+				return nil, ex.Errf(n, "%s: %v", n.AFn, err)
 			}
 			if !g.hasB {
 				g.best, g.hasB = c, true
@@ -544,11 +544,11 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 			case g.nodes == 0 && g.atomics == 1:
 				b, err := xdm.EffectiveBooleanValue([]xdm.Item{g.first})
 				if err != nil {
-					return nil, ex.errf(n, "%v", err)
+					return nil, ex.Errf(n, "%v", err)
 				}
 				res = xdm.NewBool(b)
 			default:
-				return nil, ex.errf(n, "effective boolean value of a mixed multi-item sequence")
+				return nil, ex.Errf(n, "effective boolean value of a mixed multi-item sequence")
 			}
 		case algebra.AggrStrJoin:
 			sort.SliceStable(g.pairs, func(a, b int) bool { return g.pairs[a].pos < g.pairs[b].pos })
@@ -595,7 +595,7 @@ func (ex *Exec) evalElem(n *algebra.Node, loop, content *Table) (*Table, error) 
 			seq[i] = p.item
 		}
 		if err := xmltree.AppendContent(ex.store, b, n.Name, seq); err != nil {
-			return nil, ex.errf(n, "%v", err)
+			return nil, ex.Errf(n, "%v", err)
 		}
 		id := ex.store.Add(b.Close())
 		outIter = append(outIter, li)
@@ -633,17 +633,17 @@ func (ex *Exec) evalRange(n *algebra.Node, in *Table) (*Table, error) {
 	for r := range iters {
 		lo, err := los.Get(r).AsInteger()
 		if err != nil {
-			return nil, ex.errf(n, "%v", err)
+			return nil, ex.Errf(n, "%v", err)
 		}
 		hi, err := his.Get(r).AsInteger()
 		if err != nil {
-			return nil, ex.errf(n, "%v", err)
+			return nil, ex.Errf(n, "%v", err)
 		}
 		if hi < lo {
 			continue
 		}
 		if total += int(hi - lo + 1); total > maxRangeSize {
-			return nil, ex.errf(n, "range result larger than %d items", maxRangeSize)
+			return nil, ex.Errf(n, "range result larger than %d items", maxRangeSize)
 		}
 		for i := lo; i <= hi; i++ {
 			outIter = append(outIter, iters[r])
@@ -666,15 +666,15 @@ func (ex *Exec) evalCheckCard(n *algebra.Node, ins []*Table) (*Table, error) {
 	}
 	check := func(c int) error {
 		if c < n.Min {
-			return ex.errf(n, "sequence with %d items where at least %d required", c, n.Min)
+			return ex.Errf(n, "sequence with %d items where at least %d required", c, n.Min)
 		}
 		if n.Max == 0 && c > 0 {
 			// Max 0 is the error-witness pattern: any row proves a
 			// dynamic error the relational mapping deferred.
-			return ex.errf(n, "dynamic error witnessed (e.g. comparison of incomparable values)")
+			return ex.Errf(n, "dynamic error witnessed (e.g. comparison of incomparable values)")
 		}
 		if n.Max >= 0 && c > n.Max {
-			return ex.errf(n, "sequence with %d items where at most %d allowed", c, n.Max)
+			return ex.Errf(n, "sequence with %d items where at most %d allowed", c, n.Max)
 		}
 		return nil
 	}

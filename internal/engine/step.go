@@ -126,7 +126,7 @@ func (g *StepRuns) Release() {
 func (ex *Exec) evalStep(n *algebra.Node, in *Table) (*Table, error) {
 	runs, err := GroupStep(in)
 	if err != nil {
-		return nil, ex.errf(n, "%v", err)
+		return nil, ex.Errf(n, "%v", err)
 	}
 	defer runs.Release()
 	outIter := xdm.GetInts(in.NumRows())[:0]

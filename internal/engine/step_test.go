@@ -257,11 +257,11 @@ func TestStepKernelMatchesNaive(t *testing.T) {
 						if !slices.Equal(gotIter, wantIter) || !slices.Equal(gotItem, wantItem) {
 							t.Fatalf("%s: kernel differs from the naive reference\n got %v %v\nwant %v %v", label, gotIter, gotItem, wantIter, wantItem)
 						}
-						par, _, _, ok, err := parallel.EvalParOp(ex, 4, 1, n, []*engine.Table{ct.table(boxed)})
+						par, _, _, err := parallel.EvalParOp(ex, 4, 1, n, []*engine.Table{ct.table(boxed)})
 						if err != nil {
 							t.Fatalf("%s: morsel executor: %v", label, err)
 						}
-						if !ok {
+						if par == nil {
 							continue // too little work to split
 						}
 						morselled++
@@ -296,7 +296,7 @@ func TestStepOverAtomic(t *testing.T) {
 	if _, err := ex.EvalOp(n, []*engine.Table{mixed}); err == nil || !strings.Contains(err.Error(), "path step over atomic value") {
 		t.Errorf("serial: got %v, want the path-step-over-atomic error", err)
 	}
-	if _, _, _, _, err := parallel.EvalParOp(ex, 4, 1, n, []*engine.Table{mixed}); err == nil || !strings.Contains(err.Error(), "path step over atomic value") {
+	if _, _, _, err := parallel.EvalParOp(ex, 4, 1, n, []*engine.Table{mixed}); err == nil || !strings.Contains(err.Error(), "path step over atomic value") {
 		t.Errorf("morsel executor: got %v, want the path-step-over-atomic error", err)
 	}
 }

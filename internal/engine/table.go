@@ -7,17 +7,19 @@
 //   - # (rowid) is a single column stamp — "negligible cost or even for
 //     free" in the paper's words.
 //
-// Shared DAG nodes are evaluated exactly once (memoization), mirroring
-// common subexpression reuse in MonetDB BAT programs. Every operator
-// evaluation is timed and attributed to the operator's origin label,
-// which is how the Table 2 profile is reproduced.
+// The package holds the operator kernels and the per-execution budget,
+// profile and statistics (Exec); the loop that drives them over a plan —
+// each shared DAG node evaluated exactly once, mirroring common
+// subexpression reuse in MonetDB BAT programs — is internal/vm. Every
+// operator evaluation is timed and attributed to the operator's origin
+// label, which is how the Table 2 profile is reproduced.
 //
 // Columns are xdm.Column values: homogeneous columns (the common case —
 // iter/pos/numbering columns are always integers, step outputs are always
 // nodes) are flat typed slices, mixed columns fall back to boxed []Item
 // cells. Tables only ever share column storage through the *Column
-// pointer, never by rewrapping a buffer, which is what lets the engine
-// recycle dead intermediates' buffers (see Exec.EnableRecycling).
+// pointer, never by rewrapping a buffer, which is what lets the driver
+// recycle dead intermediates' buffers by counting column references.
 package engine
 
 import (
@@ -43,16 +45,9 @@ const smallTableCols = 8
 // NewTable builds a table over the given column names with empty data.
 // The name index is built lazily on the first wide-table Col call; name
 // resolution happens on the coordinator goroutine only, so the lazy
-// build is unsynchronized by design (see BuildIndex for shared tables).
+// build is unsynchronized by design.
 func NewTable(cols []string) *Table {
 	return &Table{Cols: cols, Data: make([]*xdm.Column, len(cols))}
-}
-
-// NewTableFromCols builds a table over already-materialized columns,
-// row-aligned with names. Used by the bytecode VM, whose opcodes resolve
-// columns positionally at compile time and never need the name index.
-func NewTableFromCols(cols []string, data []*xdm.Column) *Table {
-	return &Table{Cols: cols, Data: data}
 }
 
 func (t *Table) buildIndex() {
@@ -62,12 +57,6 @@ func (t *Table) buildIndex() {
 	}
 	t.idx = idx
 }
-
-// BuildIndex eagerly builds the column-name index. Tables reachable from
-// several goroutines at once (the prebuilt literal tables a compiled
-// program shares across concurrent executions) must call this once at
-// construction, since the lazy build inside Col is unsynchronized.
-func (t *Table) BuildIndex() { t.buildIndex() }
 
 // NumRows returns the row count.
 func (t *Table) NumRows() int {

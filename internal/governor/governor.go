@@ -27,9 +27,9 @@
 //   - Graceful degradation: when the process is under pressure (ledger
 //     above its high-water mark, or queries waiting in the admission
 //     queue) newly admitted queries are downgraded — their Par-marked
-//     plan regions run on the serial engine instead of fanning out
+//     plan regions run their serial kernels instead of fanning out
 //     morsel workers. The paper's own analysis makes this safe: the only
-//     regions the parallel executor touches are the order-indifferent
+//     regions the morsel pool touches are the order-indifferent
 //     ones (# instead of ρ), which by construction produce identical
 //     results serial or parallel, so degradation changes resource
 //     consumption and nothing else. The downgrade is recorded in the
@@ -382,7 +382,7 @@ type Lease struct {
 func (l *Lease) Account() *xdm.Account { return l.acct }
 
 // Degraded reports whether the governor downgraded this query: its
-// Par-marked plan regions must run on the serial engine.
+// Par-marked plan regions must run their serial kernels.
 func (l *Lease) Degraded() bool { return l.degraded }
 
 // QueueWait returns how long the query waited for admission.

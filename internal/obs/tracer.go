@@ -15,9 +15,9 @@ import (
 // concurrent calls — morsel workers trace from their own goroutines.
 //
 // tid groups spans into horizontal tracks for timeline viewers: the
-// coordinator (and the serial engine) uses track 0, parallel workers pass
-// their worker index + 1, so a staircase region's per-worker split is
-// visible as parallel slices.
+// executor loop uses track 0, morsel workers pass their worker index + 1,
+// so a staircase region's per-worker split is visible as parallel
+// slices.
 type Tracer interface {
 	StartSpan(tid int, cat, name string) func()
 }

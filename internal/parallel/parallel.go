@@ -1,10 +1,11 @@
-// Package parallel evaluates algebra plan DAGs morsel-wise across a
-// bounded worker pool, guided by the order-indifference analysis of
-// internal/opt: operators whose output row order is provably unobservable
-// (algebra.Node.Par, set by opt.MarkParallel) are partitioned into
-// morsels and evaluated concurrently; everything else — and every
-// operator below the morsel threshold — falls back to the serial engine
-// kernel, so a plan with no order-dead regions runs exactly as before.
+// Package parallel holds the morsel-wise operator kernels: an operator
+// whose output row order is provably unobservable (algebra.Node.Par, set
+// by opt.MarkParallel from the order-indifference analysis of
+// internal/opt) is partitioned into morsels and evaluated across a bounded
+// worker pool. The executor loop (internal/vm) offers each Par-marked
+// operator to EvalParOp; everything else — and every operator below the
+// morsel threshold — takes the serial engine kernel, so a plan with no
+// order-dead regions runs exactly as before.
 //
 // Although the analysis licenses arbitrary interleavings, every parallel
 // operator here merges its morsels in deterministic (morsel-index)
@@ -21,8 +22,6 @@
 package parallel
 
 import (
-	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,49 +35,10 @@ import (
 	"repro/internal/xquery"
 )
 
-// Options configures a parallel run.
-type Options struct {
-	// Context, when non-nil, cancels the run cooperatively: every worker
-	// polls it between morsels (via the shared engine budget checks), so
-	// ctx.Done() drains the pool promptly. Mirrors engine.Options.Context.
-	Context context.Context
-	// Workers is the worker pool size; zero or negative means
-	// runtime.GOMAXPROCS(0). A pool of one runs the serial engine.
-	Workers int
-	// Timeout, MaxCells, Memory and InterestingOrders mirror
-	// engine.Options; the budgets are shared atomically across all
-	// workers (morsel tasks charge the byte-ledger account through the
-	// same ChargeCells sites the serial kernels use).
-	Timeout           time.Duration
-	MaxCells          int64
-	Memory            *xdm.Account
-	InterestingOrders bool
-	// MinMorselRows is the smallest per-morsel work unit (rows for row
-	// kernels, contexts for axis scans); operators with less than two
-	// morsels of work stay serial. Zero means the default (256).
-	MinMorselRows int
-	// Collect and Tracer mirror engine.Options: per-node statistics
-	// (including the per-worker morsel split) and execution spans
-	// (workers trace on track worker+1).
-	Collect *obs.Collector
-	Tracer  obs.Tracer
-	// Heartbeat mirrors engine.Options.Heartbeat: the watchdog liveness
-	// counter, bumped at the shared budget-check sites — workers beat
-	// between morsels through the same CheckDeadline the serial kernels
-	// poll, so a healthy parallel query never looks silent.
-	Heartbeat *atomic.Int64
-	// StoreProbe mirrors engine.Options.StoreProbe: polled at the shared
-	// budget-check sites by every worker, it surfaces storage faults
-	// (suspect mmap'd store parts) into morsel tasks as classified
-	// errors. The first worker to observe a fault drains the pool
-	// through the ordinary first-error merge path.
-	StoreProbe func() error
-}
-
 // MorselHook, when non-nil, runs at the start of every morsel task inside
 // a worker goroutine. It exists for fault injection in tests (a panicking
-// kernel must surface as an error from Run, not crash the process) and
-// must not be set while queries are running.
+// kernel must surface as an error from EvalParOp, not crash the process)
+// and must not be set while queries are running.
 var MorselHook func()
 
 const (
@@ -88,55 +48,9 @@ const (
 	morselsPerWorker = 4
 )
 
-// Run evaluates the plan DAG rooted at root with up to opts.Workers
-// workers. It mirrors engine.Run: docs maps fn:doc() URIs to fragment
-// ids in base, constructed fragments go to a derived store.
-// Run never panics: a panic on the coordinator path is recovered here,
-// and a panic inside a worker goroutine is recovered in the worker and
-// propagated as an error through the merge path (see runTasks), so a
-// poisoned morsel kernel fails the query instead of killing the process.
-func Run(root *algebra.Node, base *xmltree.Store, docs map[string][]uint32, opts Options) (res *engine.Result, err error) {
-	defer qerr.RecoverInto("execute", &err)
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	eopts := engine.Options{
-		Context:           opts.Context,
-		Timeout:           opts.Timeout,
-		MaxCells:          opts.MaxCells,
-		Memory:            opts.Memory,
-		InterestingOrders: opts.InterestingOrders,
-		Collect:           opts.Collect,
-		Tracer:            opts.Tracer,
-		Heartbeat:         opts.Heartbeat,
-		StoreProbe:        opts.StoreProbe,
-	}
-	if w == 1 {
-		return engine.Run(root, base, docs, eopts)
-	}
-	defer func() {
-		obs.QueriesTotal.Inc()
-		if err != nil {
-			obs.QueryErrorsTotal.Inc()
-		}
-	}()
-	ex := engine.NewExec(base, docs, eopts)
-	ex.EnableRecycling(root)
-	e := &executor{ex: ex, workers: w, minRows: opts.MinMorselRows}
-	if e.minRows <= 0 {
-		e.minRows = defaultMinMorselRows
-	}
-	start := time.Now()
-	t, err := e.eval(root)
-	if err != nil {
-		return nil, err
-	}
-	res = ex.Finish(t, start)
-	obs.QueryNanos.Observe(res.Elapsed.Nanoseconds())
-	return res, nil
-}
-
+// executor is one operator's morsel pool: the execution whose budgets the
+// workers share, the pool size, and the smallest per-morsel work unit
+// (rows for row kernels, contexts for axis scans).
 type executor struct {
 	ex      *engine.Exec
 	workers int
@@ -152,106 +66,38 @@ type opResult struct {
 	charged bool
 }
 
-// eval walks the DAG like engine.Eval — memoized, single-goroutine —
-// but dispatches Par-marked operators to the morsel-wise kernels. The
-// walk itself stays serial; only the work inside one operator fans out,
-// so memo and profile bookkeeping need no locks.
-func (e *executor) eval(n *algebra.Node) (*engine.Table, error) {
-	if t, ok := e.ex.Memoized(n); ok {
-		e.ex.CollectMemoHit(n)
-		return t, nil
-	}
-	if err := e.ex.CheckDeadline(); err != nil {
-		return nil, err
-	}
-	ins := make([]*engine.Table, len(n.Ins))
-	for i, in := range n.Ins {
-		t, err := e.eval(in)
-		if err != nil {
-			return nil, err
-		}
-		ins[i] = t
-	}
-	endSpan := e.ex.StartOpSpan(n)
-	start := time.Now()
-	var t *engine.Table
-	var busy time.Duration
-	charged := false
-	if n.Par {
-		r, err := e.parOp(n, ins)
-		if err != nil {
-			return nil, err
-		}
-		if r != nil {
-			t, busy, charged = r.t, r.busy, r.charged
-		}
-	}
-	if t == nil {
-		var err error
-		t, err = e.ex.EvalOp(n, ins)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if endSpan != nil {
-		endSpan()
-	}
-	// Attribute the summed per-worker busy time when it exceeds the
-	// coordinator's wall time (it does, on a multicore pool): the profile
-	// then reports work performed per origin, comparable to serial runs.
-	wall := time.Since(start)
-	d := wall
-	if busy > d {
-		d = busy
-	}
-	e.ex.Record(n, d, t.NumRows())
-	e.ex.CollectOp(n, wall, ins, t)
-	if !charged {
-		if err := e.ex.ChargeCells(int64(t.NumRows()) * int64(len(t.Cols))); err != nil {
-			return nil, err
-		}
-	}
-	e.ex.Memoize(n, t)
-	e.ex.ReleaseInputs(n)
-	return t, nil
-}
-
-// parOp evaluates one Par-marked operator morsel-wise. A nil, nil return
-// means the operator (or its input size) is not worth partitioning and
-// the caller should take the serial kernel.
-func (e *executor) parOp(n *algebra.Node, ins []*engine.Table) (*opResult, error) {
-	switch n.Kind {
-	case algebra.OpStep:
-		return e.parStep(n, ins[0])
-	case algebra.OpJoin:
-		return e.parJoin(n, ins[0], ins[1])
-	case algebra.OpSelect:
-		return e.parSelect(n, ins[0])
-	case algebra.OpBinOp:
-		return e.parBinOp(n, ins[0])
-	case algebra.OpMap1:
-		return e.parMap1(n, ins[0])
-	}
-	return nil, nil
-}
-
 // EvalParOp evaluates one Par-marked operator morsel-wise over
-// already-evaluated inputs, on behalf of an external driver (the bytecode
-// VM's fork/join instruction pair). ok=false means the operator or its
-// input size is not worth partitioning and the caller should run the
-// serial kernel instead. busy is the summed per-worker time (for profile
+// already-evaluated inputs, on a pool of workers goroutines. A nil table
+// (with a nil error) means the operator or its input size is not worth
+// partitioning and the caller should run the serial kernel instead.
+// minMorselRows is the smallest per-morsel work unit; zero means the
+// default (256). busy is the summed per-worker time (for profile
 // attribution) and charged reports whether the workers already charged
-// the output cells against the shared budget.
-func EvalParOp(ex *engine.Exec, workers, minMorselRows int, n *algebra.Node, ins []*engine.Table) (t *engine.Table, busy time.Duration, charged, ok bool, err error) {
+// the output cells against the shared budget. A panic inside a worker is
+// recovered there and returned as an error (see runTasks), so a poisoned
+// morsel kernel fails the query instead of killing the process.
+func EvalParOp(ex *engine.Exec, workers, minMorselRows int, n *algebra.Node, ins []*engine.Table) (t *engine.Table, busy time.Duration, charged bool, err error) {
 	e := &executor{ex: ex, workers: workers, minRows: minMorselRows}
 	if e.minRows <= 0 {
 		e.minRows = defaultMinMorselRows
 	}
-	r, err := e.parOp(n, ins)
-	if err != nil || r == nil {
-		return nil, 0, false, false, err
+	var r *opResult
+	switch n.Kind {
+	case algebra.OpStep:
+		r, err = e.parStep(n, ins[0])
+	case algebra.OpJoin:
+		r, err = e.parJoin(n, ins[0], ins[1])
+	case algebra.OpSelect:
+		r, err = e.parSelect(n, ins[0])
+	case algebra.OpBinOp:
+		r, err = e.parBinOp(n, ins[0])
+	case algebra.OpMap1:
+		r, err = e.parMap1(n, ins[0])
 	}
-	return r.t, r.busy, r.charged, true, nil
+	if err != nil || r == nil {
+		return nil, 0, false, err
+	}
+	return r.t, r.busy, r.charged, nil
 }
 
 // runTasks drains n's morsel tasks over up to e.workers goroutines

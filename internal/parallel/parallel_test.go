@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/parallel"
 	"repro/internal/qerr"
+	"repro/internal/vm"
 	"repro/internal/xmark"
 	"repro/internal/xmarkq"
 	"repro/internal/xmltree"
@@ -34,10 +35,10 @@ func serialize(t *testing.T, res *engine.Result) string {
 	return s
 }
 
-// TestParallelMatchesSerialXMark runs the full XMark corpus with the
-// parallel executor and requires byte-identical results to the serial
-// engine — parallel morsels merge in serial scan order, so this holds
-// in ordered mode too, not just for order-indifferent queries.
+// TestParallelMatchesSerialXMark runs the full XMark corpus with a
+// morsel pool and requires byte-identical results to the serial run —
+// morsels merge in serial scan order, so this holds in ordered mode too,
+// not just for order-indifferent queries.
 func TestParallelMatchesSerialXMark(t *testing.T) {
 	store, docs := xmarkEnv(t, 0.01)
 	u := xquery.Unordered
@@ -84,7 +85,7 @@ func TestParallelMatchesSerialXMark(t *testing.T) {
 // descendant-axis scan regions split into preorder-range morsels (the
 // within-group parallelism Q6/Q7-shaped queries rely on: one iteration
 // group, one giant region) and checks byte equality against the serial
-// engine. Only linear-cost count queries run at this scale.
+// run. Only linear-cost count queries run at this scale.
 func TestParallelDescendantScan(t *testing.T) {
 	store, docs := xmarkEnv(t, 0.1)
 	u := xquery.Unordered
@@ -102,11 +103,11 @@ func TestParallelDescendantScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("prepare: %v", err)
 			}
-			sres, err := engine.Run(p.Plan.Root, store, docs, engine.Options{})
+			sres, err := vm.Run(vm.Compile(p.Plan.Root), store, docs, vm.Options{})
 			if err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
-			pres, err := parallel.Run(p.Plan.Root, store, docs, parallel.Options{Workers: 4})
+			pres, err := vm.Run(vm.Compile(p.Plan.Root), store, docs, vm.Options{Workers: 4})
 			if err != nil {
 				t.Fatalf("parallel run: %v", err)
 			}
@@ -117,9 +118,9 @@ func TestParallelDescendantScan(t *testing.T) {
 	}
 }
 
-// TestRunForcedMorsels drives parallel.Run directly with MinMorselRows=1
-// so that the join/select/binop/map1 kernels engage even on a small
-// document, and checks byte equality against the serial engine.
+// TestRunForcedMorsels drives the executor directly with MinMorselRows=1
+// so that the join/select/binop/map1 morsel kernels engage even on a
+// small document, and checks byte equality against the serial run.
 func TestRunForcedMorsels(t *testing.T) {
 	store, docs := xmarkEnv(t, 0.01)
 	u := xquery.Unordered
@@ -132,11 +133,11 @@ func TestRunForcedMorsels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("prepare: %v", err)
 			}
-			sres, err := engine.Run(p.Plan.Root, store, docs, engine.Options{})
+			sres, err := vm.Run(vm.Compile(p.Plan.Root), store, docs, vm.Options{})
 			if err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
-			pres, err := parallel.Run(p.Plan.Root, store, docs, parallel.Options{
+			pres, err := vm.Run(vm.Compile(p.Plan.Root), store, docs, vm.Options{
 				Workers:       4,
 				MinMorselRows: 1,
 			})
@@ -260,7 +261,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	parallel.MorselHook = func() { panic("poisoned morsel kernel") }
 	defer func() { parallel.MorselHook = nil }()
 	before := runtime.NumGoroutine()
-	_, err = parallel.Run(p.Plan.Root, store, docs, parallel.Options{
+	_, err = vm.Run(vm.Compile(p.Plan.Root), store, docs, vm.Options{
 		Workers:       4,
 		MinMorselRows: 1, // every parallel operator engages its morsel kernel
 	})

@@ -62,25 +62,18 @@ func TestNormalizeQueryPreservesMeaning(t *testing.T) {
 	}
 }
 
-// TestCacheKeyConfigFingerprint pins that every engine-config knob that
-// changes what a prepared plan *is* — parallelism and bytecode
-// compilation — lands in the plan-cache key, so e.g. a -compile=off
-// debugging session can never serve a stale compiled entry (or vice
-// versa), while equivalent query texts still collapse to one entry.
+// TestCacheKeyConfigFingerprint pins that the engine-config knob that
+// changes what a prepared plan *is* — parallelism, which marks plan
+// regions — lands in the plan-cache key, while equivalent query texts
+// still collapse to one entry.
 func TestCacheKeyConfigFingerprint(t *testing.T) {
 	key := func(cfg Config, q string) string {
 		return (&Server{cfg: cfg}).cacheKey(q)
 	}
 	const q = "1 + 2"
 	base := Config{}
-	if a, b := key(base, q), key(Config{NoCompile: true}, q); a == b {
-		t.Errorf("compiled and uncompiled configs share cache key %q", a)
-	}
 	if a, b := key(base, q), key(Config{Parallelism: 4}, q); a == b {
 		t.Errorf("serial and parallel configs share cache key %q", a)
-	}
-	if a, b := key(Config{Parallelism: 4}, q), key(Config{Parallelism: 4, NoCompile: true}, q); a == b {
-		t.Errorf("parallel compiled and uncompiled configs share cache key %q", a)
 	}
 	if a, b := key(base, q), key(base, "1  (: same :)  + 2"); a != b {
 		t.Errorf("equivalent texts under one config got distinct keys %q vs %q", a, b)

@@ -167,9 +167,9 @@ func (s *Server) deadlineFor(r *http.Request) (time.Duration, error) {
 
 // plan resolves the request's compiled query through the prepared-plan
 // cache; hit reports whether compilation was skipped. A cached entry
-// carries the bytecode program (unless Config.NoCompile), so a warm hit
-// skips parse→normalize→compile→optimize→flatten entirely and goes
-// straight to executing the register program.
+// carries the flattened program, so a warm hit skips
+// parse→normalize→compile→optimize→flatten entirely and goes straight
+// to executing it.
 func (s *Server) plan(query string) (q *exrquy.Query, hit bool, err error) {
 	key := s.cacheKey(query)
 	if q, ok := s.cache.get(key); ok {
@@ -188,7 +188,7 @@ func (s *Server) plan(query string) (q *exrquy.Query, hit bool, err error) {
 // configuration that compiled it (one Server has one configuration, but
 // the key says so rather than assumes so).
 func (s *Server) cacheKey(query string) string {
-	return fmt.Sprintf("par=%d,compile=%t\x00%s", s.cfg.Parallelism, !s.cfg.NoCompile, normalizeQuery(query))
+	return fmt.Sprintf("par=%d\x00%s", s.cfg.Parallelism, normalizeQuery(query))
 }
 
 // finishQuery records the request's outcome with the client's circuit

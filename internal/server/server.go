@@ -120,12 +120,6 @@ type Config struct {
 	ScrubInterval time.Duration
 	// ScrubBytesPerSec paces scrub verification reads (0 = unpaced).
 	ScrubBytesPerSec int64
-
-	// NoCompile disables bytecode plan compilation: the cache then stores
-	// tree-walking plans (exrquy.WithCompiled(false)). Debugging escape
-	// hatch — the flag is part of the plan-cache key, so flipping it can
-	// never serve a plan prepared under the other mode.
-	NoCompile bool
 }
 
 // Server is the daemon: one Engine, one Governor, one plan cache, one
@@ -173,9 +167,6 @@ func New(cfg Config) *Server {
 	opts := []exrquy.Option{exrquy.WithGovernor(gov)}
 	if cfg.Parallelism != 0 {
 		opts = append(opts, exrquy.WithParallelism(cfg.Parallelism))
-	}
-	if cfg.NoCompile {
-		opts = append(opts, exrquy.WithCompiled(false))
 	}
 	if cfg.StoreBudget > 0 {
 		opts = append(opts, exrquy.WithStoreBudget(cfg.StoreBudget))

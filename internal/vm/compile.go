@@ -8,248 +8,79 @@ import (
 	"repro/internal/xdm"
 )
 
-// opcode selects the kernel an instruction runs. The specialized opcodes
-// cover the operators whose kernels need no name resolution at run time
-// (their column positions are burned in at compile time); everything
-// else dispatches through the engine's boxed/typed kernels via
-// opGeneric. opParFork/opParJoin bracket a Par-marked operator: fork
-// hands morsel ranges to internal/parallel (or runs the serial kernel
-// when the pool is size one or the operator is too small to split), join
-// does the merge-side accounting.
-type opcode uint8
-
-const (
-	opGeneric opcode = iota
-	opLit
-	opProject
-	opSelect
-	opRowID
-	opUnion
-	opDoc
-	opParFork
-	opParJoin
-)
-
-// instr is one instruction of a compiled program. dst/srcs/release are
-// register numbers; a register holds the output table of exactly one
-// operator (the DAG's memo entry, now a slot instead of a map lookup).
+// instr is one instruction of a program: evaluate node over the tables in
+// srcs, store the result in dst. Registers are positions in
+// algebra.Nodes order; a register holds the output table of exactly one
+// operator, so sharing in the DAG is a register read several times.
 type instr struct {
-	op     opcode
-	kernel opcode // serial kernel opcode; == op except on fork/join pairs
-	node   *algebra.Node
-	dst    uint32
-	srcs   []uint32
+	node *algebra.Node
+	dst  uint32
+	srcs []uint32
 	// release lists the registers whose last consumer this instruction
 	// is: after the output is stored, these tables drop their column
-	// references and buffers at zero references return to the xdm pool —
-	// the compile-time form of engine.ReleaseInputs' runtime counting.
+	// references and buffers at zero references return to the xdm pool.
 	release []uint32
-	// cols carries pre-resolved column positions: project's source
-	// positions, select's condition position, union's right-side
-	// position for each left column.
-	cols []int
-	// slot is the document parameter slot (opDoc): the URI is resolved
-	// against the execution's document registry at run (bind) time, so a
-	// cached program survives document reloads.
-	slot int
-	// lit is the literal table, prebuilt at compile time and shared by
-	// every execution of the program (its buffers are pinned, never
-	// recycled).
-	lit *engine.Table
-	// extraUses is the number of consumers beyond the first — the runs
-	// the walked engine would have served from the memo. Replayed into
-	// the stats collector so EXPLAIN ANALYZE memo-hit counts match.
+	// extraUses is the number of consumers beyond the first, reported to
+	// the stats collector as EXPLAIN ANALYZE's memo count.
 	extraUses int
-	// kinds is the statically inferred column type of each output column
-	// (ctUnknown where inference gives up); explain-only.
-	kinds []colType
 }
 
-// Program is a bytecode-compiled plan: the optimized algebra DAG
-// flattened into a linear register program, one instruction per
-// operator, in the exact order the tree-walking engine would evaluate
-// them (algebra.Nodes order — load-bearing for byte-identical results,
-// see that function's doc). A Program is immutable after Compile and
-// safe for concurrent executions; per-execution state lives in pooled
-// frames.
+// Program is a flattened plan: the optimized algebra DAG as a linear
+// register program, one instruction per operator, in algebra.Nodes order
+// (load-bearing for byte-identical results, see that function's doc). A
+// Program is immutable after Compile and safe for concurrent executions;
+// per-execution state lives in pooled frames.
 type Program struct {
-	root   *algebra.Node
 	instrs []instr
-	nregs  int
-	docs   []string // parameter slots: fn:doc URIs in first-use order
 	frames sync.Pool
 }
 
-// Root returns the algebra root the program was compiled from.
-func (p *Program) Root() *algebra.Node { return p.root }
-
-// NumInstrs returns the instruction count (fork/join pairs count as two).
+// NumInstrs returns the instruction count: one per plan node.
 func (p *Program) NumInstrs() int { return len(p.instrs) }
 
-// Docs returns the document parameter slots (fn:doc URIs) in slot order.
-func (p *Program) Docs() []string { return p.docs }
-
-// Compile flattens the optimized plan DAG into a register program.
-// Sharing in the DAG becomes register reuse: a node with several
-// consumers is evaluated once into its register and read many times; the
-// register is released at its last consumer, which is when the walked
-// engine's reference counting would have recycled the memo entry.
+// Compile flattens the optimized plan DAG into a register program. A node
+// with several consumers is evaluated once into its register and read
+// many times; the register is released at its last consumer.
 func Compile(root *algebra.Node) *Program {
 	nodes := algebra.Nodes(root)
-	p := &Program{root: root, nregs: len(nodes)}
+	p := &Program{instrs: make([]instr, len(nodes))}
 
 	reg := make(map[*algebra.Node]uint32, len(nodes))
-	consumers := make(map[*algebra.Node]int, len(nodes))
+	// remaining counts each node's consumers not yet emitted; when a
+	// node's own instruction is emitted that is still all of them. The
+	// root gets one extra use because Finish reads its table after the
+	// program ends.
+	remaining := make(map[*algebra.Node]int, len(nodes))
 	for _, n := range nodes {
 		for _, in := range n.Ins {
-			consumers[in]++
+			remaining[in]++
 		}
 	}
-	// remaining drives last-consumer release; the root gets one extra use
-	// because Finish reads its table after the program ends.
-	remaining := make(map[*algebra.Node]int, len(nodes))
-	for n, c := range consumers {
-		remaining[n] = c
-	}
 	remaining[root]++
-
-	docSlot := make(map[string]int)
-	kinds := make(map[*algebra.Node][]colType, len(nodes))
 
 	for i, n := range nodes {
 		reg[n] = uint32(i)
 		ins := instr{node: n, dst: uint32(i), srcs: make([]uint32, len(n.Ins))}
-		for j, in := range n.Ins {
-			ins.srcs[j] = reg[in]
-		}
-		if c := consumers[n]; c > 1 {
+		if c := remaining[n]; c > 1 {
 			ins.extraUses = c - 1
 		}
-		ins.kernel = selectKernel(&ins, n, p, docSlot)
-		ins.kinds = inferKinds(n, &ins, kinds)
-		kinds[n] = ins.kinds
-
-		// The last consumer of each input releases it. With a fork/join
-		// pair the release rides on the join: the fork's parallel kernel
-		// still reads the inputs.
-		var release []uint32
-		for _, in := range n.Ins {
+		for j, in := range n.Ins {
+			ins.srcs[j] = reg[in]
 			c := remaining[in] - 1
 			remaining[in] = c
 			if c == 0 {
-				release = append(release, reg[in])
+				ins.release = append(ins.release, reg[in])
 			}
 		}
-
-		if n.Par {
-			fork := ins
-			fork.op = opParFork
-			join := instr{
-				op: opParJoin, kernel: ins.kernel, node: n,
-				dst: ins.dst, srcs: ins.srcs, release: release,
-				extraUses: ins.extraUses, kinds: ins.kinds,
-			}
-			fork.release = nil
-			fork.extraUses = 0
-			p.instrs = append(p.instrs, fork, join)
-			continue
-		}
-		ins.op = ins.kernel
-		ins.release = release
-		p.instrs = append(p.instrs, ins)
+		p.instrs[i] = ins
 	}
 
+	nregs := len(nodes)
 	p.frames.New = func() any {
 		return &frame{
-			regs:    make([]*engine.Table, p.nregs),
-			colRefs: make(map[*xdm.Column]int, p.nregs*2),
-			docIDs:  make([][]uint32, len(p.docs)),
-			docOK:   make([]bool, len(p.docs)),
+			regs:    make([]*engine.Table, nregs),
+			colRefs: make(map[*xdm.Column]int, nregs*2),
 		}
 	}
 	return p
-}
-
-// selectKernel picks the specialized opcode for n when its column
-// references resolve positionally at compile time, filling the
-// instruction's pre-resolved fields; anything unresolvable (or simply
-// not specialized) falls back to opGeneric, i.e. the engine's EvalOp.
-func selectKernel(ins *instr, n *algebra.Node, p *Program, docSlot map[string]int) opcode {
-	switch n.Kind {
-	case algebra.OpLit:
-		ins.lit = buildLit(n)
-		return opLit
-	case algebra.OpProject:
-		src := n.Ins[0].Schema()
-		cols := make([]int, len(n.Proj))
-		for i, pr := range n.Proj {
-			ci := colIndex(src, pr.Old)
-			if ci < 0 {
-				return opGeneric
-			}
-			cols[i] = ci
-		}
-		ins.cols = cols
-		return opProject
-	case algebra.OpSelect:
-		ci := colIndex(n.Ins[0].Schema(), n.Col)
-		if ci < 0 {
-			return opGeneric
-		}
-		ins.cols = []int{ci}
-		return opSelect
-	case algebra.OpRowID:
-		return opRowID
-	case algebra.OpUnion:
-		ls, rs := n.Ins[0].Schema(), n.Ins[1].Schema()
-		cols := make([]int, len(ls))
-		for i, name := range ls {
-			ci := colIndex(rs, name)
-			if ci < 0 {
-				return opGeneric
-			}
-			cols[i] = ci
-		}
-		ins.cols = cols
-		return opUnion
-	case algebra.OpDoc:
-		slot, ok := docSlot[n.URI]
-		if !ok {
-			slot = len(p.docs)
-			docSlot[n.URI] = slot
-			p.docs = append(p.docs, n.URI)
-		}
-		ins.slot = slot
-		return opDoc
-	}
-	return opGeneric
-}
-
-// buildLit materializes a literal table once at compile time, exactly as
-// the walked engine's OpLit kernel would per run. The columns reflect
-// the xdm.ForceBoxed state at compile time — physically typed or boxed,
-// results are identical either way, which is the PR 3 premise the
-// differential suite pins. The name index is built eagerly: the table is
-// shared across concurrent executions, so the lazy build would race.
-func buildLit(n *algebra.Node) *engine.Table {
-	data := make([]*xdm.Column, len(n.Cols))
-	for c := range n.Cols {
-		var b xdm.ColumnBuilder
-		for _, row := range n.Rows {
-			b.Append(row[c])
-		}
-		data[c] = b.Finish()
-	}
-	t := engine.NewTableFromCols(n.Cols, data)
-	t.BuildIndex()
-	return t
-}
-
-func colIndex(schema []string, name string) int {
-	for i, c := range schema {
-		if c == name {
-			return i
-		}
-	}
-	return -1
 }

@@ -2,13 +2,15 @@ package vm
 
 // Structural invariants of Compile, independent of the end-to-end
 // differential suite in internal/core: register discipline (topological
-// sources, last-consumer release, root never released), memo-use counts
-// on shared nodes, document parameter-slot dedup, and a program executed
-// through Run agreeing with the engine on a hand-built DAG.
+// sources, last-consumer release, root never released), extra-use counts
+// on shared nodes, and a program executed through Run — serial and with
+// forced morsels — agreeing with the engine's kernels applied by hand to
+// the same DAG.
 
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/engine"
@@ -80,21 +82,7 @@ func TestCompileSharedNodeMemoUses(t *testing.T) {
 		}
 	}
 	if sharedExtra != 1 {
-		t.Errorf("doubly consumed step node has extraUses=%d, want 1 (one memo hit in the walked engine)", sharedExtra)
-	}
-}
-
-func TestCompileDocSlotsDedup(t *testing.T) {
-	// Structural hash-consing already merges identical Doc nodes; distinct
-	// URIs must get distinct slots in first-use order.
-	b := algebra.NewBuilder()
-	a1 := b.Project(b.Doc("a.xml"), algebra.ColPair{New: "a1", Old: "item"})
-	b1 := b.Project(b.Doc("b.xml"), algebra.ColPair{New: "b1", Old: "item"})
-	a2 := b.Project(b.Doc("a.xml"), algebra.ColPair{New: "a2", Old: "item"})
-	p := Compile(b.Cross(b.Cross(a1, a2), b1))
-	docs := p.Docs()
-	if len(docs) != 2 || docs[0] != "a.xml" || docs[1] != "b.xml" {
-		t.Fatalf("doc slots = %v, want [a.xml b.xml]", docs)
+		t.Errorf("doubly consumed step node has extraUses=%d, want 1 (one reuse beyond the first consumer)", sharedExtra)
 	}
 }
 
@@ -111,20 +99,35 @@ func TestRunMatchesEngineOnHandBuiltPlan(t *testing.T) {
 	s := b.Step(ctx, xquery.AxisDescendant, xquery.NodeTest{Kind: xquery.TestName, Name: "b"})
 	root := b.Keep(b.RowID(s, "pos"), "pos", "item")
 
-	want, err := engine.Run(root, store, docs, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
+	s.Par = true // what opt.MarkParallel would do: # makes the step order-dead
+
+	// The reference: every kernel applied once, in plan order, nothing
+	// released.
+	ex := engine.NewExec(store, docs, engine.Options{})
+	out := make(map[*algebra.Node]*engine.Table)
+	for _, n := range algebra.Nodes(root) {
+		ins := make([]*engine.Table, len(n.Ins))
+		for i, in := range n.Ins {
+			ins[i] = out[in]
+		}
+		if out[n], err = ex.EvalOp(n, ins); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := Run(Compile(root), store, docs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Items) != len(want.Items) || len(got.Items) != 2 {
-		t.Fatalf("compiled %d items, engine %d items, want 2", len(got.Items), len(want.Items))
-	}
-	for i := range want.Items {
-		if got.Items[i] != want.Items[i] {
-			t.Fatalf("item %d: compiled %v, engine %v", i, got.Items[i], want.Items[i])
+	want := ex.Finish(out[root], time.Now())
+
+	for _, opts := range []Options{{}, {Workers: 4, MinMorselRows: 1}} {
+		got, err := Run(Compile(root), store, docs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Items) != len(want.Items) || len(got.Items) != 2 {
+			t.Fatalf("workers=%d: program %d items, kernels %d items, want 2", opts.Workers, len(got.Items), len(want.Items))
+		}
+		for i := range want.Items {
+			if got.Items[i] != want.Items[i] {
+				t.Fatalf("workers=%d item %d: program %v, kernels %v", opts.Workers, i, got.Items[i], want.Items[i])
+			}
 		}
 	}
 }
@@ -135,30 +138,5 @@ func TestRunUnknownDocumentError(t *testing.T) {
 	_, err := Run(Compile(plan), xmltree.NewStore(), nil, Options{})
 	if err == nil || !strings.Contains(err.Error(), `unknown document "missing.xml"`) {
 		t.Fatalf("err = %v, want unknown document", err)
-	}
-}
-
-func TestExplainShape(t *testing.T) {
-	p := Compile(sharedPlan())
-	out := p.Explain()
-	if !strings.Contains(out, "program: ") || !strings.Contains(out, "d0 = doc \"d.xml\"") {
-		t.Fatalf("explain missing header/doc slots:\n%s", out)
-	}
-	// The shared step is read twice: its line carries the memo-use count,
-	// and some later line frees its register.
-	if !strings.Contains(out, "uses=2") {
-		t.Errorf("shared node's uses=2 missing:\n%s", out)
-	}
-	if !strings.Contains(out, "free=") {
-		t.Errorf("no free lists rendered:\n%s", out)
-	}
-	// Every instruction line names its plan node by #id.
-	for i, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		if i == 0 || strings.HasPrefix(strings.TrimSpace(line), "d") { // header, doc slots
-			continue
-		}
-		if !strings.Contains(line, "#") {
-			t.Errorf("instruction line without plan #id: %q", line)
-		}
 	}
 }

@@ -66,14 +66,6 @@ for q in $queries; do
         -store "$shard_dirs" -store-bytes "$budget" -xq "$q"
 done
 
-# One walked-engine pass: the differential above runs bytecode-compiled
-# plans; this asserts the tree-walking executor reads the same store
-# identically too.
-echo "== tree-walking executor"
-"$workdir/exrquy" -compile=false -xmark "$factor" -xq 8 >"$workdir/ref.out"
-run_diff "Q8 ooc walked" "$workdir/ref.out" \
-    -compile=false -store "$workdir/single" -store-bytes "$budget" -xq 8
-
 # Corruption with a standby replica must be healed, not served and not
 # fatal: flip one byte in one replica of one part of a 2-replica store,
 # and the query must still exit 0 with byte-identical output, recovered
