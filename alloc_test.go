@@ -96,6 +96,25 @@ func TestAllocCompiledNotWorseThanWalked(t *testing.T) {
 	}
 }
 
+// TestPrepareAllocBudget guards the static pipeline without a wall
+// clock: core.Prepare over all 20 XMark queries measures ~40k allocs
+// with the append-built intern key and the slot-indexed column analysis.
+// A builder key formatted through fmt alone costs ~82k, map-per-node
+// inference on top of it ~131k, so the 60k bound trips on a slide back
+// to either on any host.
+func TestPrepareAllocBudget(t *testing.T) {
+	avg := testing.AllocsPerRun(3, func() {
+		for _, q := range xmarkq.All() {
+			if _, err := core.Prepare(q.Text, core.DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg > 60000 {
+		t.Errorf("Prepare over the 20 XMark queries: %.0f allocs, want <= 60000 (measured ~40k)", avg)
+	}
+}
+
 // TestAllocCollectDisabledZeroOverhead pins the observability contract:
 // with Config.Collect off (the default), the per-operator statistics
 // machinery must add zero allocations to the execution hot path — its

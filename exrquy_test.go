@@ -261,6 +261,22 @@ func TestExternalVariables(t *testing.T) {
 	}
 }
 
+// TestLiteralTablesWithSeparatorBytesStayDistinct: the plan builder's
+// intern key must be injective over literal contents. A key that joins
+// fields with unescaped separators gives these two tables one key, and
+// $b is silently replaced by $a.
+func TestLiteralTablesWithSeparatorBytesStayDistinct(t *testing.T) {
+	eng := newTestEngine(t)
+	res, err := eng.QueryWith(`declare variable $a external; declare variable $b external; (count($a), count($b))`,
+		map[string]any{"a": []string{"p.xs:string;/n2.xs:integer/sq"}, "b": []string{"p", "q"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xml, _ := res.XML(); xml != "1 2" {
+		t.Errorf("(count($a), count($b)) = %q, want \"1 2\"", xml)
+	}
+}
+
 func TestDocumentsSorted(t *testing.T) {
 	eng := New()
 	for _, name := range []string{"z.xml", "a.xml", "m.xml", "b.xml"} {

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -156,5 +157,87 @@ func TestUnionDisjointSignatureDiffers(t *testing.T) {
 	}
 	if u2.Disj != "iter" {
 		t.Errorf("Disj = %q", u2.Disj)
+	}
+}
+
+// TestInternKeyInjective: two nodes that differ in any structural field
+// never share an instance, whatever bytes their strings hold. Every
+// variant is a literal table (the one kind whose schema check accepts
+// arbitrary parameters) differing from the base in one field; the
+// boundary cases move bytes between neighbouring fields, list elements
+// and rows, which a separator-joined key cannot tell apart.
+func TestInternKeyInjective(t *testing.T) {
+	b := NewBuilder()
+	x, y := b.Doc("x"), b.Doc("y")
+	item := func(s string) []xdm.Item { return []xdm.Item{xdm.NewString(s)} }
+	variants := map[string][]func(*Node){
+		"Kind": {func(n *Node) { n.Kind = OpDoc }},
+		"Ins":  {func(n *Node) { n.Ins = []*Node{x} }, func(n *Node) { n.Ins = []*Node{y} }, func(n *Node) { n.Ins = []*Node{x, y} }},
+		"Cols": {func(n *Node) { n.Cols = []string{"a,b"} }, func(n *Node) { n.Cols = []string{"a", "b"} }, func(n *Node) { n.Cols = []string{"a|"} }},
+		"Rows": {
+			func(n *Node) { n.Rows = [][]xdm.Item{item("p")} },
+			func(n *Node) { n.Rows = [][]xdm.Item{item("p"), item("q")} },
+			func(n *Node) { n.Rows = [][]xdm.Item{{xdm.NewString("p"), xdm.NewString("q")}} },
+			func(n *Node) { n.Rows = [][]xdm.Item{item("p.xs:string;/sq")} },
+			func(n *Node) { n.Rows = [][]xdm.Item{{xdm.NewUntyped("p")}} },
+			func(n *Node) { n.Rows = [][]xdm.Item{{xdm.NewInt(1)}} },
+			func(n *Node) { n.Rows = [][]xdm.Item{{xdm.NewDouble(1)}} },
+			func(n *Node) { n.Rows = [][]xdm.Item{{xdm.NewBool(true)}} },
+			func(n *Node) { n.Rows = [][]xdm.Item{{xdm.NewNode(xdm.NodeID{Frag: 1, Pre: 2})}} },
+			func(n *Node) { n.Rows = [][]xdm.Item{{xdm.NewNode(xdm.NodeID{Frag: 12})}} },
+		},
+		"Proj": {func(n *Node) { n.Proj = []ColPair{{New: "a<b", Old: "c"}} }, func(n *Node) { n.Proj = []ColPair{{New: "a", Old: "b<c"}} }},
+		"Col":  {func(n *Node) { n.Col = "c" }, func(n *Node) { n.Col = "c|d" }},
+		"LCol": {func(n *Node) { n.LCol = "c" }, func(n *Node) { n.Col, n.LCol = "c", "d" }},
+		"RCol": {func(n *Node) { n.RCol = "c" }},
+		"TCol": {func(n *Node) { n.TCol = "c" }},
+		"Res":  {func(n *Node) { n.Res = "c" }},
+		"Sort": {
+			func(n *Node) { n.Sort = []SortSpec{{Col: "c"}} },
+			func(n *Node) { n.Sort = []SortSpec{{Col: "c", Desc: true}} },
+			func(n *Node) { n.Sort = []SortSpec{{Col: "c", EmptyGreatest: true}} },
+			func(n *Node) { n.Sort = []SortSpec{{Col: "c.false.false,d"}} },
+			func(n *Node) { n.Sort = []SortSpec{{Col: "c"}, {Col: "d"}} },
+		},
+		"Part": {func(n *Node) { n.Part = "c" }},
+		"BFn":  {func(n *Node) { n.BFn = BArithSub }},
+		"Cmp":  {func(n *Node) { n.Cmp = xdm.CmpLt }},
+		"UFn":  {func(n *Node) { n.UFn = UnString }},
+		"AFn":  {func(n *Node) { n.AFn = AggrSum }},
+		"Axis": {func(n *Node) { n.Axis = xquery.AxisDescendant }},
+		"Test": {
+			func(n *Node) { n.Test = xquery.NodeTest{Kind: xquery.TestNode} },
+			func(n *Node) { n.Test = xquery.NodeTest{Kind: xquery.TestName, Name: "node()"} },
+		},
+		"URI":  {func(n *Node) { n.URI = "c" }, func(n *Node) { n.URI = "c|d" }},
+		"Name": {func(n *Node) { n.Name = "c" }, func(n *Node) { n.URI, n.Name = "c", "d" }},
+		"Min":  {func(n *Node) { n.Min = 1 }},
+		"Max":  {func(n *Node) { n.Max = 1 }, func(n *Node) { n.Max = -1 }},
+		"Ser":  {func(n *Node) { n.Ser = 1 }},
+		"Disj": {func(n *Node) { n.Disj = "c" }},
+	}
+	notStructural := map[string]bool{"ID": true, "Origin": true, "Par": true, "schema": true}
+	typ := reflect.TypeOf(Node{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i).Name; !notStructural[f] && variants[f] == nil {
+			t.Errorf("Node.%s has no variant here: is it part of the intern key?", f)
+		}
+	}
+
+	base := Node{Kind: OpLit, Cols: []string{"a"}}
+	seen := map[*Node]string{b.mk(base): "base"}
+	for field, muts := range variants {
+		for i, mutate := range muts {
+			n := base
+			mutate(&n)
+			got := b.mk(n)
+			if prev, dup := seen[got]; dup {
+				t.Errorf("%s variant %d shares an instance with %s", field, i, prev)
+			}
+			seen[got] = field
+			if again := b.mk(n); again != got {
+				t.Errorf("%s variant %d: equal nodes must share an instance", field, i)
+			}
+		}
 	}
 }

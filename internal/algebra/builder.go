@@ -1,9 +1,10 @@
 package algebra
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/xdm"
 	"repro/internal/xquery"
@@ -17,6 +18,7 @@ import (
 // defeats sharing.
 type Builder struct {
 	interned map[string]*Node
+	key      []byte // scratch for mk's intern key, reused across calls
 	nextID   int
 	nextSer  int
 }
@@ -26,56 +28,90 @@ func NewBuilder() *Builder {
 	return &Builder{interned: make(map[string]*Node)}
 }
 
-// mk canonicalizes a node: computes its schema, validates operator
-// invariants, and returns the shared instance for its structure.
+// mk canonicalizes a node: it returns the shared instance for the
+// node's structure, computing the schema and validating the operator's
+// invariants when the structure is new (a hit was validated when it
+// was interned).
 func (b *Builder) mk(n Node) *Node {
-	n.schema = computeSchema(&n)
-	sig := signature(&n)
-	if ex, ok := b.interned[sig]; ok {
+	b.key = appendKey(b.key[:0], &n)
+	if ex, ok := b.interned[string(b.key)]; ok {
 		return ex
+	}
+	n.schema = computeSchema(&n)
+	// Column names are unique within a schema: consumers (and the
+	// optimizer's per-slot tables) address a column by name or by
+	// position interchangeably.
+	for i, c := range n.schema {
+		for _, d := range n.schema[:i] {
+			if c == d {
+				panic(fmt.Sprintf("algebra: %s with duplicate column %q", n.Kind, c))
+			}
+		}
 	}
 	n.ID = b.nextID
 	b.nextID++
 	heap := n
-	b.interned[sig] = &heap
+	b.interned[string(b.key)] = &heap
 	return &heap
 }
 
-func signature(n *Node) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|", n.Kind)
+// appendKey appends the intern key of n: every structural parameter
+// (all of Node but ID, Origin, Par and the derived schema) in a fixed
+// field order, scalars as varints, strings and lists prefixed by their
+// length. The encoding decodes unambiguously, so it is injective: no
+// user-supplied name, URI or literal can make two different nodes
+// share a key. Inputs are canonical already and go in by ID.
+func appendKey(k []byte, n *Node) []byte {
+	k = append(k, byte(n.Kind), byte(n.BFn), byte(n.Cmp), byte(n.UFn), byte(n.AFn), byte(n.Axis), byte(n.Test.Kind))
+	for _, v := range [...]int{n.Min, n.Max, n.Ser, len(n.Ins)} {
+		k = binary.AppendVarint(k, int64(v))
+	}
 	for _, in := range n.Ins {
-		fmt.Fprintf(&sb, "i%d,", in.ID)
+		k = binary.AppendVarint(k, int64(in.ID))
 	}
-	sb.WriteString("|")
-	sb.WriteString(strings.Join(n.Cols, ","))
-	for _, r := range n.Rows {
-		for _, it := range r {
-			sb.WriteString("/" + xdm.DistinctKey(it))
-			sb.WriteString("." + it.Kind.String())
-		}
-		sb.WriteString(";")
+	for _, s := range [...]string{n.Col, n.LCol, n.RCol, n.TCol, n.Res, n.Part, n.URI, n.Name, n.Disj, n.Test.Name} {
+		k = appendStr(k, s)
 	}
+	k = binary.AppendUvarint(k, uint64(len(n.Cols)))
+	for _, c := range n.Cols {
+		k = appendStr(k, c)
+	}
+	k = binary.AppendUvarint(k, uint64(len(n.Proj)))
 	for _, p := range n.Proj {
-		fmt.Fprintf(&sb, "|%s<%s", p.New, p.Old)
+		k = appendStr(appendStr(k, p.New), p.Old)
 	}
-	fmt.Fprintf(&sb, "|%s|%s|%s|%s|%s|", n.Col, n.LCol, n.RCol, n.TCol, n.Res)
+	k = binary.AppendUvarint(k, uint64(len(n.Sort)))
 	for _, s := range n.Sort {
-		fmt.Fprintf(&sb, "%s.%v.%v,", s.Col, s.Desc, s.EmptyGreatest)
+		k = appendStr(k, s.Col)
+		k = append(k, boolByte(s.Desc)|boolByte(s.EmptyGreatest)<<1)
 	}
-	fmt.Fprintf(&sb, "|%s|%d|%d|%d|%d|%d|%s|%s|%s|%d|%d|%d|%s",
-		n.Part, n.BFn, n.Cmp, n.UFn, n.AFn, n.Axis, n.Test, n.URI, n.Name, n.Min, n.Max, n.Ser, n.Disj)
-	return sb.String()
+	k = binary.AppendUvarint(k, uint64(len(n.Rows)))
+	for _, r := range n.Rows {
+		k = binary.AppendUvarint(k, uint64(len(r)))
+		for _, it := range r {
+			k = append(k, byte(it.Kind))
+			k = binary.AppendVarint(k, it.I)
+			k = binary.LittleEndian.AppendUint64(k, math.Float64bits(it.F))
+			k = appendStr(k, it.S)
+			k = binary.AppendUvarint(k, uint64(it.N.Frag))
+			k = binary.AppendVarint(k, int64(it.N.Pre))
+		}
+	}
+	return k
 }
 
-func schemaUnion(a, b []string, op string) []string {
-	for _, c := range b {
-		for _, d := range a {
-			if c == d {
-				panic(fmt.Sprintf("algebra: %s with duplicate column %q", op, c))
-			}
-		}
+func appendStr(k []byte, s string) []byte {
+	return append(binary.AppendUvarint(k, uint64(len(s))), s...)
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
 	}
+	return 0
+}
+
+func schemaUnion(a, b []string) []string {
 	out := make([]string, 0, len(a)+len(b))
 	out = append(out, a...)
 	return append(out, b...)
@@ -104,9 +140,9 @@ func computeSchema(n *Node) []string {
 	case OpJoin:
 		requireCol(n, 0, n.LCol, "join")
 		requireCol(n, 1, n.RCol, "join")
-		return schemaUnion(n.Ins[0].Schema(), n.Ins[1].Schema(), "join")
+		return schemaUnion(n.Ins[0].Schema(), n.Ins[1].Schema())
 	case OpCross:
-		return schemaUnion(n.Ins[0].Schema(), n.Ins[1].Schema(), "cross")
+		return schemaUnion(n.Ins[0].Schema(), n.Ins[1].Schema())
 	case OpRowNum:
 		for _, s := range n.Sort {
 			requireCol(n, 0, s.Col, "rownum")
@@ -445,15 +481,21 @@ func WithOrigin(n *Node, origin string) *Node {
 // test builds by hand — produces byte-identical results. It also makes
 // register assignment stable: position in this slice is the operator's
 // register slot.
+//
+// The visited mark is indexed by Node.ID, so root's DAG must come from
+// one Builder (ids are unique per builder, not across builders).
 func Nodes(root *Node) []*Node {
 	var out []*Node
-	seen := make(map[*Node]bool)
+	seen := make([]bool, root.ID+1) // the root is usually the newest node
 	var visit func(n *Node)
 	visit = func(n *Node) {
-		if seen[n] {
+		if n.ID >= len(seen) {
+			seen = append(seen, make([]bool, n.ID+1-len(seen))...)
+		}
+		if seen[n.ID] {
 			return
 		}
-		seen[n] = true
+		seen[n.ID] = true
 		for _, in := range n.Ins {
 			visit(in)
 		}
@@ -471,25 +513,17 @@ type Stats struct {
 	RowIDs    int // # — each one is (almost) free
 	Steps     int
 	Joins     int
-	ByKind    map[OpKind]int
+	ByKind    [numOpKinds]int // indexed by OpKind
 }
 
 // PlanStats computes statistics for the DAG rooted at root.
 func PlanStats(root *Node) Stats {
-	s := Stats{ByKind: make(map[OpKind]int)}
+	var s Stats
 	for _, n := range Nodes(root) {
 		s.Operators++
 		s.ByKind[n.Kind]++
-		switch n.Kind {
-		case OpRowNum:
-			s.RowNums++
-		case OpRowID:
-			s.RowIDs++
-		case OpStep:
-			s.Steps++
-		case OpJoin:
-			s.Joins++
-		}
 	}
+	s.RowNums, s.RowIDs = s.ByKind[OpRowNum], s.ByKind[OpRowID]
+	s.Steps, s.Joins = s.ByKind[OpStep], s.ByKind[OpJoin]
 	return s
 }

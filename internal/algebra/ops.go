@@ -47,6 +47,8 @@ const (
 	OpAttr                    // attribute node construction
 	OpRange                   // integer range expansion (e1 to e2)
 	OpCheckCard               // cardinality guard (zero-or-one & friends)
+
+	numOpKinds = iota
 )
 
 // String names the operator like the paper does.
@@ -254,12 +256,15 @@ type Node struct {
 // Schema returns the output column list of the node.
 func (n *Node) Schema() []string { return n.schema }
 
-// HasCol reports whether the output schema contains col.
-func (n *Node) HasCol(col string) bool {
-	for _, c := range n.schema {
+// ColIndex returns the position of col in the output schema, or -1.
+func (n *Node) ColIndex(col string) int {
+	for i, c := range n.schema {
 		if c == col {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
+
+// HasCol reports whether the output schema contains col.
+func (n *Node) HasCol(col string) bool { return n.ColIndex(col) >= 0 }

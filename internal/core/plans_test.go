@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/xmarkq"
@@ -16,7 +18,9 @@ import (
 // parallel-marked) configuration. The plans carry the paper's claims —
 // which ρ sorts survive, which collapse to #, where [par] regions open —
 // so an optimizer change that moves any of them must show up as a
-// reviewed diff here, not as a silent plan drift.
+// reviewed diff here, not as a silent plan drift. Node ids count how many
+// intermediate nodes the builder happened to intern, which is optimizer
+// traffic, not plan shape: the snapshots hold normalizeIDs' rendering.
 //
 // Regenerate after an intentional plan change with
 //
@@ -47,7 +51,7 @@ func TestGoldenPlans(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prepare: %v", err)
 				}
-				got := p.Explain()
+				got := normalizeIDs(p.Explain())
 				path := filepath.Join("testdata", "plans", fmt.Sprintf("%s.%s.plan", q.Name, name))
 				if *updateGolden {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -68,4 +72,29 @@ func TestGoldenPlans(t *testing.T) {
 			})
 		}
 	}
+}
+
+// normalizeIDs renumbers the node ids of an Explain rendering in
+// first-print order ("#id" at a node's only full occurrence, "^id" at
+// later references to it), so two plans of the same shape render the
+// same whatever ids their builders handed out.
+func normalizeIDs(plan string) string {
+	renum := make(map[string]string)
+	lines := strings.SplitAfter(plan, "\n")
+	for i, line := range lines {
+		body := strings.TrimLeft(line, " ")
+		if body == "" || (body[0] != '#' && body[0] != '^') {
+			continue
+		}
+		end := 1
+		for end < len(body) && body[end] >= '0' && body[end] <= '9' {
+			end++
+		}
+		id := body[1:end]
+		if body[0] == '#' {
+			renum[id] = strconv.Itoa(len(renum))
+		}
+		lines[i] = line[:len(line)-len(body)] + body[:1] + renum[id] + body[end:]
+	}
+	return strings.Join(lines, "")
 }

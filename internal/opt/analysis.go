@@ -22,199 +22,6 @@ const (
 	useOrder
 )
 
-// colReq maps column name to its accumulated use kinds at one node.
-type colReq map[string]useKind
-
-func (r colReq) add(col string, k useKind) { r[col] |= k }
-
-func (r colReq) has(col string) bool { return r[col] != 0 }
-
-// orderOnly reports whether the column is consumed exclusively as a sort
-// criterion.
-func (r colReq) orderOnly(col string) bool { return r[col] == useOrder }
-
-// inferRequired walks the DAG top-down (consumers before producers) and
-// computes the strictly required columns of every node — the Figure 8
-// inference, seeded at the root with {pos (order), item (value)}: exactly
-// the columns needed "to properly serialize the item sequence which forms
-// the result of a query".
-func inferRequired(root *algebra.Node) map[*algebra.Node]colReq {
-	nodes := algebra.Nodes(root) // topological, inputs first
-	reqs := make(map[*algebra.Node]colReq, len(nodes))
-	get := func(n *algebra.Node) colReq {
-		r, ok := reqs[n]
-		if !ok {
-			r = colReq{}
-			reqs[n] = r
-		}
-		return r
-	}
-	rootReq := get(root)
-	rootReq.add("pos", useOrder)
-	rootReq.add("item", useValue)
-
-	for i := len(nodes) - 1; i >= 0; i-- {
-		n := nodes[i]
-		R := get(n)
-		switch n.Kind {
-		case algebra.OpLit, algebra.OpDoc:
-			// no inputs
-
-		case algebra.OpProject:
-			in := get(n.Ins[0])
-			for _, p := range n.Proj {
-				if R.has(p.New) {
-					in.add(p.Old, R[p.New])
-				}
-			}
-
-		case algebra.OpSelect:
-			in := get(n.Ins[0])
-			for c, k := range R {
-				in.add(c, k)
-			}
-			in.add(n.Col, useValue)
-
-		case algebra.OpJoin, algebra.OpCross:
-			l, r := get(n.Ins[0]), get(n.Ins[1])
-			for c, k := range R {
-				if n.Ins[0].HasCol(c) {
-					l.add(c, k)
-				} else {
-					r.add(c, k)
-				}
-			}
-			if n.Kind == algebra.OpJoin {
-				l.add(n.LCol, useValue)
-				r.add(n.RCol, useValue)
-			}
-
-		case algebra.OpRowNum:
-			in := get(n.Ins[0])
-			if R.has(n.Res) {
-				for _, s := range n.Sort {
-					in.add(s.Col, useOrder)
-				}
-				if n.Part != "" {
-					in.add(n.Part, useValue)
-				}
-			}
-			for c, k := range R {
-				if c != n.Res {
-					in.add(c, k)
-				}
-			}
-
-		case algebra.OpRowID:
-			in := get(n.Ins[0])
-			for c, k := range R {
-				if c != n.Col {
-					in.add(c, k)
-				}
-			}
-
-		case algebra.OpBinOp:
-			in := get(n.Ins[0])
-			if R.has(n.Res) {
-				in.add(n.LCol, useValue)
-				in.add(n.RCol, useValue)
-				if n.TCol != "" {
-					in.add(n.TCol, useValue)
-				}
-			}
-			for c, k := range R {
-				if c != n.Res {
-					in.add(c, k)
-				}
-			}
-
-		case algebra.OpMap1:
-			in := get(n.Ins[0])
-			if R.has(n.Res) {
-				in.add(n.LCol, useValue)
-			}
-			for c, k := range R {
-				if c != n.Res {
-					in.add(c, k)
-				}
-			}
-
-		case algebra.OpUnion:
-			l, r := get(n.Ins[0]), get(n.Ins[1])
-			for c, k := range R {
-				l.add(c, k)
-				r.add(c, k)
-			}
-
-		case algebra.OpSemi, algebra.OpDiff:
-			l, r := get(n.Ins[0]), get(n.Ins[1])
-			for c, k := range R {
-				l.add(c, k)
-			}
-			for _, c := range n.Cols {
-				l.add(c, useValue)
-				r.add(c, useValue)
-			}
-
-		case algebra.OpDistinct:
-			in := get(n.Ins[0])
-			for _, c := range n.Cols {
-				in.add(c, useValue)
-			}
-
-		case algebra.OpAggr:
-			in := get(n.Ins[0])
-			if n.Part != "" {
-				in.add(n.Part, useValue)
-			}
-			if n.Col != "" {
-				in.add(n.Col, useValue)
-			}
-			if n.AFn == algebra.AggrStrJoin {
-				in.add("pos", useOrder)
-			}
-
-		case algebra.OpStep:
-			in := get(n.Ins[0])
-			in.add("iter", useValue)
-			in.add("item", useValue)
-
-		case algebra.OpElem:
-			loop, content := get(n.Ins[0]), get(n.Ins[1])
-			loop.add("iter", useValue)
-			content.add("iter", useValue)
-			content.add("item", useValue)
-			// Sequence order establishes document order (interaction 2):
-			// constructors genuinely consume content order.
-			content.add("pos", useOrder)
-
-		case algebra.OpAttr:
-			in := get(n.Ins[0])
-			in.add("iter", useValue)
-			in.add(n.Col, useValue)
-
-		case algebra.OpRange:
-			in := get(n.Ins[0])
-			in.add("iter", useValue)
-			in.add(n.LCol, useValue)
-			in.add(n.RCol, useValue)
-
-		case algebra.OpCheckCard:
-			in := get(n.Ins[0])
-			for c, k := range R {
-				in.add(c, k)
-			}
-			in.add(n.Col, useValue)
-			if len(n.Ins) == 2 {
-				get(n.Ins[1]).add(n.Col, useValue)
-			}
-		}
-	}
-	return reqs
-}
-
-// --- Column properties (§7): constants and arbitrary unique columns ---
-
 // colProp records what is known about a column's content. This is the
 // property inference the paper's §7 wrap-up builds on:
 //
@@ -229,140 +36,342 @@ func inferRequired(root *algebra.Node) map[*algebra.Node]colReq {
 //     compiler asserted disjointness.
 type colProp struct {
 	constant  bool
-	constVal  xdm.Item
 	arbitrary bool
 	unique    bool
+	constVal  *xdm.Item // the literal cell a constant column copies
 }
 
-type propMap map[string]colProp
+// analysis is one round's view of a plan DAG: a topological order shared
+// by inference and rewriting, and two flat tables holding one slot per
+// schema column per node. A node's requirements and column properties
+// only ever mention columns of its own schema, so a slot is addressed by
+// (node, schema position); nothing is keyed by column name.
+type analysis struct {
+	nodes []*algebra.Node // topological, inputs first; the root is last
+	pos   []int32         // Node.ID → index into nodes
+	off   []int32         // index into nodes → the node's first slot
+	use   []useKind       // inferRequired's table
+	props []colProp       // inferProps' table
+}
 
-// inferProps computes column properties bottom-up over a DAG.
-func inferProps(root *algebra.Node) map[*algebra.Node]propMap {
-	props := make(map[*algebra.Node]propMap)
-	for _, n := range algebra.Nodes(root) {
-		p := propMap{}
-		in := func(i int) propMap { return props[n.Ins[i]] }
-		copyFrom := func(src propMap, cols []string) {
-			for _, c := range cols {
-				if cp, ok := src[c]; ok {
-					p[c] = cp
-				}
-			}
+func newAnalysis(root *algebra.Node) *analysis {
+	a := &analysis{nodes: algebra.Nodes(root)}
+	maxID, slots := 0, 0
+	for _, n := range a.nodes {
+		if n.ID > maxID {
+			maxID = n.ID
 		}
-		switch n.Kind {
-		case algebra.OpLit:
-			if len(n.Rows) == 1 {
-				for i, c := range n.Cols {
-					p[c] = colProp{constant: true, constVal: n.Rows[0][i], unique: true}
-				}
-			}
-
-		case algebra.OpProject:
-			for _, pr := range n.Proj {
-				if cp, ok := in(0)[pr.Old]; ok {
-					p[pr.New] = cp
-				}
-			}
-
-		case algebra.OpSelect, algebra.OpSemi, algebra.OpDiff, algebra.OpCheckCard:
-			// Row subsets preserve all three properties.
-			copyFrom(in(0), n.Schema())
-
-		case algebra.OpDistinct:
-			copyFrom(in(0), n.Cols)
-			if len(n.Cols) == 1 {
-				cp := p[n.Cols[0]]
-				cp.unique = true
-				p[n.Cols[0]] = cp
-			}
-
-		case algebra.OpRowID:
-			copyFrom(in(0), n.Ins[0].Schema())
-			p[n.Col] = colProp{arbitrary: true, unique: true}
-
-		case algebra.OpRowNum:
-			copyFrom(in(0), n.Ins[0].Schema())
-			if n.Part == "" {
-				p[n.Res] = colProp{unique: true} // dense global numbering
-			}
-
-		case algebra.OpBinOp, algebra.OpMap1:
-			copyFrom(in(0), n.Ins[0].Schema())
-
-		case algebra.OpJoin:
-			lp, rp := in(0), in(1)
-			lKeyUnique := lp[n.LCol].unique
-			rKeyUnique := rp[n.RCol].unique
-			for c, cp := range lp {
-				cp.unique = cp.unique && rKeyUnique
-				p[c] = cp
-			}
-			for c, cp := range rp {
-				cp.unique = cp.unique && lKeyUnique
-				p[c] = cp
-			}
-
-		case algebra.OpCross:
-			lSingle := n.Ins[0].Kind == algebra.OpLit && len(n.Ins[0].Rows) == 1
-			rSingle := n.Ins[1].Kind == algebra.OpLit && len(n.Ins[1].Rows) == 1
-			for side, sp := range []propMap{in(0), in(1)} {
-				keepUnique := (side == 0 && rSingle) || (side == 1 && lSingle)
-				for c, cp := range sp {
-					cp.unique = cp.unique && keepUnique
-					p[c] = cp
-				}
-			}
-
-		case algebra.OpUnion:
-			for c, cp := range in(0) {
-				rp, ok := in(1)[c]
-				if !ok {
-					continue
-				}
-				merged := colProp{}
-				if cp.constant && rp.constant &&
-					xdm.DistinctKey(cp.constVal) == xdm.DistinctKey(rp.constVal) {
-					merged.constant, merged.constVal = true, cp.constVal
-				}
-				merged.arbitrary = cp.arbitrary && rp.arbitrary
-				if n.Disj == c {
-					merged.unique = cp.unique && rp.unique
-				}
-				if merged.constant || merged.arbitrary || merged.unique {
-					p[c] = merged
-				}
-			}
-
-		case algebra.OpAggr:
-			if n.Part != "" {
-				cp := in(0)[n.Part]
-				cp.unique = true // one row per group
-				p[n.Part] = cp
-			}
-
-		case algebra.OpStep, algebra.OpElem, algebra.OpAttr, algebra.OpRange:
-			// Iteration ids are copied through; constants and
-			// arbitrariness survive, uniqueness does not (steps and
-			// ranges fan out, constructors keep loop cardinality — be
-			// conservative regardless).
-			if cp, ok := in(0)["iter"]; ok {
-				cp.unique = false
-				p["iter"] = cp
-			}
-		}
-		props[n] = p
+		slots += len(n.Schema())
 	}
-	return props
+	a.pos = make([]int32, maxID+1)
+	a.off = make([]int32, len(a.nodes))
+	slots = 0
+	for i, n := range a.nodes {
+		a.pos[n.ID] = int32(i)
+		a.off[i] = int32(slots)
+		slots += len(n.Schema())
+	}
+	a.use = make([]useKind, slots)
+	return a
 }
 
-// sortedCols returns the required column names in deterministic order.
-func sortedCols(r colReq) []string {
-	out := make([]string, 0, len(r))
-	for c, k := range r {
+// colReq is one node's row of the requirement table: use[i] accumulates
+// how consumers use schema column i (0 = not required).
+type colReq struct {
+	n   *algebra.Node
+	use []useKind
+}
+
+func (a *analysis) req(n *algebra.Node) colReq {
+	o := a.off[a.pos[n.ID]]
+	return colReq{n, a.use[o : int(o)+len(n.Schema())]}
+}
+
+func (r colReq) get(col string) useKind {
+	if i := r.n.ColIndex(col); i >= 0 {
+		return r.use[i]
+	}
+	return 0
+}
+
+// add records a use of col; a column the node does not produce (the
+// root's pos in a plan that has none) has no slot and nothing to record.
+func (r colReq) add(col string, k useKind) {
+	if k == 0 {
+		return
+	}
+	if i := r.n.ColIndex(col); i >= 0 {
+		r.use[i] |= k
+	}
+}
+
+// addAll passes requirements on to an input whose schema lines up
+// position by position with a prefix of from.
+func (r colReq) addAll(from []useKind) {
+	for i := range r.use {
+		r.use[i] |= from[i]
+	}
+}
+
+// res is the use of the schema's last column, where ρ, #, ⊕ and map put
+// their result after the input's columns.
+func (r colReq) res() useKind { return r.use[len(r.use)-1] }
+
+func (r colReq) has(col string) bool { return r.get(col) != 0 }
+
+// orderOnly reports whether the column is consumed exclusively as a sort
+// criterion.
+func (r colReq) orderOnly(col string) bool { return r.get(col) == useOrder }
+
+// required returns the required column names in deterministic order.
+func (r colReq) required() []string {
+	var out []string
+	for i, k := range r.use {
 		if k != 0 {
-			out = append(out, c)
+			out = append(out, r.n.Schema()[i])
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// inferRequired walks the DAG top-down (consumers before producers) and
+// computes the strictly required columns of every node — the Figure 8
+// inference, seeded at the root with {pos (order), item (value)}: exactly
+// the columns needed "to properly serialize the item sequence which forms
+// the result of a query".
+func inferRequired(root *algebra.Node) *analysis {
+	a := newAnalysis(root)
+	rootReq := a.req(root)
+	rootReq.add("pos", useOrder)
+	rootReq.add("item", useValue)
+
+	for i := len(a.nodes) - 1; i >= 0; i-- {
+		n := a.nodes[i]
+		R := a.req(n)
+		in := func(side int) colReq { return a.req(n.Ins[side]) }
+		switch n.Kind {
+		case algebra.OpLit, algebra.OpDoc:
+			// no inputs
+
+		case algebra.OpProject:
+			for j, p := range n.Proj {
+				in(0).add(p.Old, R.use[j])
+			}
+
+		case algebra.OpSelect:
+			in(0).addAll(R.use)
+			in(0).add(n.Col, useValue)
+
+		case algebra.OpJoin, algebra.OpCross:
+			in(0).addAll(R.use)
+			in(1).addAll(R.use[len(n.Ins[0].Schema()):])
+			if n.Kind == algebra.OpJoin {
+				in(0).add(n.LCol, useValue)
+				in(1).add(n.RCol, useValue)
+			}
+
+		case algebra.OpRowNum:
+			if R.res() != 0 {
+				for _, s := range n.Sort {
+					in(0).add(s.Col, useOrder)
+				}
+				if n.Part != "" {
+					in(0).add(n.Part, useValue)
+				}
+			}
+			in(0).addAll(R.use)
+
+		case algebra.OpRowID:
+			in(0).addAll(R.use)
+
+		case algebra.OpBinOp:
+			if R.res() != 0 {
+				in(0).add(n.LCol, useValue)
+				in(0).add(n.RCol, useValue)
+				if n.TCol != "" {
+					in(0).add(n.TCol, useValue)
+				}
+			}
+			in(0).addAll(R.use)
+
+		case algebra.OpMap1:
+			if R.res() != 0 {
+				in(0).add(n.LCol, useValue)
+			}
+			in(0).addAll(R.use)
+
+		case algebra.OpUnion:
+			// The schema is the left input's; the right input holds the
+			// same columns in its own order.
+			in(0).addAll(R.use)
+			for j, c := range n.Schema() {
+				in(1).add(c, R.use[j])
+			}
+
+		case algebra.OpSemi, algebra.OpDiff:
+			in(0).addAll(R.use)
+			for _, c := range n.Cols {
+				in(0).add(c, useValue)
+				in(1).add(c, useValue)
+			}
+
+		case algebra.OpDistinct:
+			for _, c := range n.Cols {
+				in(0).add(c, useValue)
+			}
+
+		case algebra.OpAggr:
+			if n.Part != "" {
+				in(0).add(n.Part, useValue)
+			}
+			if n.Col != "" {
+				in(0).add(n.Col, useValue)
+			}
+			if n.AFn == algebra.AggrStrJoin {
+				in(0).add("pos", useOrder)
+			}
+
+		case algebra.OpStep:
+			in(0).add("iter", useValue)
+			in(0).add("item", useValue)
+
+		case algebra.OpElem:
+			in(0).add("iter", useValue)
+			in(1).add("iter", useValue)
+			in(1).add("item", useValue)
+			// Sequence order establishes document order (interaction 2):
+			// constructors genuinely consume content order.
+			in(1).add("pos", useOrder)
+
+		case algebra.OpAttr:
+			in(0).add("iter", useValue)
+			in(0).add(n.Col, useValue)
+
+		case algebra.OpRange:
+			in(0).add("iter", useValue)
+			in(0).add(n.LCol, useValue)
+			in(0).add(n.RCol, useValue)
+
+		case algebra.OpCheckCard:
+			in(0).addAll(R.use)
+			in(0).add(n.Col, useValue)
+			if len(n.Ins) == 2 {
+				in(1).add(n.Col, useValue)
+			}
+		}
+	}
+	return a
+}
+
+// --- Column properties (§7): constants and arbitrary unique columns ---
+
+// propsOf returns the node's row of the property table, one colProp per
+// schema column.
+func (a *analysis) propsOf(n *algebra.Node) []colProp {
+	o := a.off[a.pos[n.ID]]
+	return a.props[o : int(o)+len(n.Schema())]
+}
+
+// prop returns what is known about column col of node n (nothing, for a
+// column n does not produce).
+func (a *analysis) prop(n *algebra.Node, col string) colProp {
+	if i := n.ColIndex(col); i >= 0 {
+		return a.propsOf(n)[i]
+	}
+	return colProp{}
+}
+
+// inferProps fills the column property table bottom-up.
+func (a *analysis) inferProps() {
+	a.props = make([]colProp, len(a.use))
+	for _, n := range a.nodes {
+		p := a.propsOf(n)
+		switch n.Kind {
+		case algebra.OpLit:
+			if len(n.Rows) == 1 {
+				for i := range p {
+					p[i] = colProp{constant: true, constVal: &n.Rows[0][i], unique: true}
+				}
+			}
+
+		case algebra.OpProject:
+			for i, pr := range n.Proj {
+				p[i] = a.prop(n.Ins[0], pr.Old)
+			}
+
+		case algebra.OpSelect, algebra.OpSemi, algebra.OpDiff, algebra.OpCheckCard:
+			// Row subsets preserve all three properties.
+			copy(p, a.propsOf(n.Ins[0]))
+
+		case algebra.OpDistinct:
+			for i, c := range n.Cols {
+				p[i] = a.prop(n.Ins[0], c)
+			}
+			if len(n.Cols) == 1 {
+				p[0].unique = true
+			}
+
+		case algebra.OpRowID:
+			copy(p, a.propsOf(n.Ins[0]))
+			p[len(p)-1] = colProp{arbitrary: true, unique: true}
+
+		case algebra.OpRowNum:
+			copy(p, a.propsOf(n.Ins[0]))
+			if n.Part == "" {
+				p[len(p)-1] = colProp{unique: true} // dense global numbering
+			}
+
+		case algebra.OpBinOp, algebra.OpMap1:
+			copy(p, a.propsOf(n.Ins[0]))
+
+		case algebra.OpJoin, algebra.OpCross:
+			// A side's keys stay keys when every one of its rows meets at
+			// most one partner: the opposite join key is unique, or the
+			// opposite cross operand is a single-row literal.
+			l, r := n.Ins[0], n.Ins[1]
+			nl := copy(p, a.propsOf(l))
+			copy(p[nl:], a.propsOf(r))
+			keepL, keepR := singleRowLit(r), singleRowLit(l)
+			if n.Kind == algebra.OpJoin {
+				keepL, keepR = a.prop(r, n.RCol).unique, a.prop(l, n.LCol).unique
+			}
+			for i := range p {
+				p[i].unique = p[i].unique && ((i < nl && keepL) || (i >= nl && keepR))
+			}
+
+		case algebra.OpUnion:
+			for i, c := range n.Schema() {
+				lp, rp := a.propsOf(n.Ins[0])[i], a.prop(n.Ins[1], c)
+				merged := colProp{}
+				if lp.constant && rp.constant &&
+					xdm.DistinctKey(*lp.constVal) == xdm.DistinctKey(*rp.constVal) {
+					merged.constant, merged.constVal = true, lp.constVal
+				}
+				merged.arbitrary = lp.arbitrary && rp.arbitrary
+				if n.Disj == c {
+					merged.unique = lp.unique && rp.unique
+				}
+				p[i] = merged
+			}
+
+		case algebra.OpAggr:
+			if n.Part != "" {
+				p[0] = a.prop(n.Ins[0], n.Part)
+				p[0].unique = true // one row per group
+			}
+
+		case algebra.OpStep, algebra.OpElem, algebra.OpAttr, algebra.OpRange:
+			// Iteration ids (the schema's first column) are copied
+			// through; constants and arbitrariness survive, uniqueness
+			// does not (steps and ranges fan out, constructors keep loop
+			// cardinality — be conservative regardless).
+			p[0] = a.prop(n.Ins[0], "iter")
+			p[0].unique = false
+		}
+	}
+}
+
+func singleRowLit(n *algebra.Node) bool {
+	return n.Kind == algebra.OpLit && len(n.Rows) == 1
 }

@@ -15,6 +15,17 @@
 //     '|' → ',' example (Figure 10).
 //
 // Every rewrite is individually switchable for the ablation benchmarks.
+//
+// Optimize runs rounds to a fixed point. A round is one inference and one
+// bottom-up rewrite walk over a shared topological order of the DAG
+// (rewrite, in rewrites.go): required columns and column properties live
+// in two flat tables with one slot per schema column per node (analysis,
+// in analysis.go) — a node's requirements and properties only mention
+// its own schema's columns — and pruning, ρ relaxation, step merging and
+// distinct removal all fire as peepholes on the node being rebuilt. New
+// nodes are interned by the algebra.Builder under a hand-appended,
+// length-prefixed byte key, so a rebuild that changes nothing costs one
+// key and one map lookup.
 package opt
 
 import "repro/internal/algebra"
@@ -33,24 +44,16 @@ func AllOptions() Options {
 }
 
 // Optimize rewrites the DAG rooted at root and returns the new root. The
-// passes iterate to a fixed point: column analysis exposes step-merge
+// rounds iterate to a fixed point: column analysis exposes step-merge
 // opportunities (the ρ between two steps disappears first), and merging
 // in turn makes more columns dead.
 func Optimize(root *algebra.Node, b *algebra.Builder, opts Options) *algebra.Node {
 	for i := 0; i < 8; i++ {
-		before := root
-		if opts.ColumnAnalysis {
-			root = columnAnalysis(root, b, opts)
-		}
-		if opts.StepMerge {
-			root = stepMerge(root, b)
-		}
-		if opts.DisjointDistinct {
-			root = disjointDistinct(root, b)
-		}
-		if root == before {
+		next := rewrite(root, b, opts)
+		if next == root {
 			break
 		}
+		root = next
 	}
 	return root
 }

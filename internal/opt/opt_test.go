@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/compile"
+	"repro/internal/norm"
 	"repro/internal/xdm"
+	"repro/internal/xmarkq"
 	"repro/internal/xquery"
 )
 
@@ -134,7 +137,7 @@ func TestStepMergePattern(t *testing.T) {
 	ctx := b.Cross(loop, b.Doc("d.xml"))
 	dos := b.Step(ctx, xquery.AxisDescendantOrSelf, xquery.NodeTest{Kind: xquery.TestNode})
 	child := b.Step(dos, xquery.AxisChild, xquery.NodeTest{Kind: xquery.TestName, Name: "item"})
-	out := stepMerge(b.Keep(child, "iter", "item"), b)
+	out := Optimize(b.Keep(child, "iter", "item"), b, Options{StepMerge: true})
 	var merged *algebra.Node
 	for _, n := range algebra.Nodes(out) {
 		if n.Kind == algebra.OpStep && n.Axis == xquery.AxisDescendant {
@@ -150,7 +153,7 @@ func TestStepMergePattern(t *testing.T) {
 	// Merging must see through # but is blocked by ρ.
 	rn := b.RowNum(dos, "pos", []algebra.SortSpec{{Col: "item"}}, "iter")
 	blocked := b.Step(b.Keep(rn, "iter", "item"), xquery.AxisChild, xquery.NodeTest{Kind: xquery.TestName, Name: "item"})
-	out2 := stepMerge(blocked, b)
+	out2 := Optimize(blocked, b, Options{StepMerge: true})
 	for _, n := range algebra.Nodes(out2) {
 		if n.Kind == algebra.OpStep && n.Axis == xquery.AxisDescendant {
 			t.Error("merge fired through a ρ")
@@ -164,13 +167,13 @@ func TestDisjointDistinctRemoval(t *testing.T) {
 	sc := miniStep(b, "c")
 	sd := miniStep(b, "d")
 	d := b.Distinct(b.Union(sc, sd), "iter", "item")
-	out := disjointDistinct(b.Keep(d, "iter", "item"), b)
+	out := Optimize(b.Keep(d, "iter", "item"), b, Options{DisjointDistinct: true})
 	if algebra.PlanStats(out).ByKind[algebra.OpDistinct] != 0 {
 		t.Errorf("distinct over disjoint steps survived:\n%s", algebra.Print(out))
 	}
 	// Same name on both branches: distinct must stay.
 	d2 := b.Distinct(b.Union(sc, miniStep(b, "c")), "iter", "item")
-	out2 := disjointDistinct(b.Keep(d2, "iter", "item"), b)
+	out2 := Optimize(b.Keep(d2, "iter", "item"), b, Options{DisjointDistinct: true})
 	if algebra.PlanStats(out2).ByKind[algebra.OpDistinct] != 1 {
 		t.Errorf("distinct over same-name steps removed:\n%s", algebra.Print(out2))
 	}
@@ -191,8 +194,7 @@ func TestOptimizeFixpointTerminates(t *testing.T) {
 func TestInferRequiredSeedsRoot(t *testing.T) {
 	b := algebra.NewBuilder()
 	lit := b.Lit([]string{"pos", "item", "junk"})
-	reqs := inferRequired(lit)
-	r := reqs[lit]
+	r := inferRequired(lit).req(lit)
 	if !r.has("pos") || !r.has("item") {
 		t.Error("root must require pos and item")
 	}
@@ -204,5 +206,60 @@ func TestInferRequiredSeedsRoot(t *testing.T) {
 	}
 	if r.orderOnly("item") {
 		t.Error("root item is a value requirement")
+	}
+}
+
+// xmarkPlanCounts holds {operators, ρ, #} of every optimized XMark plan,
+// {ordered, unordered}, as PR 18's optimizer (three memoised walks per
+// round over map-based inference) produced them. A cheaper optimizer has
+// to arrive at the same fixpoint.
+var xmarkPlanCounts = map[string][2][3]int{
+	"Q1":  {{50, 5, 0}, {46, 1, 2}},
+	"Q2":  {{38, 7, 0}, {33, 2, 4}},
+	"Q3":  {{110, 9, 0}, {105, 3, 5}},
+	"Q4":  {{115, 6, 2}, {111, 1, 5}},
+	"Q5":  {{48, 2, 0}, {46, 0, 1}},
+	"Q6":  {{26, 3, 0}, {24, 0, 2}},
+	"Q7":  {{65, 3, 0}, {63, 0, 2}},
+	"Q8":  {{95, 7, 1}, {91, 2, 4}},
+	"Q9":  {{148, 11, 3}, {142, 3, 8}},
+	"Q10": {{213, 21, 2}, {208, 7, 14}},
+	"Q11": {{107, 7, 1}, {103, 2, 4}},
+	"Q12": {{139, 7, 1}, {135, 2, 4}},
+	"Q13": {{46, 6, 0}, {44, 2, 3}},
+	"Q14": {{71, 4, 0}, {67, 1, 1}},
+	"Q15": {{29, 3, 0}, {27, 1, 1}},
+	"Q16": {{53, 4, 0}, {51, 1, 2}},
+	"Q17": {{44, 4, 0}, {42, 1, 2}},
+	"Q18": {{30, 3, 0}, {28, 1, 1}},
+	"Q19": {{57, 4, 1}, {57, 2, 3}},
+	"Q20": {{169, 5, 0}, {164, 1, 2}},
+}
+
+func TestOptimizeIdempotent(t *testing.T) {
+	for _, q := range xmarkq.All() {
+		for i, ord := range []xquery.OrderingMode{xquery.Ordered, xquery.Unordered} {
+			mod, err := xquery.Parse(q.Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mod.Ordering = ord
+			nm, err := norm.Normalize(mod, norm.Options{InsertUnordered: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := compile.Compile(nm, compile.Options{Indifference: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := Optimize(p.Root, p.Builder, AllOptions())
+			if again := Optimize(out, p.Builder, AllOptions()); again != out {
+				t.Errorf("%s %v: Optimize moved its own fixpoint", q.Name, ord)
+			}
+			s := algebra.PlanStats(out)
+			if got := [3]int{s.Operators, s.RowNums, s.RowIDs}; got != xmarkPlanCounts[q.Name][i] {
+				t.Errorf("%s %v: {operators, ρ, #} = %v, want %v", q.Name, ord, got, xmarkPlanCounts[q.Name][i])
+			}
+		}
 	}
 }

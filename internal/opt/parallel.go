@@ -72,23 +72,23 @@ const (
 // ρ and the constructors are never marked (they are blocking or
 // identity-assigning by nature). It returns the number of marked nodes.
 func MarkParallel(root *algebra.Node) int {
-	reqs := inferRequired(root)
-	props := inferProps(root)
-	nodes := algebra.Nodes(root) // topological, inputs first
-	live := make(map[*algebra.Node]int, len(nodes))
+	a := inferRequired(root)
+	a.inferProps()
+	nodes := a.nodes                // topological, inputs first
+	live := make([]int, len(nodes)) // indexed like nodes
 
 	// Seed: serialization sorts the root by pos value; a key pos makes
 	// the root's physical order immaterial.
-	if cp, ok := props[root]["pos"]; !ok || !cp.unique {
-		live[root] = ordFull
+	if !a.prop(root, "pos").unique {
+		live[len(nodes)-1] = ordFull
 	}
 
 	for i := len(nodes) - 1; i >= 0; i-- {
 		c := nodes[i]
-		L := live[c]
+		L := live[i]
 		demand := func(idx, lvl int) {
-			if lvl > live[c.Ins[idx]] {
-				live[c.Ins[idx]] = lvl
+			if in := a.pos[c.Ins[idx].ID]; lvl > live[in] {
+				live[in] = lvl
 			}
 		}
 		switch c.Kind {
@@ -111,9 +111,9 @@ func MarkParallel(root *algebra.Node) int {
 
 		case algebra.OpRowNum:
 			switch {
-			case rowNumTieFree(c, props):
+			case rowNumTieFree(c, a):
 				demand(0, ordDead)
-			case reqs[c].has(c.Res):
+			case a.req(c).has(c.Res):
 				demand(0, ordFull)
 			default:
 				// Dead order bookkeeping over a tied sort: the stable sort
@@ -155,8 +155,8 @@ func MarkParallel(root *algebra.Node) int {
 	}
 
 	marked := 0
-	for _, n := range nodes {
-		n.Par = live[n] <= ordGroup && parallelizableKind(n.Kind)
+	for i, n := range nodes {
+		n.Par = live[i] <= ordGroup && parallelizableKind(n.Kind)
 		if n.Par {
 			marked++
 		}
@@ -189,10 +189,9 @@ func coversSchema(key, schema []string) bool {
 // rowNumTieFree reports whether a ρ's stable sort provably has no ties:
 // some sort criterion is a key column, so no two distinct rows compare
 // equal on the full criteria list.
-func rowNumTieFree(n *algebra.Node, props map[*algebra.Node]propMap) bool {
-	p := props[n.Ins[0]]
+func rowNumTieFree(n *algebra.Node, a *analysis) bool {
 	for _, s := range n.Sort {
-		if p[s.Col].unique {
+		if a.prop(n.Ins[0], s.Col).unique {
 			return true
 		}
 	}

@@ -5,9 +5,13 @@ import (
 	"repro/internal/xquery"
 )
 
-// columnAnalysis runs one round of column dependency analysis (§4.1):
-// infer strictly required columns top-down, then rewrite bottom-up,
-// removing operators that only produce unneeded columns —
+// rewrite runs one round over the DAG: one inference, then one bottom-up
+// walk in which every node is rebuilt over its rewritten inputs and the
+// enabled rewrites fire as local peepholes on the result.
+//
+// Column dependency analysis (§4.1) infers strictly required columns
+// top-down first and removes operators that only produce unneeded
+// columns —
 //
 //   - ρ/# whose result column nobody requires (the dead order
 //     bookkeeping left behind by the compositional compiler),
@@ -18,106 +22,99 @@ import (
 //
 // With RownumRelax (§7), residual ρ operators whose result is consumed
 // only as a sort criterion and whose own sort criteria are constants or
-// arbitrary unique ids degenerate into free # stamps.
-func columnAnalysis(root *algebra.Node, b *algebra.Builder, opts Options) *algebra.Node {
-	reqs := inferRequired(root)
-	var props map[*algebra.Node]propMap
-	if opts.RownumRelax {
-		props = inferProps(root)
+// arbitrary unique ids degenerate into free # stamps. Step merging and
+// disjoint-distinct removal look only at the rebuilt node and its
+// (already final) inputs.
+func rewrite(root *algebra.Node, b *algebra.Builder, opts Options) *algebra.Node {
+	var a *analysis
+	if opts.ColumnAnalysis {
+		a = inferRequired(root)
+		if opts.RownumRelax {
+			a.inferProps()
+		}
+	} else {
+		a = newAnalysis(root)
 	}
-	memo := make(map[*algebra.Node]*algebra.Node)
-	var rw func(n *algebra.Node) *algebra.Node
-	rw = func(n *algebra.Node) *algebra.Node {
-		if out, ok := memo[n]; ok {
-			return out
-		}
-		newIns := make([]*algebra.Node, len(n.Ins))
-		for i, in := range n.Ins {
-			newIns[i] = rw(in)
-		}
-		R := reqs[n]
-		var out *algebra.Node
-		switch n.Kind {
-		case algebra.OpRowNum:
-			switch {
-			case !R.has(n.Res):
-				out = newIns[0]
-			case opts.RownumRelax && R.orderOnly(n.Res):
-				out = relaxRowNum(n, newIns[0], b, props)
-			default:
-				out = b.Rebuild(n, newIns)
-			}
-		case algebra.OpRowID:
-			if !R.has(n.Col) {
-				out = newIns[0]
-			} else {
-				out = b.Rebuild(n, newIns)
-			}
-		case algebra.OpBinOp:
-			if !R.has(n.Res) {
-				out = newIns[0]
-			} else {
-				out = b.Rebuild(n, newIns)
-			}
-		case algebra.OpMap1:
-			if !R.has(n.Res) {
-				out = newIns[0]
-			} else {
-				out = b.Rebuild(n, newIns)
-			}
-		case algebra.OpCross:
-			switch {
-			case isDeadLit(n.Ins[0], R):
-				out = newIns[1]
-			case isDeadLit(n.Ins[1], R):
-				out = newIns[0]
-			default:
-				out = b.Rebuild(n, newIns)
-			}
-		case algebra.OpProject:
-			var pairs []algebra.ColPair
-			for _, p := range n.Proj {
-				if R.has(p.New) {
-					pairs = append(pairs, p)
+	done := make([]*algebra.Node, len(a.nodes))
+	for i, n := range a.nodes {
+		newIns, copied := n.Ins, false
+		for j, in := range n.Ins {
+			if d := done[a.pos[in.ID]]; d != in {
+				if !copied {
+					newIns, copied = append([]*algebra.Node(nil), n.Ins...), true
 				}
+				newIns[j] = d
 			}
-			if len(pairs) == 0 {
-				pairs = n.Proj // keep degenerate projections intact
-			}
-			out = b.Project(newIns[0], pairs...)
-		case algebra.OpUnion:
-			cols := sortedCols(R)
-			if len(cols) == 0 {
-				out = b.Rebuild(n, newIns)
-			} else {
-				// Rebuild (not a fresh Union) to preserve the disjointness
-				// assertion for property inference — unless its column was
-				// projected away.
-				out = b.RebuildWith(n, []*algebra.Node{
-					b.Keep(newIns[0], cols...), b.Keep(newIns[1], cols...),
-				}, func(c *algebra.Node) {
-					if c.Disj != "" && !R.has(c.Disj) {
-						c.Disj = ""
-					}
-				})
-			}
-		default:
+		}
+		var out *algebra.Node
+		if opts.ColumnAnalysis {
+			out = prune(n, newIns, b, a, opts.RownumRelax)
+		} else {
 			out = b.Rebuild(n, newIns)
 		}
-		memo[n] = out
-		return out
+		if opts.StepMerge {
+			out = mergeStep(out, b)
+		}
+		if opts.DisjointDistinct {
+			out = dropDisjointDistinct(out, b)
+		}
+		done[i] = out
 	}
-	return rw(root)
+	return done[len(done)-1]
 }
 
-// isDeadLit reports whether a cross-product operand is a single-row
-// literal none of whose columns are required.
-func isDeadLit(n *algebra.Node, R colReq) bool {
-	if n.Kind != algebra.OpLit || len(n.Rows) != 1 {
-		return false
+// prune rebuilds n over newIns, leaving out what n's consumers do not
+// require.
+func prune(n *algebra.Node, newIns []*algebra.Node, b *algebra.Builder, a *analysis, relax bool) *algebra.Node {
+	R := a.req(n)
+	switch n.Kind {
+	case algebra.OpRowNum, algebra.OpRowID, algebra.OpBinOp, algebra.OpMap1:
+		switch res := R.res(); {
+		case res == 0:
+			return newIns[0]
+		case n.Kind == algebra.OpRowNum && relax && res == useOrder:
+			return relaxRowNum(n, newIns[0], b, a)
+		}
+	case algebra.OpCross:
+		// A single-row literal operand none of whose columns are required.
+		nl := len(n.Ins[0].Schema())
+		switch {
+		case singleRowLit(n.Ins[0]) && noneRequired(R.use[:nl]):
+			return newIns[1]
+		case singleRowLit(n.Ins[1]) && noneRequired(R.use[nl:]):
+			return newIns[0]
+		}
+	case algebra.OpProject:
+		var pairs []algebra.ColPair
+		for j, p := range n.Proj {
+			if R.use[j] != 0 {
+				pairs = append(pairs, p)
+			}
+		}
+		if len(pairs) == 0 {
+			pairs = n.Proj // keep degenerate projections intact
+		}
+		return b.Project(newIns[0], pairs...)
+	case algebra.OpUnion:
+		if cols := R.required(); len(cols) != 0 {
+			// Rebuild (not a fresh Union) to preserve the disjointness
+			// assertion for property inference — unless its column was
+			// projected away.
+			return b.RebuildWith(n, []*algebra.Node{
+				b.Keep(newIns[0], cols...), b.Keep(newIns[1], cols...),
+			}, func(c *algebra.Node) {
+				if c.Disj != "" && !R.has(c.Disj) {
+					c.Disj = ""
+				}
+			})
+		}
 	}
-	for _, c := range n.Cols {
-		if R.has(c) {
+	return b.Rebuild(n, newIns)
+}
+
+func noneRequired(use []useKind) bool {
+	for _, k := range use {
+		if k != 0 {
 			return false
 		}
 	}
@@ -137,11 +134,10 @@ func isDeadLit(n *algebra.Node, R colReq) bool {
 // non-constant grouping column the # stamp is still an admissible
 // order-only replacement: group-internal order was arbitrary once no
 // criteria remain, and pos ranks are only ever compared within groups.)
-func relaxRowNum(n *algebra.Node, in *algebra.Node, b *algebra.Builder, props map[*algebra.Node]propMap) *algebra.Node {
-	p := props[n.Ins[0]]
+func relaxRowNum(n *algebra.Node, in *algebra.Node, b *algebra.Builder, a *analysis) *algebra.Node {
 	var keep []algebra.SortSpec
 	for _, s := range n.Sort {
-		cp := p[s.Col]
+		cp := a.prop(n.Ins[0], s.Col)
 		if cp.constant {
 			continue
 		}
@@ -151,7 +147,7 @@ func relaxRowNum(n *algebra.Node, in *algebra.Node, b *algebra.Builder, props ma
 		keep = append(keep, s)
 	}
 	part := n.Part
-	if part != "" && p[part].constant {
+	if part != "" && a.prop(n.Ins[0], part).constant {
 		part = ""
 	}
 	if len(keep) == 0 {
@@ -166,36 +162,22 @@ func relaxRowNum(n *algebra.Node, in *algebra.Node, b *algebra.Builder, props ma
 	})
 }
 
-// stepMerge fuses ⤋descendant-or-self::node() feeding ⤋child::nt into a
+// mergeStep fuses ⤋descendant-or-self::node() feeding ⤋child::nt into a
 // single ⤋descendant::nt — the XPath // equivalence. In ordered plans a ρ
 // sits between the two steps; once column analysis has removed it (the
 // unordered case), the steps become adjacent and merge. This rewrite is
 // behind the exceptional Q6/Q7 speedups of Figure 12: the huge
 // descendant-or-self::node() intermediate is never materialized.
-func stepMerge(root *algebra.Node, b *algebra.Builder) *algebra.Node {
-	memo := make(map[*algebra.Node]*algebra.Node)
-	var rw func(n *algebra.Node) *algebra.Node
-	rw = func(n *algebra.Node) *algebra.Node {
-		if out, ok := memo[n]; ok {
-			return out
+func mergeStep(n *algebra.Node, b *algebra.Builder) *algebra.Node {
+	if n.Kind == algebra.OpStep && n.Axis == xquery.AxisChild {
+		if inner := resolveStep(n.Ins[0]); inner != nil &&
+			inner.Axis == xquery.AxisDescendantOrSelf &&
+			inner.Test.Kind == xquery.TestNode {
+			merged := b.Step(inner.Ins[0], xquery.AxisDescendant, n.Test)
+			return algebra.WithOrigin(merged, "path step (merged //)")
 		}
-		newIns := make([]*algebra.Node, len(n.Ins))
-		for i, in := range n.Ins {
-			newIns[i] = rw(in)
-		}
-		out := b.Rebuild(n, newIns)
-		if out.Kind == algebra.OpStep && out.Axis == xquery.AxisChild {
-			if inner := resolveStep(out.Ins[0]); inner != nil &&
-				inner.Axis == xquery.AxisDescendantOrSelf &&
-				inner.Test.Kind == xquery.TestNode {
-				merged := b.Step(inner.Ins[0], xquery.AxisDescendant, out.Test)
-				out = algebra.WithOrigin(merged, "path step (merged //)")
-			}
-		}
-		memo[n] = out
-		return out
 	}
-	return rw(root)
+	return n
 }
 
 // resolveStep looks through operators that leave the (iter, item) pairs of
@@ -226,33 +208,19 @@ func resolveStep(n *algebra.Node) *algebra.Node {
 	}
 }
 
-// disjointDistinct removes duplicate elimination over unions whose
+// dropDisjointDistinct removes duplicate elimination over unions whose
 // branches are provably disjoint: steps with name tests for different
 // names can never produce the same node (a node has one name), and step
 // output is itself duplicate-free per iteration. This completes the
 // paper's Figure 10: unordered { $t//(c|d) } ends as a pure concatenation.
-func disjointDistinct(root *algebra.Node, b *algebra.Builder) *algebra.Node {
-	memo := make(map[*algebra.Node]*algebra.Node)
-	var rw func(n *algebra.Node) *algebra.Node
-	rw = func(n *algebra.Node) *algebra.Node {
-		if out, ok := memo[n]; ok {
-			return out
+func dropDisjointDistinct(n *algebra.Node, b *algebra.Builder) *algebra.Node {
+	if n.Kind == algebra.OpDistinct && len(n.Cols) == 2 &&
+		n.Cols[0] == "iter" && n.Cols[1] == "item" {
+		if names, ok := disjointNames(n.Ins[0]); ok && allDistinct(names) {
+			return b.Keep(n.Ins[0], "iter", "item")
 		}
-		newIns := make([]*algebra.Node, len(n.Ins))
-		for i, in := range n.Ins {
-			newIns[i] = rw(in)
-		}
-		out := b.Rebuild(n, newIns)
-		if out.Kind == algebra.OpDistinct && len(out.Cols) == 2 &&
-			out.Cols[0] == "iter" && out.Cols[1] == "item" {
-			if names, ok := disjointNames(out.Ins[0]); ok && allDistinct(names) {
-				out = b.Keep(out.Ins[0], "iter", "item")
-			}
-		}
-		memo[n] = out
-		return out
 	}
-	return rw(root)
+	return n
 }
 
 // disjointNames collects the name tests of the union branches below n,
@@ -280,12 +248,12 @@ func disjointNames(n *algebra.Node) ([]string, bool) {
 }
 
 func allDistinct(names []string) bool {
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		if seen[n] {
-			return false
+	for i, n := range names {
+		for _, m := range names[:i] {
+			if n == m {
+				return false
+			}
 		}
-		seen[n] = true
 	}
 	return true
 }
