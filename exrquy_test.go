@@ -107,6 +107,59 @@ func TestReferenceAgreement(t *testing.T) {
 	}
 }
 
+// TestValueJoinErrorParity: a general comparison the compiler evaluates
+// as a value join (two θ-joins over the operand tables, one per mode)
+// raises exactly where the per-iteration semantics does — the reference
+// interpreter is the witness — in both ordering modes.
+func TestValueJoinErrorParity(t *testing.T) {
+	const doc = `<r><n>3</n><b>x</b><n>7</n>
+		<g t="n" k="1"><v>1</v><v>2</v></g><g t="s" k="s"><v>s</v><v>t</v></g></r>`
+	for _, c := range []struct{ name, query, want string }{
+		{"incomparable pair and no true one raises",
+			`for $p in ("s") let $l := for $i in (1,2) where $i = $p return $i return count($l)`, ""},
+		{"failed cast and no true pair raises",
+			`for $p in doc("v.xml")/r/b let $l := for $i in (1,2) where $i > $p return $i return count($l)`, ""},
+		{"one iteration with only the incomparable pair raises",
+			`for $p in doc("v.xml")/r let $l := for $i in (1, 9) where $i > $p/(n|b) return $i return count($l)`, ""},
+		{"a true pair hides an incomparable one",
+			`for $p in doc("v.xml")/r let $l := for $i in (5, 9) where $i > $p/(n|b) return $i return count($l)`, "2"},
+		{"comparable pairs only",
+			`for $p in doc("v.xml")/r/n let $l := for $i in (1,5,9) where $i > $p return $i return count($l)`, "2 1"},
+		{"an incomparable pair that never shares an iteration does not raise",
+			`for $g in doc("v.xml")/r/g
+			 let $k := if ($g/@t = "n") then number($g/@k) else string($g/@k)
+			 return count(for $v in (if ($g/@t = "n") then (1, 2) else ("s", "t")) where $v = $k return $v)`, "1 1"},
+	} {
+		for _, ordering := range []Ordering{Ordered, Unordered} {
+			eng := New(WithOrdering(ordering))
+			if err := eng.LoadDocumentString("v.xml", doc); err != nil {
+				t.Fatal(err)
+			}
+			q, err := eng.Compile(c.query)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if plan := q.Explain(); !strings.Contains(plan, "join incomparable(") || strings.Contains(plan, "cross  (join (general comparison))") {
+				t.Fatalf("%s: comparison not evaluated by θ-joins:\n%s", c.name, plan)
+			}
+			got, gerr := eng.Query(c.query)
+			ref, rerr := eng.Reference(c.query)
+			if (gerr != nil) != (rerr != nil) || (gerr != nil) != (c.want == "") {
+				t.Errorf("%s (%v): pipeline error %v, reference error %v, want result %q", c.name, ordering, gerr, rerr, c.want)
+				continue
+			}
+			if gerr != nil {
+				continue
+			}
+			g, _ := got.XML()
+			r, _ := ref.XML()
+			if g != c.want || r != c.want {
+				t.Errorf("%s (%v): pipeline %q, reference %q, want %q", c.name, ordering, g, r, c.want)
+			}
+		}
+	}
+}
+
 func TestExplainShowsOperators(t *testing.T) {
 	q, err := newTestEngine(t).Compile(`count(doc("t.xml")//c)`)
 	if err != nil {

@@ -146,6 +146,31 @@ func TestPlanStatsAndPrint(t *testing.T) {
 	}
 }
 
+// TestThetaJoinIsAJoin: a value join is an OpJoin — same kind string (it
+// is what profiles and the benchmark's Table 2 classes key on), same
+// schema — told apart by its mode, its operator and its label.
+func TestThetaJoinIsAJoin(t *testing.T) {
+	b := NewBuilder()
+	l, r := b.EmptyLit("aiter", "aval"), b.EmptyLit("biter", "bval")
+	equi := b.Join(l, r, "aval", "bval")
+	gt := b.ThetaJoin(l, r, "aval", "bval", xdm.CmpGt, JoinTheta)
+	bad := b.ThetaJoin(l, r, "aval", "bval", xdm.CmpGt, JoinIncomparable)
+	if equi == gt || gt == bad || gt == b.ThetaJoin(l, r, "aval", "bval", xdm.CmpGe, JoinTheta) {
+		t.Error("join mode and operator must be part of the node identity")
+	}
+	if gt != b.ThetaJoin(l, r, "aval", "bval", xdm.CmpGt, JoinTheta) {
+		t.Error("identical θ-joins must share")
+	}
+	for n, want := range map[*Node]string{equi: "join aval=bval", gt: "join aval > bval", bad: "join incomparable(aval > bval)"} {
+		if n.Kind.String() != "join" || Label(n) != want || strings.Join(n.Schema(), ",") != "aiter,aval,biter,bval" {
+			t.Errorf("%s %q over %v, want join %q", n.Kind, Label(n), n.Schema(), want)
+		}
+	}
+	if PlanStats(gt).Joins != 1 {
+		t.Error("a θ-join counts as a join")
+	}
+}
+
 func TestUnionDisjointSignatureDiffers(t *testing.T) {
 	b := NewBuilder()
 	l := b.Lit([]string{"iter"})
@@ -202,6 +227,7 @@ func TestInternKeyInjective(t *testing.T) {
 		"Part": {func(n *Node) { n.Part = "c" }},
 		"BFn":  {func(n *Node) { n.BFn = BArithSub }},
 		"Cmp":  {func(n *Node) { n.Cmp = xdm.CmpLt }},
+		"Mode": {func(n *Node) { n.Mode = JoinTheta }, func(n *Node) { n.Mode = JoinIncomparable }, func(n *Node) { n.Cmp, n.Mode = xdm.CmpNe, JoinTheta }},
 		"UFn":  {func(n *Node) { n.UFn = UnString }},
 		"AFn":  {func(n *Node) { n.AFn = AggrSum }},
 		"Axis": {func(n *Node) { n.Axis = xquery.AxisDescendant }},

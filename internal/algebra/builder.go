@@ -62,7 +62,7 @@ func (b *Builder) mk(n Node) *Node {
 // user-supplied name, URI or literal can make two different nodes
 // share a key. Inputs are canonical already and go in by ID.
 func appendKey(k []byte, n *Node) []byte {
-	k = append(k, byte(n.Kind), byte(n.BFn), byte(n.Cmp), byte(n.UFn), byte(n.AFn), byte(n.Axis), byte(n.Test.Kind))
+	k = append(k, byte(n.Kind), byte(n.BFn), byte(n.Cmp), byte(n.Mode), byte(n.UFn), byte(n.AFn), byte(n.Axis), byte(n.Test.Kind))
 	for _, v := range [...]int{n.Min, n.Max, n.Ser, len(n.Ins)} {
 		k = binary.AppendVarint(k, int64(v))
 	}
@@ -301,6 +301,13 @@ func (b *Builder) Select(in *Node, col string) *Node {
 // Join builds an equi-join.
 func (b *Builder) Join(l, r *Node, lcol, rcol string) *Node {
 	return b.mk(Node{Kind: OpJoin, Ins: []*Node{l, r}, LCol: lcol, RCol: rcol})
+}
+
+// ThetaJoin builds a value join: the (l, r) row pairs for which the
+// general comparison lcol cmp rcol holds (JoinTheta) or is a type error
+// (JoinIncomparable).
+func (b *Builder) ThetaJoin(l, r *Node, lcol, rcol string, cmp xdm.CmpOp, mode JoinMode) *Node {
+	return b.mk(Node{Kind: OpJoin, Ins: []*Node{l, r}, LCol: lcol, RCol: rcol, Cmp: cmp, Mode: mode})
 }
 
 // Cross builds a Cartesian product.

@@ -30,7 +30,7 @@ const (
 	OpLit       OpKind = iota // literal table
 	OpProject                 // π: projection with renaming, no dedup
 	OpSelect                  // σ: keep rows whose column is true
-	OpJoin                    // ⋈: equi-join on one column per side
+	OpJoin                    // ⋈: join on one column per side — equality of keys, or a general comparison of values (JoinMode)
 	OpCross                   // ×: Cartesian product
 	OpRowNum                  // ρ (%): grouped, sorted, dense row numbering — a sort
 	OpRowID                   // #: arbitrary unique row ids — (almost) free
@@ -110,10 +110,8 @@ const (
 	BArithDiv
 	BArithIDiv
 	BArithMod
-	BCmpGen     // general comparison semantics (untyped coerces to the other side)
-	BCmpGenJoin // general comparison inside a value join: type errors relax to false
-	BCmpGenErr  // true iff the general comparison of this pair raises a type error
-	BCmpVal     // value comparison semantics (untyped is string)
+	BCmpGen // general comparison semantics (untyped coerces to the other side)
+	BCmpVal // value comparison semantics (untyped is string)
 	BNodeBefore
 	BNodeIs
 	BAnd
@@ -124,6 +122,21 @@ const (
 	BEndsWith
 	BSubstr2 // substring(s, start)
 	BSubstr3 // substring(s, start, len) — uses the third operand TCol
+)
+
+// JoinMode selects which (left, right) row pairs an OpJoin emits.
+type JoinMode uint8
+
+// Join modes. The two θ modes are the value join the compiler recognises
+// in a general comparison between loop-invariant operands: the join
+// enumerates (LCol, RCol) value combinations across iterations, so a pair
+// whose comparison is a type error must not raise by itself — it does not
+// match under JoinTheta and is what JoinIncomparable emits, from which the
+// compiler rebuilds the per-iteration error.
+const (
+	JoinEqui         JoinMode = iota // LCol and RCol hold equal keys (iteration ids, ranks)
+	JoinTheta                        // the general comparison LCol Cmp RCol holds
+	JoinIncomparable                 // the general comparison LCol Cmp RCol raises a type error
 )
 
 // UnFn enumerates item-level unary functions for OpMap1.
@@ -218,14 +231,15 @@ type Node struct {
 	Rows [][]xdm.Item    // OpLit: row data
 	Proj []ColPair       // OpProject
 	Col  string          // OpSelect: bool column; OpRowID: new column; OpAggr: value column; OpCheckCard: group column
-	LCol string          // OpJoin: left key; OpBinOp: left operand; OpMap1: operand
-	RCol string          // OpJoin: right key; OpBinOp: right operand
+	LCol string          // OpJoin: left key/operand; OpBinOp: left operand; OpMap1: operand
+	RCol string          // OpJoin: right key/operand; OpBinOp: right operand
 	TCol string          // OpBinOp: third operand (ternary functions only)
 	Res  string          // OpRowNum/OpBinOp/OpMap1/OpAggr: result column
 	Sort []SortSpec      // OpRowNum
 	Part string          // OpRowNum/OpAggr: partition/group column ("" = single group)
 	BFn  BinFn           // OpBinOp
-	Cmp  xdm.CmpOp       // OpBinOp with BCmpGen/BCmpVal
+	Cmp  xdm.CmpOp       // OpBinOp with BCmpGen/BCmpVal; OpJoin in a θ mode
+	Mode JoinMode        // OpJoin
 	UFn  UnFn            // OpMap1
 	AFn  AggrFn          // OpAggr
 	Axis xquery.Axis     // OpStep

@@ -24,6 +24,12 @@ func label(n *Node) string {
 	case OpSelect:
 		return "select " + n.Col
 	case OpJoin:
+		switch n.Mode {
+		case JoinTheta:
+			return fmt.Sprintf("join %s %s %s", n.LCol, n.Cmp, n.RCol)
+		case JoinIncomparable:
+			return fmt.Sprintf("join incomparable(%s %s %s)", n.LCol, n.Cmp, n.RCol)
+		}
 		return fmt.Sprintf("join %s=%s", n.LCol, n.RCol)
 	case OpCross:
 		return "cross"
@@ -51,9 +57,6 @@ func label(n *Node) string {
 		}[n.BFn]
 		if n.BFn == BCmpGen {
 			fn = n.Cmp.String()
-		}
-		if n.BFn == BCmpGenJoin {
-			fn = "join" + n.Cmp.String()
 		}
 		if n.BFn == BCmpVal {
 			fn = "val" + n.Cmp.String()

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/norm"
+	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
 
@@ -108,8 +109,8 @@ func TestLetOnlyFLWORHasNoBackmap(t *testing.T) {
 
 func TestJoinRecognitionShape(t *testing.T) {
 	// The Q8 pattern: the where comparison over two independent sides
-	// must compile to a value join (cross of the keyed operand tables),
-	// not to per-pair-iteration lifting.
+	// must compile to a value join (a θ-join of the keyed operand
+	// tables), not to per-pair-iteration lifting or a product.
 	src := `let $s := doc("a.xml")/site
 	for $p in $s/people/person
 	let $a := for $t in $s/closed_auctions/closed_auction
@@ -119,8 +120,11 @@ func TestJoinRecognitionShape(t *testing.T) {
 	p := compileQuery(t, src, false)
 	joinCmp := false
 	for _, n := range algebra.Nodes(p.Root) {
-		if n.Kind == algebra.OpBinOp && n.BFn == algebra.BCmpGenJoin {
+		if n.Kind == algebra.OpJoin && n.Mode == algebra.JoinTheta && n.Cmp == xdm.CmpEq {
 			joinCmp = true
+		}
+		if n.Kind == algebra.OpCross && n.Origin == "join (general comparison)" {
+			t.Errorf("value join still evaluated over a product:\n%s", algebra.Print(p.Root))
 		}
 	}
 	if !joinCmp {

@@ -9,11 +9,11 @@ import (
 // (where clauses, if conditions, quantifier bodies): instead of
 // materializing a complete boolean table over the loop and re-deriving
 // the true iterations from it, conditions compile directly to the set of
-// iterations in which they hold (column iter). Together with the
-// theta-join evaluation of general comparisons below, this is this
-// compiler's rendition of Pathfinder's join recognition ([9]) — the
-// reason Table 2 of the paper shows a "join" row rather than per-pair
-// predicate evaluation.
+// iterations in which they hold (column iter). Together with the θ-join
+// evaluation of general comparisons below, this is this compiler's
+// rendition of Pathfinder's join recognition ([9]) — the reason Table 2
+// of the paper shows a "join" row rather than per-pair predicate
+// evaluation.
 
 // condUnwrap strips the wrappers normalization puts around conditions
 // (fn:unordered, fn:boolean — both EBV-transparent).
@@ -98,16 +98,18 @@ func (c *compiler) generalCmpIters(e *xquery.GeneralCmp, sc *frame) *algebra.Nod
 		return c.b.Distinct(c.b.Select(cmp, "res"), "iter")
 	}
 
-	// Value join between the two (small) keyed operand tables. BCmpGenJoin
-	// relaxes pair-level type errors to false: the join enumerates (a, b)
-	// combinations across iterations, and a combination that never
-	// co-occurs in one iteration must not raise — the same relaxation
-	// Pathfinder inherits from mapping comparisons onto relational joins.
-	pairs := algebra.WithOrigin(c.b.Cross(qa, qb), "join (general comparison)")
-	cmp := algebra.WithOrigin(
-		c.b.BinOp(pairs, algebra.BCmpGenJoin, e.Op, "res", "aval", "bval"),
-		"general comparison")
-	matches := c.b.Distinct(c.b.Select(cmp, "res"), "aiter", "biter")
+	// Value join between the two (small) keyed operand tables, handed to
+	// the engine whole: the θ-join emits only the (a, b) combinations for
+	// which the comparison holds. A combination whose comparison is a type
+	// error does not match — the join enumerates combinations across
+	// iterations, and one that never co-occurs in an iteration must not
+	// raise — the same relaxation Pathfinder inherits from mapping
+	// comparisons onto relational joins.
+	valueJoin := func(mode algebra.JoinMode) *algebra.Node {
+		j := algebra.WithOrigin(c.b.ThetaJoin(qa, qb, "aval", "bval", e.Op, mode), "join (general comparison)")
+		return c.b.Distinct(j, "aiter", "biter")
+	}
+	matches := valueJoin(algebra.JoinTheta)
 
 	// Relate each current iteration to its keys on both sides and keep
 	// those whose (aiter, biter) pair matched.
@@ -122,9 +124,7 @@ func (c *compiler) generalCmpIters(e *xquery.GeneralCmp, sc *frame) *algebra.Nod
 	// pairs include an incomparable one and no true one must raise the
 	// type error (existential short-circuiting may hide errors behind a
 	// true pair, but never turn pure errors into false).
-	errCmp := c.b.BinOp(pairs, algebra.BCmpGenErr, e.Op, "eres", "aval", "bval")
-	errPairs := c.b.Distinct(c.b.Select(errCmp, "eres"), "aiter", "biter")
-	errHit := c.b.Semi(triple, errPairs, "aiter", "biter")
+	errHit := c.b.Semi(triple, valueJoin(algebra.JoinIncomparable), "aiter", "biter")
 	errIters := c.b.Project(c.b.Distinct(errHit, "iter"), algebra.ColPair{New: "iter", Old: "iter"})
 	errOnly := c.b.Diff(errIters, trueIters, "iter")
 	guard := c.b.CheckCard(errOnly, nil, "iter", 0, 0, "general comparison")

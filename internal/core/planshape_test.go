@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/opt"
+	"repro/internal/xmarkq"
 	"repro/internal/xquery"
 )
 
@@ -172,6 +173,31 @@ func TestQ11PlanReduction(t *testing.T) {
 		t.Errorf("Q11 plan reduction too small: %d -> %d operators", before, after)
 	}
 	t.Logf("Q11 plan: %d -> %d operators (paper: 235 -> 141)", before, after)
+}
+
+// TestValueJoinIsOneOperator: the join-recognised comparisons of XMark
+// Q8–Q12 reach the engine as θ-joins — one per mode, never a product of
+// the operand tables filtered afterwards — and no other XMark query (the
+// benchmark's `paths` workload) holds a θ-join at all.
+func TestValueJoinIsOneOperator(t *testing.T) {
+	for _, q := range xmarkq.All() {
+		for _, cfg := range []Config{DefaultConfig(), unorderedCfg(opt.AllOptions()), BaselineConfig()} {
+			p := mustPrepare(t, q.Text, cfg)
+			var theta [3]int
+			for _, n := range algebra.Nodes(p.Plan.Root) {
+				if n.Kind == algebra.OpJoin {
+					theta[n.Mode]++
+				}
+				if n.Kind == algebra.OpCross && n.Origin == "join (general comparison)" {
+					t.Errorf("%s: value join evaluated over a product:\n%s", q.Name, p.Explain())
+				}
+			}
+			matching, incomparable := theta[algebra.JoinTheta], theta[algebra.JoinIncomparable]
+			if valueJoin := q.ID >= 8 && q.ID <= 12; valueJoin != (matching > 0) || matching != incomparable {
+				t.Errorf("%s: %d matching and %d incomparable θ-joins", q.Name, matching, incomparable)
+			}
+		}
+	}
 }
 
 // TestQ11CountDropsBackmapSort: the modified compiler removes the

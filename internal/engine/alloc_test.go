@@ -38,6 +38,54 @@ func TestAllocJoinProbeIntKeys(t *testing.T) {
 	}
 }
 
+// TestAllocJoinIndex pins the index layout: building over 4096 dense keys
+// and probing them allocates the index header and nothing per key or per
+// row — the offsets, rows and slot buffers come from (and return to) the
+// pool.
+func TestAllocJoinIndex(t *testing.T) {
+	const rows = 4096
+	keys := make([]int64, rows)
+	for i := range keys {
+		keys[i] = int64((i*7)%rows + 1) // a permutation of 1…rows
+	}
+	rk := xdm.IntColumn(append([]int64(nil), keys...))
+	lk := xdm.IntColumn(append([]int64(nil), keys...))
+	pairs := 0
+	avg := testing.AllocsPerRun(20, func() {
+		ix := BuildJoinIndex(rk)
+		lp, rp := ix.Probe(lk, 0, rows, nil, nil)
+		pairs = len(lp)
+		xdm.PutInt32s(lp)
+		xdm.PutInt32s(rp)
+		ix.Release()
+	})
+	if pairs != rows {
+		t.Fatalf("probe produced %d pairs, want %d", pairs, rows)
+	}
+	if avg > 16 {
+		t.Errorf("build + probe of %d dense keys allocates %.1f times, want <= 16 (row-independent)", rows, avg)
+	}
+	t.Logf("%.1f allocs per build + probe", avg)
+}
+
+// TestAllocApplyBinArithmetic pins the boxed arithmetic row kernel: an
+// integer × untyped multiplication coerces and multiplies without
+// allocating (it once built a map literal per row).
+func TestAllocApplyBinArithmetic(t *testing.T) {
+	ex := NewExec(xmltree.NewStore(), nil, Options{})
+	b := algebra.NewBuilder()
+	n := b.BinOp(b.EmptyLit("a", "b"), algebra.BArithMul, 0, "r", "a", "b")
+	x, y := xdm.NewInt(5000), xdm.NewUntyped("12.5")
+	avg := testing.AllocsPerRun(100, func() {
+		if v, err := ex.ApplyBin(n, x, y); err != nil || v.F != 62500 {
+			t.Fatalf("5000 * '12.5' = %v, %v", v, err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("ApplyBin integer × untyped allocates %.1f times per row, want 0", avg)
+	}
+}
+
 // TestAllocRowIDStamp pins the # stamp: one pooled integer buffer and a
 // constant handful of wrapper allocations, independent of row count.
 func TestAllocRowIDStamp(t *testing.T) {

@@ -540,120 +540,6 @@ func (ex *Exec) evalFilter(n *algebra.Node, in *Table) (*Table, error) {
 
 // --- Joins and products ---
 
-// JoinIndex hashes the right key column for an equi-join probe: intIdx
-// when every key is an xs:integer (the common case — keys in compiled
-// plans are iteration ids), strIdx otherwise. Flat integer key columns
-// skip per-item inspection entirely.
-type JoinIndex struct {
-	intIdx map[int64][]int32
-	strIdx map[string][]int32
-	// fanout is the mean number of right rows per key (at least 1): the
-	// pairs one probed left row is expected to emit.
-	fanout int
-}
-
-// BuildJoinIndex indexes a join's right-hand key column.
-func BuildJoinIndex(rk *xdm.Column) *JoinIndex {
-	ix, _ := buildJoinIndex(rk, func() error { return nil })
-	return ix
-}
-
-// BuildJoinIndex is the package-level BuildJoinIndex polling for
-// cancellation every probeChunk rows — hashing a multi-million-row build
-// side is otherwise a cancellation blind spot.
-func (ex *Exec) BuildJoinIndex(rk *xdm.Column) (*JoinIndex, error) {
-	return buildJoinIndex(rk, ex.CheckCancel)
-}
-
-func buildJoinIndex(rk *xdm.Column, poll func() error) (*JoinIndex, error) {
-	nr := rk.Len()
-	ix := &JoinIndex{}
-	if ints, ok := rk.Ints(); ok {
-		ix.intIdx = make(map[int64][]int32, nr)
-		for i, v := range ints {
-			if i&(probeChunk-1) == 0 {
-				if err := poll(); err != nil {
-					return nil, err
-				}
-			}
-			ix.intIdx[v] = append(ix.intIdx[v], int32(i))
-		}
-	} else if items, ok := rk.RawItems(); ok && allIntegers(items) {
-		ix.intIdx = make(map[int64][]int32, nr)
-		for i, it := range items {
-			if i&(probeChunk-1) == 0 {
-				if err := poll(); err != nil {
-					return nil, err
-				}
-			}
-			ix.intIdx[it.I] = append(ix.intIdx[it.I], int32(i))
-		}
-	} else {
-		ix.strIdx = make(map[string][]int32, nr)
-		for i := 0; i < nr; i++ {
-			if i&(probeChunk-1) == 0 {
-				if err := poll(); err != nil {
-					return nil, err
-				}
-			}
-			k := xdm.DistinctKey(rk.Get(i))
-			ix.strIdx[k] = append(ix.strIdx[k], int32(i))
-		}
-	}
-	ix.fanout = max(nr/max(len(ix.intIdx)+len(ix.strIdx), 1), 1)
-	return ix, nil
-}
-
-// Probe appends the matching (left, right) row pairs for left rows
-// [lo, hi) to lperm/rperm and returns the extended slices. Against an
-// integer index the probe key is the item's integer payload, whatever the
-// left column's type — exactly the boxed engine's behavior (non-integer
-// items carry payload 0).
-func (ix *JoinIndex) Probe(lk *xdm.Column, lo, hi int, lperm, rperm []int32) ([]int32, []int32) {
-	if ix.intIdx != nil {
-		var ints []int64
-		if v, ok := lk.Ints(); ok {
-			ints = v
-		} else if v, ok := lk.Bools(); ok {
-			ints = v
-		}
-		switch {
-		case ints != nil:
-			for i := lo; i < hi; i++ {
-				for _, j := range ix.intIdx[ints[i]] {
-					lperm = append(lperm, int32(i))
-					rperm = append(rperm, j)
-				}
-			}
-		default:
-			if items, ok := lk.RawItems(); ok {
-				for i := lo; i < hi; i++ {
-					for _, j := range ix.intIdx[items[i].I] {
-						lperm = append(lperm, int32(i))
-						rperm = append(rperm, j)
-					}
-				}
-			} else {
-				// Typed double/string/node columns have integer payload 0.
-				for i := lo; i < hi; i++ {
-					for _, j := range ix.intIdx[0] {
-						lperm = append(lperm, int32(i))
-						rperm = append(rperm, j)
-					}
-				}
-			}
-		}
-		return lperm, rperm
-	}
-	for i := lo; i < hi; i++ {
-		for _, j := range ix.strIdx[xdm.DistinctKey(lk.Get(i))] {
-			lperm = append(lperm, int32(i))
-			rperm = append(rperm, j)
-		}
-	}
-	return lperm, rperm
-}
-
 // MaterializeJoin builds the join output table from row-pair
 // permutations via typed gathers, polling for cancellation between
 // column chunks — a multi-million-row join output is otherwise a
@@ -693,6 +579,8 @@ func (ex *Exec) ProbeJoin(ix *JoinIndex, lk *xdm.Column, lo, hi, width int) (lpe
 	for ; lo < hi; lo += step {
 		lperm, rperm = ix.Probe(lk, lo, min(lo+step, hi), lperm, rperm)
 		if err := ex.CheckCells(len(lperm), width); err != nil {
+			xdm.PutInt32s(lperm)
+			xdm.PutInt32s(rperm)
 			return nil, nil, err
 		}
 	}
@@ -701,13 +589,23 @@ func (ex *Exec) ProbeJoin(ix *JoinIndex, lk *xdm.Column, lo, hi, width int) (lpe
 
 func (ex *Exec) evalJoin(n *algebra.Node, l, r *Table) (*Table, error) {
 	lk, rk := l.Col(n.LCol), r.Col(n.RCol)
-	ix, err := ex.BuildJoinIndex(rk)
-	if err != nil {
-		return nil, err
-	}
-	lperm, rperm, err := ex.ProbeJoin(ix, lk, 0, lk.Len(), len(l.Cols)+len(r.Cols))
-	if err != nil {
-		return nil, err
+	width := len(l.Cols) + len(r.Cols)
+	var lperm, rperm []int32
+	if n.Mode != algebra.JoinEqui {
+		var err error
+		if lperm, rperm, err = ex.thetaJoin(n, lk, rk, width); err != nil {
+			return nil, err
+		}
+	} else {
+		ix, err := ex.BuildJoinIndex(rk)
+		if err != nil {
+			return nil, err
+		}
+		lperm, rperm, err = ex.ProbeJoin(ix, lk, 0, lk.Len(), width)
+		ix.Release()
+		if err != nil {
+			return nil, err
+		}
 	}
 	t, err := ex.MaterializeJoin(n, l, r, lperm, rperm)
 	if err != nil {

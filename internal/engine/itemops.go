@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/algebra"
@@ -64,9 +65,9 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 
 // typedBinOp evaluates the arithmetic/comparison kernels over flat
 // columns without boxing a single Item: integer×integer arithmetic and
-// comparisons (the value-join enumeration kernels of Q8/Q9-class plans),
-// and boolean×boolean conjunction/disjunction. ok=false means no typed
-// kernel applies and the caller should run the boxed loop. The kernels
+// comparisons, and boolean×boolean conjunction/disjunction. ok=false
+// means no typed kernel applies and the caller should run the boxed loop.
+// The kernels
 // replicate xdm.Arith/CompareValue exactly: integer comparisons go
 // through the double projection, div yields a double, idiv/mod report
 // the xdm division-by-zero error.
@@ -157,7 +158,7 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 			out[i] = float64(li[i]) / float64(ri[i])
 		}
 		return xdm.DoubleColumn(out), true, nil
-	case algebra.BCmpGen, algebra.BCmpGenJoin, algebra.BCmpVal:
+	case algebra.BCmpGen, algebra.BCmpVal:
 		out := xdm.GetInts(len(li))
 		for i := range li {
 			if err := poll(i); err != nil {
@@ -185,14 +186,6 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 			} else {
 				out[i] = 0
 			}
-		}
-		return xdm.BoolColumn(out), true, nil
-	case algebra.BCmpGenErr:
-		// Integer pairs are always comparable: the error witness is
-		// constant false.
-		out := xdm.GetInts(len(li))
-		for i := range out {
-			out[i] = 0
 		}
 		return xdm.BoolColumn(out), true, nil
 	default:
@@ -271,6 +264,14 @@ func (ex *Exec) applyTernFn(n *algebra.Node, a, b, c xdm.Item) (xdm.Item, error)
 	}
 }
 
+// arithOps maps the arithmetic BinFns (the enumeration's first six) to
+// their xdm operators.
+var arithOps = [...]xdm.ArithOp{
+	algebra.BArithAdd: xdm.OpAdd, algebra.BArithSub: xdm.OpSub,
+	algebra.BArithMul: xdm.OpMul, algebra.BArithDiv: xdm.OpDiv,
+	algebra.BArithIDiv: xdm.OpIDiv, algebra.BArithMod: xdm.OpMod,
+}
+
 func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 	switch n.BFn {
 	case algebra.BArithAdd, algebra.BArithSub, algebra.BArithMul,
@@ -283,30 +284,13 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 		if err != nil {
 			return xdm.Item{}, err
 		}
-		op := map[algebra.BinFn]xdm.ArithOp{
-			algebra.BArithAdd: xdm.OpAdd, algebra.BArithSub: xdm.OpSub,
-			algebra.BArithMul: xdm.OpMul, algebra.BArithDiv: xdm.OpDiv,
-			algebra.BArithIDiv: xdm.OpIDiv, algebra.BArithMod: xdm.OpMod,
-		}[n.BFn]
-		return xdm.Arith(a2, b2, op)
+		return xdm.Arith(a2, b2, arithOps[n.BFn])
 	case algebra.BCmpGen:
 		ok, err := xdm.CompareGeneral(a, b, n.Cmp)
 		if err != nil {
 			return xdm.Item{}, err
 		}
 		return xdm.NewBool(ok), nil
-	case algebra.BCmpGenJoin:
-		// Value-join pair enumeration: incomparable pairs do not match
-		// here; BCmpGenErr flags them so the compiler can raise the type
-		// error for iterations in which no true pair exists.
-		ok, err := xdm.CompareGeneral(a, b, n.Cmp)
-		if err != nil {
-			return xdm.False, nil
-		}
-		return xdm.NewBool(ok), nil
-	case algebra.BCmpGenErr:
-		_, err := xdm.CompareGeneral(a, b, n.Cmp)
-		return xdm.NewBool(err != nil), nil
 	case algebra.BCmpVal:
 		ok, err := xdm.CompareValue(a, b, n.Cmp)
 		if err != nil {
@@ -415,159 +399,165 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 
 // --- Grouped aggregation ---
 
+// aggGroup is one group's running state.
 type aggGroup struct {
-	key   int64
 	count int64
 	sum   float64
-	allI  bool
-	best  xdm.Item
-	hasB  bool
+	dbl   bool     // sum: a member was not an xs:integer, so is the sum
+	has   bool     // max/min: item holds the best member so far
+	item  xdm.Item // max/min: that member; ebv: an atomic member
 	// EBV state
 	nodes   int
 	atomics int
-	first   xdm.Item
-	// strjoin state
-	pairs []posItem
 }
 
-type posItem struct {
-	pos  int64
-	item xdm.Item
+// sortByPos orders a group's row numbers (ascending on entry) by their pos
+// rank, stably. Rows that came out of ρ arrive in pos order already, which
+// one pass establishes.
+func sortByPos(rows []int32, pos []int64) {
+	for k := 1; k < len(rows); k++ {
+		if pos[rows[k-1]] > pos[rows[k]] {
+			slices.SortStableFunc(rows, func(a, b int32) int { return cmp.Compare(pos[a], pos[b]) })
+			return
+		}
+	}
 }
 
 func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 	rows := in.NumRows()
-	var part, pos []int64
 	var val *xdm.Column
-	if n.Part != "" {
-		part = iterInts(in.Col(n.Part))
-	}
 	if n.Col != "" {
 		val = in.Col(n.Col)
 	}
-	if n.AFn == algebra.AggrStrJoin {
-		pos = iterInts(in.Col("pos"))
-	}
-	groups := make(map[int64]*aggGroup)
-	var order []int64
-	get := func(k int64) *aggGroup {
-		g, ok := groups[k]
-		if !ok {
-			g = &aggGroup{key: k, allI: true}
-			groups[k] = g
-			order = append(order, k)
-		}
-		return g
-	}
-	for r := 0; r < rows; r++ {
-		if r&(probeChunk-1) == 0 {
-			if err := ex.CheckCancel(); err != nil {
-				return nil, err
-			}
-		}
-		k := int64(0)
-		if part != nil {
-			k = part[r]
-		}
-		g := get(k)
-		g.count++
-		var v xdm.Item
-		if val != nil {
-			v = val.Get(r)
-		}
-		switch n.AFn {
-		case algebra.AggrCount:
-			// count only needs the row
-		case algebra.AggrSum, algebra.AggrAvg:
-			c, err := coerceArith(v)
-			if err != nil {
-				return nil, ex.Errf(n, "%s: %v", n.AFn, err)
-			}
-			if !c.Kind.IsNumeric() {
-				return nil, ex.Errf(n, "%s over non-numeric %s", n.AFn, c.Kind)
-			}
-			if c.Kind != xdm.KInteger {
-				g.allI = false
-			}
-			f, _ := c.AsDouble()
-			g.sum += f
-		case algebra.AggrMax, algebra.AggrMin:
-			c, err := coerceArith(v)
-			if err != nil {
-				return nil, ex.Errf(n, "%s: %v", n.AFn, err)
-			}
-			if !g.hasB {
-				g.best, g.hasB = c, true
-				break
-			}
-			cv := xdm.OrderCompare(c, g.best)
-			if (n.AFn == algebra.AggrMax && cv > 0) || (n.AFn == algebra.AggrMin && cv < 0) {
-				g.best = c
-			}
-		case algebra.AggrEbv:
-			if v.IsNode() {
-				g.nodes++
-			} else {
-				g.atomics++
-				g.first = v
-			}
-		case algebra.AggrStrJoin:
-			g.pairs = append(g.pairs, posItem{pos: pos[r], item: v})
-		}
-	}
-	// Emit one row per group in first-occurrence order.
-	cols := n.Schema()
-	t := NewTable(cols)
-	var keys []int64
-	var rb xdm.ColumnBuilder
-	fr := fragRun{store: ex.store}
-	for _, k := range order {
-		g := groups[k]
-		var res xdm.Item
-		switch n.AFn {
-		case algebra.AggrCount:
-			res = xdm.NewInt(g.count)
-		case algebra.AggrSum:
-			if g.allI {
-				res = xdm.NewInt(int64(g.sum))
-			} else {
-				res = xdm.NewDouble(g.sum)
-			}
-		case algebra.AggrAvg:
-			res = xdm.NewDouble(g.sum / float64(g.count))
-		case algebra.AggrMax, algebra.AggrMin:
-			res = g.best
-		case algebra.AggrEbv:
-			switch {
-			case g.atomics == 0:
-				res = xdm.True // non-empty group of nodes
-			case g.nodes == 0 && g.atomics == 1:
-				b, err := xdm.EffectiveBooleanValue([]xdm.Item{g.first})
-				if err != nil {
-					return nil, ex.Errf(n, "%v", err)
-				}
-				res = xdm.NewBool(b)
-			default:
-				return nil, ex.Errf(n, "effective boolean value of a mixed multi-item sequence")
-			}
-		case algebra.AggrStrJoin:
-			sort.SliceStable(g.pairs, func(a, b int) bool { return g.pairs[a].pos < g.pairs[b].pos })
-			parts := make([]string, len(g.pairs))
-			for i, p := range g.pairs {
-				parts[i] = fr.atomize(p.item).StringValue()
-			}
-			res = xdm.NewString(strings.Join(parts, n.Name))
-		}
-		if n.Part != "" {
-			keys = append(keys, k)
-		}
-		rb.Append(res)
-	}
+	// One group per distinct partition key, in first-occurrence order;
+	// without a partition column, every row is in group 0.
+	ix := &groupIndex{}
 	if n.Part != "" {
-		t.Data[0] = xdm.IntColumn(keys)
-		t.Data[1] = rb.Finish()
+		var err error
+		if ix, err = groupInts(iterInts(in.Col(n.Part)), ex.CheckCancel); err != nil {
+			return nil, err
+		}
+	} else if rows > 0 {
+		ix.groups, ix.ids = 1, xdm.GetInt32s(rows)
+		clear(ix.ids)
+	}
+	defer ix.release()
+
+	var res *xdm.Column
+	switch n.AFn {
+	case algebra.AggrCount:
+		counts := xdm.GetInts(ix.groups)
+		clear(counts)
+		for _, g := range ix.ids {
+			counts[g]++
+		}
+		res = xdm.IntColumn(counts)
+
+	case algebra.AggrStrJoin:
+		pos := iterInts(in.Col("pos"))
+		ix.cluster()
+		out := make([]string, ix.groups)
+		fr := fragRun{store: ex.store}
+		var parts []string
+		for g := range out {
+			rs := ix.rowsOf(int32(g))
+			sortByPos(rs, pos)
+			parts = parts[:0]
+			for _, r := range rs {
+				parts = append(parts, fr.atomize(val.Get(int(r))).StringValue())
+			}
+			out[g] = strings.Join(parts, n.Name)
+		}
+		res = xdm.StringColumn(xdm.KString, out)
+
+	default:
+		groups := make([]aggGroup, ix.groups)
+		for r := 0; r < rows; r++ {
+			if r&(probeChunk-1) == 0 {
+				if err := ex.CheckCancel(); err != nil {
+					return nil, err
+				}
+			}
+			g := &groups[ix.ids[r]]
+			g.count++
+			v := val.Get(r)
+			switch n.AFn {
+			case algebra.AggrSum, algebra.AggrAvg:
+				c, err := coerceArith(v)
+				if err != nil {
+					return nil, ex.Errf(n, "%s: %v", n.AFn, err)
+				}
+				if !c.Kind.IsNumeric() {
+					return nil, ex.Errf(n, "%s over non-numeric %s", n.AFn, c.Kind)
+				}
+				if c.Kind != xdm.KInteger {
+					g.dbl = true
+				}
+				f, _ := c.AsDouble()
+				g.sum += f
+			case algebra.AggrMax, algebra.AggrMin:
+				c, err := coerceArith(v)
+				if err != nil {
+					return nil, ex.Errf(n, "%s: %v", n.AFn, err)
+				}
+				if !g.has {
+					g.item, g.has = c, true
+					break
+				}
+				cv := xdm.OrderCompare(c, g.item)
+				if (n.AFn == algebra.AggrMax && cv > 0) || (n.AFn == algebra.AggrMin && cv < 0) {
+					g.item = c
+				}
+			case algebra.AggrEbv:
+				if v.IsNode() {
+					g.nodes++
+				} else {
+					g.atomics++
+					g.item = v
+				}
+			}
+		}
+		var rb xdm.ColumnBuilder
+		for i := range groups {
+			g := &groups[i]
+			var item xdm.Item
+			switch n.AFn {
+			case algebra.AggrSum:
+				if g.dbl {
+					item = xdm.NewDouble(g.sum)
+				} else {
+					item = xdm.NewInt(int64(g.sum))
+				}
+			case algebra.AggrAvg:
+				item = xdm.NewDouble(g.sum / float64(g.count))
+			case algebra.AggrMax, algebra.AggrMin:
+				item = g.item
+			case algebra.AggrEbv:
+				switch {
+				case g.atomics == 0:
+					item = xdm.True // non-empty group of nodes
+				case g.nodes == 0 && g.atomics == 1:
+					b, err := xdm.EffectiveBooleanValue([]xdm.Item{g.item})
+					if err != nil {
+						return nil, ex.Errf(n, "%v", err)
+					}
+					item = xdm.NewBool(b)
+				default:
+					return nil, ex.Errf(n, "effective boolean value of a mixed multi-item sequence")
+				}
+			}
+			rb.Append(item)
+		}
+		res = rb.Finish()
+	}
+
+	t := NewTable(n.Schema())
+	if n.Part != "" {
+		t.Data[0] = xdm.IntColumn(ix.keys) // adopted: one key per group, first-occurrence order
+		ix.keys = nil
+		t.Data[1] = res
 	} else {
-		t.Data[0] = rb.Finish()
+		t.Data[0] = res
 	}
 	return t, nil
 }
@@ -575,25 +565,35 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 // --- Node construction ---
 
 func (ex *Exec) evalElem(n *algebra.Node, loop, content *Table) (*Table, error) {
-	iters := iterInts(content.Col("iter"))
 	poss := iterInts(content.Col("pos"))
 	items := content.Col("item")
-	byIter := make(map[int64][]posItem, loop.NumRows())
-	for r := range iters {
-		byIter[iters[r]] = append(byIter[iters[r]], posItem{pos: poss[r], item: items.Get(r)})
+	ix, err := groupInts(iterInts(content.Col("iter")), ex.CheckCancel)
+	if err != nil {
+		return nil, err
 	}
+	defer ix.release()
+	ix.cluster()
 	loopIter := iterInts(loop.Col("iter"))
-	outIter := make([]int64, 0, len(loopIter))
-	outItem := make([]xdm.NodeID, 0, len(loopIter))
+	outIter := xdm.GetInts(len(loopIter))[:0]
+	outItem := xdm.GetNodes(len(loopIter))[:0]
+	fr := fragRun{store: ex.store}
+	var seq []xdm.Item
 	for _, li := range loopIter {
-		rowsFor := byIter[li]
-		sort.SliceStable(rowsFor, func(a, b int) bool { return rowsFor[a].pos < rowsFor[b].pos })
-		b := xmltree.NewBuilder()
-		b.StartElem(n.Name)
-		seq := make([]xdm.Item, len(rowsFor))
-		for i, p := range rowsFor {
-			seq[i] = p.item
+		rs := ix.rowsOf(ix.lookupInt(li))
+		sortByPos(rs, poss)
+		// The fragment holds the element, a copy of every content subtree
+		// and at most one text node per atomic item.
+		seq = seq[:0]
+		nodes := 1 + len(rs)
+		for _, r := range rs {
+			it := items.Get(int(r))
+			if it.IsNode() {
+				nodes += int(fr.frag(it.N.Frag).Size[it.N.Pre])
+			}
+			seq = append(seq, it)
 		}
+		b := xmltree.NewBuilderSized(nodes)
+		b.StartElem(n.Name)
 		if err := xmltree.AppendContent(ex.store, b, n.Name, seq); err != nil {
 			return nil, ex.Errf(n, "%v", err)
 		}
@@ -660,9 +660,16 @@ func (ex *Exec) evalRange(n *algebra.Node, in *Table) (*Table, error) {
 
 func (ex *Exec) evalCheckCard(n *algebra.Node, ins []*Table) (*Table, error) {
 	in := ins[0]
-	counts := make(map[int64]int, in.NumRows())
-	for _, k := range iterInts(in.Col(n.Col)) {
-		counts[k]++
+	ix, err := groupInts(iterInts(in.Col(n.Col)), ex.CheckCancel)
+	if err != nil {
+		return nil, err
+	}
+	defer ix.release()
+	counts := xdm.GetInt32s(ix.groups)
+	defer xdm.PutInt32s(counts)
+	clear(counts)
+	for _, g := range ix.ids {
+		counts[g]++
 	}
 	check := func(c int) error {
 		if c < n.Min {
@@ -680,13 +687,17 @@ func (ex *Exec) evalCheckCard(n *algebra.Node, ins []*Table) (*Table, error) {
 	}
 	if len(ins) == 2 {
 		for _, k := range iterInts(ins[1].Col(n.Col)) {
-			if err := check(counts[k]); err != nil {
+			c := 0
+			if g := ix.lookupInt(k); g >= 0 {
+				c = int(counts[g])
+			}
+			if err := check(c); err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		for _, c := range counts {
-			if err := check(c); err != nil {
+			if err := check(int(c)); err != nil {
 				return nil, err
 			}
 		}

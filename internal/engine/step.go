@@ -60,16 +60,11 @@ func GroupStep(in *Table) (StepRuns, error) {
 	if clustered {
 		return StepRuns{iters: iters, nodes: nodes}, nil
 	}
-	rank := xdm.GetInt32s(len(nodes)) // first-occurrence rank of each row's iteration
+	ix, _ := groupInts(iters, func() error { return nil })
+	rank := ix.ids // first-occurrence rank of each row's iteration
 	perm := xdm.GetInt32s(len(nodes))
-	seen := make(map[int64]int32)
-	for r, k := range iters {
-		id, ok := seen[k]
-		if !ok {
-			id = int32(len(seen))
-			seen[k] = id
-		}
-		rank[r], perm[r] = id, int32(r)
+	for r := range perm {
+		perm[r] = int32(r)
 	}
 	slices.SortFunc(perm, func(a, b int32) int {
 		if c := cmp.Compare(rank[a], rank[b]); c != 0 {
@@ -87,7 +82,7 @@ func GroupStep(in *Table) (StepRuns, error) {
 		}
 		g.iters, g.nodes = append(g.iters, iters[r]), append(g.nodes, nodes[r])
 	}
-	xdm.PutInt32s(rank)
+	ix.release()
 	xdm.PutInt32s(perm)
 	return g, nil
 }

@@ -327,14 +327,16 @@ func (a *analysis) inferProps() {
 
 		case algebra.OpJoin, algebra.OpCross:
 			// A side's keys stay keys when every one of its rows meets at
-			// most one partner: the opposite join key is unique, or the
-			// opposite cross operand is a single-row literal.
+			// most one partner: the opposite equi-join key is unique, or
+			// the opposite cross operand is a single-row literal. A θ-join
+			// bounds nobody's partners.
 			l, r := n.Ins[0], n.Ins[1]
 			nl := copy(p, a.propsOf(l))
 			copy(p[nl:], a.propsOf(r))
 			keepL, keepR := singleRowLit(r), singleRowLit(l)
 			if n.Kind == algebra.OpJoin {
-				keepL, keepR = a.prop(r, n.RCol).unique, a.prop(l, n.LCol).unique
+				equi := n.Mode == algebra.JoinEqui
+				keepL, keepR = equi && a.prop(r, n.RCol).unique, equi && a.prop(l, n.LCol).unique
 			}
 			for i := range p {
 				p[i].unique = p[i].unique && ((i < nl && keepL) || (i >= nl && keepR))

@@ -331,13 +331,16 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 	return &opResult{t: engine.StepTable(outIter, outItem), busy: busy, charged: chargeInWorker}, nil
 }
 
-// parJoin builds the hash index serially (builds don't decompose well at
+// parJoin builds the key index serially (builds don't decompose well at
 // these sizes) and probes the left side in chunks; concatenating the
 // per-chunk pair lists in chunk order reproduces the serial probe order.
+// A θ-join takes the serial kernel: its operand tables are the small
+// sides of a value join, and its sorted and indexed right side is not a
+// structure to rebuild per morsel.
 func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, error) {
 	lk, rk := l.Col(n.LCol), r.Col(n.RCol)
 	cs := e.ranges(lk.Len(), e.minRows)
-	if cs == nil {
+	if cs == nil || n.Mode != algebra.JoinEqui {
 		return nil, nil
 	}
 	ix, err := e.ex.BuildJoinIndex(rk)
@@ -357,6 +360,7 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, erro
 		}
 	}
 	busy, err := e.runTasks(n, tasks)
+	ix.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -372,6 +376,8 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, erro
 	for _, p := range parts {
 		lperm = append(lperm, p.lperm...)
 		rperm = append(rperm, p.rperm...)
+		xdm.PutInt32s(p.lperm)
+		xdm.PutInt32s(p.rperm)
 	}
 	t, err := e.ex.MaterializeJoin(n, l, r, lperm, rperm)
 	xdm.PutInt32s(lperm)

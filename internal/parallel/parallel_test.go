@@ -13,6 +13,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/qerr"
 	"repro/internal/vm"
+	"repro/internal/xdm"
 	"repro/internal/xmark"
 	"repro/internal/xmarkq"
 	"repro/internal/xmltree"
@@ -148,6 +149,35 @@ func TestRunForcedMorsels(t *testing.T) {
 				t.Errorf("forced-morsel result differs from serial\n got %.200q\nwant %.200q", got, want)
 			}
 		})
+	}
+}
+
+// TestThetaJoinTakesSerialKernel: a Par-marked θ-join is declined by the
+// morsel pool whatever its size, so the executor loop runs the serial
+// kernel; the equi-join over the same columns is taken.
+func TestThetaJoinTakesSerialKernel(t *testing.T) {
+	const rows = 4096
+	keys := func() *xdm.Column {
+		v := make([]int64, rows)
+		for i := range v {
+			v[i] = int64(i)
+		}
+		return xdm.IntColumn(v)
+	}
+	l, r := engine.NewTable([]string{"a"}), engine.NewTable([]string{"b"})
+	l.Data[0], r.Data[0] = keys(), keys()
+	b := algebra.NewBuilder()
+	ex := engine.NewExec(xmltree.NewStore(), nil, engine.Options{})
+	for _, mode := range []algebra.JoinMode{algebra.JoinEqui, algebra.JoinTheta, algebra.JoinIncomparable} {
+		n := b.ThetaJoin(b.EmptyLit("a"), b.EmptyLit("b"), "a", "b", xdm.CmpEq, mode)
+		n.Par = true
+		out, _, _, err := parallel.EvalParOp(ex, 4, 1, n, []*engine.Table{l, r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if taken := out != nil; taken != (mode == algebra.JoinEqui) {
+			t.Errorf("mode %d: taken by the morsel pool = %v", mode, taken)
+		}
 	}
 }
 

@@ -111,17 +111,20 @@ func CompareGeneral(a, b Item, op CmpOp) (bool, error) {
 
 func coerceGeneral(a, b Item) (Item, Item, error) {
 	if a.Kind == KUntyped && b.Kind != KUntyped {
-		c, err := coerceUntyped(a, b.Kind)
+		c, err := CoerceUntyped(a, b.Kind)
 		return c, b, err
 	}
 	if b.Kind == KUntyped && a.Kind != KUntyped {
-		c, err := coerceUntyped(b, a.Kind)
+		c, err := CoerceUntyped(b, a.Kind)
 		return a, c, err
 	}
 	return a, b, nil
 }
 
-func coerceUntyped(u Item, target Kind) (Item, error) {
+// CoerceUntyped casts the xs:untypedAtomic item u for a general
+// comparison against an operand of kind target: to xs:double if that is
+// numeric, to xs:boolean if it is boolean, to xs:string otherwise.
+func CoerceUntyped(u Item, target Kind) (Item, error) {
 	switch {
 	case target.IsNumeric():
 		f, err := u.AsDouble()

@@ -165,6 +165,9 @@ func GetInt32s(n int) []int32 { return int32Pool.get(n) }
 // PutInt32s recycles an int32 buffer.
 func PutInt32s(s []int32) { int32Pool.put(s) }
 
+// GrowInt32s returns s with room for n cells, through the pool (see grow).
+func GrowInt32s(s []int32, n int) []int32 { return int32Pool.grow(s, n) }
+
 // RecycleColumn returns c's backing buffer to the pool. The caller asserts
 // that no alias of c (or of its buffer) survives — in the engine this is
 // established by per-*Column reference counting, never by inspection.

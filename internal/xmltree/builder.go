@@ -23,6 +23,21 @@ func NewBuilder() *Builder {
 	return &Builder{frag: &Fragment{}, lastTop: -2}
 }
 
+// NewBuilderSized is NewBuilder with room for nodes nodes: a caller that
+// knows what it is about to copy allocates the fragment's columns once
+// instead of growing each of them append by append.
+func NewBuilderSized(nodes int) *Builder {
+	b := NewBuilder()
+	f := b.frag
+	f.Kind = make([]NodeKind, 0, nodes)
+	f.Name = make([]string, 0, nodes)
+	f.Value = make([]string, 0, nodes)
+	f.Size = make([]int32, 0, nodes)
+	f.Level = make([]int32, 0, nodes)
+	f.Parent = make([]int32, 0, nodes)
+	return b
+}
+
 func (b *Builder) push(kind NodeKind, name, value string) int32 {
 	f := b.frag
 	pre := int32(f.Len())
