@@ -43,6 +43,7 @@ import (
 	"time"
 
 	exrquy "repro"
+	"repro/internal/fault"
 	"repro/internal/xmarkq"
 )
 
@@ -90,7 +91,7 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of query execution to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after execution) to this file")
 		scrub      = flag.Bool("scrub", false, "scrub mounted stores before executing: re-verify part checksums, quarantine corrupt replicas, restore from healthy copies (usable without a query)")
-		stChaos    = flag.String("store-chaos", "", "TESTING ONLY: arm deterministic storage fault injection, e.g. seed=7,eio=11,badcrc=13,shortread=17,mmap=19,torn=23")
+		faults     = flag.String("faults", "", "TESTING ONLY: arm deterministic fault injection, e.g. seed=7,eio=11,badcrc=13,shortread=17,mmap=19,torn=23")
 	)
 	var storeDirs multiFlag
 	flag.Var(&storeDirs, "store", "mount an on-disk columnar store directory (repeatable; comma-join directories holding shards of one corpus)")
@@ -179,11 +180,11 @@ func main() {
 			fatal(err, "load %s: %v", path, err)
 		}
 	}
-	if faults, err := exrquy.ParseStoreFaultSpec(*stChaos); err != nil {
+	if plan, err := fault.Parse(*faults); err != nil {
 		fatal(nil, "%v", err)
-	} else if faults != nil {
-		exrquy.SetStoreFaults(faults)
-		fmt.Fprintf(os.Stderr, "exrquy: WARNING: storage fault injection armed (-store-chaos %q) — chaos drills only\n", *stChaos)
+	} else if plan != nil {
+		fault.Arm(plan)
+		fmt.Fprintf(os.Stderr, "exrquy: WARNING: fault injection armed (-faults %q) — chaos drills only\n", *faults)
 	}
 	for _, spec := range storeDirs {
 		if _, err := eng.AttachStore(strings.Split(spec, ",")...); err != nil {

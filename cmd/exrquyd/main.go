@@ -4,7 +4,7 @@
 // per-client API keys and graceful shutdown, plus a resilience layer —
 // per-client rate limits (-rate-qps), a stuck-query watchdog
 // (-watchdog), per-client circuit breakers (-breaker-failures) and a
-// deterministic fault-injection hook for chaos drills (-chaos). See
+// deterministic fault-injection hook for chaos drills (-faults). See
 // README "Serving" and "Resilience".
 //
 // Usage:
@@ -51,7 +51,7 @@ import (
 	"time"
 
 	exrquy "repro"
-	"repro/internal/resilience"
+	"repro/internal/fault"
 	"repro/internal/server"
 )
 
@@ -77,8 +77,7 @@ func main() {
 		watchdog  = flag.Duration("watchdog", 0, "stuck-query heartbeat threshold; silent queries are cancelled within 2x this (0 = off)")
 		brkFails  = flag.Int("breaker-failures", 0, "per-client circuit-breaker trip threshold, consecutive serving failures (0 = off)")
 		brkCool   = flag.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = 5s)")
-		chaos     = flag.String("chaos", "", "TESTING ONLY: arm deterministic fault injection on /query, e.g. seed=7,err500=17,reset=23,truncate=29:64,latency=13:3ms")
-		stChaos   = flag.String("store-chaos", "", "TESTING ONLY: arm deterministic storage fault injection, e.g. seed=7,eio=11,badcrc=13,shortread=17,mmap=19,torn=23")
+		faults    = flag.String("faults", "", "TESTING ONLY: arm deterministic fault injection, e.g. seed=7,err500=17,reset=23,truncate=29:64,latency=13:3ms,shed=5,eio=11,torn=23")
 		scrubIvl  = flag.Duration("scrub-interval", 0, "background store scrub cadence: re-verify part checksums, quarantine corrupt replicas, restore from healthy copies (0 = off)")
 		scrubBPS  = flag.Int64("scrub-bps", 0, "scrub read-rate pacing, bytes/second (0 = unpaced)")
 	)
@@ -91,20 +90,13 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	faults, err := resilience.ParseFaultSpec(*chaos)
+	plan, err := fault.Parse(*faults)
 	if err != nil {
 		fatal("%v", err)
 	}
-	if faults != nil {
-		fmt.Fprintf(os.Stderr, "exrquyd: WARNING: fault injection armed on /query (-chaos %q) — chaos drills only\n", *chaos)
-	}
-	storeFaults, err := exrquy.ParseStoreFaultSpec(*stChaos)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if storeFaults != nil {
-		exrquy.SetStoreFaults(storeFaults)
-		fmt.Fprintf(os.Stderr, "exrquyd: WARNING: storage fault injection armed (-store-chaos %q) — chaos drills only\n", *stChaos)
+	if plan != nil {
+		fault.Arm(plan)
+		fmt.Fprintf(os.Stderr, "exrquyd: WARNING: fault injection armed (-faults %q) — chaos drills only\n", *faults)
 	}
 	s := server.New(server.Config{
 		Governor: exrquy.GovernorConfig{
@@ -127,7 +119,6 @@ func main() {
 		WatchdogTimeout:  *watchdog,
 		BreakerFailures:  *brkFails,
 		BreakerCooldown:  *brkCool,
-		Faults:           faults,
 		ScrubInterval:    *scrubIvl,
 		ScrubBytesPerSec: *scrubBPS,
 	})

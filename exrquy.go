@@ -490,6 +490,10 @@ type DocumentInfo struct {
 // DocumentStats returns node statistics for a loaded document, summed
 // over all parts for a sharded corpus.
 func (e *Engine) DocumentStats(name string) (DocumentInfo, error) {
+	// Shared mount lock, as in Reference: a concurrent DetachStore must
+	// not release and unmap a mounted document's columns mid-read.
+	e.mountsMu.RLock()
+	defer e.mountsMu.RUnlock()
 	e.mu.RLock()
 	ids, ok := e.docs[name]
 	e.mu.RUnlock()
@@ -695,11 +699,19 @@ const maxStoreFailovers = 3
 // the bytes the unfaulted run would have. Only a terminal ErrCorrupt
 // (every replica of some part bad) reaches the caller.
 func (q *Query) ExecuteContext(ctx context.Context) (*Result, error) {
+	return q.run(func(store *xmltree.Store, docs map[string][]uint32) (*engine.Result, error) {
+		return q.prepared.RunContext(ctx, store, docs)
+	})
+}
+
+// run drives one execution through the store-failover retry loop of
+// ExecuteContext and wraps its result.
+func (q *Query) run(exec func(*xmltree.Store, map[string][]uint32) (*engine.Result, error)) (*Result, error) {
 	for attempt := 0; ; attempt++ {
 		// Shared mount lock: a DetachStore must not unmap columns a running
 		// query may still be scanning. Uncontended outside detach windows.
 		q.eng.mountsMu.RLock()
-		res, err := q.prepared.RunContext(ctx, q.eng.store, q.eng.docsSnapshot())
+		res, err := exec(q.eng.store, q.eng.docsSnapshot())
 		q.eng.mountsMu.RUnlock()
 		if err != nil {
 			if attempt < maxStoreFailovers && qerr.IsRetryableCorrupt(err) && q.eng.failoverStores() {
@@ -728,23 +740,12 @@ func (q *Query) Analyze() (*Result, string, error) {
 
 // AnalyzeContext is Analyze under a context (see QueryContext for the
 // cancellation contract).
-func (q *Query) AnalyzeContext(ctx context.Context) (*Result, string, error) {
-	for attempt := 0; ; attempt++ {
-		q.eng.mountsMu.RLock()
-		res, text, err := q.prepared.Analyze(ctx, q.eng.store, q.eng.docsSnapshot())
-		q.eng.mountsMu.RUnlock()
-		if err != nil {
-			if attempt < maxStoreFailovers && qerr.IsRetryableCorrupt(err) && q.eng.failoverStores() {
-				continue
-			}
-			return nil, "", err
-		}
-		return &Result{
-			items: res.Items, store: res.Store, eng: q.eng, profile: res.Profile,
-			elapsed: res.Elapsed, stats: res.Stats,
-			degraded: res.Degraded, queueWait: res.QueueWait,
-		}, text, nil
-	}
+func (q *Query) AnalyzeContext(ctx context.Context) (res *Result, text string, err error) {
+	res, err = q.run(func(store *xmltree.Store, docs map[string][]uint32) (r *engine.Result, err error) {
+		r, text, err = q.prepared.Analyze(ctx, store, docs)
+		return r, err
+	})
+	return res, text, err
 }
 
 // Text returns the query source.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/store"
@@ -43,10 +44,8 @@ func writeReplicated(t testing.TB, factor float64, nDirs, replicas int) []string
 // never panic or return wrong bytes.
 func TestStoreFailoverXMark(t *testing.T) {
 	const factor = 0.002
-	defer SetStoreFaults(nil)
 
 	for _, compiled := range []bool{true, false} {
-		SetStoreFaults(nil)
 		ref := New(WithCompiled(compiled))
 		ref.LoadXMark("auction.xml", factor)
 		want := make(map[int]string)
@@ -74,8 +73,8 @@ func TestStoreFailoverXMark(t *testing.T) {
 			// odd ones: eio=4 faults executions 0,4,8,... and badcrc=2
 			// the remaining even ones — alternating injected I/O errors
 			// and checksum mismatches per query, with every retry clean.
-			SetStoreFaults(&StoreFaultPlan{Seed: 0, EIOEvery: 4, BadCRCEvery: 2})
-			defer SetStoreFaults(nil)
+			disarm := fault.Arm(&fault.Plan{Seed: 0, Every: fault.PerClass{fault.EIO: 4, fault.BadCRC: 2}})
+			defer disarm()
 			before := obs.StoreFailoverTotal.Load()
 			for _, q := range xmarkq.All() {
 				res, err := eng.Query(q.Text)
@@ -94,7 +93,7 @@ func TestStoreFailoverXMark(t *testing.T) {
 			if d := obs.StoreFailoverTotal.Load() - before; d < int64(len(xmarkq.All())) {
 				t.Errorf("expected at least one failover per query, got %d for %d queries", d, len(xmarkq.All()))
 			}
-			SetStoreFaults(nil)
+			disarm()
 			if _, err := eng.DetachStore(dirs[0]); err != nil {
 				t.Fatalf("detach: %v", err)
 			}
@@ -106,8 +105,8 @@ func TestStoreFailoverXMark(t *testing.T) {
 			if _, err := eng.AttachStore(dirs...); err != nil {
 				t.Fatalf("attach: %v", err)
 			}
-			SetStoreFaults(&StoreFaultPlan{Seed: 0, EIOEvery: 1})
-			defer SetStoreFaults(nil)
+			disarm := fault.Arm(&fault.Plan{Seed: 0, Every: fault.PerClass{fault.EIO: 1}})
+			defer disarm()
 			_, err := eng.Query(xmarkq.All()[0].Text)
 			if err == nil {
 				t.Fatal("unreplicated store under faults returned a result")
@@ -121,7 +120,7 @@ func TestStoreFailoverXMark(t *testing.T) {
 			if !strings.Contains(err.Error(), ".xrq") {
 				t.Fatalf("terminal corrupt error must name the part file: %v", err)
 			}
-			SetStoreFaults(nil)
+			disarm()
 			if _, err := eng.DetachStore(dirs[0]); err != nil {
 				t.Fatalf("detach: %v", err)
 			}
@@ -137,13 +136,11 @@ func TestStoreFailoverXMark(t *testing.T) {
 // crash, never return wrong bytes.
 func TestStoreFailoverConcurrent(t *testing.T) {
 	dirs := writeReplicated(t, 0.001, 2, 2)
-	defer SetStoreFaults(nil)
 
 	eng := New(WithParallelism(4), WithStoreScrub(StoreScrubConfig{Interval: 5 * time.Millisecond}))
 	if _, err := eng.AttachStore(dirs...); err != nil {
 		t.Fatal(err)
 	}
-	SetStoreFaults(nil)
 	resWant, err := eng.Query(`count(doc("auction.xml")//item)`)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +151,8 @@ func TestStoreFailoverConcurrent(t *testing.T) {
 	}
 
 	// Every third execution faults (mixed kinds).
-	SetStoreFaults(&StoreFaultPlan{Seed: 1, EIOEvery: 3, BadCRCEvery: 5})
+	disarm := fault.Arm(&fault.Plan{Seed: 1, Every: fault.PerClass{fault.EIO: 3, fault.BadCRC: 5}})
+	defer disarm()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -200,7 +198,7 @@ func TestStoreFailoverConcurrent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	SetStoreFaults(nil)
+	disarm()
 	if _, err := eng.DetachStore(dirs[0]); err != nil {
 		t.Fatalf("final detach: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/xmarkq"
 )
 
@@ -20,8 +21,6 @@ func TestScrubSoak(t *testing.T) {
 		factor = 0.002
 		rounds = 3
 	)
-	defer SetStoreFaults(nil)
-	SetStoreFaults(nil)
 	baseline := runtime.NumGoroutine()
 
 	ref := New()
@@ -48,7 +47,8 @@ func TestScrubSoak(t *testing.T) {
 
 	// The retry-parity plan (see TestStoreFailoverXMark): every top-level
 	// query execution faults exactly once, every failover retry is clean.
-	SetStoreFaults(&StoreFaultPlan{Seed: 0, EIOEvery: 4, BadCRCEvery: 2})
+	disarm := fault.Arm(&fault.Plan{Seed: 0, Every: fault.PerClass{fault.EIO: 4, fault.BadCRC: 2}})
+	defer disarm()
 	for round := 0; round < rounds; round++ {
 		for _, q := range xmarkq.All() {
 			res, err := eng.Query(q.Text)
@@ -64,7 +64,7 @@ func TestScrubSoak(t *testing.T) {
 			}
 		}
 	}
-	SetStoreFaults(nil)
+	disarm()
 
 	// The scrubber must have completed passes while the queries ran (its
 	// interval is a few ms; the soak above takes far longer), and one

@@ -12,17 +12,13 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/fault"
 	"repro/internal/store"
 )
 
 // Storage fault-tolerance re-exports (the machinery lives in
 // internal/store).
 type (
-	// StoreFaultPlan schedules deterministic storage faults — injected
-	// I/O errors and checksum mismatches at query probes, short
-	// reads/mmap failures at part opens, torn WriteStore crashes — for
-	// tests and the -store-chaos CLI flags. See SetStoreFaults.
-	StoreFaultPlan = store.FaultPlan
 	// StoreScrubConfig configures background scrubbing (WithStoreScrub):
 	// Interval between passes, BytesPerSec read-rate pacing.
 	StoreScrubConfig = store.ScrubConfig
@@ -30,22 +26,15 @@ type (
 	StoreScrubStats = store.ScrubStats
 )
 
-// SetStoreFaults arms a deterministic storage fault plan process-wide
-// (nil disarms). Armed only — production never calls it; the healthy
-// probe fast path is one atomic pointer load.
-func SetStoreFaults(plan *StoreFaultPlan) { store.SetFaults(plan) }
-
-// ParseStoreFaultSpec parses a -store-chaos specification like
-// "seed=7,eio=11,badcrc=13" (keys: seed, eio, badcrc, shortread, mmap,
-// torn). An empty spec returns nil (no faults).
-func ParseStoreFaultSpec(spec string) (*StoreFaultPlan, error) { return store.ParseFaultSpec(spec) }
-
-// storeMount is one attached on-disk store and the doc URIs it
-// contributed to the registry.
+// storeMount is one attached on-disk store, the doc URIs it contributed
+// to the registry, and every fragment id it added to the engine's store
+// (heal re-registrations included; guarded by Engine.mu), which
+// DetachStore releases.
 type storeMount struct {
 	key  string
 	dirs []string
 	uris []string
+	ids  []uint32
 	st   *store.Store
 }
 
@@ -92,23 +81,25 @@ func (e *Engine) AttachStore(dirs ...string) ([]string, error) {
 	if led == nil && e.opts.governor != nil {
 		led = e.opts.governor.Ledger()
 	}
-	st, err := store.Open(dirs, store.Options{Ledger: led, OnHeal: e.registerHealed})
+	m := &storeMount{key: key, dirs: append([]string(nil), dirs...)}
+	st, err := store.Open(dirs, store.Options{Ledger: led, OnHeal: func(entries []store.DocEntry) {
+		e.registerHealed(m, entries)
+	}})
 	if err != nil {
 		return nil, err
 	}
-	m := &storeMount{key: key, dirs: append([]string(nil), dirs...), st: st}
+	m.st = st
 	e.mu.Lock()
 	if _, dup := e.mounts[key]; dup {
 		e.mu.Unlock()
 		st.Close()
 		return nil, fmt.Errorf("exrquy: store %s already attached", key)
 	}
+	e.mounts[key] = m
 	for _, d := range st.Docs() {
-		id := e.store.Add(d.Frag)
-		e.docs[d.URI] = []uint32{id}
+		e.registerMountedLocked(m, d)
 		m.uris = append(m.uris, d.URI)
 	}
-	e.mounts[key] = m
 	e.mu.Unlock()
 	if e.opts.scrub.Interval > 0 {
 		st.StartScrub(e.opts.scrub)
@@ -122,7 +113,9 @@ func (e *Engine) AttachStore(dirs ...string) ([]string, error) {
 // store's mappings are released only after every in-flight query has
 // finished, so running queries are never pulled off their pages.
 // Results that reference a detached store's documents must be
-// serialized before detaching. Returns the URIs that were unmounted.
+// serialized before detaching. The fragments the mount added to the
+// engine's store are released at the same point, so attach/detach
+// cycles do not grow the engine. Returns the URIs that were unmounted.
 func (e *Engine) DetachStore(dir string) ([]string, error) {
 	key := storeKey(dir)
 	e.mu.Lock()
@@ -142,6 +135,10 @@ func (e *Engine) DetachStore(dir string) ([]string, error) {
 	// it exclusively once drains them all.
 	e.mountsMu.Lock()
 	e.mountsMu.Unlock() //nolint:staticcheck // empty critical section is the drain barrier
+	// m.ids is complete: registerHealed adds nothing for an unmounted m.
+	for _, id := range m.ids {
+		e.store.Release(id)
+	}
 	m.st.Close()
 	return append([]string(nil), m.uris...), nil
 }
@@ -185,6 +182,10 @@ func (e *Engine) WriteStore(name string, dirs ...string) error {
 // directory). A mount prefers the first healthy copy of each part and
 // fails over to the next on corruption; requires replicas <= len(dirs).
 func (e *Engine) WriteStoreReplicated(name string, replicas int, dirs ...string) error {
+	// A mounted document's columns are mmap'd: hold the shared mount lock
+	// so a concurrent DetachStore cannot release and unmap them mid-write.
+	e.mountsMu.RLock()
+	defer e.mountsMu.RUnlock()
 	e.mu.RLock()
 	ids, ok := e.docs[name]
 	e.mu.RUnlock()
@@ -229,8 +230,8 @@ func (e *Engine) storeProbe() func() error {
 	}
 	var fired atomic.Bool
 	return func() error {
-		if f := store.ArmedFaults(); f != nil && !fired.Load() && fired.CompareAndSwap(false, true) {
-			if err := f.QueryFault(stores); err != nil {
+		if p := fault.Armed(); p != nil && !fired.Load() && fired.CompareAndSwap(false, true) {
+			if err := store.QueryFault(p, stores); err != nil {
 				return err
 			}
 		}
@@ -261,24 +262,34 @@ func (e *Engine) failoverStores() bool {
 			continue
 		}
 		healed = true
-		e.registerHealed(entries)
+		e.registerHealed(m, entries)
 	}
 	return healed
 }
 
-// registerHealed re-registers documents whose parts were failed over or
-// re-replicated (store.Options.OnHeal): the fresh fragments replace the
-// registry entries, so the next execution's snapshot reads the healthy
-// replicas. Safe concurrently with running queries — they hold their
-// own point-in-time snapshot, and the pages that snapshot aliases stay
-// mapped (condemned) until the store closes.
-func (e *Engine) registerHealed(entries []store.DocEntry) {
+// registerHealed re-registers documents of mount m whose parts were
+// failed over or re-replicated (store.Options.OnHeal): the fresh
+// fragments replace the registry entries, so the next execution's
+// snapshot reads the healthy replicas. Safe concurrently with running
+// queries — they hold their own point-in-time snapshot, and the pages
+// that snapshot aliases stay mapped (condemned) until the store closes.
+// A heal that lands after m was detached registers nothing.
+func (e *Engine) registerHealed(m *storeMount, entries []store.DocEntry) {
 	e.mu.Lock()
-	for _, d := range entries {
-		id := e.store.Add(d.Frag)
-		e.docs[d.URI] = []uint32{id}
+	if e.mounts[m.key] == m {
+		for _, d := range entries {
+			e.registerMountedLocked(m, d)
+		}
 	}
 	e.mu.Unlock()
+}
+
+// registerMountedLocked adds one of m's documents to the engine's store
+// and registry and records its fragment id on m. Callers hold e.mu.
+func (e *Engine) registerMountedLocked(m *storeMount, d store.DocEntry) {
+	id := e.store.Add(d.Frag)
+	e.docs[d.URI] = []uint32{id}
+	m.ids = append(m.ids, id)
 }
 
 // ScrubStores runs one synchronous scrub pass over every attached store

@@ -203,6 +203,49 @@ func TestStoreConcurrentAttachDetach(t *testing.T) {
 	}
 }
 
+// TestDetachStoreReleasesFragments: attach/detach cycles, each with a
+// replica failover that re-registers the healed document under a fresh
+// fragment id, must leave the engine's store holding exactly the live
+// fragments it held before the first attach.
+func TestDetachStoreReleasesFragments(t *testing.T) {
+	dirs := writeReplicated(t, 0.001, 2, 2)
+	eng := New()
+	eng.LoadXMark("mem.xml", 0.001)
+	live := func() int {
+		n := 0
+		for id := 0; id < eng.store.Len(); id++ {
+			if eng.store.Frag(uint32(id)) != nil {
+				n++
+			}
+		}
+		return n
+	}
+	before := live()
+	for cycle := 0; cycle < 4; cycle++ {
+		if _, err := eng.AttachStore(dirs...); err != nil {
+			t.Fatalf("attach cycle %d: %v", cycle, err)
+		}
+		eng.mu.RLock()
+		st := eng.mounts[storeKey(dirs[0])].st
+		eng.mu.RUnlock()
+		if err := st.KillReplica(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Query(`count(doc("auction.xml")//item)`); err != nil {
+			t.Fatalf("cycle %d: query over a failed-over store: %v", cycle, err)
+		}
+		if _, err := eng.DetachStore(dirs[0]); err != nil {
+			t.Fatalf("detach cycle %d: %v", cycle, err)
+		}
+	}
+	if got := live(); got != before {
+		t.Fatalf("%d live fragments after 4 attach/detach cycles, want %d as before the first", got, before)
+	}
+	if _, err := eng.Query(`count(doc("mem.xml")//item)`); err != nil {
+		t.Fatalf("in-memory document lost: %v", err)
+	}
+}
+
 func mustRun(t *testing.T, q *Query) (string, error) {
 	t.Helper()
 	res, err := q.Execute()

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	exrquy "repro"
-	"repro/internal/resilience"
+	"repro/internal/fault"
 	"repro/internal/server"
 	"repro/internal/xmarkq"
 )
@@ -135,10 +135,11 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 }
 
 // startFaultServer boots a real exrquyd serving stack with a seeded
-// fault plan armed on /query.
-func startFaultServer(t *testing.T, factor float64, plan *resilience.HTTPFaultPlan) (*server.Server, string) {
+// fault plan armed; the cleanup shuts it down and disarms the plan.
+func startFaultServer(t *testing.T, factor float64, plan *fault.Plan) (*server.Server, string) {
 	t.Helper()
-	s := server.New(server.Config{Faults: plan})
+	t.Cleanup(fault.Arm(plan))
+	s := server.New(server.Config{})
 	s.Engine().LoadXMark("auction.xml", factor)
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatalf("listen: %v", err)
@@ -172,14 +173,10 @@ func startFaultServer(t *testing.T, factor float64, plan *resilience.HTTPFaultPl
 // exchange.
 func TestDifferentialXMarkUnderFaults(t *testing.T) {
 	const factor = 0.002
-	plan := &resilience.HTTPFaultPlan{
-		Seed:          3,
-		Err500Every:   7,
-		ResetEvery:    13,
-		TruncateEvery: 17,
-		TruncateBytes: 24,
-		LatencyEvery:  5,
-		Latency:       2 * time.Millisecond,
+	plan := &fault.Plan{
+		Seed:  3,
+		Every: fault.PerClass{fault.Err500: 7, fault.Reset: 13, fault.Truncate: 17, fault.Latency: 5},
+		Args:  fault.PerClass{fault.Truncate: 24, fault.Latency: int64(2 * time.Millisecond)},
 	}
 	_, base := startFaultServer(t, factor, plan)
 
@@ -220,11 +217,11 @@ func TestDifferentialXMarkUnderFaults(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if plan.Counted() == 0 {
-		t.Fatal("fault plan never fired; the test exercised nothing")
+	if plan.Injected() == 0 {
+		t.Fatal("fault plan never injected a fault; the test exercised nothing")
 	}
 	if st.Retries == 0 {
 		t.Fatalf("stats = %+v: no retries happened under an armed fault plan", st)
 	}
-	t.Logf("faults injected: %d; client stats: %+v", plan.Counted(), st)
+	t.Logf("faults injected: %d; client stats: %+v", plan.Injected(), st)
 }

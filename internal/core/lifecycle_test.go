@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/qerr"
 	"repro/internal/xmark"
 	"repro/internal/xmarkq"
@@ -308,8 +308,7 @@ func TestOpSpanClosedOnFailure(t *testing.T) {
 					if inject == "maxcells" {
 						cfg.MaxCells = 64
 					} else {
-						parallel.MorselHook = func() { panic("poisoned morsel kernel") }
-						defer func() { parallel.MorselHook = nil }()
+						defer fault.Arm(&fault.Plan{Every: fault.PerClass{fault.MorselPanic: 1}})()
 					}
 					p, err := Prepare(`count(doc("auction.xml")//keyword)`, cfg)
 					if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/xdm"
@@ -80,10 +81,10 @@ type Options struct {
 var ErrCutoff = qerr.ErrCutoff
 
 // EvalHook, when non-nil, runs before every serial operator kernel
-// evaluation (EvalOp); an operator the morsel pool takes runs
-// parallel.MorselHook per morsel instead. It exists for fault injection
-// in tests (panicking kernels, artificial latency) and must not be set
-// while queries are running.
+// evaluation (EvalOp). It exists for tests that wedge or break a kernel
+// (a query stuck without polling, a panicking operator) and must not be
+// set while queries are running. The same point is the fault.Kernels
+// site: an armed plan's panic class fires there.
 var EvalHook func(n *algebra.Node)
 
 // ProfileEntry aggregates evaluation time by operator origin; the set of
@@ -400,6 +401,9 @@ func (ex *Exec) Record(n *algebra.Node, d time.Duration, rows int) {
 func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 	if EvalHook != nil {
 		EvalHook(n)
+	}
+	if p := fault.Armed(); p != nil && p.Fire(fault.Panic, p.Next(fault.Kernels)) {
+		panic(fault.InjectedPanic)
 	}
 	switch n.Kind {
 	case algebra.OpLit:

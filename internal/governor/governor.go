@@ -35,11 +35,12 @@
 //     consumption and nothing else. The downgrade is recorded in the
 //     governor metrics and in the run's statistics.
 //
-// A deterministic, seeded fault-injection harness (FaultPlan) drives the
-// same machinery in soak tests: starved quotas, queue-deadline shedding,
-// kernel panics (via engine.EvalHook/parallel.MorselHook) and cancel
-// storms, asserting that the process degrades instead of dying and that
-// the ledger drains back to zero.
+// Admission is the fault.Admissions site of the process's fault plane
+// (internal/fault): an armed plan's shed and starve classes inject
+// queue-timeout sheds and starved quotas, which — with the plan's kernel
+// panics and cancel storms — drive the same machinery in soak tests,
+// asserting that the process degrades instead of dying
+// and that the ledger drains back to zero.
 package governor
 
 import (
@@ -52,6 +53,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/resilience"
@@ -94,9 +96,6 @@ type Config struct {
 	// queries run degraded (serial). <= 0 means 75. Ignored when
 	// MaxBytes is zero (queue pressure still degrades).
 	HighWaterPct int
-	// Faults, when non-nil, injects the plan's deterministic faults into
-	// admission and execution. Test-only; leave nil in production.
-	Faults *FaultPlan
 }
 
 // Stats is a point-in-time snapshot of a governor.
@@ -130,7 +129,6 @@ type Governor struct {
 	queuedTotal atomic.Int64
 	shed        atomic.Int64
 	downgrades  atomic.Int64
-	admissions  atomic.Int64 // admission attempts, drives FaultPlan decisions
 }
 
 // waiter is one queued admission request.
@@ -237,13 +235,18 @@ func (g *Governor) Admit(ctx context.Context) (*Lease, error) {
 	if q, ok := QuotaFrom(ctx); ok {
 		quota = q
 	}
-	fault := g.cfg.Faults.forAdmission(g.admissions.Add(1) - 1)
-	if fault == faultShed {
-		g.shed.Add(1)
-		obs.ShedTotal.Inc()
-		obs.FaultsInjected.Inc()
-		return nil, qerr.Overload(g.retryHint(),
-			"governor: injected queue timeout: %w", qerr.ErrOverload)
+	if p := fault.Armed(); p != nil {
+		// Shed wins when both residues collide on one admission.
+		i := p.Next(fault.Admissions)
+		if p.Fire(fault.Shed, i) {
+			g.shed.Add(1)
+			obs.ShedTotal.Inc()
+			return nil, qerr.Overload(g.retryHint(),
+				"governor: injected queue timeout: %w", qerr.ErrOverload)
+		}
+		if p.Fire(fault.Starve, i) {
+			quota = p.Arg(fault.Starve)
+		}
 	}
 
 	g.mu.Lock()
@@ -251,7 +254,7 @@ func (g *Governor) Admit(ctx context.Context) (*Lease, error) {
 	// arriving queries never overtake waiters).
 	if g.running < g.cfg.MaxConcurrent && g.queue.Len() == 0 {
 		g.running++
-		lease := g.newLeaseLocked(fault, quota, 0)
+		lease := g.newLeaseLocked(quota, 0)
 		g.mu.Unlock()
 		return lease, nil
 	}
@@ -294,11 +297,11 @@ func (g *Governor) Admit(ctx context.Context) (*Lease, error) {
 			wait := time.Since(enqueued)
 			obs.QueueWaitNanos.Observe(wait.Nanoseconds())
 			g.mu.Lock()
-			lease := g.newLeaseLocked(fault, quota, wait)
+			lease := g.newLeaseLocked(quota, wait)
 			g.mu.Unlock()
 			return lease, nil
 		case <-ctx.Done():
-			if lease := g.abandonWait(w, fault, quota, enqueued); lease != nil {
+			if lease := g.abandonWait(w, quota, enqueued); lease != nil {
 				// Granted concurrently with cancellation: the slot is ours, but
 				// the query is dead. Hand the slot back and report the abort.
 				lease.Release()
@@ -311,7 +314,7 @@ func (g *Governor) Admit(ctx context.Context) (*Lease, error) {
 			return nil, qerr.New(kind, "admit",
 				fmt.Errorf("governor: context done while queued for admission: %w", cause))
 		case <-deadline:
-			if lease := g.abandonWait(w, fault, quota, enqueued); lease != nil {
+			if lease := g.abandonWait(w, quota, enqueued); lease != nil {
 				lease.Release()
 			}
 			g.shed.Add(1)
@@ -329,11 +332,11 @@ func (g *Governor) Admit(ctx context.Context) (*Lease, error) {
 // abandonment, the slot already belongs to w; the returned lease (built
 // under the same lock) lets the caller hand it back through the ordinary
 // release path. Returns nil when w was still queued.
-func (g *Governor) abandonWait(w *waiter, fault faultKind, quota int64, enqueued time.Time) *Lease {
+func (g *Governor) abandonWait(w *waiter, quota int64, enqueued time.Time) *Lease {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if w.granted {
-		return g.newLeaseLocked(fault, quota, time.Since(enqueued))
+		return g.newLeaseLocked(quota, time.Since(enqueued))
 	}
 	g.queue.Remove(w.elem)
 	obs.QueueDepth.Set(int64(g.queue.Len()))
@@ -341,14 +344,11 @@ func (g *Governor) abandonWait(w *waiter, fault faultKind, quota int64, enqueued
 }
 
 // newLeaseLocked builds the lease for a query that holds a slot; quota is
-// the per-query ledger quota (a WithQuota override or the configured
-// default). Callers hold g.mu (the pressure check reads queue depth).
-func (g *Governor) newLeaseLocked(fault faultKind, quota int64, wait time.Duration) *Lease {
+// the per-query ledger quota (a WithQuota override, the configured
+// default or an injected starved quota). Callers hold g.mu (the pressure
+// check reads queue depth).
+func (g *Governor) newLeaseLocked(quota int64, wait time.Duration) *Lease {
 	degraded := g.underPressureLocked()
-	if fault == faultStarveQuota {
-		quota = g.cfg.Faults.starvedQuota()
-		obs.FaultsInjected.Inc()
-	}
 	l := &Lease{
 		g:         g,
 		acct:      g.ledger.NewAccount(quota),

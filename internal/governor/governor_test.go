@@ -3,9 +3,11 @@ package governor
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/qerr"
 )
 
@@ -299,54 +301,72 @@ func TestLedgerQuotaAndGlobalExhaustion(t *testing.T) {
 	}
 }
 
-func TestFaultPlanDeterminism(t *testing.T) {
-	mk := func() *FaultPlan {
-		return &FaultPlan{Seed: 42, ShedEvery: 5, StarveQuotaEvery: 3, CancelEvery: 7}
+// admissionFaults admits n queries one at a time through a fresh
+// governor with p armed and spells each outcome: 's' shed, 'q' starved
+// quota, '.' clean.
+func admissionFaults(t *testing.T, p *fault.Plan, n int) string {
+	t.Helper()
+	defer fault.Arm(p)()
+	g := New(Config{})
+	out := make([]byte, n)
+	for i := range out {
+		l, err := g.Admit(context.Background())
+		switch {
+		case errors.Is(err, qerr.ErrOverload):
+			out[i] = 's'
+			continue
+		case err != nil:
+			t.Fatalf("admission %d: %v", i, err)
+		case l.Account().Quota() == p.Arg(fault.Starve):
+			out[i] = 'q'
+		default:
+			out[i] = '.'
+		}
+		l.Release()
 	}
-	a, b := mk(), mk()
-	for i := int64(0); i < 100; i++ {
-		if a.forAdmission(i) != b.forAdmission(i) {
-			t.Fatalf("admission %d: identical plans disagree", i)
-		}
-		if a.ShouldCancel(int(i)) != b.ShouldCancel(int(i)) {
-			t.Fatalf("cancel %d: identical plans disagree", i)
-		}
+	return string(out)
+}
+
+func TestFaultPlanDeterminism(t *testing.T) {
+	mk := func(seed int64) *fault.Plan {
+		return &fault.Plan{Seed: seed, Every: fault.PerClass{fault.Shed: 5, fault.Starve: 3, fault.Cancel: 7}}
+	}
+	a := admissionFaults(t, mk(42), 105) // lcm(5,3)=15 | 105, so counts are exact
+	if b := admissionFaults(t, mk(42), 105); a != b {
+		t.Fatalf("identical plans disagree:\n%s\n%s", a, b)
 	}
 	// Frequencies: 1-in-5 sheds, and shed takes precedence on collisions.
-	var sheds, starves int
-	for i := int64(0); i < 105; i++ { // lcm(5,3)=15 | 105, so counts are exact
-		switch a.forAdmission(i) {
-		case faultShed:
-			sheds++
-		case faultStarveQuota:
-			starves++
-		}
-	}
-	if sheds != 21 {
+	if sheds := strings.Count(a, "s"); sheds != 21 {
 		t.Errorf("sheds = %d in 105 admissions, want 21", sheds)
 	}
-	if starves != 35-7 { // 1-in-3 minus the 1-in-15 collisions shed wins
+	if starves := strings.Count(a, "q"); starves != 35-7 { // 1-in-3 minus the 1-in-15 collisions shed wins
 		t.Errorf("starves = %d in 105 admissions, want 28", starves)
 	}
-	// A different seed shifts which admissions fault, not how many.
-	c := &FaultPlan{Seed: 43, ShedEvery: 5, StarveQuotaEvery: 3}
-	var shedsC int
+	cancels := 0
 	for i := int64(0); i < 105; i++ {
-		if c.forAdmission(i) == faultShed {
-			shedsC++
+		if mk(42).Hits(fault.Cancel, i) {
+			cancels++
 		}
 	}
-	if shedsC != 21 {
-		t.Errorf("seed 43: sheds = %d, want 21", shedsC)
+	if cancels != 15 {
+		t.Errorf("cancels = %d in 105 queries, want 15", cancels)
+	}
+	// A different seed shifts which admissions fault, not how many.
+	c := admissionFaults(t, mk(43), 105)
+	if c == a {
+		t.Error("seed 43 faulted the same admissions as seed 42")
+	}
+	if sheds := strings.Count(c, "s"); sheds != 21 {
+		t.Errorf("seed 43: sheds = %d, want 21", sheds)
 	}
 }
 
 func TestInjectedAdmissionFaults(t *testing.T) {
-	g := New(Config{
-		MaxConcurrent: 4,
-		MaxBytes:      1 << 20,
-		Faults:        &FaultPlan{Seed: 0, ShedEvery: 3, StarveQuotaEvery: 2, QuotaBytes: 64},
-	})
+	g := New(Config{MaxConcurrent: 4, MaxBytes: 1 << 20})
+	defer fault.Arm(&fault.Plan{
+		Every: fault.PerClass{fault.Shed: 3, fault.Starve: 2},
+		Args:  fault.PerClass{fault.Starve: 64},
+	})()
 	// Seed 0: admissions 0, 3, 6, ... shed; 2 (not 0: shed wins), 4, 8, ...
 	// get the starved 64-byte quota.
 	if _, err := g.Admit(context.Background()); !errors.Is(err, qerr.ErrOverload) {

@@ -1,7 +1,7 @@
 package governor_test
 
 // The governor soak: ≥32 concurrent XMark queries hammer one governor
-// while a seeded FaultPlan injects every fault class at once — starved
+// while a seeded fault plan injects every fault class at once — starved
 // memory quotas, admission sheds, serial and morsel kernel panics, and
 // cancel storms. The process must degrade, never die: every error is a
 // classified taxonomy error, every successful result is byte-identical
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/governor"
 	"repro/internal/qerr"
 	"repro/internal/xmark"
@@ -56,20 +57,17 @@ func TestGovernorSoak(t *testing.T) {
 		baseline[id] = xml
 	}
 
-	plan := &governor.FaultPlan{
-		Seed:             1,
-		StarveQuotaEvery: 7,
-		QuotaBytes:       4096,
-		ShedEvery:        5,
-		PanicEvery:       701,
-		MorselPanicEvery: 211,
-		CancelEvery:      11,
+	plan := &fault.Plan{
+		Seed: 1,
+		Every: fault.PerClass{
+			fault.Starve: 7, fault.Shed: 5, fault.Panic: 701, fault.MorselPanic: 211, fault.Cancel: 11,
+		},
+		Args: fault.PerClass{fault.Starve: 4096},
 	}
 	gov := governor.New(governor.Config{
 		MaxConcurrent: 4,
 		MaxQueue:      64,
 		MaxBytes:      256 << 20,
-		Faults:        plan,
 	})
 	// Governed, parallel-capable plans shared across all clients
 	// (concurrent Prepared reuse is part of what soaks).
@@ -83,8 +81,7 @@ func TestGovernorSoak(t *testing.T) {
 		}
 		prepared[id] = p
 	}
-	disarm := plan.Arm()
-	defer disarm()
+	defer fault.Arm(plan)()
 
 	const (
 		clients = 32
@@ -125,7 +122,7 @@ func TestGovernorSoak(t *testing.T) {
 				id := queryIDs[n%len(queryIDs)]
 				ctx := context.Background()
 				var cancel context.CancelFunc
-				if plan.ShouldCancel(n) {
+				if plan.Hits(fault.Cancel, int64(n)) {
 					// Cancel storm: a deadline tight enough to usually fire
 					// mid-execution. Queries that finish first are fine —
 					// the storm tests the abort path, not a specific victim.
@@ -167,11 +164,11 @@ func TestGovernorSoak(t *testing.T) {
 	// The plan injects 1-in-5 admission sheds; with 128 runs some must
 	// have fired, and they must have surfaced as overloads.
 	if faulted["overload"] == 0 {
-		t.Error("no run was shed despite ShedEvery=5")
+		t.Error("no run was shed despite shed=5")
 	}
 	// 1-in-7 admissions get a 4 KiB quota no XMark query fits in.
 	if faulted["memory"] == 0 {
-		t.Error("no run starved despite StarveQuotaEvery=7")
+		t.Error("no run starved despite starve=7")
 	}
 	t.Logf("soak: successes=%v faulted=%v governor=%+v", successes, faulted, gov.Stats())
 

@@ -242,9 +242,6 @@ var (
 	// DowngradesTotal counts admitted queries executed degraded (parallel
 	// plan forced serial) because the process was under pressure.
 	DowngradesTotal = Default.Counter("governor_downgrades_total")
-	// FaultsInjected counts deterministic faults injected by an armed
-	// governor.FaultPlan (zero in production).
-	FaultsInjected = Default.Counter("governor_faults_injected_total")
 	// ActiveQueries gauges the queries currently holding an admission slot.
 	ActiveQueries = Default.Gauge("governor_active_queries")
 	// QueueDepth gauges the current admission-queue length.
@@ -257,8 +254,13 @@ var (
 	QueueWaitNanos = Default.Histogram("governor_queue_wait_ns")
 )
 
+// FaultsInjected counts faults an armed fault.Plan injected, at every
+// site: HTTP requests, governor admissions, kernel and morsel panics,
+// store opens, writes and query probes (zero in production).
+var FaultsInjected = Default.Counter("faults_injected_total")
+
 // Resilience metrics (internal/resilience): per-client rate limiting,
-// the stuck-query watchdog, circuit breakers and HTTP fault injection.
+// the stuck-query watchdog and circuit breakers.
 var (
 	// RateAllowedTotal counts requests admitted by per-client rate limits.
 	RateAllowedTotal = Default.Counter("ratelimit_allowed_total")
@@ -274,9 +276,6 @@ var (
 	BreakerOpensTotal = Default.Counter("breaker_opens_total")
 	// BreakerRejectsTotal counts requests rejected by an open breaker.
 	BreakerRejectsTotal = Default.Counter("breaker_rejects_total")
-	// HTTPFaultsInjected counts faults injected by an armed
-	// resilience.HTTPFaultPlan (zero in production).
-	HTTPFaultsInjected = Default.Counter("httpfault_injected_total")
 )
 
 // Out-of-core store metrics (internal/store): mmap'd columnar document

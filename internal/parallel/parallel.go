@@ -28,18 +28,13 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/xdm"
 	"repro/internal/xmltree"
 	"repro/internal/xquery"
 )
-
-// MorselHook, when non-nil, runs at the start of every morsel task inside
-// a worker goroutine. It exists for fault injection in tests (a panicking
-// kernel must surface as an error from EvalParOp, not crash the process)
-// and must not be set while queries are running.
-var MorselHook func()
 
 const (
 	defaultMinMorselRows = 256
@@ -184,8 +179,9 @@ func (e *executor) runTasks(n *algebra.Node, tasks []func() error) (time.Duratio
 // failure, draining the pool instead of crashing the process.
 func runMorsel(task func() error) (err error) {
 	defer qerr.RecoverInto("execute (parallel worker)", &err)
-	if MorselHook != nil {
-		MorselHook()
+	// The fault.Morsels site: an armed plan's morselpanic class fires here.
+	if p := fault.Armed(); p != nil && p.Fire(fault.MorselPanic, p.Next(fault.Morsels)) {
+		panic(fault.InjectedPanic)
 	}
 	return task()
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/qerr"
 	"repro/internal/vm"
@@ -274,8 +275,8 @@ func TestParallelCutoffs(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicIsolated injects a panic into every morsel task via the
-// fault hook and requires the query to fail with a diagnostic internal
+// TestWorkerPanicIsolated injects a panic into every morsel task via a
+// fault plan and requires the query to fail with a diagnostic internal
 // error — the worker pool must recover the panic, propagate it through
 // the merge path, and drain, instead of crashing the process.
 func TestWorkerPanicIsolated(t *testing.T) {
@@ -288,8 +289,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	parallel.MorselHook = func() { panic("poisoned morsel kernel") }
-	defer func() { parallel.MorselHook = nil }()
+	defer fault.Arm(&fault.Plan{Every: fault.PerClass{fault.MorselPanic: 1}})()
 	before := runtime.NumGoroutine()
 	_, err = vm.Run(vm.Compile(p.Plan.Root), store, docs, vm.Options{
 		Workers:       4,
@@ -308,7 +308,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if !strings.Contains(qe.Phase, "parallel worker") {
 		t.Errorf("phase %q does not identify the parallel worker", qe.Phase)
 	}
-	if !strings.Contains(err.Error(), "poisoned morsel kernel") {
+	if !strings.Contains(err.Error(), fault.InjectedPanic) {
 		t.Errorf("panic value lost from message: %v", err)
 	}
 	// The pool must drain even though every task panicked.

@@ -1,125 +1,57 @@
 package resilience
 
 import (
-	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/fault"
 )
-
-// HTTPFaultPlan is a deterministic, seeded fault-injection schedule for
-// the HTTP serving layer — the server-side sibling of the governor's
-// FaultPlan. Faults fire on fixed residues of a monotonic request
-// counter, with the residue derived from Seed, so the same seed always
-// faults the same requests regardless of timing and a failing chaos run
-// replays exactly.
-//
-// Fault classes, in precedence order when residues collide on one
-// request (most destructive wins):
-//
-//	ResetEvery     the connection is aborted before the handler runs —
-//	               the client sees a transport error, never a status.
-//	TruncateEvery  the handler runs, but the response body is cut off
-//	               after TruncateBytes and the connection aborted, so
-//	               the client reads a partial body that fails mid-read
-//	               (an unterminated chunked response, not a short 200).
-//	Err500Every /  the handler is bypassed with a forced 500 / 503
-//	Err503Every    (retryable from the client's point of view).
-//	LatencyEvery   Latency is added before the handler (composes with a
-//	               normal response; the only non-destructive class).
-//
-// Zero fields disable their class; the zero plan injects nothing. The
-// plan is armed only through the server's test/config hook (exrquyd's
-// -chaos flag, documented test-only) and is nil in production.
-type HTTPFaultPlan struct {
-	// Seed varies which requests fault without changing how many.
-	Seed int64
-	// LatencyEvery > 0 delays every Nth request by Latency.
-	LatencyEvery int
-	// Latency is the injected delay; <= 0 means 2ms.
-	Latency time.Duration
-	// Err500Every > 0 forces a 500 on every Nth request.
-	Err500Every int
-	// Err503Every > 0 forces a 503 on every Nth request.
-	Err503Every int
-	// ResetEvery > 0 aborts the connection on every Nth request.
-	ResetEvery int
-	// TruncateEvery > 0 truncates the response body of every Nth request.
-	TruncateEvery int
-	// TruncateBytes is where truncation cuts the body; <= 0 means 16.
-	TruncateBytes int
-
-	requests atomic.Int64
-}
-
-// hits reports whether event number i (0-based) fires for a 1-in-n fault
-// class, at the seed's residue (same scheme as governor.FaultPlan).
-func (f *HTTPFaultPlan) hits(i int64, n int) bool {
-	if n <= 0 {
-		return false
-	}
-	residue := f.Seed % int64(n)
-	if residue < 0 {
-		residue += int64(n)
-	}
-	return i%int64(n) == residue
-}
-
-// latency returns the effective injected delay.
-func (f *HTTPFaultPlan) latency() time.Duration {
-	if f.Latency > 0 {
-		return f.Latency
-	}
-	return 2 * time.Millisecond
-}
-
-// truncateBytes returns the effective truncation offset.
-func (f *HTTPFaultPlan) truncateBytes() int {
-	if f.TruncateBytes > 0 {
-		return f.TruncateBytes
-	}
-	return 16
-}
 
 // injectedBody is the response text of forced 500/503 faults, so chaos
 // logs can tell an injected error from a real one.
-const injectedBody = "injected fault (resilience.HTTPFaultPlan)"
+const injectedBody = "injected fault (fault.Plan)"
 
-// Wrap returns next wrapped with the plan's fault schedule. A nil plan
-// returns next unchanged. Wrap is installed per-route by the server so
-// health/metrics endpoints stay fault-free and drains observable.
-func (f *HTTPFaultPlan) Wrap(next http.Handler) http.Handler {
-	if f == nil {
-		return next
-	}
+// InjectFaults wraps next with the armed fault plan's HTTP classes. Each
+// request is one event of the fault.Requests site; when residues collide
+// on one request the most destructive class wins:
+//
+//	reset     the connection is aborted before the handler runs — the
+//	          client sees a transport error, never a status.
+//	truncate  the handler runs, but the body is cut off after the class
+//	          argument's bytes and the connection aborted, so the client
+//	          reads a partial body that fails mid-read (an unterminated
+//	          chunked response, not a short 200).
+//	err500 /  the handler is bypassed with a forced 500 / 503
+//	err503    (retryable from the client's point of view).
+//	latency   the class argument's delay is added before the handler
+//	          (the only non-destructive class).
+//
+// With no plan armed a request costs one pointer load. The server wraps
+// only its /query routes, so health and metrics endpoints stay truthful.
+func InjectFaults(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		i := f.requests.Add(1) - 1
+		p := fault.Armed()
+		if p == nil {
+			next.ServeHTTP(w, r)
+			return
+		}
+		i := p.Next(fault.Requests)
 		switch {
-		case f.hits(i, f.ResetEvery):
-			obs.HTTPFaultsInjected.Inc()
+		case p.Fire(fault.Reset, i):
 			// net/http treats ErrAbortHandler panics as a deliberate
 			// mid-response abort: the connection closes without a
 			// status line and the client sees a transport error.
 			panic(http.ErrAbortHandler)
-		case f.hits(i, f.TruncateEvery):
-			obs.HTTPFaultsInjected.Inc()
-			tw := &truncatingWriter{ResponseWriter: w, remaining: f.truncateBytes()}
-			next.ServeHTTP(tw, r)
-		case f.hits(i, f.Err500Every):
-			obs.HTTPFaultsInjected.Inc()
+		case p.Fire(fault.Truncate, i):
+			next.ServeHTTP(&truncatingWriter{ResponseWriter: w, remaining: int(p.Arg(fault.Truncate))}, r)
+		case p.Fire(fault.Err500, i):
 			http.Error(w, injectedBody, http.StatusInternalServerError)
-		case f.hits(i, f.Err503Every):
-			obs.HTTPFaultsInjected.Inc()
+		case p.Fire(fault.Err503, i):
 			// Deliberately no Retry-After: injected 503s exercise the
 			// client's own backoff, not a server hint.
 			http.Error(w, injectedBody, http.StatusServiceUnavailable)
-		case f.hits(i, f.LatencyEvery):
-			obs.HTTPFaultsInjected.Inc()
-			time.Sleep(f.latency())
+		case p.Fire(fault.Latency, i):
+			time.Sleep(time.Duration(p.Arg(fault.Latency)))
 			next.ServeHTTP(w, r)
 		default:
 			next.ServeHTTP(w, r)
@@ -149,73 +81,4 @@ func (t *truncatingWriter) Write(p []byte) (int, error) {
 		fl.Flush()
 	}
 	panic(http.ErrAbortHandler)
-}
-
-// Counted returns how many requests the plan has scheduled so far.
-func (f *HTTPFaultPlan) Counted() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.requests.Load()
-}
-
-// ParseFaultSpec parses the exrquyd -chaos flag syntax into a plan:
-// comma-separated key=value pairs, where each class takes the 1-in-N
-// period as its value.
-//
-//	seed=7,latency=13:3ms,err500=17,err503=19,reset=23,truncate=29:16
-//
-// latency takes an optional :duration suffix, truncate an optional
-// :bytes suffix. An empty spec returns a nil plan (faults disarmed).
-func ParseFaultSpec(spec string) (*HTTPFaultPlan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	plan := &HTTPFaultPlan{}
-	for _, kv := range strings.Split(spec, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("fault spec: %q is not key=value", kv)
-		}
-		val, suffix, _ := strings.Cut(val, ":")
-		if suffix != "" && key != "latency" && key != "truncate" {
-			return nil, fmt.Errorf("fault spec: %s does not take a :suffix", key)
-		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault spec: %s: %v", key, err)
-		}
-		switch key {
-		case "seed":
-			plan.Seed = n
-		case "latency":
-			plan.LatencyEvery = int(n)
-			if suffix != "" {
-				d, err := time.ParseDuration(suffix)
-				if err != nil {
-					return nil, fmt.Errorf("fault spec: latency duration: %v", err)
-				}
-				plan.Latency = d
-			}
-		case "err500":
-			plan.Err500Every = int(n)
-		case "err503":
-			plan.Err503Every = int(n)
-		case "reset":
-			plan.ResetEvery = int(n)
-		case "truncate":
-			plan.TruncateEvery = int(n)
-			if suffix != "" {
-				b, err := strconv.Atoi(suffix)
-				if err != nil {
-					return nil, fmt.Errorf("fault spec: truncate bytes: %v", err)
-				}
-				plan.TruncateBytes = b
-			}
-		default:
-			return nil, fmt.Errorf("fault spec: unknown class %q", key)
-		}
-	}
-	return plan, nil
 }

@@ -25,12 +25,11 @@
 //     pathological query pattern fails fast instead of repeatedly
 //     occupying governor slots until the watchdog fires.
 //
-//   - HTTPFaultPlan: a deterministic, seeded fault-injection middleware
-//     for the HTTP layer — the server-side sibling of the governor's
-//     FaultPlan. Injected latency, forced 500/503, connection resets and
-//     partial-body truncation fire on fixed residues of a request
-//     counter, so a failing chaos run replays exactly. It is armed only
-//     through a test/config hook and is inert (nil) in production.
+//   - InjectFaults: the HTTP site of the process's one fault plane
+//     (internal/fault). Injected latency, forced 500/503, connection
+//     resets and partial-body truncation fire on the armed plan's
+//     residues of the /query request count, so a failing chaos run
+//     replays exactly. With no plan armed — production — it is inert.
 //
 // All of this is licensed by the paper's central property: order
 // indifference makes evaluation of order-dead plan regions insensitive
@@ -42,5 +41,6 @@
 // argument that licensed morsel parallelism and serial degradation).
 //
 // Metric handles live in internal/obs alongside the engine/governor
-// families (ratelimit_*, watchdog_*, breaker_*, httpfault_*).
+// families (ratelimit_*, watchdog_*, breaker_*; injected faults count in
+// faults_injected_total).
 package resilience

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // fakeClock is an injectable, manually advanced clock for the limiter and
@@ -255,17 +257,17 @@ func TestBreakerNilAndDisabled(t *testing.T) {
 }
 
 func TestFaultPlanDeterministic(t *testing.T) {
-	a := &HTTPFaultPlan{Seed: 7, Err500Every: 5}
-	b := &HTTPFaultPlan{Seed: 7, Err500Every: 5}
+	a := &fault.Plan{Seed: 7, Every: fault.PerClass{fault.Err500: 5}}
+	b := &fault.Plan{Seed: 7, Every: fault.PerClass{fault.Err500: 5}}
 	for i := int64(0); i < 100; i++ {
-		if a.hits(i, 5) != b.hits(i, 5) {
+		if a.Hits(fault.Err500, i) != b.Hits(fault.Err500, i) {
 			t.Fatalf("same seed diverged at request %d", i)
 		}
 	}
 	// Exactly 1 in 5 over any aligned window.
 	fired := 0
 	for i := int64(0); i < 100; i++ {
-		if a.hits(i, 5) {
+		if a.Hits(fault.Err500, i) {
 			fired++
 		}
 	}
@@ -274,15 +276,38 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	}
 }
 
+// faultServer serves inner behind InjectFaults with plan armed; the
+// cleanup closes the server and disarms the plan.
+func faultServer(t *testing.T, plan *fault.Plan, inner http.Handler) *httptest.Server {
+	t.Helper()
+	disarm := fault.Arm(plan)
+	srv := httptest.NewServer(InjectFaults(inner))
+	t.Cleanup(func() { srv.Close(); disarm() })
+	return srv
+}
+
 func TestFaultMiddlewareClasses(t *testing.T) {
 	body := strings.Repeat("x", 256)
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, body)
 	})
 
-	// err500: seed 0, every request.
-	srv := httptest.NewServer((&HTTPFaultPlan{Err500Every: 1}).Wrap(inner))
+	// no plan armed: passthrough.
+	srv := httptest.NewServer(InjectFaults(inner))
+	defer srv.Close()
 	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatalf("disarmed request failed: %v", err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(got) != body {
+		t.Fatalf("disarmed middleware answered %d %q", resp.StatusCode, got)
+	}
+
+	// err500: seed 0, every request.
+	srv = faultServer(t, &fault.Plan{Every: fault.PerClass{fault.Err500: 1}}, inner)
+	resp, err = http.Get(srv.URL)
 	if err != nil {
 		t.Fatalf("forced-500 request failed at transport level: %v", err)
 	}
@@ -294,24 +319,22 @@ func TestFaultMiddlewareClasses(t *testing.T) {
 	if !strings.Contains(string(b), "injected fault") {
 		t.Fatalf("forced-500 body %q does not identify itself as injected", b)
 	}
-	srv.Close()
 
 	// reset: the client sees a transport error, not a status.
-	srv = httptest.NewServer((&HTTPFaultPlan{ResetEvery: 1}).Wrap(inner))
+	srv = faultServer(t, &fault.Plan{Every: fault.PerClass{fault.Reset: 1}}, inner)
 	if resp, err := http.Get(srv.URL); err == nil {
 		resp.Body.Close()
 		t.Fatal("reset fault still produced a response")
 	}
-	srv.Close()
 
 	// truncate: status + partial body arrive, then the read fails — a
 	// truncated 200 can never be mistaken for a complete one.
-	srv = httptest.NewServer((&HTTPFaultPlan{TruncateEvery: 1, TruncateBytes: 10}).Wrap(inner))
+	srv = faultServer(t, &fault.Plan{Every: fault.PerClass{fault.Truncate: 1}, Args: fault.PerClass{fault.Truncate: 10}}, inner)
 	resp, err = http.Get(srv.URL)
 	if err != nil {
 		t.Fatalf("truncated request failed before headers: %v", err)
 	}
-	got, err := io.ReadAll(resp.Body)
+	got, err = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err == nil {
 		t.Fatalf("truncated body read succeeded with %d bytes", len(got))
@@ -319,10 +342,10 @@ func TestFaultMiddlewareClasses(t *testing.T) {
 	if len(got) > 10 {
 		t.Fatalf("read %d bytes past the 10-byte truncation point", len(got))
 	}
-	srv.Close()
 
 	// latency: response still completes, and visibly later.
-	srv = httptest.NewServer((&HTTPFaultPlan{LatencyEvery: 1, Latency: 30 * time.Millisecond}).Wrap(inner))
+	latency := fault.PerClass{fault.Latency: int64(30 * time.Millisecond)}
+	srv = faultServer(t, &fault.Plan{Every: fault.PerClass{fault.Latency: 1}, Args: latency}, inner)
 	start := time.Now()
 	resp, err = http.Get(srv.URL)
 	if err != nil {
@@ -336,32 +359,28 @@ func TestFaultMiddlewareClasses(t *testing.T) {
 	if time.Since(start) < 30*time.Millisecond {
 		t.Fatal("latency fault did not delay")
 	}
-	srv.Close()
 
-	// nil plan: passthrough.
-	if h := (*HTTPFaultPlan)(nil).Wrap(inner); h == nil {
-		t.Fatal("nil plan returned nil handler")
-	}
 }
 
+// The HTTP classes of the fault spec grammar: each key lands on its
+// class with its :suffix argument, and malformed HTTP keys are refused.
 func TestParseFaultSpec(t *testing.T) {
-	plan, err := ParseFaultSpec("seed=7,latency=13:3ms,err500=17,err503=19,reset=23,truncate=29:64")
+	plan, err := fault.Parse("seed=7,latency=13:3ms,err500=17,err503=19,reset=23,truncate=29:64")
 	if err != nil {
-		t.Fatalf("ParseFaultSpec: %v", err)
+		t.Fatalf("fault.Parse: %v", err)
 	}
-	if plan.Seed != 7 || plan.LatencyEvery != 13 || plan.Latency != 3*time.Millisecond ||
-		plan.Err500Every != 17 || plan.Err503Every != 19 || plan.ResetEvery != 23 ||
-		plan.TruncateEvery != 29 || plan.TruncateBytes != 64 {
-		t.Fatalf("parsed seed=%d latency=%d:%v err500=%d err503=%d reset=%d truncate=%d:%d",
-			plan.Seed, plan.LatencyEvery, plan.Latency, plan.Err500Every,
-			plan.Err503Every, plan.ResetEvery, plan.TruncateEvery, plan.TruncateBytes)
+	want := fault.PerClass{fault.Latency: 13, fault.Err500: 17, fault.Err503: 19, fault.Reset: 23, fault.Truncate: 29}
+	if plan.Seed != 7 || plan.Every != want ||
+		plan.Arg(fault.Latency) != int64(3*time.Millisecond) || plan.Arg(fault.Truncate) != 64 {
+		t.Fatalf("parsed seed=%d every=%v latency=%v truncate=%d",
+			plan.Seed, plan.Every, time.Duration(plan.Arg(fault.Latency)), plan.Arg(fault.Truncate))
 	}
-	if p, err := ParseFaultSpec(""); err != nil || p != nil {
+	if p, err := fault.Parse(""); err != nil || p != nil {
 		t.Fatalf("empty spec = (%v, %v), want (nil, nil)", p, err)
 	}
 	for _, bad := range []string{"nope", "x=1", "err500=abc", "err500=1:5ms", "latency=3:zzz"} {
-		if _, err := ParseFaultSpec(bad); err == nil {
-			t.Fatalf("ParseFaultSpec(%q) accepted", bad)
+		if _, err := fault.Parse(bad); err == nil {
+			t.Fatalf("fault.Parse(%q) accepted", bad)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 	exrquy "repro"
 	"repro/internal/client"
-	"repro/internal/resilience"
+	"repro/internal/fault"
 	"repro/internal/xmarkq"
 )
 
@@ -28,18 +28,15 @@ func TestChaosSoak(t *testing.T) {
 	)
 	baseline := runtime.NumGoroutine()
 
-	plan := &resilience.HTTPFaultPlan{
-		Seed:          11,
-		Err500Every:   9,
-		Err503Every:   15,
-		ResetEvery:    21,
-		TruncateEvery: 25,
-		TruncateBytes: 32,
-		LatencyEvery:  6,
-		Latency:       time.Millisecond,
+	plan := &fault.Plan{
+		Seed: 11,
+		Every: fault.PerClass{
+			fault.Err500: 9, fault.Err503: 15, fault.Reset: 21, fault.Truncate: 25, fault.Latency: 6,
+		},
+		Args: fault.PerClass{fault.Truncate: 32, fault.Latency: int64(time.Millisecond)},
 	}
+	defer fault.Arm(plan)()
 	s := New(Config{
-		Faults:          plan,
 		WatchdogTimeout: 5 * time.Second, // armed, but nothing should wedge
 	})
 	s.Engine().LoadXMark("auction.xml", factor)
@@ -110,8 +107,8 @@ func TestChaosSoak(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatal("no request succeeded; the soak exercised nothing")
 	}
-	if plan.Counted() == 0 {
-		t.Fatal("fault plan never fired")
+	if plan.Injected() == 0 {
+		t.Fatal("fault plan never injected a fault")
 	}
 
 	// Drain: admission closes, in-flight queries finish, ledger returns
@@ -131,7 +128,7 @@ func TestChaosSoak(t *testing.T) {
 
 	st := c.Stats()
 	t.Logf("soak: %d ok, %d gave up; faults injected %d; client %+v",
-		ok.Load(), exhausted.Load(), plan.Counted(), st)
+		ok.Load(), exhausted.Load(), plan.Injected(), st)
 	if st.Retries == 0 {
 		t.Fatal("client never retried under an armed fault plan")
 	}

@@ -17,13 +17,14 @@ import (
 )
 
 // routes wires the endpoint table (Go 1.22 method patterns). Only the
-// /query route passes through the fault-injection middleware (a no-op on
-// the nil plan of a production config): chaos drills target the query
-// path, while health checks and document management stay truthful.
+// /query route passes through the fault-injection middleware (a no-op
+// while no fault plan is armed, as in production): chaos drills target
+// the query path, while health checks and document management stay
+// truthful.
 func (s *Server) routes() {
-	query := http.HandlerFunc(s.handleQuery)
-	s.mux.Handle("GET /query", s.cfg.Faults.Wrap(query))
-	s.mux.Handle("POST /query", s.cfg.Faults.Wrap(query))
+	query := resilience.InjectFaults(http.HandlerFunc(s.handleQuery))
+	s.mux.Handle("GET /query", query)
+	s.mux.Handle("POST /query", query)
 	s.mux.HandleFunc("PUT /documents/{name}", s.handlePutDocument)
 	s.mux.HandleFunc("DELETE /documents/{name}", s.handleDeleteDocument)
 	s.mux.HandleFunc("GET /documents", s.handleListDocuments)

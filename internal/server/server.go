@@ -107,10 +107,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker rejects before
 	// admitting a half-open probe; 0 means 5 s.
 	BreakerCooldown time.Duration
-	// Faults, when non-nil, arms deterministic fault injection on the
-	// /query route (injected latency, forced 500/503, connection resets,
-	// body truncation). Test/chaos hook only — leave nil in production.
-	Faults *resilience.HTTPFaultPlan
 
 	// ScrubInterval enables background scrubbing on every attached
 	// store: part-file checksums are re-verified at this cadence,

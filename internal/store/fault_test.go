@@ -8,33 +8,34 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/qerr"
 )
 
+// The storage classes of the fault spec grammar, as the docs write them.
 func TestParseFaultSpec(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		for _, spec := range []string{"", "   "} {
-			plan, err := ParseFaultSpec(spec)
+			plan, err := fault.Parse(spec)
 			if err != nil || plan != nil {
-				t.Fatalf("ParseFaultSpec(%q) = %v, %v; want nil, nil", spec, plan, err)
+				t.Fatalf("fault.Parse(%q) = %v, %v; want nil, nil", spec, plan, err)
 			}
 		}
 	})
 	t.Run("full", func(t *testing.T) {
-		plan, err := ParseFaultSpec("seed=7, eio=11,badcrc=13,shortread=17,mmap=19,torn=23")
+		plan, err := fault.Parse("seed=7, eio=11,badcrc=13,shortread=17,mmap=19,torn=23")
 		if err != nil {
-			t.Fatalf("ParseFaultSpec: %v", err)
+			t.Fatalf("fault.Parse: %v", err)
 		}
-		want := FaultPlan{Seed: 7, EIOEvery: 11, BadCRCEvery: 13, ShortReadEvery: 17, MmapEvery: 19, TornEvery: 23}
-		if plan.Seed != want.Seed || plan.EIOEvery != want.EIOEvery || plan.BadCRCEvery != want.BadCRCEvery ||
-			plan.ShortReadEvery != want.ShortReadEvery || plan.MmapEvery != want.MmapEvery || plan.TornEvery != want.TornEvery {
-			t.Fatalf("ParseFaultSpec = %+v, want %+v", plan, &want)
+		want := fault.PerClass{fault.EIO: 11, fault.BadCRC: 13, fault.ShortRead: 17, fault.Mmap: 19, fault.Torn: 23}
+		if plan.Seed != 7 || plan.Every != want {
+			t.Fatalf("fault.Parse = seed %d every %v, want seed 7 every %v", plan.Seed, plan.Every, want)
 		}
 	})
 	t.Run("errors", func(t *testing.T) {
 		for _, spec := range []string{"eio", "eio=x", "bogus=3", "eio=3,"} {
-			if _, err := ParseFaultSpec(spec); err == nil {
-				t.Errorf("ParseFaultSpec(%q) succeeded, want error", spec)
+			if _, err := fault.Parse(spec); err == nil {
+				t.Errorf("fault.Parse(%q) succeeded, want error", spec)
 			}
 		}
 	})
@@ -48,8 +49,7 @@ func TestOpenFaultUnreplicated(t *testing.T) {
 	if err := WriteDoc([]string{dir}, "auction.xml", frag); err != nil {
 		t.Fatalf("WriteDoc: %v", err)
 	}
-	SetFaults(&FaultPlan{ShortReadEvery: 1})
-	defer SetFaults(nil)
+	defer fault.Arm(&fault.Plan{Every: fault.PerClass{fault.ShortRead: 1}})()
 	st, err := Open([]string{dir}, Options{})
 	if err == nil {
 		st.Close()
@@ -74,8 +74,7 @@ func TestMountFailoverOnOpenFault(t *testing.T) {
 	}
 	// Seed 0, every other open faults: each part's replica 0 is probed
 	// first and faults, its replica 1 follows and succeeds.
-	SetFaults(&FaultPlan{Seed: 0, MmapEvery: 2})
-	defer SetFaults(nil)
+	defer fault.Arm(&fault.Plan{Seed: 0, Every: fault.PerClass{fault.Mmap: 2}})()
 	st, err := Open(dirs, Options{})
 	if err != nil {
 		t.Fatalf("replicated mount did not fail over: %v", err)
@@ -109,9 +108,9 @@ func TestTornWriteLeavesStoreConsistent(t *testing.T) {
 		t.Fatalf("WriteDoc: %v", err)
 	}
 
-	SetFaults(&FaultPlan{TornEvery: 1})
+	disarm := fault.Arm(&fault.Plan{Every: fault.PerClass{fault.Torn: 1}})
 	err := WriteDoc([]string{dir}, "second.xml", doc2)
-	SetFaults(nil)
+	disarm()
 	if err == nil || !strings.Contains(err.Error(), "torn write") {
 		t.Fatalf("want injected torn-write crash, got %v", err)
 	}

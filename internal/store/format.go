@@ -33,6 +33,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/fault"
 	"repro/internal/qerr"
 	"repro/internal/xmltree"
 )
@@ -309,10 +310,8 @@ func WriteDocOpts(dirs []string, uri string, frag *xmltree.Fragment, opts WriteO
 	// The torn-write window: parts durable, manifests not yet written. A
 	// crash (or an injected one) here leaves orphaned part files that no
 	// manifest names — invisible to mounts, overwritten by a rerun.
-	if f := ArmedFaults(); f != nil {
-		if err := f.writeFault(uri); err != nil {
-			return err
-		}
+	if p := fault.Armed(); p != nil && p.Fire(fault.Torn, p.Next(fault.Writes)) {
+		return fmt.Errorf("store: injected torn write: crashed before publishing manifests for %q (fault plan)", uri)
 	}
 
 	// Phase 2: publish — per-directory manifest updates, each atomic.

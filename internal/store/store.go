@@ -8,11 +8,17 @@
 //
 // Fault tolerance: a part replicated by WriteDocOpts mounts the first
 // healthy copy and keeps the rest as standby sources. A fault observed
-// mid-query (injected I/O error, lazily-detected CRC mismatch, a test's
-// KillReplica) marks the part suspect; FailoverSuspects then swaps the
-// mapping to the next replica and reassembles the affected documents.
+// mid-query (an armed internal/fault plan's eio or badcrc, a
+// lazily-detected CRC mismatch, a test's KillReplica) marks the part
+// suspect; FailoverSuspects then swaps the mapping to the next replica
+// and reassembles the affected documents.
 // The replaced mapping is never unmapped while the store is open — it is
 // condemned instead — so in-flight results that alias it stay valid.
+//
+// Part opens, WriteDoc's torn-write window and each store-backed
+// execution's first probe (QueryFault) are sites of the process's fault
+// plane (internal/fault); with no plan armed each costs one atomic
+// pointer load.
 package store
 
 import (
@@ -25,6 +31,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/qerr"
 	"repro/internal/xdm"
@@ -294,9 +301,15 @@ func Open(dirs []string, opts Options) (st *Store, err error) {
 // agreement; section checksums are verified when verify is set (eager
 // mounts) and deferred to Health otherwise.
 func openMapping(path string, mp manifestPart, verify bool) (*mapping, error) {
-	if fp := ArmedFaults(); fp != nil {
-		if err := fp.openFault(path); err != nil {
-			return nil, err
+	if p := fault.Armed(); p != nil {
+		// Injected open faults classify exactly as the real ones: a short
+		// read (which wins a collision) as ErrCorrupt, a failed map as I/O.
+		i := p.Next(fault.Opens)
+		if p.Fire(fault.ShortRead, i) {
+			return nil, corruptf("%s: truncated by injected short read (fault plan)", path)
+		}
+		if p.Fire(fault.Mmap, i) {
+			return nil, fmt.Errorf("store: %s: injected mmap failure (fault plan)", path)
 		}
 	}
 	f, err := os.Open(path)
@@ -546,6 +559,40 @@ func (s *Store) faultErrLocked(p *part) error {
 		return qerr.Newf(qerr.ErrCorrupt, "execute", "store: %s (no replica to fail over to)", msg)
 	}
 	return qerr.Newf(qerr.ErrCorrupt, "execute", "store: %s (all %d replicas bad)", msg, len(p.srcs))
+}
+
+// QueryFault gives plan p at most one fault for one execution over the
+// mounted stores: when the execution's number hits the eio (which wins
+// a collision) or badcrc residue, a part chosen by rotation across the
+// stores is marked suspect — exactly as a real fault would — and the
+// corresponding error returned (retryable iff a standby replica
+// remains). The mounting engine calls it from each execution's first
+// store probe; executions with no part mounted are not numbered.
+func QueryFault(p *fault.Plan, stores []*Store) error {
+	total := 0
+	for _, st := range stores {
+		total += st.numParts()
+	}
+	if total == 0 {
+		return nil
+	}
+	i := p.Next(fault.Queries)
+	kind := "injected I/O error"
+	if !p.Fire(fault.EIO, i) {
+		if !p.Fire(fault.BadCRC, i) {
+			return nil
+		}
+		kind = "injected checksum mismatch"
+	}
+	k := int(i % int64(total))
+	for _, st := range stores {
+		n := st.numParts()
+		if k < n {
+			return st.injectPartFault(k, kind)
+		}
+		k -= n
+	}
+	return nil
 }
 
 // injectPartFault marks part k suspect on behalf of an armed fault plan

@@ -30,7 +30,17 @@ func (s *Store) Add(f *Fragment) uint32 {
 	return id
 }
 
-// Frag returns the fragment with the given ID.
+// Release forgets the fragment with the given ID: its slot reads nil from
+// now on and its ID is never reused. Stores derived earlier keep their
+// own reference, so executions and results already holding it are
+// unaffected.
+func (s *Store) Release(id uint32) {
+	s.mu.Lock()
+	s.frags[id] = nil
+	s.mu.Unlock()
+}
+
+// Frag returns the fragment with the given ID (nil once released).
 func (s *Store) Frag(id uint32) *Fragment {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -40,7 +50,7 @@ func (s *Store) Frag(id uint32) *Fragment {
 	return s.frags[id]
 }
 
-// Len returns the number of registered fragments.
+// Len returns the number of fragment IDs assigned, released ones included.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos smoke test, used by the CI chaos-smoke job and runnable locally:
 # boot exrquyd with deterministic fault injection armed on /query
-# (-chaos: forced 500s, connection resets, truncated bodies, injected
+# (-faults: forced 500s, connection resets, truncated bodies, injected
 # latency) plus the watchdog, then drive it with loadgen's retrying +
 # hedging client and assert the run ends clean — retries happened, the
 # final outcomes were all 200/429, and the daemon still drains
@@ -20,7 +20,7 @@ go build -o "$workdir/loadgen" ./cmd/loadgen
 echo "== boot with faults armed"
 "$workdir/exrquyd" -addr 127.0.0.1:0 -addr-file "$workdir/addr" \
     -xmark 0.005 -watchdog 5s \
-    -chaos 'seed=7,err500=11,reset=17,truncate=23:48,latency=5:2ms' \
+    -faults 'seed=7,err500=11,reset=17,truncate=23:48,latency=5:2ms' \
     >"$workdir/daemon.log" 2>&1 &
 daemon_pid=$!
 for _ in $(seq 1 100); do
@@ -55,8 +55,8 @@ retries=$(echo "$resilience_line" | sed -E 's/^resilience: ([0-9]+) retries.*/\1
 echo "   ok: $resilience_line"
 
 echo "== faults actually fired"
-injected=$(curl -s "$base/metrics" | awk '$1 == "httpfault_injected_total" {print $2}')
-[ -n "$injected" ] && [ "$injected" -ge 1 ] || { echo "FAIL: httpfault_injected_total = ${injected:-missing}"; exit 1; }
+injected=$(curl -s "$base/metrics" | awk '$1 == "faults_injected_total" {print $2}')
+[ -n "$injected" ] && [ "$injected" -ge 1 ] || { echo "FAIL: faults_injected_total = ${injected:-missing}"; exit 1; }
 echo "   ok: $injected faults injected"
 
 echo "== graceful shutdown still works after chaos"
