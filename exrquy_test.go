@@ -129,6 +129,8 @@ func TestValueJoinErrorParity(t *testing.T) {
 			`for $g in doc("v.xml")/r/g
 			 let $k := if ($g/@t = "n") then number($g/@k) else string($g/@k)
 			 return count(for $v in (if ($g/@t = "n") then (1, 2) else ("s", "t")) where $v = $k return $v)`, "1 1"},
+		{"a let between the for and the where does not hide the error",
+			`for $p in ("s") let $l := for $i in (1,2) let $j := $i * 2 where $i = $p return $j return count($l)`, ""},
 	} {
 		for _, ordering := range []Ordering{Ordered, Unordered} {
 			eng := New(WithOrdering(ordering))
@@ -155,6 +157,84 @@ func TestValueJoinErrorParity(t *testing.T) {
 			r, _ := ref.XML()
 			if g != c.want || r != c.want {
 				t.Errorf("%s (%v): pipeline %q, reference %q, want %q", c.name, ordering, g, r, c.want)
+			}
+		}
+	}
+}
+
+// TestValueJoinFusionDifferential: a for clause whose iterations are
+// minted from the value join in its where clause returns what the
+// reference interpreter returns — byte-equal in ordering mode ordered,
+// bag-equal in unordered — across the shapes the minting accepts, the one
+// it must decline (at $k: positions count the whole binding sequence) and
+// the edge cases of the join itself.
+func TestValueJoinFusionDifferential(t *testing.T) {
+	const doc = `<s>
+		<p id="a" v="1"/><p id="b" v="2"/><p id="c" v="NaN"/><p id="d" v="x"/><p id="e" v="2"/>
+		<o k="2" r="a"/><o k="1" r="b"/><o k="2" r="a"/><o k="NaN" r="c"/><o k="3" r="e"/>
+		<g k="2"><i n="1"/><i n="2"/></g><g k="3"><i n="2"/><i n="3"/><i n="3"/></g></s>`
+	const p, o = `doc("j.xml")/s/p`, `doc("j.xml")/s/o`
+	for _, c := range []struct {
+		name, query string
+		minted      bool
+	}{
+		{"let between for and where (Q9)", `for $p in ` + p + `
+			let $l := for $o in ` + o + ` let $r := string($o/@k) where $o/@r = $p/@id return <m>{ $r }</m>
+			return <r id="{ $p/@id }">{ $l }</r>`, true},
+		{"where join and filter", `for $p in ` + p + `
+			return count(for $o in ` + o + ` where $o/@k = $p/@v and $o/@r != "a" return $o)`, true},
+		{"where filter and join", `for $p in ` + p + `
+			return <r>{ for $o in ` + o + ` where exists($o/@r) and $p/@id = $o/@r return string($o/@k) }</r>`, true},
+		{"positional variable keeps the pair space", `for $p in ` + p + `
+			return <r>{ for $o at $k in ` + o + ` where $o/@r = $p/@id return $k }</r>`, false},
+		{"inner order by", `for $p in ` + p + `
+			return <r>{ for $o in ` + o + ` where $o/@k >= $p/@v order by string($o/@r) descending return string($o/@r) }</r>`, true},
+		{"inner sequence depends on the outer variable", `for $g in doc("j.xml")/s/g let $k := $g/@k
+			return <r>{ for $i in $g/i where $i/@n = $k return string($i/@n) }</r>`, true},
+		{"empty inner side", `for $p in ` + p + `
+			return count(for $o in doc("j.xml")/s/none where $o/@r = $p/@id return $o)`, true},
+		{"empty outer side", `for $p in doc("j.xml")/s/none
+			return count(for $o in ` + o + ` where $o/@r = $p/@id return $o)`, true},
+		{"duplicate keys", `for $p in ` + p + `
+			return <r>{ for $o in ` + o + ` where $o/@k = $p/@v return string($o/@r) }</r>`, true},
+		{"NaN never compares", `for $p in ` + p + `
+			return count(for $o in ` + o + ` where number($o/@k) <= number($p/@v) return $o)`, true},
+		{"typed against untyped", `for $p in ` + p + `[@v != "x"]
+			return <r>{ for $o in ` + o + ` where number($o/@k) = $p/@v return string($o/@r) }</r>`, true},
+		{"mixed typed outer sequence", `for $x in (1, "2", 2.5)
+			return count(for $o in ` + o + ` where $o/@k = $x return $o)`, true},
+		{"three-level nest", `for $p in ` + p + `
+			return <r>{ for $o in ` + o + ` where $o/@r = $p/@id
+				return <m>{ for $q in ` + p + ` where $q/@v = $o/@k return string($q/@id) }</m> }</r>`, true},
+	} {
+		for _, ordering := range []Ordering{Ordered, Unordered} {
+			eng := New(WithOrdering(ordering))
+			if err := eng.LoadDocumentString("j.xml", doc); err != nil {
+				t.Fatal(err)
+			}
+			q, err := eng.Compile(c.query)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if minted := !strings.Contains(q.Explain(), "(join (iteration mapping))"); minted != c.minted {
+				t.Errorf("%s (%v): inner loop minted from the join = %v, want %v:\n%s", c.name, ordering, minted, c.minted, q.Explain())
+			}
+			got, err := q.Execute()
+			if err != nil {
+				t.Fatalf("%s (%v): %v", c.name, ordering, err)
+			}
+			ref, err := eng.Reference(c.query)
+			if err != nil {
+				t.Fatalf("%s (ref): %v", c.name, err)
+			}
+			g, _ := got.Items()
+			r, _ := ref.Items()
+			if ordering == Unordered {
+				sort.Strings(g)
+				sort.Strings(r)
+			}
+			if strings.Join(g, "|") != strings.Join(r, "|") {
+				t.Errorf("%s (%v):\npipeline  %q\nreference %q", c.name, ordering, g, r)
 			}
 		}
 	}

@@ -265,14 +265,9 @@ func (c *compiler) seqConcat(parts []*algebra.Node) *algebra.Node {
 		algebra.ColPair{New: "item", Old: "item"})
 }
 
-// lift maps a variable's table into a deeper loop through a map relation
-// (cols outer, inner): Γ'(y) = π(iter:inner,pos,item)(map ⋈ outer=iter Γ(y)).
-// These are the mapping joins that dominate Table 2.
-func (c *compiler) lift(v, m *algebra.Node) *algebra.Node {
-	return c.liftCols(v, m)
-}
-
-// liftCols is lift with additional pass-through columns (e.g. source-row
+// liftCols maps a variable's table into a deeper loop through a map
+// relation (cols outer, inner): Γ'(y) = π(iter:inner,pos,item)(map ⋈
+// outer=iter Γ(y)), with extra pass-through columns (e.g. source-row
 // provenance).
 func (c *compiler) liftCols(v, m *algebra.Node, extra ...string) *algebra.Node {
 	j := algebra.WithOrigin(c.b.Join(m, v, "outer", "iter"), "join (variable lifting)")

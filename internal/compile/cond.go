@@ -2,6 +2,7 @@ package compile
 
 import (
 	"repro/internal/algebra"
+	"repro/internal/xdm"
 	"repro/internal/xquery"
 )
 
@@ -109,24 +110,37 @@ func (c *compiler) generalCmpIters(e *xquery.GeneralCmp, sc *frame) *algebra.Nod
 		j := algebra.WithOrigin(c.b.ThetaJoin(qa, qb, "aval", "bval", e.Op, mode), "join (general comparison)")
 		return c.b.Distinct(j, "aiter", "biter")
 	}
-	matches := valueJoin(algebra.JoinTheta)
 
-	// Relate each current iteration to its keys on both sides and keep
-	// those whose (aiter, biter) pair matched.
-	bk := c.b.Project(kb,
-		algebra.ColPair{New: "biter", Old: "biter"},
-		algebra.ColPair{New: "it2", Old: "iter"})
-	triple := algebra.WithOrigin(c.b.Join(ka, bk, "iter", "it2"), "join (iteration mapping)")
-	hit := c.b.Semi(triple, matches, "aiter", "biter")
-	trueIters := c.b.Project(c.b.Distinct(hit, "iter"), algebra.ColPair{New: "iter", Old: "iter"})
+	// iters maps matched (aiter, biter) key pairs to the current
+	// iterations in which they hold.
+	var iters func(m *algebra.Node) *algebra.Node
+	switch {
+	case len(c.freeVars(ra)) == 0:
+		// A closed operand is evaluated once, in the root's single
+		// iteration, which every current iteration pairs with: an
+		// iteration holds when one of its keys on the other side matched.
+		iters = func(m *algebra.Node) *algebra.Node { return c.keyIters(c.b.Distinct(m, "aiter"), ka, "aiter") }
+	case len(c.freeVars(la)) == 0:
+		iters = func(m *algebra.Node) *algebra.Node { return c.keyIters(c.b.Distinct(m, "biter"), kb, "biter") }
+	default:
+		// Relate each current iteration to its keys on both sides and
+		// keep those whose (aiter, biter) pair matched.
+		bk := c.b.Project(kb,
+			algebra.ColPair{New: "biter", Old: "biter"},
+			algebra.ColPair{New: "it2", Old: "iter"})
+		triple := algebra.WithOrigin(c.b.Join(ka, bk, "iter", "it2"), "join (iteration mapping)")
+		iters = func(m *algebra.Node) *algebra.Node {
+			hit := c.b.Semi(triple, m, "aiter", "biter")
+			return c.b.Project(c.b.Distinct(hit, "iter"), algebra.ColPair{New: "iter", Old: "iter"})
+		}
+	}
+	trueIters := iters(valueJoin(algebra.JoinTheta))
 
 	// Error parity with the per-iteration semantics: an iteration whose
 	// pairs include an incomparable one and no true one must raise the
 	// type error (existential short-circuiting may hide errors behind a
 	// true pair, but never turn pure errors into false).
-	errHit := c.b.Semi(triple, valueJoin(algebra.JoinIncomparable), "aiter", "biter")
-	errIters := c.b.Project(c.b.Distinct(errHit, "iter"), algebra.ColPair{New: "iter", Old: "iter"})
-	errOnly := c.b.Diff(errIters, trueIters, "iter")
+	errOnly := c.b.Diff(iters(valueJoin(algebra.JoinIncomparable)), trueIters, "iter")
 	guard := c.b.CheckCard(errOnly, nil, "iter", 0, 0, "general comparison")
 	// Subtracting the (always empty on success) guard forces its
 	// evaluation without changing the result.
@@ -150,10 +164,7 @@ func (c *compiler) cmpSide(e xquery.Expr, sc *frame, keyCol, valCol string) (val
 	if len(fv) == 1 && !c.containsConstructor(e) {
 		for name := range fv {
 			if si := sc.lookupSrc(name); si != nil {
-				q := c.b.Project(c.atomized(c.compile(e, si.srcFrame)),
-					algebra.ColPair{New: keyCol, Old: "iter"},
-					algebra.ColPair{New: valCol, Old: "item"})
-				return q, c.srcKeyed(si, sc, keyCol), true
+				return c.operandAt(e, si.srcFrame, keyCol, valCol), c.srcKeyed(si, sc, keyCol), true
 			}
 		}
 	}
@@ -161,9 +172,7 @@ func (c *compiler) cmpSide(e xquery.Expr, sc *frame, keyCol, valCol string) (val
 	if fa == sc {
 		return nil, nil, false
 	}
-	q := c.b.Project(c.atomized(c.compile(e, fa)),
-		algebra.ColPair{New: keyCol, Old: "iter"},
-		algebra.ColPair{New: valCol, Old: "item"})
+	q := c.operandAt(e, fa, keyCol, valCol)
 	m := c.mapBetween(fa, sc)
 	if m == nil {
 		keyed = c.b.Project(sc.loop,
@@ -198,6 +207,178 @@ func (c *compiler) srcKeyed(si *srcInfo, sc *frame, keyCol string) *algebra.Node
 	return c.b.Project(j,
 		algebra.ColPair{New: keyCol, Old: keyCol},
 		algebra.ColPair{New: "iter", Old: "i2"})
+}
+
+// operandAt compiles a comparison operand at frame f as atomized values
+// keyed by f's iterations: (keyCol, valCol).
+func (c *compiler) operandAt(e xquery.Expr, f *frame, keyCol, valCol string) *algebra.Node {
+	return c.b.Project(c.atomized(c.compile(e, f)),
+		algebra.ColPair{New: keyCol, Old: "iter"},
+		algebra.ColPair{New: valCol, Old: "item"})
+}
+
+// keyIters maps a set of keys (column col) to the current iterations
+// keyed by them; keyed relates keys to iterations (col, iter), one key
+// per iteration.
+func (c *compiler) keyIters(keys, keyed *algebra.Node, col string) *algebra.Node {
+	kr := c.b.Project(keyed,
+		algebra.ColPair{New: "k2", Old: col},
+		algebra.ColPair{New: "iter", Old: "iter"})
+	return c.b.Project(c.b.Join(keys, kr, col, "k2"), algebra.ColPair{New: "iter", Old: "iter"})
+}
+
+// conjuncts flattens the top-level `and` chain of a condition.
+func conjuncts(e xquery.Expr, out []xquery.Expr) []xquery.Expr {
+	if l, ok := condUnwrap(e).(*xquery.Logic); ok && l.Op == xquery.LogicAnd {
+		return conjuncts(l.R, conjuncts(l.L, out))
+	}
+	return append(out, e)
+}
+
+// joinBound mints the iterations of a FLWOR's last for clause from the
+// value join in its where clause — the join graph isolation of "XQuery
+// Join Graph Isolation" for one join. The clause is `for $v in E2` with E2
+// hoisted to frame g: qG holds E2's rows stamped with source ids (src),
+// fSrc is the frame over those rows, sc the frame before the clause. When
+// one conjunct of the where clause is a general comparison between an
+// operand evaluated once per source row of $v and an operand that does not
+// mention $v, the θ-join of the two keyed operand tables yields exactly
+// the (sc iteration, source row) pairs that survive the where clause, and
+// only those become iterations: the |sc| × |E2| pair space that lifting E2
+// into the loop would build is never materialised, nor the join and
+// semijoin that used to filter it.
+//
+// It returns the binding table (iter | pos | item | src, iter = sc's
+// iterations) and the conjuncts left to apply — or nil and the where
+// clause itself when no conjunct has that shape. lets are the clauses
+// between the for clause and the where clause: an operand that mentions a
+// variable they bind must see that binding, so it is not evaluated ahead
+// of them.
+func (c *compiler) joinBound(v string, where xquery.Expr, lets []xquery.Clause, qG *algebra.Node, fSrc, g, sc *frame) (*algebra.Node, []xquery.Expr) {
+	conds := conjuncts(where, nil)
+	for i, e := range conds {
+		cmp, ok := condUnwrap(e).(*xquery.GeneralCmp)
+		if !ok {
+			continue
+		}
+		ops := [2]xquery.Expr{unwrapUnordered(cmp.L), unwrapUnordered(cmp.R)}
+		s := -1 // the operand evaluated per source row
+		for k := range ops {
+			other := ops[1-k]
+			if c.srcOperand(ops[k], v, fSrc, sc) && !c.freeVars(other)[v] && !c.containsConstructor(other) {
+				s = k
+			}
+		}
+		if s < 0 || c.rebinds(lets, ops[0]) || c.rebinds(lets, ops[1]) {
+			continue
+		}
+		rest := append(append([]xquery.Expr{}, conds[:i]...), conds[i+1:]...)
+		return c.mintPairs(cmp.Op, ops, s, qG, fSrc, g, sc), rest
+	}
+	return nil, []xquery.Expr{where}
+}
+
+// srcOperand reports whether e can be evaluated once per source row of the
+// for-variable v (whose source frame is fSrc): e mentions v, builds no
+// nodes, and its other free variables are visible from fSrc.
+func (c *compiler) srcOperand(e xquery.Expr, v string, fSrc, sc *frame) bool {
+	fv := c.freeVars(e)
+	if !fv[v] || c.containsConstructor(e) {
+		return false
+	}
+	for name := range fv {
+		if name == v {
+			continue
+		}
+		if fr, _ := sc.lookup(name); fr == nil || fr.depth > fSrc.parent.depth {
+			return false
+		}
+	}
+	return true
+}
+
+// rebinds reports whether one of the let clauses binds a free variable
+// of e.
+func (c *compiler) rebinds(lets []xquery.Clause, e xquery.Expr) bool {
+	fv := c.freeVars(e)
+	for _, cl := range lets {
+		if l, ok := cl.(*xquery.LetClause); ok && fv[l.Var] {
+			return true
+		}
+	}
+	return false
+}
+
+// mintPairs builds joinBound's binding table for the comparison
+// ops[0] op ops[1], ops[s] being the operand evaluated per source row.
+func (c *compiler) mintPairs(op xdm.CmpOp, ops [2]xquery.Expr, s int, qG *algebra.Node, fSrc, g, sc *frame) *algebra.Node {
+	cols := [2][2]string{{"aiter", "aval"}, {"biter", "bval"}}
+	var vals [2]*algebra.Node
+	// keyed relates the other operand's keys to sc's iterations; nil when
+	// they are sc's iterations themselves.
+	var keyed *algebra.Node
+	for k, e := range ops {
+		key, val := cols[k][0], cols[k][1]
+		if k == s {
+			vals[k] = c.operandAt(e, fSrc, key, val)
+		} else if q, kd, ok := c.cmpSide(e, sc, key, val); ok {
+			vals[k], keyed = q, kd
+		} else {
+			vals[k] = c.operandAt(e, sc, key, val)
+		}
+	}
+	srcKey, key := cols[s][0], cols[1-s][0]
+
+	// A hoisted E2 that still depends on an enclosing iteration (g below
+	// the root's single iteration) has rows per iteration of g: a pair is
+	// an iteration only if its source row comes from the sc iteration's own
+	// evaluation of E2.
+	var srcG, occ *algebra.Node
+	if !g.rootSpace() {
+		srcG = c.b.Project(qG,
+			algebra.ColPair{New: "src2", Old: "src"},
+			algebra.ColPair{New: "giter", Old: "iter"})
+		if m := c.mapBetween(g, sc); m != nil {
+			occ = c.b.Project(m,
+				algebra.ColPair{New: "giter", Old: "outer"},
+				algebra.ColPair{New: "iter", Old: "inner"})
+		} else {
+			occ = c.b.Project(sc.loop,
+				algebra.ColPair{New: "giter", Old: "iter"},
+				algebra.ColPair{New: "iter", Old: "iter"})
+		}
+	}
+	// pairs returns the (iter, src) pairs whose values compare under mode.
+	pairs := func(mode algebra.JoinMode) *algebra.Node {
+		j := c.b.Distinct(algebra.WithOrigin(
+			c.b.ThetaJoin(vals[0], vals[1], "aval", "bval", op, mode), "join (general comparison)"),
+			"aiter", "biter")
+		iter := key
+		if keyed != nil {
+			kr := c.b.Project(keyed,
+				algebra.ColPair{New: "k2", Old: key},
+				algebra.ColPair{New: "iter", Old: "iter"})
+			j, iter = c.b.Join(j, kr, key, "k2"), "iter"
+		}
+		p := c.b.Project(j,
+			algebra.ColPair{New: "iter", Old: iter},
+			algebra.ColPair{New: "src", Old: srcKey})
+		if occ != nil {
+			p = c.b.Keep(c.b.Semi(c.b.Join(p, srcG, "src", "src2"), occ, "giter", "iter"), "iter", "src")
+		}
+		return p
+	}
+	hits := pairs(algebra.JoinTheta)
+	// Error parity (see generalCmpIters): an iteration whose value pairs
+	// include an incomparable one and no true one raises.
+	errOnly := c.b.Diff(pairs(algebra.JoinIncomparable), hits, "iter", "src")
+	guard := c.b.CheckCard(errOnly, nil, "iter", 0, 0, "general comparison")
+	hits = c.b.Diff(hits, guard, "iter", "src")
+	rows := c.b.Project(qG,
+		algebra.ColPair{New: "src2", Old: "src"},
+		algebra.ColPair{New: "pos", Old: "pos"},
+		algebra.ColPair{New: "item", Old: "item"})
+	return algebra.WithOrigin(c.b.Join(hits, rows, "src", "src2"), "join (variable lifting)")
 }
 
 // quantIters returns the outer iterations for which the quantifier holds.

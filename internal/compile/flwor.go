@@ -66,7 +66,20 @@ func (c *compiler) compileFLWOR(fl *xquery.FLWOR, sc *frame) *algebra.Node {
 	// the result order, so BIND# applies even under ordering mode ordered.
 	orderByRelaxes := c.opts.Indifference && len(fl.Order) > 0 && !fl.Stable
 
-	for _, cl := range fl.Clauses {
+	// conds are the where conditions still to apply once every clause is
+	// bound; minting the last for clause from a value join consumes one.
+	var conds []xquery.Expr
+	if fl.Where != nil {
+		conds = []xquery.Expr{fl.Where}
+	}
+	lastFor := -1
+	for i, cl := range fl.Clauses {
+		if _, ok := cl.(*xquery.ForClause); ok {
+			lastFor = i
+		}
+	}
+
+	for i, cl := range fl.Clauses {
 		switch cl := cl.(type) {
 		case *xquery.LetClause:
 			cur = cur.withVar(cl.Var, c.compile(cl.Expr, cur))
@@ -76,34 +89,19 @@ func (c *compiler) compileFLWOR(fl *xquery.FLWOR, sc *frame) *algebra.Node {
 			if g != cur {
 				// Hoisted binding sequence: evaluate it once at frame g,
 				// stamp source-row ids, and keep the provenance through
-				// the lift so that where clauses over only this variable
-				// can be value-joined on source rows (join recognition).
+				// the binding so that where clauses over only this
+				// variable can be value-joined on source rows (join
+				// recognition).
 				qG := c.b.RowID(c.b.Keep(c.compile(cl.In, g), "iter", "pos", "item"), "src")
-				lifted := c.liftToCols(qG, g, cur, "src")
-				b := c.bindFor(lifted, cl.PosVar != "", useHash, "src")
-				srcLoop := c.b.Project(qG, algebra.ColPair{New: "iter", Old: "src"})
-				srcFromParent := c.b.Project(qG,
-					algebra.ColPair{New: "outer", Old: "iter"},
-					algebra.ColPair{New: "inner", Old: "src"})
-				// Parent the source frame at the deepest ancestor that
-				// still shares g's iteration space (let frames add
-				// variables without changing the loop): variables bound
-				// there stay visible to source-row evaluation.
-				gTop := g
-				var chain []*frame
-				for fr := cur; fr != g; fr = fr.parent {
-					chain = append(chain, fr)
+				fSrc := c.srcFrame(cl.Var, qG, g, cur)
+				var bound *algebra.Node
+				if i == lastFor && cl.PosVar == "" && fl.Where != nil {
+					bound, conds = c.joinBound(cl.Var, fl.Where, fl.Clauses[i+1:], qG, fSrc, g, cur)
 				}
-				for i := len(chain) - 1; i >= 0; i-- {
-					if chain[i].fromParent != nil {
-						break
-					}
-					gTop = chain[i]
+				if bound == nil {
+					bound = c.liftTo(qG, g, cur, "src")
 				}
-				fSrc := gTop.child(srcFromParent, srcLoop)
-				fSrc.bind(cl.Var, c.withPos1(c.b.Project(qG,
-					algebra.ColPair{New: "iter", Old: "src"},
-					algebra.ColPair{New: "item", Old: "item"})))
+				b := c.bindFor(bound, cl.PosVar != "", useHash, "src")
 				srcMap := c.b.Project(b.numbered,
 					algebra.ColPair{New: "fiter", Old: "bind"},
 					algebra.ColPair{New: "src", Old: "src"})
@@ -125,8 +123,11 @@ func (c *compiler) compileFLWOR(fl *xquery.FLWOR, sc *frame) *algebra.Node {
 		}
 	}
 
-	if fl.Where != nil {
-		trueLoop := c.condIters(fl.Where, cur)
+	if len(conds) > 0 {
+		trueLoop := c.condIters(conds[0], cur)
+		for _, e := range conds[1:] {
+			trueLoop = c.b.Semi(trueLoop, c.condIters(e, cur), "iter")
+		}
 		cur = cur.restrict(c, trueLoop)
 	}
 

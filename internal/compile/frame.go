@@ -166,6 +166,43 @@ func (c *compiler) srcHoist(e xquery.Expr, f *frame) (*srcInfo, bool) {
 	return si, true
 }
 
+// srcFrame builds the frame over the source rows of a hoisted binding
+// sequence (qG: iter | pos | item | src, evaluated at frame g), binding the
+// for-variable v once per row. It is parented at the deepest ancestor of
+// cur that still shares g's iteration space (let frames add variables
+// without changing the loop), so variables bound there stay visible to
+// source-row evaluation.
+func (c *compiler) srcFrame(v string, qG *algebra.Node, g, cur *frame) *frame {
+	gTop := g
+	var chain []*frame
+	for fr := cur; fr != g; fr = fr.parent {
+		chain = append(chain, fr)
+	}
+	for i := len(chain) - 1; i >= 0 && chain[i].fromParent == nil; i-- {
+		gTop = chain[i]
+	}
+	f := gTop.child(
+		c.b.Project(qG,
+			algebra.ColPair{New: "outer", Old: "iter"},
+			algebra.ColPair{New: "inner", Old: "src"}),
+		c.b.Project(qG, algebra.ColPair{New: "iter", Old: "src"}))
+	f.bind(v, c.withPos1(c.b.Project(qG,
+		algebra.ColPair{New: "iter", Old: "src"},
+		algebra.ColPair{New: "item", Old: "item"})))
+	return f
+}
+
+// rootSpace reports whether f iterates exactly like the root frame — a
+// single iteration: no frame on its chain maps into a new iteration space.
+func (f *frame) rootSpace() bool {
+	for fr := f; fr != nil; fr = fr.parent {
+		if fr.fromParent != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // liftFromSrc maps a table keyed by source rows into frame f through the
 // source map.
 func (c *compiler) liftFromSrc(q *algebra.Node, si *srcInfo, f *frame) *algebra.Node {
@@ -182,13 +219,8 @@ func (c *compiler) liftFromSrc(q *algebra.Node, si *srcInfo, f *frame) *algebra.
 }
 
 // liftTo maps a table compiled at frame `from` into frame `to` by joining
-// through each intervening map relation.
-func (c *compiler) liftTo(q *algebra.Node, from, to *frame) *algebra.Node {
-	return c.liftToCols(q, from, to)
-}
-
-// liftToCols is liftTo with pass-through columns.
-func (c *compiler) liftToCols(q *algebra.Node, from, to *frame, extra ...string) *algebra.Node {
+// through each intervening map relation; extra columns pass through.
+func (c *compiler) liftTo(q *algebra.Node, from, to *frame, extra ...string) *algebra.Node {
 	// Collect the chain from `to` up to (exclusive) `from`.
 	var chain []*frame
 	for fr := to; fr != from; fr = fr.parent {

@@ -146,12 +146,13 @@ func TestCancelMidFlight(t *testing.T) {
 	store := xmltree.NewStore()
 	frag := xmark.Generate(xmark.Config{Factor: 0.1})
 	docs := map[string][]uint32{"auction.xml": {store.Add(frag)}}
-	// Q11 is a non-equi join that polls over two thousand times at factor
-	// 0.1, so poll 1500 is genuinely mid-flight: inside the join pipeline,
-	// seconds in on a slow host.
+	// Q11 is a non-equi join that polls about three hundred times at
+	// factor 0.1 (its inner loop is minted from the join's qualifying
+	// pairs), so poll 150 is genuinely mid-flight: inside the join
+	// pipeline.
 	q := xmarkq.Get(11).Text
 	const (
-		cancelAt = 1500
+		cancelAt = 150
 		// A serial run sees the cancellation at the poll that raised
 		// it; each of the 4 parallel workers, and the coordinator behind
 		// them, at its next poll.

@@ -761,10 +761,66 @@ func wordsOf(c *xdm.Column) []uint64 {
 	return out
 }
 
-// evalDistinct deduplicates rows over n.Cols. Typed columns hash machine
-// words (one or two columns — the compiled plans' distincts are over
-// (iter) or (iter, item)); anything else falls back to the boxed string
-// keys, which define the same equivalence.
+// exactInt bounds the integers whose double projection is exact: within
+// it, grouping raw integers is the equivalence wordsOf's keys define.
+const exactInt = 1 << 53
+
+// intKeys packs the key columns of one or more tables — each one or two
+// ColInt columns, the same number per table — into one int64 per row,
+// injectively and consistently across the tables, for the group index:
+// one column is its own key, two pack as (a-lo₀)·w + (b-lo₁) over the
+// value ranges of all tables. ok is false when a column is not ColInt, a
+// value lies outside ±exactInt, or the packing would overflow. Packed
+// keys come from the pool; release them with xdm.PutInts.
+func intKeys(tabs ...[]*xdm.Column) (keys [][]int64, packed, ok bool) {
+	width := len(tabs[0])
+	if width < 1 || width > 2 {
+		return nil, false, false
+	}
+	lo := [2]int64{exactInt, exactInt}
+	hi := [2]int64{-exactInt, -exactInt}
+	for _, cols := range tabs {
+		for c, col := range cols {
+			ints, ok := col.Ints()
+			if !ok {
+				return nil, false, false
+			}
+			for _, x := range ints {
+				if x < -exactInt || x > exactInt {
+					return nil, false, false
+				}
+				lo[c], hi[c] = min(lo[c], x), max(hi[c], x)
+			}
+		}
+	}
+	keys = make([][]int64, len(tabs))
+	if width == 1 {
+		for i, cols := range tabs {
+			keys[i], _ = cols[0].Ints()
+		}
+		return keys, false, true
+	}
+	w := max(hi[1]-lo[1]+1, 1)
+	if max(hi[0]-lo[0]+1, 1) > math.MaxInt64/w {
+		return nil, false, false
+	}
+	for i, cols := range tabs {
+		a, _ := cols[0].Ints()
+		b, _ := cols[1].Ints()
+		k := xdm.GetInts(len(a))
+		for r := range a {
+			k[r] = (a[r]-lo[0])*w + b[r] - lo[1]
+		}
+		keys[i] = k
+	}
+	return keys, true, true
+}
+
+// evalDistinct deduplicates rows over n.Cols. One or two integer columns —
+// the compiled plans' (iter) and (aiter, biter) — group through the
+// map-free group index; other typed columns hash machine words (one or
+// two columns — (iter, item)); anything else falls back to the boxed
+// string keys, which define the same equivalence.
 func (ex *Exec) evalDistinct(n *algebra.Node, in *Table) (*Table, error) {
 	cols := make([]*xdm.Column, len(n.Cols))
 	for i, c := range n.Cols {
@@ -782,7 +838,25 @@ func (ex *Exec) evalDistinct(n *algebra.Node, in *Table) (*Table, error) {
 			wordable = false
 		}
 	}
+	keys, packed, intOK := intKeys(cols)
 	switch {
+	case intOK:
+		ix, err := groupInts(keys[0], ex.CheckCancel)
+		if packed {
+			xdm.PutInts(keys[0])
+		}
+		if err != nil {
+			xdm.PutInt32s(buf)
+			return nil, err
+		}
+		// Groups are numbered in order of first occurrence: a row opens a
+		// new group exactly when its group is the next number.
+		for r, g := range ix.ids {
+			if int(g) == len(keep) {
+				keep = append(keep, int32(r))
+			}
+		}
+		ix.release()
 	case wordable && len(cols) == 1 && classes[0] != wordStr:
 		ws := wordsOf(cols[0])
 		seen := make(map[uint64]struct{}, rows)
@@ -856,7 +930,19 @@ func (ex *Exec) evalSemiDiff(n *algebra.Node, l, r *Table) (*Table, error) {
 			stringy = true
 		}
 	}
+	keys, packed, intOK := intKeys(lcols, rcols)
 	switch {
+	case intOK:
+		// One or two integer key columns: probe the map-free group index.
+		err := ex.semiInts(keys[0], keys[1], want, &keep)
+		if packed {
+			xdm.PutInts(keys[0])
+			xdm.PutInts(keys[1])
+		}
+		if err != nil {
+			xdm.PutInt32s(buf)
+			return nil, err
+		}
 	case wordable && len(lcols) == 1 && !stringy:
 		rw := wordsOf(rcols[0])
 		set := make(map[uint64]struct{}, rrows)
@@ -955,6 +1041,27 @@ func (ex *Exec) evalSemiDiff(n *algebra.Node, l, r *Table) (*Table, error) {
 	out := l.filter(keep)
 	xdm.PutInt32s(buf)
 	return out, nil
+}
+
+// semiInts appends to keep the left rows whose key is (want) or is not
+// (!want) among the right keys.
+func (ex *Exec) semiInts(lk, rk []int64, want bool, keep *[]int32) error {
+	ix, err := groupInts(rk, ex.CheckCancel)
+	if err != nil {
+		return err
+	}
+	defer ix.release()
+	for i, k := range lk {
+		if i&(probeChunk-1) == 0 {
+			if err := ex.CheckCancel(); err != nil {
+				return err
+			}
+		}
+		if (ix.lookupInt(k) >= 0) == want {
+			*keep = append(*keep, int32(i))
+		}
+	}
+	return nil
 }
 
 // --- Row numbering: the ρ/# cost asymmetry ---
