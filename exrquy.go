@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -356,19 +357,50 @@ type Engine struct {
 	storeLedger *xdm.Ledger
 }
 
-// register adds a parsed fragment to the store and registry.
-func (e *Engine) register(name string, id uint32) {
+// register adds a parsed fragment to the registry.
+func (e *Engine) register(name string, id uint32) { e.swap(name, []uint32{id}) }
+
+// swap points name at ids (nil: unregisters name) and releases the
+// fragments name held before, so reloads and removals do not grow the
+// store. Fragments an attached store owns stay with DetachStore. The
+// rest are released only after every in-flight execution has finished —
+// one may hold a registry snapshot naming them without having derived
+// its store yet — behind the drain barrier DetachStore uses. It reports
+// whether name was registered.
+func (e *Engine) swap(name string, ids []uint32) bool {
 	e.mu.Lock()
-	e.docs[name] = []uint32{id}
+	old, ok := e.docs[name]
+	if ids == nil {
+		delete(e.docs, name)
+	} else {
+		e.docs[name] = ids
+	}
+	var release []uint32
+	for _, id := range old {
+		if !e.mountedLocked(id) {
+			release = append(release, id)
+		}
+	}
 	e.mu.Unlock()
+	if len(release) > 0 {
+		e.mountsMu.Lock()
+		e.mountsMu.Unlock() //nolint:staticcheck // empty critical section is the drain barrier
+		for _, id := range release {
+			e.store.Release(id)
+		}
+	}
+	return ok
 }
 
-// registerParts registers a multi-part (sharded) document: fn:doc(name)
-// returns one root per id, in slice order.
-func (e *Engine) registerParts(name string, ids []uint32) {
-	e.mu.Lock()
-	e.docs[name] = ids
-	e.mu.Unlock()
+// mountedLocked reports whether an attached store owns fragment id.
+// Callers hold e.mu.
+func (e *Engine) mountedLocked(id uint32) bool {
+	for _, m := range e.mounts {
+		if slices.Contains(m.ids, id) {
+			return true
+		}
+	}
+	return false
 }
 
 // docsSnapshot copies the registry for one execution, so a concurrent
@@ -441,13 +473,7 @@ func (e *Engine) LoadDocumentLimited(name string, r io.Reader, lim DocumentLimit
 // RemoveDocument unregisters a document; fn:doc(name) in queries started
 // afterwards fails. Queries already running keep their snapshot of the
 // registry and finish unaffected. It reports whether name was registered.
-func (e *Engine) RemoveDocument(name string) bool {
-	e.mu.Lock()
-	_, ok := e.docs[name]
-	delete(e.docs, name)
-	e.mu.Unlock()
-	return ok
-}
+func (e *Engine) RemoveDocument(name string) bool { return e.swap(name, nil) }
 
 // LoadDocumentString is LoadDocument over a string.
 func (e *Engine) LoadDocumentString(name, doc string) error {

@@ -211,15 +211,7 @@ func TestDetachStoreReleasesFragments(t *testing.T) {
 	dirs := writeReplicated(t, 0.001, 2, 2)
 	eng := New()
 	eng.LoadXMark("mem.xml", 0.001)
-	live := func() int {
-		n := 0
-		for id := 0; id < eng.store.Len(); id++ {
-			if eng.store.Frag(uint32(id)) != nil {
-				n++
-			}
-		}
-		return n
-	}
+	live := func() int { return liveFragments(eng) }
 	before := live()
 	for cycle := 0; cycle < 4; cycle++ {
 		if _, err := eng.AttachStore(dirs...); err != nil {
@@ -243,6 +235,67 @@ func TestDetachStoreReleasesFragments(t *testing.T) {
 	}
 	if _, err := eng.Query(`count(doc("mem.xml")//item)`); err != nil {
 		t.Fatalf("in-memory document lost: %v", err)
+	}
+}
+
+// liveFragments counts the engine store's fragments not yet released.
+func liveFragments(eng *Engine) int {
+	n := 0
+	for id := 0; id < eng.store.Len(); id++ {
+		if eng.store.Frag(uint32(id)) != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReplaceReleasesFragments: removing documents and reloading them
+// over an existing name (what PUT/DELETE /documents/{name} do to a
+// serving engine) must release the replaced fragments, so the store's
+// live-fragment count stays where it started — except for fragments an
+// attached store owns, which stay live until DetachStore releases them.
+func TestReplaceReleasesFragments(t *testing.T) {
+	eng := New()
+	eng.LoadXMark("mem.xml", 0.001)
+	before := liveFragments(eng)
+	for i := 0; i < 4; i++ {
+		eng.LoadXMark("mem.xml", 0.001)
+		if err := eng.LoadDocumentString("tmp.xml", "<a/>"); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.LoadDocument("tmp.xml", strings.NewReader("<b/>")); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.LoadDocumentLimited("tmp.xml", strings.NewReader("<c/>"), DefaultDocumentLimits()); err != nil {
+			t.Fatal(err)
+		}
+		if !eng.RemoveDocument("tmp.xml") {
+			t.Fatal("RemoveDocument: tmp.xml not registered")
+		}
+	}
+	if got := liveFragments(eng); got != before {
+		t.Fatalf("%d live fragments after 4 reload/remove cycles, want %d as before the first", got, before)
+	}
+	if _, err := eng.Query(`count(doc("mem.xml")//item)`); err != nil {
+		t.Fatalf("reloaded document lost: %v", err)
+	}
+
+	dirs := writeReplicated(t, 0.001, 1, 1)
+	if _, err := eng.AttachStore(dirs...); err != nil {
+		t.Fatal(err)
+	}
+	mounted := liveFragments(eng)
+	if err := eng.LoadDocumentString("auction.xml", "<a/>"); err != nil {
+		t.Fatal(err)
+	}
+	if got := liveFragments(eng); got != mounted+1 {
+		t.Fatalf("loading over a mounted document: %d live fragments, want %d (the mount keeps its own)", got, mounted+1)
+	}
+	if _, err := eng.DetachStore(dirs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := liveFragments(eng); got != mounted {
+		t.Fatalf("after detach: %d live fragments, want %d", got, mounted)
 	}
 }
 

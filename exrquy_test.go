@@ -595,3 +595,23 @@ func TestConcurrentQueries(t *testing.T) {
 		})
 	}
 }
+
+// TestConstructedNodesAreRoots: elements and attributes one constructor
+// evaluation builds (one slab of fragments) are each the root of their own
+// fragment — no parent, root() is the element itself — while their content
+// keeps its parent, in the pipeline and the reference interpreter alike.
+func TestConstructedNodesAreRoots(t *testing.T) {
+	eng := New()
+	q := `let $es := for $i in (1, 2, 3) return <e a="{$i}"><f/>t</e>
+return (count($es/parent::node()), count(for $e in $es return root($e)/self::e),
+        count($es/f/..), count($es/@a/..), count(for $a in $es/@a return root($a)))`
+	for name, run := range map[string]func(string) (*Result, error){"pipeline": eng.Query, "reference": eng.Reference} {
+		res, err := run(q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, err := res.XML(); err != nil || got != "0 3 3 3 3" {
+			t.Errorf("%s: %q, %v; want \"0 3 3 3 3\"", name, got, err)
+		}
+	}
+}

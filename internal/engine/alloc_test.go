@@ -173,6 +173,55 @@ func stampInts(rows int) []int64 {
 	return num
 }
 
+// TestAllocConstructIterations pins the constructors: building 4096
+// elements (each a copy of a small subtree) or 4096 attributes allocates
+// the same handful of times as building one — the slab's columns and the
+// output wrappers, not a builder and a fragment per constructed node.
+// (One iteration misses the pool: its buffers are below the pooled
+// size, so it allocates a few more than 4096 do.)
+func TestAllocConstructIterations(t *testing.T) {
+	bound := 16.0
+	if raceEnabled {
+		bound = 24
+	}
+	doc := xmltree.MustParseString(`<r><c k="v">t</c></r>`)
+	store := xmltree.NewStore()
+	c := xdm.NodeID{Frag: store.Add(doc), Pre: 2} // doc=0, r=1, c=2
+	ab := algebra.NewBuilder()
+	elem := ab.Elem("e", ab.EmptyLit("iter"), ab.EmptyLit("iter", "pos", "item"))
+	attr := ab.Attr("a", ab.EmptyLit("iter", "item"), "item")
+	ex := NewExec(store, nil, Options{})
+	for _, rows := range []int{1, 4096} {
+		iters, poss := make([]int64, rows), make([]int64, rows)
+		nodes, strs := make([]xdm.NodeID, rows), make([]string, rows)
+		for i := range iters {
+			iters[i], poss[i], nodes[i], strs[i] = int64(i+1), 1, c, "v"
+		}
+		loop := NewTable([]string{"iter"})
+		loop.Data[0] = xdm.IntColumn(iters)
+		content := NewTable([]string{"iter", "pos", "item"})
+		content.Data[0], content.Data[1], content.Data[2] = xdm.IntColumn(iters), xdm.IntColumn(poss), xdm.NodeColumn(nodes)
+		vals := NewTable([]string{"iter", "item"})
+		vals.Data[0], vals.Data[1] = xdm.IntColumn(iters), xdm.StringColumn(xdm.KString, strs)
+		for name, run := range map[string]func() (*Table, error){
+			"evalElem": func() (*Table, error) { return ex.evalElem(elem, loop, content) },
+			"evalAttr": func() (*Table, error) { return ex.evalAttr(attr, vals) },
+		} {
+			avg := testing.AllocsPerRun(20, func() {
+				out, err := run()
+				if err != nil || out.NumRows() != rows {
+					t.Fatalf("%s over %d iterations: %d rows, err %v", name, rows, out.NumRows(), err)
+				}
+				xdm.RecycleColumn(out.Col("item")) // return the buffer: steady-state pooling
+			})
+			if avg > bound {
+				t.Errorf("%s over %d iterations allocates %.1f times, want <= %.0f (iteration-independent)", name, rows, avg, bound)
+			}
+			t.Logf("%s over %d iterations: %.1f allocs", name, rows, avg)
+		}
+	}
+}
+
 // TestAllocStepIterations pins the step kernel: child::name over 4096
 // single-context iterations and over one iteration of 4096 contexts must
 // both allocate a handful of times, whatever the row count — grouping

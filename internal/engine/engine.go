@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -307,8 +309,9 @@ func (ex *Exec) Finish(t *Table, start time.Time) *Result {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	pos := iterInts(t.Col("pos"))
-	sort.SliceStable(perm, func(a, b int) bool { return pos[perm[a]] < pos[perm[b]] })
+	if pos := iterInts(t.Col("pos")); !slices.IsSorted(pos) {
+		slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(pos[a], pos[b]) })
+	}
 	items := t.Col("item")
 	res.Items = make([]xdm.Item, n)
 	for i, p := range perm {
@@ -1206,7 +1209,7 @@ func (ex *Exec) evalRowNum(n *algebra.Node, in *Table) (*Table, error) {
 		for i := range perm {
 			perm[i] = int32(i)
 		}
-		if err := ex.sortStable(perm, func(a, b int) bool { return less(perm[a], perm[b]) < 0 }); err != nil {
+		if err := ex.sortStable(perm, less); err != nil {
 			xdm.PutInt32s(perm)
 			return nil, err
 		}
@@ -1236,10 +1239,11 @@ func (ex *Exec) evalRowNum(n *algebra.Node, in *Table) (*Table, error) {
 // standard library offers no other way to stop a running sort.
 type abortSort struct{ err error }
 
-// sortStable is sort.SliceStable with cooperative cancellation: the
-// comparator polls CheckCancel periodically and unwinds via a private
-// panic, so multi-second ρ sorts stop within the cancellation bound.
-func (ex *Exec) sortStable(perm []int32, less func(a, b int) bool) (err error) {
+// sortStable is slices.SortStableFunc over row ids with cooperative
+// cancellation: the comparator polls CheckCancel periodically and unwinds
+// via a private panic, so multi-second ρ sorts stop within the
+// cancellation bound.
+func (ex *Exec) sortStable(perm []int32, cmp func(a, b int32) int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if a, ok := r.(abortSort); ok {
@@ -1250,13 +1254,13 @@ func (ex *Exec) sortStable(perm []int32, less func(a, b int) bool) (err error) {
 		}
 	}()
 	calls := 0
-	sort.SliceStable(perm, func(a, b int) bool {
+	slices.SortStableFunc(perm, func(a, b int32) int {
 		if calls++; calls&(1<<16-1) == 0 {
 			if cerr := ex.CheckCancel(); cerr != nil {
 				panic(abortSort{cerr})
 			}
 		}
-		return less(a, b)
+		return cmp(a, b)
 	})
 	return nil
 }

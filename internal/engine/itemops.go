@@ -574,52 +574,69 @@ func (ex *Exec) evalElem(n *algebra.Node, loop, content *Table) (*Table, error) 
 	defer ix.release()
 	ix.cluster()
 	loopIter := iterInts(loop.Col("iter"))
-	outIter := xdm.GetInts(len(loopIter))[:0]
-	outItem := xdm.GetNodes(len(loopIter))[:0]
 	fr := fragRun{store: ex.store}
-	var seq []xdm.Item
+	// The fragment of one iteration holds the element, a copy of every
+	// content subtree and one text node per run of atomic items. A first
+	// pass orders each iteration's content and sums that count, so the
+	// slab is sized exactly.
+	total := 0
 	for _, li := range loopIter {
 		rs := ix.rowsOf(ix.lookupInt(li))
 		sortByPos(rs, poss)
-		// The fragment holds the element, a copy of every content subtree
-		// and at most one text node per atomic item.
-		seq = seq[:0]
-		nodes := 1 + len(rs)
+		total++
+		text := false
 		for _, r := range rs {
 			it := items.Get(int(r))
-			if it.IsNode() {
-				nodes += int(fr.frag(it.N.Frag).Size[it.N.Pre])
+			switch {
+			case it.IsNode():
+				total += 1 + int(fr.frag(it.N.Frag).Size[it.N.Pre])
+				text = false
+			case !text:
+				total++
+				text = true
 			}
-			seq = append(seq, it)
 		}
-		b := xmltree.NewBuilderSized(nodes)
-		b.StartElem(n.Name)
+	}
+	slab := xmltree.NewSlab(len(loopIter), total)
+	var buf [8]xdm.Item // an iteration's content, on the stack when short
+	seq := buf[:0]
+	for _, li := range loopIter {
+		rs := ix.rowsOf(ix.lookupInt(li))
+		seq = seq[:0]
+		for _, r := range rs {
+			seq = append(seq, items.Get(int(r)))
+		}
+		b := slab.Elem(n.Name)
 		if err := xmltree.AppendContent(ex.store, b, n.Name, seq); err != nil {
 			return nil, ex.Errf(n, "%v", err)
 		}
-		id := ex.store.Add(b.Close())
-		outIter = append(outIter, li)
-		outItem = append(outItem, xdm.NodeID{Frag: id, Pre: 0})
+		slab.Close()
 	}
-	t := NewTable([]string{"iter", "item"})
-	t.Data[0] = xdm.IntColumn(outIter)
-	t.Data[1] = xdm.NodeColumn(outItem)
-	return t, nil
+	return ex.constructed(n, loop.Col("iter"), slab), nil
 }
 
 func (ex *Exec) evalAttr(n *algebra.Node, in *Table) (*Table, error) {
 	vals := in.Col(n.Col)
 	rows := vals.Len()
-	outItem := xdm.GetNodes(rows)
+	slab := xmltree.NewSlab(rows, rows)
 	for i := 0; i < rows; i++ {
-		frag := xmltree.NewAttrFragment(n.Name, ex.store.Atomize(vals.Get(i)).StringValue())
-		id := ex.store.Add(frag)
-		outItem[i] = xdm.NodeID{Frag: id, Pre: 0}
+		slab.Attr(n.Name, ex.store.Atomize(vals.Get(i)).StringValue())
 	}
-	t := NewTable([]string{"iter", "item"})
-	t.Data[0] = in.Col("iter") // aliases the input iter column
-	t.Data[1] = xdm.NodeColumn(outItem)
-	return t, nil
+	return ex.constructed(n, in.Col("iter"), slab), nil
+}
+
+// constructed registers a constructor's slab and returns its (iter,
+// item) table: iter aliases the input's, and row i holds the root of the
+// slab's i-th fragment.
+func (ex *Exec) constructed(n *algebra.Node, iter *xdm.Column, slab *xmltree.Slab) *Table {
+	first := slab.AddTo(ex.store)
+	outItem := xdm.GetNodes(iter.Len())
+	for i := range outItem {
+		outItem[i] = xdm.NodeID{Frag: first + uint32(i), Pre: 0}
+	}
+	t := NewTable(n.Schema())
+	t.Data[0], t.Data[1] = iter, xdm.NodeColumn(outItem)
+	return t
 }
 
 const maxRangeSize = 10_000_000

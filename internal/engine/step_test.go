@@ -141,7 +141,9 @@ func stepStore(t testing.TB) *xmltree.Store {
 		}
 		store.Add(f)
 	}
-	store.Add(xmltree.NewAttrFragment("x", "v"))
+	attr := xmltree.NewSlab(1, 1)
+	attr.Attr("x", "v")
+	attr.AddTo(store)
 	return store
 }
 

@@ -126,10 +126,6 @@ func (t *Table) WithColumn(name string, col *xdm.Column) *Table { return t.withC
 // Filter returns a new table with only the rows at the given indices.
 func (t *Table) Filter(keep []int32) *Table { return t.filter(keep) }
 
-// IterKey converts an iteration id item to its int64 representation;
-// iteration, position and numbering columns are always integers.
-func IterKey(it xdm.Item) int64 { return iterKey(it) }
-
 // iterKey converts an iteration id item to its int64 representation;
 // iteration, position and numbering columns are always integers.
 func iterKey(it xdm.Item) int64 {

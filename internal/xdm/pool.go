@@ -59,6 +59,9 @@ func PoolBytes() (reused, allocated int64) {
 
 type slicePool[T any] struct {
 	classes [maxClass]sync.Pool
+	// boxes recycles the *[]T headers the classes hold, so a put in
+	// steady state allocates nothing.
+	boxes sync.Pool
 	// elem is the per-element byte size used for the byte-level traffic
 	// counters (set at declaration; zero disables byte accounting).
 	elem int64
@@ -74,7 +77,11 @@ func (p *slicePool[T]) get(n int) []T {
 			if v := p.classes[c].Get(); v != nil {
 				poolHits.Add(1)
 				poolHitBytes.Add(p.elem << c)
-				return (*(v.(*[]T)))[:n]
+				box := v.(*[]T)
+				s := (*box)[:n]
+				*box = nil
+				p.boxes.Put(box)
+				return s
 			}
 			poolMisses.Add(1)
 			poolMissBytes.Add(p.elem << c)
@@ -93,8 +100,12 @@ func (p *slicePool[T]) put(s []T) {
 	if cl >= maxClass {
 		return
 	}
-	s = s[:c]
-	p.classes[cl].Put(&s)
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:c]
+	p.classes[cl].Put(box)
 }
 
 // grow returns s with capacity for at least n elements: a buffer that is

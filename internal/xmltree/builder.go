@@ -1,6 +1,9 @@
 package xmltree
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder constructs a Fragment in document order. It is used by the XML
 // parser, the XMark generator, and the runtime twig-construction operator
@@ -13,8 +16,9 @@ import "fmt"
 // sizes and returns the fragment.
 type Builder struct {
 	frag    *Fragment
-	open    []int32 // stack of open node preorder ranks
-	lastTop int32   // top-of-stack when the last text node was appended, for merging
+	open    []int32  // stack of open node preorder ranks
+	lastTop int32    // top-of-stack when the last text node was appended, for merging
+	atoms   []string // AppendContent's pending atomic values, reused
 }
 
 // NewBuilder returns an empty builder. The fragment's ID is assigned when
@@ -23,23 +27,26 @@ func NewBuilder() *Builder {
 	return &Builder{frag: &Fragment{}, lastTop: -2}
 }
 
-// NewBuilderSized is NewBuilder with room for nodes nodes: a caller that
-// knows what it is about to copy allocates the fragment's columns once
-// instead of growing each of them append by append.
-func NewBuilderSized(nodes int) *Builder {
-	b := NewBuilder()
-	f := b.frag
-	f.Kind = make([]NodeKind, 0, nodes)
-	f.Name = make([]string, 0, nodes)
-	f.Value = make([]string, 0, nodes)
-	f.Size = make([]int32, 0, nodes)
-	f.Level = make([]int32, 0, nodes)
-	f.Parent = make([]int32, 0, nodes)
-	return b
+// reserve makes room for n more nodes in every column, doubling their
+// capacity when they must grow: append's own growth (1.25x for large
+// slices) leaves about four times the finished columns behind as garbage
+// when a document is parsed.
+func (f *Fragment) reserve(n int) {
+	if cap(f.Kind)-len(f.Kind) >= n {
+		return
+	}
+	c := max(2*cap(f.Kind), len(f.Kind)+n, 64)
+	f.Kind = append(make([]NodeKind, 0, c), f.Kind...)
+	f.Name = append(make([]string, 0, c), f.Name...)
+	f.Value = append(make([]string, 0, c), f.Value...)
+	f.Size = append(make([]int32, 0, c), f.Size...)
+	f.Level = append(make([]int32, 0, c), f.Level...)
+	f.Parent = append(make([]int32, 0, c), f.Parent...)
 }
 
 func (b *Builder) push(kind NodeKind, name, value string) int32 {
 	f := b.frag
+	f.reserve(1)
 	pre := int32(f.Len())
 	parent := int32(-1)
 	level := int32(0)
@@ -131,6 +138,7 @@ func (b *Builder) CopySubtree(src *Fragment, pre int32) {
 	if n == 0 {
 		panic("xmltree: CopySubtree with no open element")
 	}
+	f.reserve(int(src.Size[pre]) + 1)
 	base := int32(f.Len())
 	parentLevel := f.Level[b.open[n-1]]
 	srcLevel := src.Level[pre]
@@ -151,9 +159,21 @@ func (b *Builder) CopySubtree(src *Fragment, pre int32) {
 	b.lastTop = -2
 }
 
-// Close finalizes the fragment; any still-open nodes are closed. The
-// builder must not be reused afterwards.
+// Close finalizes the fragment; any still-open nodes are closed, and
+// columns that doubling left more than a quarter empty are cut to their
+// length. The builder must not be reused afterwards.
 func (b *Builder) Close() *Fragment {
+	f := b.end()
+	if n := f.Len(); cap(f.Kind)-n > n/4 {
+		f.Kind, f.Name, f.Value = slices.Clone(f.Kind), slices.Clone(f.Name), slices.Clone(f.Value)
+		f.Size, f.Level, f.Parent = slices.Clone(f.Size), slices.Clone(f.Level), slices.Clone(f.Parent)
+	}
+	return f
+}
+
+// end closes every open node and detaches the fragment (a Slab re-arms
+// its builder afterwards).
+func (b *Builder) end() *Fragment {
 	for len(b.open) > 0 {
 		b.EndElem()
 	}
@@ -161,10 +181,6 @@ func (b *Builder) Close() *Fragment {
 	b.frag = nil
 	return f
 }
-
-// Depth returns the number of currently open nodes (used by parsers to
-// validate balance).
-func (b *Builder) Depth() int { return len(b.open) }
 
 // Validate checks the structural invariants of a fragment: sizes cover
 // exactly the subtree span, levels increase by one along parent edges, and
@@ -193,7 +209,7 @@ func Validate(f *Fragment) error {
 		if f.Kind[v] == KindAttr && f.Size[v] != 0 {
 			return fmt.Errorf("xmltree: attribute %d with non-empty subtree", v)
 		}
-		if f.Kind[v] == KindAttr && f.Kind[p] != KindElem {
+		if v > 0 && f.Kind[v] == KindAttr && f.Kind[p] != KindElem { // a root attribute is free-standing
 			return fmt.Errorf("xmltree: attribute %d owned by non-element", v)
 		}
 		end := int32(v) + f.Size[v]

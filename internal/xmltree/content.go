@@ -15,17 +15,21 @@ import (
 // node identity and document order — interaction 2 of the paper).
 func AppendContent(store *Store, b *Builder, elemName string, items []xdm.Item) error {
 	sawContent := false
-	var pendingAtomics []string
+	pendingAtomics := b.atoms[:0]
 	flushAtomics := func() {
 		if len(pendingAtomics) > 0 {
 			b.Text(strings.Join(pendingAtomics, " "))
-			pendingAtomics = nil
+			pendingAtomics = pendingAtomics[:0]
 		}
 	}
+	var f *Fragment // the last item's fragment, fid its id
+	var fid uint32
 	for _, it := range items {
 		switch {
 		case it.IsNode():
-			f := store.Frag(it.N.Frag)
+			if f == nil || fid != it.N.Frag {
+				f, fid = store.Frag(it.N.Frag), it.N.Frag
+			}
 			if f.Kind[it.N.Pre] == KindAttr {
 				if sawContent || len(pendingAtomics) > 0 {
 					return fmt.Errorf("xmltree: attribute %s after content of <%s>", f.Name[it.N.Pre], elemName)
@@ -46,6 +50,7 @@ func AppendContent(store *Store, b *Builder, elemName string, items []xdm.Item) 
 		}
 	}
 	flushAtomics()
+	b.atoms = pendingAtomics
 	return nil
 }
 
@@ -53,38 +58,35 @@ func AppendContent(store *Store, b *Builder, elemName string, items []xdm.Item) 
 // rules: adjacent atomic values are separated by one space, nodes are
 // serialized as XML, free-standing attribute nodes are an error.
 func SerializeItems(store *Store, items []xdm.Item) (string, error) {
-	var sb strings.Builder
-	prevAtomic := false
+	// One pass sizes the output (before escaping) so the builder
+	// allocates once.
+	n := 0
 	for _, it := range items {
 		if it.IsNode() {
 			f := store.Frag(it.N.Frag)
 			if f.Kind[it.N.Pre] == KindAttr {
 				return "", fmt.Errorf("xmltree: cannot serialize free-standing attribute %s", f.Name[it.N.Pre])
 			}
-			sb.WriteString(SerializeToString(f, it.N.Pre, SerializeOptions{}))
+			n += f.serializedLen(it.N.Pre)
+		} else {
+			n += len(it.S) + 1
+		}
+	}
+	var s serializer
+	s.sb.Grow(n)
+	prevAtomic := false
+	for _, it := range items {
+		if it.IsNode() {
+			s.f = store.Frag(it.N.Frag)
+			s.node(it.N.Pre, 0)
 			prevAtomic = false
 			continue
 		}
 		if prevAtomic {
-			sb.WriteString(" ")
+			s.sb.WriteByte(' ')
 		}
-		sb.WriteString(EscapeText(it.StringValue()))
+		textEscaper.WriteString(&s.sb, it.StringValue())
 		prevAtomic = true
 	}
-	return sb.String(), nil
-}
-
-// NewAttrFragment wraps a free-standing attribute node in its own
-// fragment (used by the runtime attribute-construction operator; such
-// attributes are transient — they are copied into their owner element by
-// the enclosing element constructor).
-func NewAttrFragment(name, value string) *Fragment {
-	return &Fragment{
-		Kind:   []NodeKind{KindAttr},
-		Name:   []string{name},
-		Value:  []string{value},
-		Size:   []int32{0},
-		Level:  []int32{0},
-		Parent: []int32{-1},
-	}
+	return s.sb.String(), nil
 }

@@ -120,8 +120,21 @@ func (f *Fragment) StringValue(v int32) string {
 	case KindText, KindAttr:
 		return f.Value[v]
 	default:
+		// One text descendant is the value itself; more are joined into
+		// one buffer sized up front.
 		end := v + f.Size[v]
+		var one string
+		n, texts := 0, 0
+		for c := v + 1; c <= end; c++ {
+			if f.Kind[c] == KindText {
+				one, n, texts = f.Value[c], n+len(f.Value[c]), texts+1
+			}
+		}
+		if texts < 2 {
+			return one
+		}
 		var sb strings.Builder
+		sb.Grow(n)
 		for c := v + 1; c <= end; c++ {
 			if f.Kind[c] == KindText {
 				sb.WriteString(f.Value[c])

@@ -1,9 +1,6 @@
 package xmltree
 
-import (
-	"io"
-	"strings"
-)
+import "strings"
 
 // SerializeOptions controls XML serialization.
 type SerializeOptions struct {
@@ -13,98 +10,111 @@ type SerializeOptions struct {
 	Indent string
 }
 
-// Serialize writes the subtree rooted at pre as XML text. Document nodes
-// serialize their children; attribute nodes serialize as name="value"
-// (useful only in diagnostics — XDM serialization of free-standing
-// attributes is an error, which callers enforce).
-func Serialize(w io.Writer, f *Fragment, pre int32, opts SerializeOptions) error {
-	s := serializer{w: w, f: f, indent: opts.Indent}
-	s.node(pre, 0)
-	return s.err
-}
-
-// SerializeToString renders the subtree rooted at pre as a string.
+// SerializeToString renders the subtree rooted at pre as XML text.
+// Document nodes serialize their children; attribute nodes serialize as
+// name="value" (useful only in diagnostics — XDM serialization of
+// free-standing attributes is an error, which callers enforce).
 func SerializeToString(f *Fragment, pre int32, opts SerializeOptions) string {
-	var sb strings.Builder
-	_ = Serialize(&sb, f, pre, opts)
-	return sb.String()
+	s := serializer{f: f, indent: opts.Indent}
+	s.sb.Grow(f.serializedLen(pre))
+	s.node(pre, 0)
+	return s.sb.String()
 }
 
+// serializedLen is the length of the unindented serialization of the
+// subtree rooted at v before escaping: the size serializers reserve.
+func (f *Fragment) serializedLen(v int32) int {
+	n := 0
+	for c := v; c <= v+f.Size[v]; c++ {
+		switch f.Kind[c] {
+		case KindElem:
+			n += 2*len(f.Name[c]) + 5 // <name></name>
+		case KindAttr:
+			n += len(f.Name[c]) + len(f.Value[c]) + 4 //  name=""
+		case KindText:
+			n += len(f.Value[c])
+		}
+	}
+	return n
+}
+
+// serializer writes one fragment's nodes into one builder: names, values
+// and markup go in as separate writes, and children are reached by
+// skipping subtrees, so a node costs no allocation of its own.
 type serializer struct {
-	w      io.Writer
+	sb     strings.Builder
 	f      *Fragment
 	indent string
-	err    error
 }
 
-func (s *serializer) write(str string) {
-	if s.err == nil {
-		_, s.err = io.WriteString(s.w, str)
+func (s *serializer) newline(depth int) {
+	s.sb.WriteByte('\n')
+	for range depth {
+		s.sb.WriteString(s.indent)
 	}
+}
+
+func (s *serializer) attr(a int32) {
+	s.sb.WriteString(s.f.Name[a])
+	s.sb.WriteString(`="`)
+	attrEscaper.WriteString(&s.sb, s.f.Value[a])
+	s.sb.WriteByte('"')
 }
 
 func (s *serializer) node(v int32, depth int) {
 	f := s.f
+	end := v + f.Size[v]
 	switch f.Kind[v] {
 	case KindDoc:
-		for _, c := range f.Children(v) {
+		for c := v + 1; c <= end; c += f.Size[c] + 1 {
 			s.node(c, depth)
 			if s.indent != "" {
-				s.write("\n")
+				s.sb.WriteByte('\n')
 			}
 		}
 	case KindText:
-		s.write(EscapeText(f.Value[v]))
+		textEscaper.WriteString(&s.sb, f.Value[v])
 	case KindAttr:
-		s.write(f.Name[v] + `="` + EscapeAttr(f.Value[v]) + `"`)
+		s.attr(v)
 	case KindElem:
-		s.write("<" + f.Name[v])
-		for _, a := range f.Attributes(v) {
-			s.write(" " + f.Name[a] + `="` + EscapeAttr(f.Value[a]) + `"`)
+		s.sb.WriteByte('<')
+		s.sb.WriteString(f.Name[v])
+		first := v + 1 // attributes directly follow their owner
+		for ; first <= end && f.Kind[first] == KindAttr; first++ {
+			s.sb.WriteByte(' ')
+			s.attr(first)
 		}
-		kids := f.Children(v)
-		if len(kids) == 0 {
-			s.write("/>")
+		if first > end {
+			s.sb.WriteString("/>")
 			return
 		}
-		s.write(">")
-		pretty := s.indent != "" && !hasTextChild(f, kids)
-		for _, c := range kids {
+		s.sb.WriteByte('>')
+		pretty := s.indent != ""
+		for c := first; pretty && c <= end; c += f.Size[c] + 1 {
+			pretty = f.Kind[c] != KindText
+		}
+		for c := first; c <= end; c += f.Size[c] + 1 {
 			if pretty {
-				s.write("\n" + strings.Repeat(s.indent, depth+1))
+				s.newline(depth + 1)
 			}
 			s.node(c, depth+1)
 		}
 		if pretty {
-			s.write("\n" + strings.Repeat(s.indent, depth))
+			s.newline(depth)
 		}
-		s.write("</" + f.Name[v] + ">")
+		s.sb.WriteString("</")
+		s.sb.WriteString(f.Name[v])
+		s.sb.WriteByte('>')
 	}
 }
 
-func hasTextChild(f *Fragment, kids []int32) bool {
-	for _, c := range kids {
-		if f.Kind[c] == KindText {
-			return true
-		}
-	}
-	return false
-}
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
 
 // EscapeText escapes character data for XML text content.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
-		return s
-	}
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr escapes character data for a double-quoted attribute value.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, `&<>"`) {
-		return s
-	}
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }

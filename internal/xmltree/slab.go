@@ -1,0 +1,87 @@
+package xmltree
+
+// Slab builds the fragments of one constructor evaluation — one element
+// or attribute per loop iteration — out of one backing array per column
+// type, the transient container Pathfinder builds a constructor's twigs
+// into. Every constructed node is still the root (preorder rank 0) of its
+// own Fragment, so the axes, Validate and the store see ordinary
+// fragments; only their allocations are shared.
+//
+// Fragments are built one at a time. The open fragment's columns are
+// windows over the slab's unused room, capped at its end, and closing
+// caps them at their length; so a fragment that outgrows the slab
+// reallocates, and one appended to after it closed reallocates, rather
+// than overwriting a neighbour.
+type Slab struct {
+	kind                []NodeKind
+	name, value         []string
+	size, level, parent []int32
+	frags               []Fragment
+	next                int // first node not yet taken by a fragment
+	b                   Builder
+	stack               [16]int32 // the builder's open stack, until it nests deeper
+}
+
+// NewSlab reserves room for frags fragments of nodes nodes in total.
+// Columns of one element type share one array, cut into capped halves or
+// thirds.
+func NewSlab(frags, nodes int) *Slab {
+	strs := make([]string, 2*nodes)
+	ints := make([]int32, 3*nodes)
+	s := &Slab{
+		kind:   make([]NodeKind, 0, nodes),
+		name:   strs[:0:nodes],
+		value:  strs[nodes : nodes : 2*nodes],
+		size:   ints[:0:nodes],
+		level:  ints[nodes : nodes : 2*nodes],
+		parent: ints[2*nodes : 2*nodes : 3*nodes],
+		frags:  make([]Fragment, 0, frags),
+	}
+	s.b.open = s.stack[:0]
+	return s
+}
+
+// Elem opens the next fragment, an element named name, and returns the
+// builder for its content; Close finishes it.
+func (s *Slab) Elem(name string) *Builder {
+	s.start()
+	s.b.StartElem(name)
+	return &s.b
+}
+
+// Attr adds a free-standing attribute fragment (such attributes are
+// transient: the enclosing element constructor copies them into its
+// element).
+func (s *Slab) Attr(name, value string) {
+	s.start()
+	s.b.push(KindAttr, name, value)
+	s.Close()
+}
+
+func (s *Slab) start() {
+	lo, hi := s.next, cap(s.kind)
+	s.frags = append(s.frags, Fragment{})
+	f := &s.frags[len(s.frags)-1]
+	f.Kind = s.kind[lo:lo:hi]
+	f.Name = s.name[lo:lo:hi]
+	f.Value = s.value[lo:lo:hi]
+	f.Size = s.size[lo:lo:hi]
+	f.Level = s.level[lo:lo:hi]
+	f.Parent = s.parent[lo:lo:hi]
+	s.b.frag, s.b.open, s.b.lastTop = f, s.b.open[:0], -2
+}
+
+// Close finishes the fragment Elem opened.
+func (s *Slab) Close() {
+	f := s.b.end()
+	n := f.Len()
+	if s.next+n <= cap(s.kind) { // still in the slab, not reallocated
+		s.next += n
+	}
+	f.Kind, f.Name, f.Value = f.Kind[:n:n], f.Name[:n:n], f.Value[:n:n]
+	f.Size, f.Level, f.Parent = f.Size[:n:n], f.Level[:n:n], f.Parent[:n:n]
+}
+
+// AddTo registers the slab's fragments with store in the order they were
+// built, under consecutive ids, and returns the first id.
+func (s *Slab) AddTo(store *Store) uint32 { return store.AddAll(s.frags) }

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/xdm"
@@ -28,6 +29,20 @@ func (s *Store) Add(f *Fragment) uint32 {
 	f.ID = id
 	s.frags = append(s.frags, f)
 	return id
+}
+
+// AddAll registers frags under consecutive IDs with one lock and returns
+// the first.
+func (s *Store) AddAll(frags []Fragment) uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	first := uint32(len(s.frags))
+	s.frags = slices.Grow(s.frags, len(frags))
+	for i := range frags {
+		frags[i].ID = first + uint32(i)
+		s.frags = append(s.frags, &frags[i])
+	}
+	return first
 }
 
 // Release forgets the fragment with the given ID: its slot reads nil from

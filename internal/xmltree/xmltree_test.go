@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xdm"
 )
 
 // paperFragment is the tree of Figure 1/5: <a><b><c/><d/></b><c/></a>.
@@ -131,6 +133,43 @@ func TestSerializeIndent(t *testing.T) {
 	if got != want {
 		t.Errorf("indent serialize:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// TestAllocSerializeItems pins the serializer: a result of ~1000 nodes
+// (elements, attributes needing escapes, text) plus atomics renders into
+// one builder sized up front — no allocation per node or per item.
+func TestAllocSerializeItems(t *testing.T) {
+	b := NewBuilder()
+	b.StartElem("r")
+	for i := 0; i < 250; i++ {
+		b.StartElem("item")
+		b.Attr("id", `a"b`)
+		b.StartElem("name")
+		b.Text("x < y")
+		b.EndElem()
+		b.EndElem()
+	}
+	f := b.Close()
+	store := NewStore()
+	id := store.Add(f)
+	items := []xdm.Item{{Kind: xdm.KString, S: "one"}, {Kind: xdm.KString, S: "two"}}
+	for pre := int32(1); pre < int32(f.Len()); pre += f.Size[pre] + 1 {
+		items = append(items, xdm.Item{Kind: xdm.KNode, N: xdm.NodeID{Frag: id, Pre: pre}})
+	}
+	var out string
+	avg := testing.AllocsPerRun(20, func() {
+		var err error
+		if out, err = SerializeItems(store, items); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := `one two<item id="a&quot;b"><name>x &lt; y</name></item>`; out[:len(want)] != want {
+		t.Fatalf("serialized %q…, want %q…", out[:len(want)], want)
+	}
+	if avg > 4 {
+		t.Errorf("SerializeItems over %d nodes allocates %.1f times, want <= 4", f.Len(), avg)
+	}
+	t.Logf("%.1f allocs for %d nodes, %d bytes", avg, f.Len(), len(out))
 }
 
 func TestBuilderCopySubtree(t *testing.T) {
