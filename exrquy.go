@@ -362,34 +362,46 @@ func (e *Engine) register(name string, id uint32) { e.swap(name, []uint32{id}) }
 
 // swap points name at ids (nil: unregisters name) and releases the
 // fragments name held before, so reloads and removals do not grow the
-// store. Fragments an attached store owns stay with DetachStore. The
-// rest are released only after every in-flight execution has finished —
-// one may hold a registry snapshot naming them without having derived
-// its store yet — behind the drain barrier DetachStore uses. It reports
-// whether name was registered.
+// store. It reports whether name was registered.
 func (e *Engine) swap(name string, ids []uint32) bool {
 	e.mu.Lock()
-	old, ok := e.docs[name]
+	_, ok := e.docs[name]
+	release := e.swapLocked(name, ids)
+	e.mu.Unlock()
+	e.releaseDrained(release)
+	return ok
+}
+
+// swapLocked points name at ids (nil: unregisters name) and returns the
+// fragments name held before that no attached store owns — those stay
+// with DetachStore — for releaseDrained. Callers hold e.mu.
+func (e *Engine) swapLocked(name string, ids []uint32) (release []uint32) {
+	for _, id := range e.docs[name] {
+		if !e.mountedLocked(id) {
+			release = append(release, id)
+		}
+	}
 	if ids == nil {
 		delete(e.docs, name)
 	} else {
 		e.docs[name] = ids
 	}
-	var release []uint32
-	for _, id := range old {
-		if !e.mountedLocked(id) {
-			release = append(release, id)
-		}
+	return release
+}
+
+// releaseDrained releases unregistered fragments only after every
+// in-flight execution has finished — one may hold a registry snapshot
+// naming them without having derived its store yet — behind the drain
+// barrier DetachStore uses.
+func (e *Engine) releaseDrained(ids []uint32) {
+	if len(ids) == 0 {
+		return
 	}
-	e.mu.Unlock()
-	if len(release) > 0 {
-		e.mountsMu.Lock()
-		e.mountsMu.Unlock() //nolint:staticcheck // empty critical section is the drain barrier
-		for _, id := range release {
-			e.store.Release(id)
-		}
+	e.mountsMu.Lock()
+	e.mountsMu.Unlock() //nolint:staticcheck // empty critical section is the drain barrier
+	for _, id := range ids {
+		e.store.Release(id)
 	}
-	return ok
 }
 
 // mountedLocked reports whether an attached store owns fragment id.

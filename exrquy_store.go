@@ -9,6 +9,7 @@ package exrquy
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -58,7 +59,8 @@ func storeKey(dir string) string {
 // AttachStore mounts the on-disk stores in dirs (a document sharded
 // across several directories is reassembled when the dirs jointly cover
 // its parts) and registers every document they hold, replacing any
-// same-named registry entries. The mount is keyed by the first
+// same-named registry entries; a replaced in-memory document's fragment
+// is released as a reload releases it. The mount is keyed by the first
 // directory; it returns the mounted document URIs.
 //
 // The store's sampled residency is charged to a byte ledger: the
@@ -96,11 +98,13 @@ func (e *Engine) AttachStore(dirs ...string) ([]string, error) {
 		return nil, fmt.Errorf("exrquy: store %s already attached", key)
 	}
 	e.mounts[key] = m
+	var release []uint32
 	for _, d := range st.Docs() {
-		e.registerMountedLocked(m, d)
+		release = append(release, e.registerMountedLocked(m, d)...)
 		m.uris = append(m.uris, d.URI)
 	}
 	e.mu.Unlock()
+	e.releaseDrained(release)
 	if e.opts.scrub.Interval > 0 {
 		st.StartScrub(e.opts.scrub)
 	}
@@ -109,7 +113,8 @@ func (e *Engine) AttachStore(dirs ...string) ([]string, error) {
 
 // DetachStore unmounts the store attached under dir (the first
 // directory given to AttachStore). Its documents leave the registry
-// immediately — queries started afterwards cannot see them — and the
+// immediately — queries started afterwards cannot see them; a name a
+// later load re-pointed at an in-memory document keeps it — and the
 // store's mappings are released only after every in-flight query has
 // finished, so running queries are never pulled off their pages.
 // Results that reference a detached store's documents must be
@@ -126,7 +131,9 @@ func (e *Engine) DetachStore(dir string) ([]string, error) {
 	}
 	delete(e.mounts, key)
 	for _, uri := range m.uris {
-		delete(e.docs, uri)
+		if m.owns(e.docs[uri]) {
+			delete(e.docs, uri)
+		}
 	}
 	e.mu.Unlock()
 
@@ -216,8 +223,8 @@ func (e *Engine) mountsSnapshot() []*storeMount {
 // the attached stores and returns the closure every cooperative poll
 // point of that execution calls. The closure's first call gives an
 // armed fault plan its one chance to inject a fault into this
-// execution; every call then checks each store's health (two atomic
-// loads per store when all is well). Executions with no stores mounted
+// execution; every call then checks each store's health (one atomic
+// load per store when all is well). Executions with no stores mounted
 // probe nothing.
 func (e *Engine) storeProbe() func() error {
 	mounts := e.mountsSnapshot()
@@ -273,23 +280,33 @@ func (e *Engine) failoverStores() bool {
 // snapshot reads the healthy replicas. Safe concurrently with running
 // queries — they hold their own point-in-time snapshot, and the pages
 // that snapshot aliases stay mapped (condemned) until the store closes.
-// A heal that lands after m was detached registers nothing.
+// A heal that lands after m was detached registers nothing, and neither
+// does one for a name since re-pointed elsewhere (reloaded, removed).
 func (e *Engine) registerHealed(m *storeMount, entries []store.DocEntry) {
 	e.mu.Lock()
 	if e.mounts[m.key] == m {
 		for _, d := range entries {
-			e.registerMountedLocked(m, d)
+			if m.owns(e.docs[d.URI]) {
+				e.registerMountedLocked(m, d)
+			}
 		}
 	}
 	e.mu.Unlock()
 }
 
 // registerMountedLocked adds one of m's documents to the engine's store
-// and registry and records its fragment id on m. Callers hold e.mu.
-func (e *Engine) registerMountedLocked(m *storeMount, d store.DocEntry) {
+// and registry and records its fragment id on m. It returns the replaced
+// fragments to release (see swapLocked). Callers hold e.mu.
+func (e *Engine) registerMountedLocked(m *storeMount, d store.DocEntry) []uint32 {
 	id := e.store.Add(d.Frag)
-	e.docs[d.URI] = []uint32{id}
 	m.ids = append(m.ids, id)
+	return e.swapLocked(d.URI, []uint32{id})
+}
+
+// owns reports whether a registry entry still points at one of the
+// mount's fragments.
+func (m *storeMount) owns(ids []uint32) bool {
+	return len(ids) == 1 && slices.Contains(m.ids, ids[0])
 }
 
 // ScrubStores runs one synchronous scrub pass over every attached store

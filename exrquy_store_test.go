@@ -291,11 +291,48 @@ func TestReplaceReleasesFragments(t *testing.T) {
 	if got := liveFragments(eng); got != mounted+1 {
 		t.Fatalf("loading over a mounted document: %d live fragments, want %d (the mount keeps its own)", got, mounted+1)
 	}
+	// A heal landing after the reload (a scrub or failover re-registering
+	// the mount's documents) leaves the reloaded name alone.
+	m := eng.mounts[storeKey(dirs[0])]
+	eng.registerHealed(m, m.st.Docs())
+	if got := liveFragments(eng); got != mounted+1 {
+		t.Fatalf("heal after reload: %d live fragments, want %d", got, mounted+1)
+	}
+	wantDoc(t, eng, "auction.xml", "<a/>")
 	if _, err := eng.DetachStore(dirs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := liveFragments(eng); got != mounted {
 		t.Fatalf("after detach: %d live fragments, want %d", got, mounted)
+	}
+	// The detach leaves the name the reload re-pointed.
+	wantDoc(t, eng, "auction.xml", "<a/>")
+
+	// Attaching over a loaded document releases the replaced fragment.
+	eng = New()
+	if err := eng.LoadDocumentString("auction.xml", "<b/>"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AttachStore(dirs...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.DetachStore(dirs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got, docs := liveFragments(eng), eng.Documents(); got != 0 || len(docs) != 0 {
+		t.Fatalf("load, attach over it, detach: %d live fragments, documents %v; want none", got, docs)
+	}
+}
+
+// wantDoc asserts doc(name) serializes as want.
+func wantDoc(t *testing.T, eng *Engine, name, want string) {
+	t.Helper()
+	res, err := eng.Query(`doc("` + name + `")/*`)
+	if err != nil {
+		t.Fatalf("doc(%q): %v", name, err)
+	}
+	if got, err := res.XML(); err != nil || got != want {
+		t.Fatalf("doc(%q) = %q, %v; want %q", name, got, err, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -67,12 +68,11 @@ type Options struct {
 	// a single pointer comparison.
 	Heartbeat *atomic.Int64
 	// StoreProbe, when non-nil, is polled at every cooperative poll
-	// point alongside the heartbeat. It surfaces storage faults —
-	// suspect mmap'd parts, failed lazy CRC verification — into the
-	// execution as classified errors, because a corrupt mapped page
-	// cannot signal failure through the read that touches it. A non-nil
-	// error aborts the query exactly like a cancellation; nil costs one
-	// pointer comparison per poll.
+	// point alongside the heartbeat. It surfaces storage faults (suspect
+	// mmap'd parts) into the execution as classified errors, because a
+	// corrupt mapped page cannot signal failure through the read that
+	// touches it. A non-nil error aborts the query exactly like a
+	// cancellation; nil costs one pointer comparison per poll.
 	StoreProbe func() error
 }
 
@@ -448,7 +448,7 @@ func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 		for i := range num {
 			num[i] = int64(i + 1)
 		}
-		return in.withColumn(n.Col, xdm.IntColumn(num)), nil
+		return in.WithColumn(n.Col, xdm.IntColumn(num)), nil
 
 	case algebra.OpBinOp:
 		return ex.evalBinOp(n, ins[0])
@@ -540,7 +540,7 @@ func (ex *Exec) evalFilter(n *algebra.Node, in *Table) (*Table, error) {
 		xdm.PutInt32s(buf)
 		return nil, ex.Errf(n, "selection over non-boolean %s", cond.Get(0).Kind)
 	}
-	out := in.filter(keep)
+	out := in.Filter(keep)
 	xdm.PutInt32s(buf)
 	return out, nil
 }
@@ -691,380 +691,257 @@ func (ex *Exec) evalCross(n *algebra.Node, l, r *Table) (*Table, error) {
 	return t, nil
 }
 
-// --- Distinct and semijoin: typed word keys ---
-
-// nanWord is the canonical NaN key: the boxed engine formatted every NaN
-// to the same "NaN" string, so all NaN payloads must collide.
-var nanWord = math.Float64bits(math.NaN())
-
-// wordClass classifies a column for machine-word grouping keys. Numeric
-// columns share a class (the boxed keys made xs:integer 5 and xs:double
-// 5.0 collide); booleans, nodes and the string-class kinds each key their
-// own class, and word keys must never be compared across classes (the
-// boxed keys carried a class prefix).
-type wordClass uint8
-
-const (
-	wordNone wordClass = iota // boxed fallback — not wordable
-	wordNum
-	wordBool
-	wordNode
-	wordStr // string-class: raw string keys instead of words
-)
-
-func classOf(c *xdm.Column) wordClass {
-	switch c.Kind() {
-	case xdm.ColInt, xdm.ColDouble:
-		return wordNum
-	case xdm.ColBool:
-		return wordBool
-	case xdm.ColNode:
-		return wordNode
-	case xdm.ColString, xdm.ColUntyped:
-		return wordStr
-	default:
-		return wordNone
-	}
-}
-
-// wordsOf encodes a wordable (non-string) column as one uint64 key per
-// cell, under the same equivalence as xdm.DistinctKey within the column's
-// class: numerics key their double projection (NaNs canonicalized, -0
-// distinct from +0 just like the formatted keys), booleans 0/1, nodes
-// (frag, pre).
-func wordsOf(c *xdm.Column) []uint64 {
-	n := c.Len()
-	out := make([]uint64, n)
-	switch c.Kind() {
-	case xdm.ColInt:
-		v, _ := c.Ints()
-		for i, x := range v {
-			out[i] = math.Float64bits(float64(x))
-		}
-	case xdm.ColDouble:
-		fs, _ := c.Floats()
-		for i, f := range fs {
-			if f != f {
-				out[i] = nanWord
-			} else {
-				out[i] = math.Float64bits(f)
-			}
-		}
-	case xdm.ColBool:
-		v, _ := c.Bools()
-		for i, x := range v {
-			out[i] = uint64(x)
-		}
-	case xdm.ColNode:
-		ns, _ := c.Nodes()
-		for i, id := range ns {
-			out[i] = uint64(id.Frag)<<32 | uint64(uint32(id.Pre))
-		}
-	}
-	return out
-}
+// --- Distinct and semijoin: one key path ---
 
 // exactInt bounds the integers whose double projection is exact: within
-// it, grouping raw integers is the equivalence wordsOf's keys define.
+// it, raw integers key under xdm.DistinctKey's equivalence.
 const exactInt = 1 << 53
 
-// intKeys packs the key columns of one or more tables — each one or two
-// ColInt columns, the same number per table — into one int64 per row,
-// injectively and consistently across the tables, for the group index:
-// one column is its own key, two pack as (a-lo₀)·w + (b-lo₁) over the
-// value ranges of all tables. ok is false when a column is not ColInt, a
-// value lies outside ±exactInt, or the packing would overflow. Packed
-// keys come from the pool; release them with xdm.PutInts.
-func intKeys(tabs ...[]*xdm.Column) (keys [][]int64, packed, ok bool) {
-	width := len(tabs[0])
-	if width < 1 || width > 2 {
-		return nil, false, false
-	}
-	lo := [2]int64{exactInt, exactInt}
-	hi := [2]int64{-exactInt, -exactInt}
-	for _, cols := range tabs {
-		for c, col := range cols {
-			ints, ok := col.Ints()
-			if !ok {
-				return nil, false, false
-			}
-			for _, x := range ints {
-				if x < -exactInt || x > exactInt {
-					return nil, false, false
-				}
-				lo[c], hi[c] = min(lo[c], x), max(hi[c], x)
-			}
+// keyRows keys the rows of one or more tables — tabs[t] holds table t's
+// key columns, at least one and the same number per table — as one int64
+// per row, in one key space across the tables: two rows get equal keys
+// exactly when their cells are pairwise xdm.DistinctKey-equal (5 = 5.0,
+// NaN = NaN, -0 ≠ +0, string = untypedAtomic, boolean ≠ integer). Each
+// column position is keyed across all tables by colKeys, and the
+// positions fold into one key by packKeys. owned reports whether the keys
+// are pooled buffers rather than column storage; hand them to releaseKeys.
+func (ex *Exec) keyRows(tabs [][]*xdm.Column) (keys [][]int64, owned bool, err error) {
+	keys, owned, err = ex.colKeys(tabs, 0)
+	for c := 1; err == nil && c < len(tabs[0]); c++ {
+		next, nextOwned, cerr := ex.colKeys(tabs, c)
+		var packed [][]int64
+		if err = cerr; err == nil {
+			packed, err = ex.packKeys(keys, next)
 		}
+		releaseKeys(next, nextOwned)
+		releaseKeys(keys, owned)
+		keys, owned = packed, true
 	}
-	keys = make([][]int64, len(tabs))
-	if width == 1 {
-		for i, cols := range tabs {
-			keys[i], _ = cols[0].Ints()
-		}
-		return keys, false, true
-	}
-	w := max(hi[1]-lo[1]+1, 1)
-	if max(hi[0]-lo[0]+1, 1) > math.MaxInt64/w {
-		return nil, false, false
-	}
-	for i, cols := range tabs {
-		a, _ := cols[0].Ints()
-		b, _ := cols[1].Ints()
-		k := xdm.GetInts(len(a))
-		for r := range a {
-			k[r] = (a[r]-lo[0])*w + b[r] - lo[1]
-		}
-		keys[i] = k
-	}
-	return keys, true, true
+	return keys, owned, err
 }
 
-// evalDistinct deduplicates rows over n.Cols. One or two integer columns —
-// the compiled plans' (iter) and (aiter, biter) — group through the
-// map-free group index; other typed columns hash machine words (one or
-// two columns — (iter, item)); anything else falls back to the boxed
-// string keys, which define the same equivalence.
+// colKeys keys column position c across all tables:
+//   - ColInt within ±exactInt in every table: the raw integers, not
+//     copied — the compiled plans' iter ids, almost all the traffic;
+//   - ColNode in every table: frag<<32 | pre;
+//   - anything else: the dense group ids of the cells' string keys — the
+//     raw strings when the column is string-class in every table, else
+//     xdm.DistinctKey of every cell, whose class prefix keeps the string
+//     "n5" apart from the integer 5.
+func (ex *Exec) colKeys(tabs [][]*xdm.Column, c int) ([][]int64, bool, error) {
+	ints, nodes, strs := true, true, true
+	for _, cols := range tabs {
+		v, ok := cols[c].Ints()
+		ints = ints && ok && exactInts(v)
+		k := cols[c].Kind()
+		nodes = nodes && k == xdm.ColNode
+		strs = strs && (k == xdm.ColString || k == xdm.ColUntyped)
+	}
+	keys := make([][]int64, len(tabs))
+	switch {
+	case ints:
+		for t, cols := range tabs {
+			keys[t], _ = cols[c].Ints()
+		}
+		return keys, false, nil
+	case nodes:
+		for t, cols := range tabs {
+			ns, _ := cols[c].Nodes()
+			k := xdm.GetInts(len(ns))
+			for r, id := range ns {
+				k[r] = int64(uint64(id.Frag)<<32 | uint64(uint32(id.Pre)))
+			}
+			keys[t] = k
+		}
+		return keys, true, nil
+	}
+	parts := make([][]string, len(tabs))
+	for t, cols := range tabs {
+		if strs {
+			parts[t], _, _ = cols[c].Strings()
+			continue
+		}
+		parts[t] = make([]string, cols[c].Len())
+		for r := range parts[t] {
+			parts[t][r] = xdm.DistinctKey(cols[c].Get(r))
+		}
+	}
+	ix, err := groupStrings(ex.CheckCancel, parts...)
+	if err != nil {
+		return nil, false, err
+	}
+	return idKeys(ix, parts), true, nil
+}
+
+func exactInts(v []int64) bool {
+	for _, x := range v {
+		if x < -exactInt || x > exactInt {
+			return false
+		}
+	}
+	return true
+}
+
+// packKeys folds two key vectors into one, injectively and in one key
+// space across the tables: (a-loₐ)·w + (b-lo_b), w the width of b's
+// range. When that would overflow, both are first regrouped to dense ids:
+// those lie below the row count, so their product fits.
+func (ex *Exec) packKeys(a, b [][]int64) ([][]int64, error) {
+	loA, sa := keySpan(a)
+	loB, sb := keySpan(b)
+	if hi, lo := bits.Mul64(sa+1, sb+1); sa >= math.MaxInt64 || sb >= math.MaxInt64 || hi != 0 || lo > math.MaxInt64 {
+		da, err := ex.denseKeys(a)
+		if err != nil {
+			return nil, err
+		}
+		defer releaseKeys(da, true)
+		db, err := ex.denseKeys(b)
+		if err != nil {
+			return nil, err
+		}
+		defer releaseKeys(db, true)
+		a, b = da, db
+		loA, _ = keySpan(a)
+		loB, sb = keySpan(b)
+	}
+	out := make([][]int64, len(a))
+	for t := range a {
+		k := xdm.GetInts(len(a[t]))
+		for r, x := range a[t] {
+			k[r] = int64((uint64(x)-uint64(loA))*(sb+1) + uint64(b[t][r]) - uint64(loB))
+		}
+		out[t] = k
+	}
+	return out, nil
+}
+
+// keySpan returns the least key across the tables and the distance to the
+// greatest, as an unsigned difference that stays exact where hi-lo would
+// overflow.
+func keySpan(keys [][]int64) (lo int64, span uint64) {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, k := range keys {
+		for _, x := range k {
+			lo, hi = min(lo, x), max(hi, x)
+		}
+	}
+	if lo > hi {
+		return 0, 0
+	}
+	return lo, uint64(hi) - uint64(lo)
+}
+
+// denseKeys regroups keys to the group ids of one index over every
+// table's keys.
+func (ex *Exec) denseKeys(keys [][]int64) ([][]int64, error) {
+	n := 0
+	for _, k := range keys {
+		n += len(k)
+	}
+	all := xdm.GetInts(n)[:0]
+	for _, k := range keys {
+		all = append(all, k...)
+	}
+	ix, err := groupInts(all, ex.CheckCancel)
+	xdm.PutInts(all)
+	if err != nil {
+		return nil, err
+	}
+	return idKeys(ix, keys), nil
+}
+
+// idKeys splits a group index over the parts' rows, numbered across the
+// parts in order, into one pooled slice of group ids per part, and
+// releases the index.
+func idKeys[T any](ix *groupIndex, parts [][]T) [][]int64 {
+	keys := make([][]int64, len(parts))
+	ids := ix.ids
+	for t, p := range parts {
+		k := xdm.GetInts(len(p))
+		for r := range k {
+			k[r] = int64(ids[r])
+		}
+		ids = ids[len(p):]
+		keys[t] = k
+	}
+	ix.release()
+	return keys
+}
+
+// releaseKeys hands owned keys back to the pool.
+func releaseKeys(keys [][]int64, owned bool) {
+	if owned {
+		for _, k := range keys {
+			xdm.PutInts(k)
+		}
+	}
+}
+
+// evalDistinct deduplicates rows over n.Cols, keeping the first row of
+// every group of keyRows-equal rows.
 func (ex *Exec) evalDistinct(n *algebra.Node, in *Table) (*Table, error) {
 	cols := make([]*xdm.Column, len(n.Cols))
 	for i, c := range n.Cols {
 		cols[i] = in.Col(c)
 	}
-	rows := in.NumRows()
-	buf := xdm.GetInt32s(rows)
-	keep := buf[:0]
-
-	classes := make([]wordClass, len(cols))
-	wordable := true
-	for i, c := range cols {
-		classes[i] = classOf(c)
-		if classes[i] == wordNone {
-			wordable = false
-		}
+	keys, owned, err := ex.keyRows([][]*xdm.Column{cols})
+	if err != nil {
+		return nil, err
 	}
-	keys, packed, intOK := intKeys(cols)
-	switch {
-	case intOK:
-		ix, err := groupInts(keys[0], ex.CheckCancel)
-		if packed {
-			xdm.PutInts(keys[0])
-		}
-		if err != nil {
-			xdm.PutInt32s(buf)
-			return nil, err
-		}
-		// Groups are numbered in order of first occurrence: a row opens a
-		// new group exactly when its group is the next number.
-		for r, g := range ix.ids {
-			if int(g) == len(keep) {
-				keep = append(keep, int32(r))
-			}
-		}
-		ix.release()
-	case wordable && len(cols) == 1 && classes[0] != wordStr:
-		ws := wordsOf(cols[0])
-		seen := make(map[uint64]struct{}, rows)
-		for r, w := range ws {
-			if _, ok := seen[w]; !ok {
-				seen[w] = struct{}{}
-				keep = append(keep, int32(r))
-			}
-		}
-	case wordable && len(cols) == 1: // single string-class column
-		ss, _, _ := cols[0].Strings()
-		seen := make(map[string]struct{}, rows)
-		for r, s := range ss {
-			if _, ok := seen[s]; !ok {
-				seen[s] = struct{}{}
-				keep = append(keep, int32(r))
-			}
-		}
-	case wordable && len(cols) == 2 && classes[0] != wordStr && classes[1] != wordStr:
-		w0, w1 := wordsOf(cols[0]), wordsOf(cols[1])
-		seen := make(map[[2]uint64]struct{}, rows)
-		for r := 0; r < rows; r++ {
-			k := [2]uint64{w0[r], w1[r]}
-			if _, ok := seen[k]; !ok {
-				seen[k] = struct{}{}
-				keep = append(keep, int32(r))
-			}
-		}
-	default:
-		seen := make(map[string]bool, rows)
-		for r := 0; r < rows; r++ {
-			k := rowKey(cols, r)
-			if !seen[k] {
-				seen[k] = true
-				keep = append(keep, int32(r))
-			}
+	ix, err := groupInts(keys[0], ex.CheckCancel)
+	releaseKeys(keys, owned)
+	if err != nil {
+		return nil, err
+	}
+	defer ix.release()
+	// Groups are numbered in order of first occurrence: a row opens a new
+	// group exactly when its group is the next number.
+	keep := xdm.GetInt32s(ix.groups)[:0]
+	defer xdm.PutInt32s(keep)
+	for r, g := range ix.ids {
+		if int(g) == len(keep) {
+			keep = append(keep, int32(r))
 		}
 	}
 	t := NewTable(n.Cols)
 	for i := range cols {
 		t.Data[i] = cols[i].Gather(keep)
 	}
-	xdm.PutInt32s(buf)
 	return t, nil
 }
 
+// evalSemiDiff keeps the left rows whose keyRows key is (semijoin) or is
+// not (difference) among the right rows' keys.
 func (ex *Exec) evalSemiDiff(n *algebra.Node, l, r *Table) (*Table, error) {
-	rcols := make([]*xdm.Column, len(n.Cols))
 	lcols := make([]*xdm.Column, len(n.Cols))
+	rcols := make([]*xdm.Column, len(n.Cols))
 	for i, c := range n.Cols {
-		rcols[i] = r.Col(c)
-		lcols[i] = l.Col(c)
+		lcols[i], rcols[i] = l.Col(c), r.Col(c)
 	}
-	want := n.Kind == algebra.OpSemi
-	lrows, rrows := l.NumRows(), r.NumRows()
-	buf := xdm.GetInt32s(lrows)
-	keep := buf[:0]
-
-	// The word path needs each (left, right) column pair to key the same
-	// class: word keys carry no class tag, and the boxed keys never
-	// matched across classes (e.g. boolean true vs integer 1).
-	wordable := true
-	stringy := false
-	for i := range lcols {
-		lc, rc := classOf(lcols[i]), classOf(rcols[i])
-		if lc != rc || lc == wordNone {
-			wordable = false
-			break
-		}
-		if lc == wordStr {
-			stringy = true
-		}
-	}
-	keys, packed, intOK := intKeys(lcols, rcols)
-	switch {
-	case intOK:
-		// One or two integer key columns: probe the map-free group index.
-		err := ex.semiInts(keys[0], keys[1], want, &keep)
-		if packed {
-			xdm.PutInts(keys[0])
-			xdm.PutInts(keys[1])
-		}
-		if err != nil {
-			xdm.PutInt32s(buf)
-			return nil, err
-		}
-	case wordable && len(lcols) == 1 && !stringy:
-		rw := wordsOf(rcols[0])
-		set := make(map[uint64]struct{}, rrows)
-		for i, w := range rw {
-			if i&(probeChunk-1) == 0 {
-				if err := ex.CheckCancel(); err != nil {
-					xdm.PutInt32s(buf)
-					return nil, err
-				}
-			}
-			set[w] = struct{}{}
-		}
-		lw := wordsOf(lcols[0])
-		for i, w := range lw {
-			if i&(probeChunk-1) == 0 {
-				if err := ex.CheckCancel(); err != nil {
-					xdm.PutInt32s(buf)
-					return nil, err
-				}
-			}
-			if _, ok := set[w]; ok == want {
-				keep = append(keep, int32(i))
-			}
-		}
-	case wordable && len(lcols) == 1: // single string-class pair
-		rs, _, _ := rcols[0].Strings()
-		set := make(map[string]struct{}, rrows)
-		for i, s := range rs {
-			if i&(probeChunk-1) == 0 {
-				if err := ex.CheckCancel(); err != nil {
-					xdm.PutInt32s(buf)
-					return nil, err
-				}
-			}
-			set[s] = struct{}{}
-		}
-		ls, _, _ := lcols[0].Strings()
-		for i, s := range ls {
-			if i&(probeChunk-1) == 0 {
-				if err := ex.CheckCancel(); err != nil {
-					xdm.PutInt32s(buf)
-					return nil, err
-				}
-			}
-			if _, ok := set[s]; ok == want {
-				keep = append(keep, int32(i))
-			}
-		}
-	case wordable && len(lcols) == 2 && !stringy:
-		r0, r1 := wordsOf(rcols[0]), wordsOf(rcols[1])
-		set := make(map[[2]uint64]struct{}, rrows)
-		for i := 0; i < rrows; i++ {
-			if i&(probeChunk-1) == 0 {
-				if err := ex.CheckCancel(); err != nil {
-					xdm.PutInt32s(buf)
-					return nil, err
-				}
-			}
-			set[[2]uint64{r0[i], r1[i]}] = struct{}{}
-		}
-		l0, l1 := wordsOf(lcols[0]), wordsOf(lcols[1])
-		for i := 0; i < lrows; i++ {
-			if i&(probeChunk-1) == 0 {
-				if err := ex.CheckCancel(); err != nil {
-					xdm.PutInt32s(buf)
-					return nil, err
-				}
-			}
-			if _, ok := set[[2]uint64{l0[i], l1[i]}]; ok == want {
-				keep = append(keep, int32(i))
-			}
-		}
-	default:
-		set := make(map[string]bool, rrows)
-		for i := 0; i < rrows; i++ {
-			if i&(probeChunk-1) == 0 {
-				if err := ex.CheckCancel(); err != nil {
-					xdm.PutInt32s(buf)
-					return nil, err
-				}
-			}
-			set[rowKey(rcols, i)] = true
-		}
-		for i := 0; i < lrows; i++ {
-			if i&(probeChunk-1) == 0 {
-				if err := ex.CheckCancel(); err != nil {
-					xdm.PutInt32s(buf)
-					return nil, err
-				}
-			}
-			if set[rowKey(lcols, i)] == want {
-				keep = append(keep, int32(i))
-			}
-		}
-	}
-	out := l.filter(keep)
-	xdm.PutInt32s(buf)
-	return out, nil
-}
-
-// semiInts appends to keep the left rows whose key is (want) or is not
-// (!want) among the right keys.
-func (ex *Exec) semiInts(lk, rk []int64, want bool, keep *[]int32) error {
-	ix, err := groupInts(rk, ex.CheckCancel)
+	keys, owned, err := ex.keyRows([][]*xdm.Column{lcols, rcols})
 	if err != nil {
-		return err
+		return nil, err
+	}
+	defer releaseKeys(keys, owned)
+	ix, err := groupInts(keys[1], ex.CheckCancel)
+	if err != nil {
+		return nil, err
 	}
 	defer ix.release()
-	for i, k := range lk {
+	want := n.Kind == algebra.OpSemi
+	keep := xdm.GetInt32s(len(keys[0]))[:0]
+	defer xdm.PutInt32s(keep)
+	for i, k := range keys[0] {
 		if i&(probeChunk-1) == 0 {
 			if err := ex.CheckCancel(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		if (ix.lookupInt(k) >= 0) == want {
-			*keep = append(*keep, int32(i))
+			keep = append(keep, int32(i))
 		}
 	}
-	return nil
+	return l.Filter(keep), nil
 }
 
 // --- Row numbering: the ρ/# cost asymmetry ---
@@ -1213,7 +1090,7 @@ func (ex *Exec) evalRowNum(n *algebra.Node, in *Table) (*Table, error) {
 			xdm.PutInt32s(perm)
 			return nil, err
 		}
-		out = in.permute(perm)
+		out = in.Filter(perm)
 		xdm.PutInt32s(perm)
 	}
 	num := xdm.GetInts(rows)
@@ -1232,7 +1109,7 @@ func (ex *Exec) evalRowNum(n *algebra.Node, in *Table) (*Table, error) {
 			num[i] = int64(i + 1)
 		}
 	}
-	return out.withColumn(n.Res, xdm.IntColumn(num)), nil
+	return out.WithColumn(n.Res, xdm.IntColumn(num)), nil
 }
 
 // abortSort carries a cancellation error out of a sort comparator; the

@@ -122,9 +122,14 @@ func groupInts(keys []int64, poll func() error) (*groupIndex, error) {
 	return ix, nil
 }
 
-// groupStrings indexes a string key column; see groupInts.
-func groupStrings(keys []string, poll func() error) (*groupIndex, error) {
-	n := len(keys)
+// groupStrings indexes a string key column given as consecutive parts —
+// one key space over several tables' columns, rows numbered across the
+// parts in order; see groupInts.
+func groupStrings(poll func() error, parts ...[]string) (*groupIndex, error) {
+	n := 0
+	for _, keys := range parts {
+		n += len(keys)
+	}
 	ix := &groupIndex{}
 	if n == 0 {
 		return ix, nil
@@ -132,26 +137,30 @@ func groupStrings(keys []string, poll func() error) (*groupIndex, error) {
 	ix.ids = xdm.GetInt32s(n)
 	ix.slots, ix.shift = newSlots(n)
 	mask := uint64(len(ix.slots) - 1)
-	for r, k := range keys {
-		if r&(probeChunk-1) == 0 {
-			if err := poll(); err != nil {
-				ix.release()
-				return nil, err
+	r := 0
+	for _, keys := range parts {
+		for _, k := range keys {
+			if r&(probeChunk-1) == 0 {
+				if err := poll(); err != nil {
+					ix.release()
+					return nil, err
+				}
 			}
-		}
-		h := maphash.String(strSeed, k) >> ix.shift
-		for {
-			g := ix.slots[h]
-			if g == 0 {
-				ix.skeys = append(ix.skeys, k)
-				g = int32(len(ix.skeys))
-				ix.slots[h] = g
-			} else if ix.skeys[g-1] != k {
-				h = (h + 1) & mask
-				continue
+			h := maphash.String(strSeed, k) >> ix.shift
+			for {
+				g := ix.slots[h]
+				if g == 0 {
+					ix.skeys = append(ix.skeys, k)
+					g = int32(len(ix.skeys))
+					ix.slots[h] = g
+				} else if ix.skeys[g-1] != k {
+					h = (h + 1) & mask
+					continue
+				}
+				ix.ids[r] = g - 1
+				break
 			}
-			ix.ids[r] = g - 1
-			break
+			r++
 		}
 	}
 	ix.groups = len(ix.skeys)
@@ -270,7 +279,7 @@ func buildJoinIndex(rk *xdm.Column, poll func() error) (*JoinIndex, error) {
 		for i := range keys {
 			keys[i] = xdm.DistinctKey(rk.Get(i))
 		}
-		g, err = groupStrings(keys, poll)
+		g, err = groupStrings(poll, keys)
 	}
 	if err != nil {
 		return nil, err

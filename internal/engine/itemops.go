@@ -36,7 +36,7 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			return in.withColumn(n.Res, col), nil
+			return in.WithColumn(n.Res, col), nil
 		}
 	}
 	out := xdm.GetItems(rows)
@@ -60,7 +60,7 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 		}
 		out[i] = v
 	}
-	return in.withColumn(n.Res, xdm.FromItemsOwned(out)), nil
+	return in.WithColumn(n.Res, xdm.FromItemsOwned(out)), nil
 }
 
 // typedBinOp evaluates the arithmetic/comparison kernels over flat
@@ -344,7 +344,7 @@ func (ex *Exec) evalMap1(n *algebra.Node, in *Table) (*Table, error) {
 			return nil, err
 		}
 	}
-	return in.withColumn(n.Res, xdm.FromItemsOwned(out)), nil
+	return in.WithColumn(n.Res, xdm.FromItemsOwned(out)), nil
 }
 
 func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, error) {

@@ -88,43 +88,24 @@ func (t *Table) Col(name string) *xdm.Column {
 	return t.Data[i]
 }
 
-// HasCol reports whether the table has the named column.
-func (t *Table) HasCol(name string) bool {
-	for _, c := range t.Cols {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
-// permute returns a new table with rows reordered by perm.
-func (t *Table) permute(perm []int32) *Table {
+// Filter returns a new table holding the rows at the given indices, in
+// that order: a selection, or a permutation when keep covers every row.
+func (t *Table) Filter(keep []int32) *Table {
 	out := NewTable(t.Cols)
 	for c := range t.Data {
-		out.Data[c] = t.Data[c].Gather(perm)
+		out.Data[c] = t.Data[c].Gather(keep)
 	}
 	return out
 }
 
-// filter returns a new table with only the rows at the given indices.
-func (t *Table) filter(keep []int32) *Table { return t.permute(keep) }
-
-// withColumn returns a table extended by one column (aliasing existing
+// WithColumn returns a table extended by one column (aliasing existing
 // columns).
-func (t *Table) withColumn(name string, col *xdm.Column) *Table {
+func (t *Table) WithColumn(name string, col *xdm.Column) *Table {
 	return &Table{
 		Cols: append(append([]string{}, t.Cols...), name),
 		Data: append(append([]*xdm.Column{}, t.Data...), col),
 	}
 }
-
-// WithColumn returns a table extended by one column (aliasing existing
-// columns) — the exported variant used by the parallel executor.
-func (t *Table) WithColumn(name string, col *xdm.Column) *Table { return t.withColumn(name, col) }
-
-// Filter returns a new table with only the rows at the given indices.
-func (t *Table) Filter(keep []int32) *Table { return t.filter(keep) }
 
 // iterKey converts an iteration id item to its int64 representation;
 // iteration, position and numbering columns are always integers.
@@ -156,15 +137,4 @@ func iterInts(c *xdm.Column) []int64 {
 	}
 	iterKey(c.Get(0)) // panics with the standard non-integer key message
 	panic("unreachable")
-}
-
-// rowKey builds a composite grouping key over several columns for one row
-// (the boxed fallback for distinct/semijoin when typed word keys do not
-// apply).
-func rowKey(cols []*xdm.Column, r int) string {
-	key := ""
-	for _, c := range cols {
-		key += xdm.DistinctKey(c.Get(r)) + "\x00"
-	}
-	return key
 }

@@ -303,7 +303,10 @@ type eqIndex[T float64 | string] struct {
 
 var (
 	floatEq = eqIndex[float64]{groupFloats, (*groupIndex).lookupFloat}
-	strEq   = eqIndex[string]{groupStrings, (*groupIndex).lookupStr}
+	strEq   = eqIndex[string]{
+		func(keys []string, poll func() error) (*groupIndex, error) { return groupStrings(poll, keys) },
+		(*groupIndex).lookupStr,
+	}
 )
 
 // thetaTyped joins two sides rendered in one domain. Matching pairs:

@@ -46,12 +46,6 @@ type Options struct {
 	// ledger cannot cover trigger page eviction, never an error — paging
 	// pressure must degrade locality, not availability.
 	Ledger *xdm.Ledger
-	// LazyVerify defers section-CRC verification from mount time to the
-	// first query probe (Health). Mounts of large corpora get cheap; the
-	// first query pays for the verification instead, and a bad part
-	// surfaces as a retryable fault (when a replica remains) rather than
-	// a failed mount. Default off: verify eagerly at open.
-	LazyVerify bool
 	// OnHeal, when set, is called after a scrub pass failed suspect
 	// parts over to healthy replicas and reassembled their documents —
 	// the mounting engine re-registers the fresh fragments. Invoked
@@ -93,7 +87,6 @@ type part struct {
 	mapped bool
 	hdr    header
 
-	verified  bool        // section CRCs checked (guarded by Store.mu)
 	suspect   atomic.Bool // a fault was observed on the active copy
 	exhausted bool        // every replica failed; terminal (guarded by Store.mu)
 	faultMsg  string      // diagnostic of the observed fault (guarded by Store.mu)
@@ -134,8 +127,7 @@ type Store struct {
 	// open) until Close.
 	condemned []mapping
 
-	suspects   atomic.Int64 // parts currently suspect (Health fast path)
-	unverified atomic.Int64 // parts awaiting lazy verification
+	suspects atomic.Int64 // parts currently suspect (Health fast path)
 
 	failovers   int64 // replica failovers performed by this store
 	quarantined int64 // part files quarantined and not yet restored
@@ -235,7 +227,7 @@ func Open(dirs []string, opts Options) (st *Store, err error) {
 			var lastErr error
 			opened := false
 			for si, src := range p.srcs {
-				m, merr := openMapping(src.path(), src.mp, !opts.LazyVerify)
+				m, merr := openMapping(src.path(), src.mp)
 				if merr != nil {
 					src.bad = true
 					lastErr = merr
@@ -244,7 +236,6 @@ func Open(dirs []string, opts Options) (st *Store, err error) {
 				p.active = si
 				p.path = src.path()
 				p.f, p.data, p.mapped, p.hdr = m.f, m.data, m.mapped, m.hdr
-				p.verified = !opts.LazyVerify
 				if si > 0 {
 					// A replica beyond the first served: mount-time failover.
 					st.failovers++
@@ -255,9 +246,6 @@ func Open(dirs []string, opts Options) (st *Store, err error) {
 			}
 			if !opened {
 				return nil, lastErr
-			}
-			if !p.verified {
-				st.unverified.Add(1)
 			}
 			st.parts = append(st.parts, p)
 			st.mappedBytes += int64(len(p.data))
@@ -298,9 +286,8 @@ func Open(dirs []string, opts Options) (st *Store, err error) {
 }
 
 // openMapping maps one part file and validates header and manifest
-// agreement; section checksums are verified when verify is set (eager
-// mounts) and deferred to Health otherwise.
-func openMapping(path string, mp manifestPart, verify bool) (*mapping, error) {
+// agreement and the section checksums.
+func openMapping(path string, mp manifestPart) (*mapping, error) {
 	if p := fault.Armed(); p != nil {
 		// Injected open faults classify exactly as the real ones: a short
 		// read (which wins a collision) as ErrCorrupt, a failed map as I/O.
@@ -334,11 +321,9 @@ func openMapping(path string, mp manifestPart, verify bool) (*mapping, error) {
 		m.close()
 		return nil, corruptf("%s: holds %d nodes, manifest says %d", path, h.nodes, mp.Nodes)
 	}
-	if verify {
-		if err := verifySections(path, data, h); err != nil {
-			m.close()
-			return nil, err
-		}
+	if err := verifySections(path, data, h); err != nil {
+		m.close()
+		return nil, err
 	}
 	m.hdr = h
 	return m, nil
@@ -485,17 +470,11 @@ func (s *Store) Docs() []DocEntry {
 	return append([]DocEntry(nil), s.docs...)
 }
 
-// Health is the query-time probe: it performs any pending lazy
-// verification and reports the first suspect part as an error —
-// retryable (the engine fails over and re-executes) while an untried
-// replica remains, terminal once all copies are bad. The healthy fast
-// path is two atomic loads.
+// Health is the query-time probe: it reports the first suspect part as
+// an error — retryable (the engine fails over and re-executes) while an
+// untried replica remains, terminal once all copies are bad. The healthy
+// fast path is one atomic load.
 func (s *Store) Health() error {
-	if s.unverified.Load() > 0 {
-		if err := s.verifyPending(); err != nil {
-			return err
-		}
-	}
 	if s.suspects.Load() > 0 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -503,32 +482,6 @@ func (s *Store) Health() error {
 			if p.suspect.Load() {
 				return s.faultErrLocked(p)
 			}
-		}
-	}
-	return nil
-}
-
-// verifyPending runs deferred (LazyVerify) section-CRC checks. A bad
-// part is marked suspect and reported like any other fault.
-func (s *Store) verifyPending() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	for _, p := range s.parts {
-		if p.verified {
-			continue
-		}
-		err := verifySections(p.path, p.data, p.hdr)
-		p.verified = true
-		s.unverified.Add(-1)
-		// Verification touched every page; drop them so lazy checks do
-		// not pin the corpus resident.
-		dropPages(p.f, p.data, p.mapped)
-		if err != nil {
-			s.markSuspectLocked(p, err.Error())
-			return s.faultErrLocked(p)
 		}
 	}
 	return nil
@@ -670,7 +623,7 @@ func (s *Store) failoverPartLocked(p *part) bool {
 		if cand.bad {
 			continue
 		}
-		m, err := openMapping(cand.path(), cand.mp, true)
+		m, err := openMapping(cand.path(), cand.mp)
 		if err != nil {
 			cand.bad = true
 			continue
@@ -685,7 +638,6 @@ func (s *Store) failoverPartLocked(p *part) bool {
 		p.path = cand.path()
 		p.f, p.data, p.mapped, p.hdr = m.f, m.data, m.mapped, m.hdr
 		p.active = idx
-		p.verified = true
 		p.faultMsg = ""
 		p.lastResident = 0
 		p.suspect.Store(false)

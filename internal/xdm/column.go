@@ -310,15 +310,6 @@ func (c *Column) AppendTo(dst []Item) []Item {
 	return dst
 }
 
-// Items materializes the column as a fresh boxed slice; for mixed columns
-// the internal slice is returned directly (treat it as read-only).
-func (c *Column) Items() []Item {
-	if c.kind == ColItems {
-		return c.items
-	}
-	return c.AppendTo(make([]Item, 0, c.Len()))
-}
-
 // Gather returns a new column with cell j equal to cell perm[j] — the
 // typed projection/permutation kernel (a plain copy loop per
 // representation, no per-cell boxing).
@@ -445,48 +436,6 @@ func (c *Column) String() string {
 type ColumnBuilder struct {
 	col     Column
 	started bool
-}
-
-// NewColumnBuilder returns a builder with capacity for n cells (buffers
-// come from the pool, so sizing generously is cheap).
-func NewColumnBuilder(n int) *ColumnBuilder {
-	return &ColumnBuilder{}
-}
-
-// AppendInt appends an xs:integer cell.
-func (b *ColumnBuilder) AppendInt(v int64) {
-	if !b.started {
-		b.start(ColInt)
-	}
-	if b.col.kind == ColInt {
-		b.col.ints = append(b.col.ints, v)
-		return
-	}
-	b.Append(Item{Kind: KInteger, I: v})
-}
-
-// AppendBool appends an xs:boolean cell (0/1).
-func (b *ColumnBuilder) AppendBool(v int64) {
-	if !b.started {
-		b.start(ColBool)
-	}
-	if b.col.kind == ColBool {
-		b.col.ints = append(b.col.ints, v)
-		return
-	}
-	b.Append(Item{Kind: KBoolean, I: v})
-}
-
-// AppendNode appends a node-reference cell.
-func (b *ColumnBuilder) AppendNode(id NodeID) {
-	if !b.started {
-		b.start(ColNode)
-	}
-	if b.col.kind == ColNode {
-		b.col.ns = append(b.col.ns, id)
-		return
-	}
-	b.Append(Item{Kind: KNode, N: id})
 }
 
 // Append appends any cell, demoting the builder to the boxed fallback

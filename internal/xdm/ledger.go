@@ -41,9 +41,6 @@ func NewLedger(maxBytes int64) *Ledger {
 	return &Ledger{max: maxBytes}
 }
 
-// Max returns the configured budget (0 = unlimited).
-func (l *Ledger) Max() int64 { return l.max }
-
 // Used returns the bytes currently reserved across all accounts.
 func (l *Ledger) Used() int64 { return l.used.Load() }
 

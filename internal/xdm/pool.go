@@ -35,13 +35,6 @@ const maxClass = 48
 // (internal/obs) reads per-run deltas from them without any toggling.
 var poolHits, poolMisses atomic.Int64
 
-// Byte-level pool accounting: alongside the hit/miss counts, the pool
-// tracks the bytes it served from reuse (hitBytes) and the bytes it had
-// to allocate fresh (missBytes), both at buffer capacity. Cumulative and
-// monotonic, like the hit/miss counters; the multi-query governor and
-// the observability layer read deltas.
-var poolHitBytes, poolMissBytes atomic.Int64
-
 // PoolStats returns the cumulative pool hit and miss counts since process
 // start. Per-run figures are deltas between two calls; with concurrent
 // executions the deltas attribute traffic to whichever run reads them.
@@ -49,22 +42,11 @@ func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
 }
 
-// PoolBytes returns the cumulative bytes the pool served from reuse and
-// the bytes it allocated fresh for poolable requests (both measured at
-// buffer capacity). reused/allocated mirror the hit/miss counters of
-// PoolStats at byte granularity.
-func PoolBytes() (reused, allocated int64) {
-	return poolHitBytes.Load(), poolMissBytes.Load()
-}
-
 type slicePool[T any] struct {
 	classes [maxClass]sync.Pool
 	// boxes recycles the *[]T headers the classes hold, so a put in
 	// steady state allocates nothing.
 	boxes sync.Pool
-	// elem is the per-element byte size used for the byte-level traffic
-	// counters (set at declaration; zero disables byte accounting).
-	elem int64
 }
 
 func (p *slicePool[T]) get(n int) []T {
@@ -76,7 +58,6 @@ func (p *slicePool[T]) get(n int) []T {
 		if c < maxClass {
 			if v := p.classes[c].Get(); v != nil {
 				poolHits.Add(1)
-				poolHitBytes.Add(p.elem << c)
 				box := v.(*[]T)
 				s := (*box)[:n]
 				*box = nil
@@ -84,7 +65,6 @@ func (p *slicePool[T]) get(n int) []T {
 				return s
 			}
 			poolMisses.Add(1)
-			poolMissBytes.Add(p.elem << c)
 			return make([]T, n, 1<<c)
 		}
 	}
@@ -123,11 +103,11 @@ func (p *slicePool[T]) grow(s []T, n int) []T {
 }
 
 var (
-	intPool   = slicePool[int64]{elem: 8}
-	floatPool = slicePool[float64]{elem: 8}
-	nodePool  = slicePool[NodeID]{elem: 8} // Frag uint32 + Pre int32
-	itemPool  = slicePool[Item]{elem: 48}  // boxed Item: tag + payload words
-	int32Pool = slicePool[int32]{elem: 4}
+	intPool   slicePool[int64]
+	floatPool slicePool[float64]
+	nodePool  slicePool[NodeID]
+	itemPool  slicePool[Item]
+	int32Pool slicePool[int32]
 )
 
 // GetInts returns an int64 buffer of length n (contents undefined).
