@@ -140,20 +140,12 @@ func AllOptimizations() Optimizations {
 	return Optimizations{ColumnAnalysis: true, RownumRelax: true, StepMerge: true, DisjointDistinct: true}
 }
 
+// options is what the Option functions set: the pipeline configuration
+// every query of the Engine runs under, plus the Engine's store settings.
 type options struct {
-	indifference bool
-	ordering     Ordering
-	optim        Optimizations
-	timeout      time.Duration
-	maxCells     int64
-	intOrders    bool
-	parallelism  int
-	compiled     bool
-	collect      bool
-	tracer       Tracer
-	governor     *governor.Governor
-	storeBudget  int64
-	scrub        StoreScrubConfig
+	cfg         core.Config
+	storeBudget int64
+	scrub       StoreScrubConfig
 }
 
 // Option configures an Engine.
@@ -165,29 +157,39 @@ type Option func(*options)
 // baseline of the paper's §5 — fn:unordered() becomes the identity. The
 // default is enabled.
 func WithOrderIndifference(on bool) Option {
-	return func(o *options) { o.indifference = on }
+	return func(o *options) { o.cfg.Indifference = on }
 }
 
 // WithOrdering overrides the ordering mode for every query.
 func WithOrdering(mode Ordering) Option {
-	return func(o *options) { o.ordering = mode }
+	return func(o *options) {
+		o.cfg.ForceOrdering = nil
+		switch mode {
+		case Ordered:
+			m := xquery.Ordered
+			o.cfg.ForceOrdering = &m
+		case Unordered:
+			m := xquery.Unordered
+			o.cfg.ForceOrdering = &m
+		}
+	}
 }
 
 // WithOptimizations selects individual plan rewrites (for ablations).
 func WithOptimizations(opts Optimizations) Option {
-	return func(o *options) { o.optim = opts }
+	return func(o *options) { o.cfg.Opt = opt.Options(opts) }
 }
 
 // WithTimeout bounds query execution (the paper's experiments used 30 s).
 func WithTimeout(d time.Duration) Option {
-	return func(o *options) { o.timeout = d }
+	return func(o *options) { o.cfg.Timeout = d }
 }
 
 // WithMemoryLimit bounds the number of intermediate table cells one
 // execution may materialize (0 = unlimited); exceeding it aborts with a
 // cutoff error.
 func WithMemoryLimit(cells int64) Option {
-	return func(o *options) { o.maxCells = cells }
+	return func(o *options) { o.cfg.MaxCells = cells }
 }
 
 // WithInterestingOrders enables the engine's physical sortedness check on
@@ -195,7 +197,7 @@ func WithMemoryLimit(cells int64) Option {
 // ordered inputs skip their sort. Off by default — the paper's
 // measurements pay every sort, and the reproduction does too.
 func WithInterestingOrders(on bool) Option {
-	return func(o *options) { o.intOrders = on }
+	return func(o *options) { o.cfg.InterestingOrders = on }
 }
 
 // WithParallelism evaluates order-dead plan regions morsel-wise: operators
@@ -211,7 +213,7 @@ func WithParallelism(n int) Option {
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		o.parallelism = n
+		o.cfg.Parallelism = n
 	}
 }
 
@@ -220,7 +222,7 @@ func WithParallelism(n int) Option {
 // a cached Query reuses across executions — and false flattens at each
 // Run. Results are byte-identical either way.
 func WithCompiled(on bool) Option {
-	return func(o *options) { o.compiled = on }
+	return func(o *options) { o.cfg.Compiled = on }
 }
 
 // Resource-governance re-exports. The governor lives in
@@ -263,7 +265,7 @@ func WithQuotaContext(ctx context.Context, bytes int64) context.Context {
 // pressure. Pass the same *Governor to several Engines to govern them
 // as one pool. Nil (the default) disables governance.
 func WithGovernor(g *Governor) Option {
-	return func(o *options) { o.governor = g }
+	return func(o *options) { o.cfg.Governor = g }
 }
 
 // WithStoreBudget gives attached on-disk stores (AttachStore) their own
@@ -328,13 +330,13 @@ func WriteMetrics(w io.Writer) error { return obs.Default.Write(w) }
 // distribution per plan operator. Off by default; when off the only cost
 // is one nil check per operator (zero allocations on the hot path).
 func WithCollect(on bool) Option {
-	return func(o *options) { o.collect = on }
+	return func(o *options) { o.cfg.Collect = on }
 }
 
 // WithTracer streams execution spans to t; see Tracer for the span
 // categories. Nil (the default) disables tracing.
 func WithTracer(t Tracer) Option {
-	return func(o *options) { o.tracer = t }
+	return func(o *options) { o.cfg.Tracer = t }
 }
 
 // Engine holds loaded documents and configuration. It is safe for
@@ -431,7 +433,7 @@ func (e *Engine) docsSnapshot() map[string][]uint32 {
 // New creates an engine. By default order indifference and all plan
 // rewrites are enabled and queries follow their prolog's ordering mode.
 func New(opts ...Option) *Engine {
-	o := options{indifference: true, optim: AllOptimizations(), compiled: true}
+	o := options{cfg: core.DefaultConfig()}
 	for _, f := range opts {
 		f(&o)
 	}
@@ -552,33 +554,11 @@ func (e *Engine) DocumentStats(name string) (DocumentInfo, error) {
 	return info, nil
 }
 
+// coreConfig is the Engine's pipeline configuration with its store probe
+// attached.
 func (e *Engine) coreConfig() core.Config {
-	cfg := core.Config{
-		Indifference:      e.opts.indifference,
-		Timeout:           e.opts.timeout,
-		MaxCells:          e.opts.maxCells,
-		InterestingOrders: e.opts.intOrders,
-		Parallelism:       e.opts.parallelism,
-		Compiled:          e.opts.compiled,
-		Collect:           e.opts.collect,
-		Tracer:            e.opts.tracer,
-		Governor:          e.opts.governor,
-		StoreProbe:        e.storeProbe,
-		Opt: opt.Options{
-			ColumnAnalysis:   e.opts.optim.ColumnAnalysis,
-			RownumRelax:      e.opts.optim.RownumRelax,
-			StepMerge:        e.opts.optim.StepMerge,
-			DisjointDistinct: e.opts.optim.DisjointDistinct,
-		},
-	}
-	switch e.opts.ordering {
-	case Ordered:
-		m := xquery.Ordered
-		cfg.ForceOrdering = &m
-	case Unordered:
-		m := xquery.Unordered
-		cfg.ForceOrdering = &m
-	}
+	cfg := e.opts.cfg
+	cfg.StoreProbe = e.storeProbe
 	return cfg
 }
 

@@ -80,8 +80,8 @@ func (e *Engine) AttachStore(dirs ...string) ([]string, error) {
 		return nil, fmt.Errorf("exrquy: store %s already attached", key)
 	}
 	led := e.storeLedger
-	if led == nil && e.opts.governor != nil {
-		led = e.opts.governor.Ledger()
+	if led == nil && e.opts.cfg.Governor != nil {
+		led = e.opts.cfg.Governor.Ledger()
 	}
 	m := &storeMount{key: key, dirs: append([]string(nil), dirs...)}
 	st, err := store.Open(dirs, store.Options{Ledger: led, OnHeal: func(entries []store.DocEntry) {

@@ -1,6 +1,10 @@
 package compile
 
-import "repro/internal/xquery"
+import (
+	"slices"
+
+	"repro/internal/xquery"
+)
 
 // freeVars returns the free variable names of an expression, with the
 // context item counted as the pseudo-variable ".". Results are memoized
@@ -13,7 +17,7 @@ func (c *compiler) freeVars(e xquery.Expr) map[string]bool {
 		return fv
 	}
 	fv := map[string]bool{}
-	collectFree(e, map[string]bool{}, fv)
+	collectFree(e, nil, fv)
 	c.fvCache[e] = fv
 	return fv
 }
@@ -32,194 +36,41 @@ func (c *compiler) containsConstructor(e xquery.Expr) bool {
 	return v
 }
 
-// collectFree accumulates free variables of e into out, treating names in
-// bound as bound.
-func collectFree(e xquery.Expr, bound, out map[string]bool) {
+// collectFree adds to out the free variables of e that scope does not
+// bind.
+func collectFree(e xquery.Expr, scope []string, out map[string]bool) {
 	add := func(name string) {
-		if !bound[name] {
+		if !slices.Contains(scope, name) {
 			out[name] = true
 		}
 	}
-	sub := func(es ...xquery.Expr) {
-		for _, s := range es {
-			if s != nil {
-				collectFree(s, bound, out)
-			}
-		}
-	}
-	// withBound runs fn with extra bindings active.
-	withBound := func(names []string, fn func()) {
-		added := make([]string, 0, len(names))
-		for _, n := range names {
-			if n != "" && !bound[n] {
-				bound[n] = true
-				added = append(added, n)
-			}
-		}
-		fn()
-		for _, n := range added {
-			delete(bound, n)
-		}
-	}
-
 	switch e := e.(type) {
 	case *xquery.VarRef:
 		add(e.Name)
 	case *xquery.ContextItem:
 		add(".")
-	case *xquery.Sequence:
-		sub(e.Items...)
 	case *xquery.Path:
-		if e.Start != nil {
-			sub(e.Start)
-		} else {
+		if e.Start == nil {
 			add(".")
 		}
-		for _, st := range e.Steps {
-			// Step predicates bind the context item.
-			withBound([]string{"."}, func() { sub(st.Preds...) })
-		}
-	case *xquery.Filter:
-		sub(e.Base)
-		withBound([]string{"."}, func() { sub(e.Preds...) })
-	case *xquery.FLWOR:
-		var introduced []string
-		rest := func() {
-			sub(e.Where)
-			for _, o := range e.Order {
-				sub(o.Key)
-			}
-			sub(e.Return)
-		}
-		var walk func(i int)
-		walk = func(i int) {
-			if i == len(e.Clauses) {
-				rest()
-				return
-			}
-			switch cl := e.Clauses[i].(type) {
-			case *xquery.ForClause:
-				sub(cl.In)
-				withBound([]string{cl.Var, cl.PosVar}, func() { walk(i + 1) })
-			case *xquery.LetClause:
-				sub(cl.Expr)
-				withBound([]string{cl.Var}, func() { walk(i + 1) })
-			}
-		}
-		walk(0)
-		_ = introduced
-	case *xquery.Quantified:
-		var walk func(i int)
-		walk = func(i int) {
-			if i == len(e.Vars) {
-				sub(e.Satisfies)
-				return
-			}
-			sub(e.Vars[i].In)
-			withBound([]string{e.Vars[i].Var}, func() { walk(i + 1) })
-		}
-		walk(0)
-	case *xquery.IfExpr:
-		sub(e.Cond, e.Then, e.Else)
-	case *xquery.Arith:
-		sub(e.L, e.R)
-	case *xquery.Neg:
-		sub(e.Expr)
-	case *xquery.GeneralCmp:
-		sub(e.L, e.R)
-	case *xquery.ValueCmp:
-		sub(e.L, e.R)
-	case *xquery.NodeCmp:
-		sub(e.L, e.R)
-	case *xquery.Logic:
-		sub(e.L, e.R)
-	case *xquery.SetOp:
-		sub(e.L, e.R)
-	case *xquery.RangeExpr:
-		sub(e.L, e.R)
-	case *xquery.FuncCall:
-		sub(e.Args...)
-	case *xquery.OrderedExpr:
-		sub(e.Expr)
-	case *xquery.ElemCons:
-		for _, a := range e.Attrs {
-			for _, p := range a.Parts {
-				if p.Expr != nil {
-					sub(p.Expr)
-				}
-			}
-		}
-		sub(e.Content...)
 	}
+	xquery.Children(e, func(c xquery.Expr, bound []string) {
+		if len(bound) > 0 {
+			collectFree(c, append(slices.Clip(scope), bound...), out)
+		} else {
+			collectFree(c, scope, out)
+		}
+	})
 }
 
+// hasConstructor reports whether e is or contains an element constructor.
 func hasConstructor(e xquery.Expr) bool {
+	if _, ok := e.(*xquery.ElemCons); ok {
+		return true
+	}
 	found := false
-	var walk func(x xquery.Expr)
-	sub := func(es ...xquery.Expr) {
-		for _, s := range es {
-			if s != nil && !found {
-				walk(s)
-			}
-		}
-	}
-	walk = func(x xquery.Expr) {
-		switch x := x.(type) {
-		case *xquery.ElemCons:
-			found = true
-		case *xquery.Sequence:
-			sub(x.Items...)
-		case *xquery.Path:
-			sub(x.Start)
-			for _, st := range x.Steps {
-				sub(st.Preds...)
-			}
-		case *xquery.Filter:
-			sub(x.Base)
-			sub(x.Preds...)
-		case *xquery.FLWOR:
-			for _, cl := range x.Clauses {
-				switch cl := cl.(type) {
-				case *xquery.ForClause:
-					sub(cl.In)
-				case *xquery.LetClause:
-					sub(cl.Expr)
-				}
-			}
-			sub(x.Where)
-			for _, o := range x.Order {
-				sub(o.Key)
-			}
-			sub(x.Return)
-		case *xquery.Quantified:
-			for _, v := range x.Vars {
-				sub(v.In)
-			}
-			sub(x.Satisfies)
-		case *xquery.IfExpr:
-			sub(x.Cond, x.Then, x.Else)
-		case *xquery.Arith:
-			sub(x.L, x.R)
-		case *xquery.Neg:
-			sub(x.Expr)
-		case *xquery.GeneralCmp:
-			sub(x.L, x.R)
-		case *xquery.ValueCmp:
-			sub(x.L, x.R)
-		case *xquery.NodeCmp:
-			sub(x.L, x.R)
-		case *xquery.Logic:
-			sub(x.L, x.R)
-		case *xquery.SetOp:
-			sub(x.L, x.R)
-		case *xquery.RangeExpr:
-			sub(x.L, x.R)
-		case *xquery.FuncCall:
-			sub(x.Args...)
-		case *xquery.OrderedExpr:
-			sub(x.Expr)
-		}
-	}
-	walk(e)
+	xquery.Children(e, func(c xquery.Expr, _ []string) {
+		found = found || hasConstructor(c)
+	})
 	return found
 }

@@ -47,6 +47,8 @@ type Config struct {
 	// Opt configures the optimizer; ignored unless Indifference is set.
 	Opt opt.Options
 	// Timeout bounds execution wall-clock time (the paper used 30 s).
+	// RunContext applies it as a context deadline once the governor has
+	// admitted the execution, so queue wait does not count toward it.
 	Timeout time.Duration
 	// MaxCells bounds materialized intermediate results (0 = unlimited);
 	// exceeding it aborts with a cutoff error, like the gaps in the
@@ -293,6 +295,12 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 		memory = lease.Account()
 		degraded = lease.Degraded()
 	}
+	// The time limit starts after admission: queue wait does not count.
+	if p.cfg.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.cfg.Timeout)
+		defer cancel()
+	}
 	var collect *obs.Collector
 	if p.cfg.Collect {
 		collect = obs.NewCollector()
@@ -323,7 +331,6 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 	res, err := vm.Run(prog, store, docs, vm.Options{
 		Options: engine.Options{
 			Context:           ctx,
-			Timeout:           p.cfg.Timeout,
 			MaxCells:          p.cfg.MaxCells,
 			Memory:            memory,
 			InterestingOrders: p.cfg.InterestingOrders,

@@ -23,15 +23,14 @@ import (
 // Options configures an execution.
 type Options struct {
 	// Context, when non-nil, cancels evaluation cooperatively: workers and
-	// the serial evaluator poll ctx.Done() at the deadline/cell-budget
-	// check sites and inside the heavy operator loops, so cancellation
-	// aborts a running query promptly. The resulting error wraps
-	// qerr.ErrCanceled (or qerr.ErrTimeout for a context deadline) and
-	// the context's own cause, so errors.Is(err, context.Canceled) holds.
+	// the serial evaluator poll ctx.Done() before every operator and
+	// morsel and inside the heavy operator loops, so cancellation aborts
+	// a running query promptly. The resulting error wraps
+	// qerr.ErrCanceled and the context's own cause, so
+	// errors.Is(err, context.Canceled) holds. A context deadline is the
+	// execution's one time limit: its error wraps qerr.ErrTimeout and
+	// ErrCutoff instead.
 	Context context.Context
-	// Timeout aborts evaluation (checked between operators); zero means
-	// no limit. The paper's experiments used a 30 s cutoff.
-	Timeout time.Duration
 	// MaxCells bounds the total number of table cells materialized during
 	// one execution (a memory cutoff for intermediate-result blowups);
 	// zero means no limit.
@@ -137,7 +136,6 @@ type Exec struct {
 	prof      map[string]*ProfileEntry
 	ctx       context.Context
 	done      <-chan struct{}
-	deadline  time.Time
 	maxCells  int64
 	cells     atomic.Int64
 	mem       *xdm.Account
@@ -176,9 +174,6 @@ func NewExec(base *xmltree.Store, docs map[string][]uint32, opts Options) *Exec 
 	if ex.ctx != nil {
 		ex.done = ex.ctx.Done()
 	}
-	if opts.Timeout > 0 {
-		ex.deadline = time.Now().Add(opts.Timeout)
-	}
 	return ex
 }
 
@@ -212,27 +207,13 @@ func (ex *Exec) CheckCancel() error {
 		if cause == nil {
 			cause = ex.ctx.Err()
 		}
-		kind := qerr.ErrCanceled
 		if errors.Is(cause, context.DeadlineExceeded) {
-			kind = qerr.ErrTimeout
+			return qerr.New(qerr.ErrTimeout, "execute", fmt.Errorf("engine: time limit: %w: %w", ErrCutoff, cause))
 		}
-		return qerr.New(kind, "execute", fmt.Errorf("engine: query aborted: %w", cause))
+		return qerr.New(qerr.ErrCanceled, "execute", fmt.Errorf("engine: query aborted: %w", cause))
 	default:
 		return nil
 	}
-}
-
-// CheckDeadline reports a cutoff error once the execution's deadline has
-// passed or its context is canceled. Safe for concurrent use (deadline
-// and done channel are immutable).
-func (ex *Exec) CheckDeadline() error {
-	if err := ex.CheckCancel(); err != nil {
-		return err
-	}
-	if !ex.deadline.IsZero() && time.Now().After(ex.deadline) {
-		return qerr.New(qerr.ErrTimeout, "execute", fmt.Errorf("engine: time limit: %w", ErrCutoff))
-	}
-	return nil
 }
 
 // memoryLimitErr classifies a cell-budget overrun, naming the configured

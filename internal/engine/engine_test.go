@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -27,13 +28,13 @@ func testEnv(t *testing.T, doc string) (*xmltree.Store, map[string][]uint32, *al
 }
 
 // evalDAG evaluates a hand-built DAG kernel by kernel in algebra.Nodes
-// order, each shared node once, polling the deadline and recording the
+// order, each shared node once, polling for cancellation and recording the
 // profile per operator: the kernel tests' stand-in for the executor loop
 // (internal/vm), which they must not depend on.
 func evalDAG(ex *Exec, root *algebra.Node) (*Table, error) {
 	out := make(map[*algebra.Node]*Table)
 	for _, n := range algebra.Nodes(root) {
-		if err := ex.CheckDeadline(); err != nil {
+		if err := ex.CheckCancel(); err != nil {
 			return nil, err
 		}
 		ins := make([]*Table, len(n.Ins))
@@ -309,7 +310,9 @@ func TestTimeoutCutoff(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		n = b.RowID(n, "c"+string(rune('A'+i%26))+string(rune('0'+i/26)))
 	}
-	_, err := evalDAG(NewExec(store, docs, Options{Timeout: time.Nanosecond}), b.Keep(n, "v"))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	_, err := evalDAG(NewExec(store, docs, Options{Context: ctx}), b.Keep(n, "v"))
 	if err == nil || !strings.Contains(err.Error(), "cutoff") {
 		t.Errorf("expected cutoff error, got %v", err)
 	}

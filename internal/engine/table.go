@@ -34,28 +34,11 @@ import (
 type Table struct {
 	Cols []string
 	Data []*xdm.Column
-	idx  map[string]int
 }
-
-// smallTableCols bounds the linear-scan path of Col: tables at or below
-// this width never build the name index (plan tables are almost always
-// 1-4 columns, so the per-operator map allocation was pure overhead).
-const smallTableCols = 8
 
 // NewTable builds a table over the given column names with empty data.
-// The name index is built lazily on the first wide-table Col call; name
-// resolution happens on the coordinator goroutine only, so the lazy
-// build is unsynchronized by design.
 func NewTable(cols []string) *Table {
 	return &Table{Cols: cols, Data: make([]*xdm.Column, len(cols))}
-}
-
-func (t *Table) buildIndex() {
-	idx := make(map[string]int, len(t.Cols))
-	for i, c := range t.Cols {
-		idx[c] = i
-	}
-	t.idx = idx
 }
 
 // NumRows returns the row count.
@@ -67,25 +50,16 @@ func (t *Table) NumRows() int {
 }
 
 // Col returns the column by name; it panics on unknown columns (schema
-// errors are compiler bugs, caught by the algebra layer). Narrow tables
-// resolve by linear scan; wide ones build the name index on first use.
+// errors are compiler bugs, caught by the algebra layer). Plan tables
+// are narrow (at most 7 columns across the XMark plans), so a linear
+// scan beats any index.
 func (t *Table) Col(name string) *xdm.Column {
-	if t.idx == nil {
-		if len(t.Cols) <= smallTableCols {
-			for i, c := range t.Cols {
-				if c == name {
-					return t.Data[i]
-				}
-			}
-			panic(fmt.Sprintf("engine: unknown column %q in %v", name, t.Cols))
+	for i, c := range t.Cols {
+		if c == name {
+			return t.Data[i]
 		}
-		t.buildIndex()
 	}
-	i, ok := t.idx[name]
-	if !ok {
-		panic(fmt.Sprintf("engine: unknown column %q in %v", name, t.Cols))
-	}
-	return t.Data[i]
+	panic(fmt.Sprintf("engine: unknown column %q in %v", name, t.Cols))
 }
 
 // Filter returns a new table holding the rows at the given indices, in

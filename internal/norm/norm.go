@@ -87,334 +87,116 @@ type normalizer struct {
 	fresh int
 }
 
-// wrap inserts fn:unordered(e) when the insertion rules are enabled.
-func (n *normalizer) wrap(e xquery.Expr) xquery.Expr {
-	if !n.opts.InsertUnordered {
-		return e
+const maxInlineDepth = 64
+
+// rewrite inlines prolog-declared function calls, normalizes every other
+// node's children, then applies the insertion rules to the fresh node.
+func (n *normalizer) rewrite(e xquery.Expr) (xquery.Expr, error) {
+	if fc, ok := e.(*xquery.FuncCall); ok {
+		if fd := n.funcs[fc.Name]; fd != nil {
+			return n.inline(fc, fd)
+		}
 	}
+	var err error
+	out := xquery.Rewrite(e, func(c xquery.Expr, _ []string) xquery.Expr {
+		if err != nil {
+			return c
+		}
+		var v xquery.Expr
+		v, err = n.rewrite(c)
+		return v
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n.opts.InsertUnordered {
+		insertUnordered(out)
+	}
+	return out, nil
+}
+
+// insertUnordered applies the fn:unordered() insertion rules to the
+// child slots of e, a node Rewrite just copied.
+func insertUnordered(e xquery.Expr) {
+	switch e := e.(type) {
+	case *xquery.FLWOR:
+		// where p ≡ if (fn:boolean(p)) …: the condition is an EBV
+		// context, hence order indifferent.
+		if e.Where != nil {
+			e.Where = ebvContext(e.Where)
+		}
+	case *xquery.Quantified:
+		// Rule QUANT: quantifier domains are order indifferent in
+		// either ordering mode.
+		for i := range e.Vars {
+			e.Vars[i].In = wrap(e.Vars[i].In)
+		}
+		e.Satisfies = ebvContext(e.Satisfies)
+	case *xquery.IfExpr:
+		e.Cond = ebvContext(e.Cond)
+	case *xquery.GeneralCmp:
+		// General comparisons normalize to nested some-quantifiers; both
+		// operand sequences are therefore order indifferent (§2.2).
+		e.L, e.R = wrap(e.L), wrap(e.R)
+	case *xquery.Logic:
+		e.L, e.R = ebvContext(e.L), ebvContext(e.R)
+	case *xquery.FuncCall:
+		if unorderedArgFuncs[e.Name] && len(e.Args) == 1 {
+			e.Args[0] = wrap(e.Args[0])
+		}
+	}
+}
+
+// wrap inserts fn:unordered(e) unless e is already such a call.
+func wrap(e xquery.Expr) xquery.Expr {
 	if fc, ok := e.(*xquery.FuncCall); ok && fc.Name == "unordered" {
-		return e // already wrapped
+		return e
 	}
 	return &xquery.FuncCall{Name: "unordered", Args: []xquery.Expr{e}}
 }
 
-const maxInlineDepth = 64
-
-func (n *normalizer) rewrite(e xquery.Expr) (xquery.Expr, error) {
-	switch e := e.(type) {
-	case *xquery.IntLit, *xquery.DecLit, *xquery.StrLit, *xquery.VarRef,
-		*xquery.ContextItem, *xquery.EmptySeq, *xquery.CharContent:
-		return e, nil
-
-	case *xquery.Sequence:
-		items := make([]xquery.Expr, len(e.Items))
-		for i, it := range e.Items {
-			v, err := n.rewrite(it)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = v
-		}
-		return &xquery.Sequence{Items: items}, nil
-
-	case *xquery.Path:
-		out := &xquery.Path{Steps: make([]xquery.Step, len(e.Steps))}
-		if e.Start != nil {
-			s, err := n.rewrite(e.Start)
-			if err != nil {
-				return nil, err
-			}
-			out.Start = s
-		}
-		for i, st := range e.Steps {
-			preds := make([]xquery.Expr, len(st.Preds))
-			for j, p := range st.Preds {
-				v, err := n.rewrite(p)
-				if err != nil {
-					return nil, err
-				}
-				preds[j] = v
-			}
-			out.Steps[i] = xquery.Step{Axis: st.Axis, Test: st.Test, Preds: preds}
-		}
-		return out, nil
-
-	case *xquery.Filter:
-		base, err := n.rewrite(e.Base)
-		if err != nil {
-			return nil, err
-		}
-		preds := make([]xquery.Expr, len(e.Preds))
-		for i, p := range e.Preds {
-			v, err := n.rewrite(p)
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = v
-		}
-		return &xquery.Filter{Base: base, Preds: preds}, nil
-
-	case *xquery.FLWOR:
-		out := &xquery.FLWOR{Stable: e.Stable}
-		for _, cl := range e.Clauses {
-			switch cl := cl.(type) {
-			case *xquery.ForClause:
-				in, err := n.rewrite(cl.In)
-				if err != nil {
-					return nil, err
-				}
-				out.Clauses = append(out.Clauses, &xquery.ForClause{Var: cl.Var, PosVar: cl.PosVar, In: in})
-			case *xquery.LetClause:
-				v, err := n.rewrite(cl.Expr)
-				if err != nil {
-					return nil, err
-				}
-				out.Clauses = append(out.Clauses, &xquery.LetClause{Var: cl.Var, Expr: v})
-			}
-		}
-		if e.Where != nil {
-			// where p ≡ if (fn:boolean(p)) …: the condition is an EBV
-			// context, hence order indifferent.
-			w, err := n.rewrite(e.Where)
-			if err != nil {
-				return nil, err
-			}
-			out.Where = n.ebvContext(w)
-		}
-		for _, spec := range e.Order {
-			k, err := n.rewrite(spec.Key)
-			if err != nil {
-				return nil, err
-			}
-			out.Order = append(out.Order, xquery.OrderSpec{Key: k, Descending: spec.Descending, EmptyGreatest: spec.EmptyGreatest})
-		}
-		ret, err := n.rewrite(e.Return)
-		if err != nil {
-			return nil, err
-		}
-		out.Return = ret
-		return out, nil
-
-	case *xquery.Quantified:
-		out := &xquery.Quantified{Every: e.Every}
-		for _, v := range e.Vars {
-			in, err := n.rewrite(v.In)
-			if err != nil {
-				return nil, err
-			}
-			// Rule QUANT: quantifier domains are order indifferent in
-			// either ordering mode.
-			out.Vars = append(out.Vars, xquery.QVar{Var: v.Var, In: n.wrap(in)})
-		}
-		sat, err := n.rewrite(e.Satisfies)
-		if err != nil {
-			return nil, err
-		}
-		out.Satisfies = n.ebvContext(sat)
-		return out, nil
-
-	case *xquery.IfExpr:
-		cond, err := n.rewrite(e.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := n.rewrite(e.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := n.rewrite(e.Else)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.IfExpr{Cond: n.ebvContext(cond), Then: then, Else: els}, nil
-
-	case *xquery.Arith:
-		l, err := n.rewrite(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := n.rewrite(e.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.Arith{Op: e.Op, L: l, R: r}, nil
-
-	case *xquery.Neg:
-		v, err := n.rewrite(e.Expr)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.Neg{Expr: v}, nil
-
-	case *xquery.GeneralCmp:
-		l, err := n.rewrite(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := n.rewrite(e.R)
-		if err != nil {
-			return nil, err
-		}
-		// General comparisons normalize to nested some-quantifiers; both
-		// operand sequences are therefore order indifferent (§2.2).
-		return &xquery.GeneralCmp{Op: e.Op, L: n.wrap(l), R: n.wrap(r)}, nil
-
-	case *xquery.ValueCmp:
-		l, err := n.rewrite(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := n.rewrite(e.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.ValueCmp{Op: e.Op, L: l, R: r}, nil
-
-	case *xquery.NodeCmp:
-		l, err := n.rewrite(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := n.rewrite(e.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.NodeCmp{Op: e.Op, L: l, R: r}, nil
-
-	case *xquery.Logic:
-		l, err := n.rewrite(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := n.rewrite(e.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.Logic{Op: e.Op, L: n.ebvContext(l), R: n.ebvContext(r)}, nil
-
-	case *xquery.SetOp:
-		l, err := n.rewrite(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := n.rewrite(e.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.SetOp{Kind: e.Kind, L: l, R: r}, nil
-
-	case *xquery.RangeExpr:
-		l, err := n.rewrite(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := n.rewrite(e.R)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.RangeExpr{L: l, R: r}, nil
-
-	case *xquery.OrderedExpr:
-		v, err := n.rewrite(e.Expr)
-		if err != nil {
-			return nil, err
-		}
-		return &xquery.OrderedExpr{Mode: e.Mode, Expr: v}, nil
-
-	case *xquery.ElemCons:
-		out := &xquery.ElemCons{Name: e.Name}
-		for _, a := range e.Attrs {
-			na := xquery.AttrCons{Name: a.Name}
-			for _, p := range a.Parts {
-				if p.Expr == nil {
-					na.Parts = append(na.Parts, p)
-					continue
-				}
-				v, err := n.rewrite(p.Expr)
-				if err != nil {
-					return nil, err
-				}
-				na.Parts = append(na.Parts, xquery.AttrPart{Expr: v})
-			}
-			out.Attrs = append(out.Attrs, na)
-		}
-		for _, cexp := range e.Content {
-			v, err := n.rewrite(cexp)
-			if err != nil {
-				return nil, err
-			}
-			out.Content = append(out.Content, v)
-		}
-		return out, nil
-
-	case *xquery.FuncCall:
-		return n.rewriteFuncCall(e)
-
-	default:
-		return nil, fmt.Errorf("norm: unsupported expression %T", e)
-	}
-}
-
 // ebvContext marks an expression as consumed through its effective
 // boolean value (if/where/and/or/satisfies): order indifferent.
-func (n *normalizer) ebvContext(e xquery.Expr) xquery.Expr {
-	if !n.opts.InsertUnordered {
-		return e
-	}
+func ebvContext(e xquery.Expr) xquery.Expr {
 	// Avoid noise around expressions that are single booleans anyway.
 	switch e.(type) {
 	case *xquery.GeneralCmp, *xquery.ValueCmp, *xquery.NodeCmp,
 		*xquery.Logic, *xquery.Quantified:
 		return e
 	}
-	return n.wrap(e)
+	return wrap(e)
 }
 
-func (n *normalizer) rewriteFuncCall(e *xquery.FuncCall) (xquery.Expr, error) {
-	// Inline prolog-declared functions: the call becomes a let-chain
-	// binding fresh parameter names (avoiding capture), followed by the
-	// rewritten body with parameters renamed.
-	if fd, ok := n.funcs[e.Name]; ok {
-		if len(e.Args) != len(fd.Params) {
-			return nil, fmt.Errorf("norm: %s expects %d arguments, got %d", e.Name, len(fd.Params), len(e.Args))
-		}
-		if n.depth++; n.depth > maxInlineDepth {
-			return nil, fmt.Errorf("norm: recursive function %s cannot be inlined", e.Name)
-		}
-		defer func() { n.depth-- }()
-		rename := make(map[string]string, len(fd.Params))
-		fl := &xquery.FLWOR{}
-		for i, p := range fd.Params {
-			n.fresh++
-			fresh := fmt.Sprintf("%s#%d", p.Name, n.fresh)
-			rename[p.Name] = fresh
-			arg, err := n.rewrite(e.Args[i])
-			if err != nil {
-				return nil, err
-			}
-			fl.Clauses = append(fl.Clauses, &xquery.LetClause{Var: fresh, Expr: arg})
-		}
-		body, err := n.rewrite(substituteVars(fd.Body, rename))
+// inline replaces a call of a prolog-declared function by a let-chain
+// binding fresh parameter names (avoiding capture), followed by the
+// rewritten body with parameters renamed.
+func (n *normalizer) inline(e *xquery.FuncCall, fd *xquery.FuncDecl) (xquery.Expr, error) {
+	if len(e.Args) != len(fd.Params) {
+		return nil, fmt.Errorf("norm: %s expects %d arguments, got %d", e.Name, len(fd.Params), len(e.Args))
+	}
+	if n.depth++; n.depth > maxInlineDepth {
+		return nil, fmt.Errorf("norm: recursive function %s cannot be inlined", e.Name)
+	}
+	defer func() { n.depth-- }()
+	rename := make(map[string]string, len(fd.Params))
+	fl := &xquery.FLWOR{}
+	for i, p := range fd.Params {
+		n.fresh++
+		fresh := fmt.Sprintf("%s#%d", p.Name, n.fresh)
+		rename[p.Name] = fresh
+		arg, err := n.rewrite(e.Args[i])
 		if err != nil {
 			return nil, err
 		}
-		if len(fl.Clauses) == 0 {
-			return body, nil
-		}
-		fl.Return = body
-		return fl, nil
+		fl.Clauses = append(fl.Clauses, &xquery.LetClause{Var: fresh, Expr: arg})
 	}
-
-	args := make([]xquery.Expr, len(e.Args))
-	for i, a := range e.Args {
-		v, err := n.rewrite(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
+	body, err := n.rewrite(substituteVars(fd.Body, rename))
+	if err != nil {
+		return nil, err
 	}
-	if unorderedArgFuncs[e.Name] && len(args) == 1 {
-		args[0] = n.wrap(args[0])
+	if len(fl.Clauses) == 0 {
+		return body, nil
 	}
-	return &xquery.FuncCall{Name: e.Name, Args: args}, nil
+	fl.Return = body
+	return fl, nil
 }

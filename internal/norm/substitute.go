@@ -1,6 +1,10 @@
 package norm
 
-import "repro/internal/xquery"
+import (
+	"maps"
+
+	"repro/internal/xquery"
+)
 
 // substituteVars renames free variable references per the rename map,
 // respecting shadowing by inner for/let/quantifier bindings. Used when
@@ -10,142 +14,28 @@ func substituteVars(e xquery.Expr, rename map[string]string) xquery.Expr {
 	if len(rename) == 0 {
 		return e
 	}
-	s := substituter{rename: rename}
-	return s.expr(e)
-}
-
-type substituter struct {
-	rename map[string]string
-}
-
-// without returns a substituter with one binding shadowed.
-func (s substituter) without(names ...string) substituter {
-	shadowed := false
-	for _, n := range names {
-		if n == "" {
-			continue
-		}
-		if _, ok := s.rename[n]; ok {
-			shadowed = true
-		}
-	}
-	if !shadowed {
-		return s
-	}
-	m := make(map[string]string, len(s.rename))
-	for k, v := range s.rename {
-		m[k] = v
-	}
-	for _, n := range names {
-		delete(m, n)
-	}
-	return substituter{rename: m}
-}
-
-func (s substituter) exprs(list []xquery.Expr) []xquery.Expr {
-	out := make([]xquery.Expr, len(list))
-	for i, e := range list {
-		out[i] = s.expr(e)
-	}
-	return out
-}
-
-func (s substituter) expr(e xquery.Expr) xquery.Expr {
-	switch e := e.(type) {
-	case *xquery.VarRef:
-		if to, ok := s.rename[e.Name]; ok {
+	if v, ok := e.(*xquery.VarRef); ok {
+		if to, ok := rename[v.Name]; ok {
 			return &xquery.VarRef{Name: to}
 		}
 		return e
-	case *xquery.IntLit, *xquery.DecLit, *xquery.StrLit,
-		*xquery.ContextItem, *xquery.EmptySeq, *xquery.CharContent:
-		return e
-	case *xquery.Sequence:
-		return &xquery.Sequence{Items: s.exprs(e.Items)}
-	case *xquery.Path:
-		out := &xquery.Path{Steps: make([]xquery.Step, len(e.Steps))}
-		if e.Start != nil {
-			out.Start = s.expr(e.Start)
-		}
-		for i, st := range e.Steps {
-			out.Steps[i] = xquery.Step{Axis: st.Axis, Test: st.Test, Preds: s.exprs(st.Preds)}
-		}
-		return out
-	case *xquery.Filter:
-		return &xquery.Filter{Base: s.expr(e.Base), Preds: s.exprs(e.Preds)}
-	case *xquery.FLWOR:
-		out := &xquery.FLWOR{Stable: e.Stable}
-		cur := s
-		for _, cl := range e.Clauses {
-			switch cl := cl.(type) {
-			case *xquery.ForClause:
-				out.Clauses = append(out.Clauses, &xquery.ForClause{
-					Var: cl.Var, PosVar: cl.PosVar, In: cur.expr(cl.In),
-				})
-				cur = cur.without(cl.Var, cl.PosVar)
-			case *xquery.LetClause:
-				out.Clauses = append(out.Clauses, &xquery.LetClause{
-					Var: cl.Var, Expr: cur.expr(cl.Expr),
-				})
-				cur = cur.without(cl.Var)
-			}
-		}
-		if e.Where != nil {
-			out.Where = cur.expr(e.Where)
-		}
-		for _, spec := range e.Order {
-			out.Order = append(out.Order, xquery.OrderSpec{
-				Key: cur.expr(spec.Key), Descending: spec.Descending, EmptyGreatest: spec.EmptyGreatest,
-			})
-		}
-		out.Return = cur.expr(e.Return)
-		return out
-	case *xquery.Quantified:
-		out := &xquery.Quantified{Every: e.Every}
-		cur := s
-		for _, v := range e.Vars {
-			out.Vars = append(out.Vars, xquery.QVar{Var: v.Var, In: cur.expr(v.In)})
-			cur = cur.without(v.Var)
-		}
-		out.Satisfies = cur.expr(e.Satisfies)
-		return out
-	case *xquery.IfExpr:
-		return &xquery.IfExpr{Cond: s.expr(e.Cond), Then: s.expr(e.Then), Else: s.expr(e.Else)}
-	case *xquery.Arith:
-		return &xquery.Arith{Op: e.Op, L: s.expr(e.L), R: s.expr(e.R)}
-	case *xquery.Neg:
-		return &xquery.Neg{Expr: s.expr(e.Expr)}
-	case *xquery.GeneralCmp:
-		return &xquery.GeneralCmp{Op: e.Op, L: s.expr(e.L), R: s.expr(e.R)}
-	case *xquery.ValueCmp:
-		return &xquery.ValueCmp{Op: e.Op, L: s.expr(e.L), R: s.expr(e.R)}
-	case *xquery.NodeCmp:
-		return &xquery.NodeCmp{Op: e.Op, L: s.expr(e.L), R: s.expr(e.R)}
-	case *xquery.Logic:
-		return &xquery.Logic{Op: e.Op, L: s.expr(e.L), R: s.expr(e.R)}
-	case *xquery.SetOp:
-		return &xquery.SetOp{Kind: e.Kind, L: s.expr(e.L), R: s.expr(e.R)}
-	case *xquery.RangeExpr:
-		return &xquery.RangeExpr{L: s.expr(e.L), R: s.expr(e.R)}
-	case *xquery.OrderedExpr:
-		return &xquery.OrderedExpr{Mode: e.Mode, Expr: s.expr(e.Expr)}
-	case *xquery.FuncCall:
-		return &xquery.FuncCall{Name: e.Name, Args: s.exprs(e.Args)}
-	case *xquery.ElemCons:
-		out := &xquery.ElemCons{Name: e.Name, Content: s.exprs(e.Content)}
-		for _, a := range e.Attrs {
-			na := xquery.AttrCons{Name: a.Name}
-			for _, p := range a.Parts {
-				if p.Expr == nil {
-					na.Parts = append(na.Parts, p)
-				} else {
-					na.Parts = append(na.Parts, xquery.AttrPart{Expr: s.expr(p.Expr)})
-				}
-			}
-			out.Attrs = append(out.Attrs, na)
-		}
-		return out
-	default:
-		return e
 	}
+	return xquery.Rewrite(e, func(c xquery.Expr, bound []string) xquery.Expr {
+		return substituteVars(c, without(rename, bound))
+	})
+}
+
+// without returns rename minus the names in bound, copying only when one
+// of them is actually shadowed.
+func without(rename map[string]string, bound []string) map[string]string {
+	for i, name := range bound {
+		if _, ok := rename[name]; ok {
+			m := maps.Clone(rename)
+			for _, name := range bound[i:] {
+				delete(m, name)
+			}
+			return m
+		}
+	}
+	return rename
 }

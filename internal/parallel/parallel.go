@@ -15,7 +15,7 @@
 // stake.
 //
 // The time and memory cutoffs are enforced cooperatively: all workers
-// share the engine's atomic cell budget and deadline, checking between
+// share the engine's atomic cell budget and context, checking between
 // morsels and (for the big descendant scans) charging produced cells as
 // they go, so an overrun aborts the whole pool at the next morsel
 // boundary.
@@ -96,8 +96,8 @@ func EvalParOp(ex *engine.Exec, workers, minMorselRows int, n *algebra.Node, ins
 }
 
 // runTasks drains n's morsel tasks over up to e.workers goroutines
-// (atomic index pull, so uneven morsels balance). Workers check the
-// shared deadline between tasks and stop after the first error; the
+// (atomic index pull, so uneven morsels balance). Workers poll the
+// shared context between tasks and stop after the first error; the
 // summed per-worker busy time is returned for profile attribution.
 // When collection is on, every morsel is attributed to (n, worker), and
 // when tracing is on each morsel emits a span on track worker+1 (track 0
@@ -135,7 +135,7 @@ func (e *executor) runTasks(n *algebra.Node, tasks []func() error) (time.Duratio
 				if i >= len(tasks) {
 					return
 				}
-				err := e.ex.CheckDeadline()
+				err := e.ex.CheckCancel()
 				if err == nil {
 					var end func()
 					if tracer != nil {

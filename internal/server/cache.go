@@ -110,24 +110,6 @@ func (c *planCache) put(key string, q *exrquy.Query, docs []string) {
 	cacheSizeGauge.Set(int64(c.lru.Len()))
 }
 
-// invalidate flushes every entry — the conservative big hammer, kept for
-// configuration-level changes where scoping has no meaning.
-func (c *planCache) invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.lru.Len()
-	if n == 0 {
-		c.invalidations++
-		cacheInvalTotal.Inc()
-		return
-	}
-	c.lru.Init()
-	clear(c.entries)
-	c.invalidations++
-	cacheInvalTotal.Inc()
-	cacheSizeGauge.Set(0)
-}
-
 // invalidateDoc drops exactly the entries whose plans read document name.
 // Prepared plans are document-independent until execution binds the
 // registry snapshot (DESIGN "Plan caching"), and the compiler only

@@ -6,7 +6,7 @@
 // reuses) or at Run time.
 //
 // The loop owns everything that happens once per operator: the
-// deadline/cancel/heartbeat poll, the tracer span, the profile record, the
+// cancel/heartbeat poll, the tracer span, the profile record, the
 // per-plan-node statistics (so EXPLAIN ANALYZE joins runs back to plan
 // #ids), the cell charge and the buffer release. The operators themselves
 // are the kernels of internal/engine; a Par-marked operator is first
@@ -93,7 +93,7 @@ func (p *Program) exec(ex *engine.Exec, workers, minMorselRows int) (*engine.Tab
 	for ii := range p.instrs {
 		ins := &p.instrs[ii]
 		n := ins.node
-		if err := ex.CheckDeadline(); err != nil {
+		if err := ex.CheckCancel(); err != nil {
 			return nil, err
 		}
 		tables := f.inputs(ins)

@@ -11,6 +11,8 @@ import (
 // FuzzParseXQuery asserts the parser's total-function contract: arbitrary
 // input either parses into a module or returns a classified error — it
 // never panics and never exhausts the stack (the maxParseDepth guard).
+// Every parsed module must also survive a recursive identity Rewrite with
+// its String() unchanged: the child walk drops and reorders nothing.
 func FuzzParseXQuery(f *testing.F) {
 	for _, seed := range []string{
 		`doc("t.xml")/a//(c|d)`,
@@ -46,8 +48,28 @@ func FuzzParseXQuery(f *testing.F) {
 			if !errors.Is(err, qerr.ErrParse) {
 				t.Fatalf("unclassified parse failure on %q: %v", src, err)
 			}
+			return
+		}
+		exprs := []Expr{m.Body}
+		for _, fd := range m.Functions {
+			exprs = append(exprs, fd.Body)
+		}
+		for _, vd := range m.Variables {
+			if vd.Init != nil {
+				exprs = append(exprs, vd.Init)
+			}
+		}
+		for _, e := range exprs {
+			if got, want := identity(e).String(), e.String(); got != want {
+				t.Fatalf("identity Rewrite of %q: %s, want %s", src, got, want)
+			}
 		}
 	})
+}
+
+// identity rebuilds e bottom-up through Rewrite.
+func identity(e Expr) Expr {
+	return Rewrite(e, func(c Expr, _ []string) Expr { return identity(c) })
 }
 
 // TestParseDepthGuard pins the stack-exhaustion defence: pathological

@@ -20,15 +20,6 @@ func Parse(src string) (m *Module, err error) {
 	return m, nil
 }
 
-// MustParse parses or panics; for tests and fixed query corpora.
-func MustParse(src string) *Module {
-	m, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // maxParseDepth bounds expression nesting. Every recursive descent into a
 // sub-expression passes through parseExprSingle or the direct element
 // constructor, so bounding those two sites bounds the parser's (and every
