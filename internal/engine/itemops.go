@@ -63,14 +63,14 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 	return in.WithColumn(n.Res, xdm.FromItemsOwned(out)), nil
 }
 
-// typedBinOp evaluates the arithmetic/comparison kernels over flat
-// columns without boxing a single Item: integer×integer arithmetic and
-// comparisons, and boolean×boolean conjunction/disjunction. ok=false
-// means no typed kernel applies and the caller should run the boxed loop.
-// The kernels
-// replicate xdm.Arith/CompareValue exactly: integer comparisons go
-// through the double projection, div yields a double, idiv/mod report
-// the xdm division-by-zero error.
+// typedBinOp evaluates the arithmetic and comparison kernels over flat
+// columns without boxing a single Item: boolean×boolean conjunction and
+// disjunction, integer×integer arithmetic, comparisons of two
+// string-class columns, and the double kernels (doubleBinOp). ok=false
+// means no typed kernel applies and the caller should run the boxed
+// loop. The kernels replicate xdm.Arith/CompareValue/CompareGeneral
+// exactly: integer comparisons go through the double projection, div
+// yields a double, idiv/mod report the xdm division-by-zero error.
 func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
 	if lb, ok := l.Bools(); ok {
 		rb, ok := r.Bools()
@@ -98,45 +98,54 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 		}
 		return xdm.BoolColumn(out), true, nil
 	}
-	li, ok := l.Ints()
-	if !ok {
-		return nil, false, nil
-	}
-	ri, ok := r.Ints()
-	if !ok {
-		return nil, false, nil
-	}
-	poll := func(i int) error {
-		if i&(probeChunk-1) == 0 {
-			return ex.CheckCancel()
-		}
-		return nil
-	}
 	switch n.BFn {
-	case algebra.BArithAdd, algebra.BArithSub, algebra.BArithMul:
-		out := xdm.GetInts(len(li))
-		for i := range li {
-			if err := poll(i); err != nil {
-				xdm.PutInts(out)
-				return nil, true, err
-			}
-			switch n.BFn {
-			case algebra.BArithAdd:
-				out[i] = li[i] + ri[i]
-			case algebra.BArithSub:
-				out[i] = li[i] - ri[i]
-			default:
-				out[i] = li[i] * ri[i]
+	case algebra.BArithAdd, algebra.BArithSub, algebra.BArithMul, algebra.BArithIDiv, algebra.BArithMod:
+		li, lok := l.Ints()
+		ri, rok := r.Ints()
+		switch {
+		case lok && rok:
+			return ex.intArith(n, li, ri)
+		case n.BFn == algebra.BArithIDiv:
+			return nil, false, nil
+		}
+		return ex.doubleBinOp(n, l, r)
+	case algebra.BArithDiv:
+		return ex.doubleBinOp(n, l, r)
+	case algebra.BCmpGen, algebra.BCmpVal:
+		// Untyped meets string-class as a string in both comparisons.
+		if ls, _, ok := l.Strings(); ok {
+			if rs, _, ok := r.Strings(); ok {
+				col, err := compareKernel(ex, n.Cmp, ls, rs)
+				return col, true, err
 			}
 		}
-		return xdm.IntColumn(out), true, nil
-	case algebra.BArithIDiv, algebra.BArithMod:
-		out := xdm.GetInts(len(li))
-		for i := range li {
-			if err := poll(i); err != nil {
+		if n.BFn == algebra.BCmpVal && (l.Kind() == xdm.ColUntyped || r.Kind() == xdm.ColUntyped) {
+			return nil, false, nil // untyped against a number is a type error here
+		}
+		return ex.doubleBinOp(n, l, r)
+	default:
+		return nil, false, nil
+	}
+}
+
+// intArith is integer×integer arithmetic other than div.
+func (ex *Exec) intArith(n *algebra.Node, li, ri []int64) (*xdm.Column, bool, error) {
+	out := xdm.GetInts(len(li))
+	for i := range li {
+		if i&(probeChunk-1) == 0 {
+			if err := ex.CheckCancel(); err != nil {
 				xdm.PutInts(out)
 				return nil, true, err
 			}
+		}
+		switch n.BFn {
+		case algebra.BArithAdd:
+			out[i] = li[i] + ri[i]
+		case algebra.BArithSub:
+			out[i] = li[i] - ri[i]
+		case algebra.BArithMul:
+			out[i] = li[i] * ri[i]
+		default:
 			if ri[i] == 0 {
 				xdm.PutInts(out)
 				return nil, true, ex.Errf(n, "%v", fmt.Errorf("xdm: division by zero"))
@@ -147,49 +156,116 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 				out[i] = li[i] % ri[i]
 			}
 		}
-		return xdm.IntColumn(out), true, nil
-	case algebra.BArithDiv:
-		out := xdm.GetFloats(len(li))
-		for i := range li {
-			if err := poll(i); err != nil {
+	}
+	return xdm.IntColumn(out), true, nil
+}
+
+// doubleBinOp computes arithmetic (but idiv) and comparisons in doubles,
+// as xdm does for two numeric or untyped operands. Each untyped cell is
+// cast once, through xdm.ParseDouble; at the first cell that fails to
+// cast, ok=false hands the call to the boxed loop, which reports xdm's
+// error for the first failing row.
+func (ex *Exec) doubleBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
+	lf, ok := doubles(l)
+	if !ok {
+		return nil, false, nil
+	}
+	defer xdm.PutFloats(lf)
+	rf, ok := doubles(r)
+	if !ok {
+		return nil, false, nil
+	}
+	defer xdm.PutFloats(rf)
+	if n.BFn == algebra.BCmpGen || n.BFn == algebra.BCmpVal {
+		col, err := compareKernel(ex, n.Cmp, lf, rf)
+		return col, true, err
+	}
+	out := xdm.GetFloats(len(lf))
+	for i := range lf {
+		if i&(probeChunk-1) == 0 {
+			if err := ex.CheckCancel(); err != nil {
 				xdm.PutFloats(out)
 				return nil, true, err
 			}
-			out[i] = float64(li[i]) / float64(ri[i])
 		}
-		return xdm.DoubleColumn(out), true, nil
-	case algebra.BCmpGen, algebra.BCmpVal:
-		out := xdm.GetInts(len(li))
-		for i := range li {
-			if err := poll(i); err != nil {
+		a, b := lf[i], rf[i]
+		switch n.BFn {
+		case algebra.BArithAdd:
+			out[i] = a + b
+		case algebra.BArithSub:
+			out[i] = a - b
+		case algebra.BArithMul:
+			out[i] = a * b
+		case algebra.BArithDiv:
+			out[i] = a / b
+		default:
+			out[i] = math.Mod(a, b)
+		}
+	}
+	return xdm.DoubleColumn(out), true, nil
+}
+
+// doubles copies the cells of an integer, double or untyped column into
+// a pooled double buffer. ok is false for any other column and for an
+// untyped cell that does not cast.
+func doubles(c *xdm.Column) ([]float64, bool) {
+	is, isInt := c.Ints()
+	ds, isDouble := c.Floats()
+	ss, k, isText := c.Strings()
+	if !isInt && !isDouble && !(isText && k == xdm.KUntyped) {
+		return nil, false
+	}
+	fs := xdm.GetFloats(c.Len())
+	copy(fs, ds)
+	for i, v := range is {
+		fs[i] = float64(v)
+	}
+	for i, s := range ss {
+		f, err := xdm.ParseDouble(s)
+		if err != nil {
+			xdm.PutFloats(fs)
+			return nil, false
+		}
+		fs[i] = f
+	}
+	return fs, true
+}
+
+// compareKernel is the typed comparison of two string or two double
+// columns into a boolean column.
+func compareKernel[T cmp.Ordered](ex *Exec, op xdm.CmpOp, l, r []T) (*xdm.Column, error) {
+	out := xdm.GetInts(len(l))
+	for i := range l {
+		if i&(probeChunk-1) == 0 {
+			if err := ex.CheckCancel(); err != nil {
 				xdm.PutInts(out)
-				return nil, true, err
-			}
-			af, bf := float64(li[i]), float64(ri[i])
-			var v bool
-			switch n.Cmp {
-			case xdm.CmpEq:
-				v = af == bf
-			case xdm.CmpNe:
-				v = af != bf
-			case xdm.CmpLt:
-				v = af < bf
-			case xdm.CmpLe:
-				v = af <= bf
-			case xdm.CmpGt:
-				v = af > bf
-			default:
-				v = af >= bf
-			}
-			if v {
-				out[i] = 1
-			} else {
-				out[i] = 0
+				return nil, err
 			}
 		}
-		return xdm.BoolColumn(out), true, nil
+		out[i] = 0
+		if compare(op, l[i], r[i]) {
+			out[i] = 1
+		}
+	}
+	return xdm.BoolColumn(out), nil
+}
+
+// compare applies op with Go's operators, which are xdm's: strings
+// compare by bytes, and a NaN operand makes every relation but ne false.
+func compare[T cmp.Ordered](op xdm.CmpOp, a, b T) bool {
+	switch op {
+	case xdm.CmpEq:
+		return a == b
+	case xdm.CmpNe:
+		return a != b
+	case xdm.CmpLt:
+		return a < b
+	case xdm.CmpLe:
+		return a <= b
+	case xdm.CmpGt:
+		return a > b
 	default:
-		return nil, false, nil
+		return a >= b
 	}
 }
 
@@ -332,6 +408,12 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 
 func (ex *Exec) evalMap1(n *algebra.Node, in *Table) (*Table, error) {
 	arg := in.Col(n.LCol)
+	if col, ok, err := ex.typedMap1(n, arg); ok {
+		if err != nil {
+			return nil, err
+		}
+		return in.WithColumn(n.Res, col), nil
+	}
 	rows := arg.Len()
 	out := xdm.GetItems(rows)
 	for lo := 0; lo < rows; lo += probeChunk {
@@ -345,6 +427,64 @@ func (ex *Exec) evalMap1(n *algebra.Node, in *Table) (*Table, error) {
 		}
 	}
 	return in.WithColumn(n.Res, xdm.FromItemsOwned(out)), nil
+}
+
+// typedMap1 evaluates atomisation, fn:string and fn:number without
+// boxing a cell, choosing the kernel once from the function and the
+// input's representation: atomising an atomic typed column is the
+// column itself (tables share columns through the *Column pointer); a
+// node column's string values are written straight into an untyped or
+// string column, or cast into a double one; fn:string of a string-class
+// column is a string column. ok=false means the caller runs MapUn.
+func (ex *Exec) typedMap1(n *algebra.Node, arg *xdm.Column) (*xdm.Column, bool, error) {
+	kind := arg.Kind()
+	ns, nodes := arg.Nodes()
+	switch {
+	case n.UFn == algebra.UnAtomize && kind != xdm.ColItems && !nodes:
+		return arg, true, nil
+	case n.UFn == algebra.UnString && kind == xdm.ColString:
+		return arg, true, nil
+	case n.UFn == algebra.UnString && kind == xdm.ColUntyped:
+		ss, _, _ := arg.Strings()
+		return xdm.StringColumn(xdm.KString, slices.Clone(ss)), true, nil
+	case !nodes:
+		return nil, false, nil
+	}
+	fr := fragRun{store: ex.store}
+	switch n.UFn {
+	case algebra.UnAtomize, algebra.UnString:
+		out := make([]string, len(ns))
+		for i, id := range ns {
+			if i&(probeChunk-1) == 0 {
+				if err := ex.CheckCancel(); err != nil {
+					return nil, true, err
+				}
+			}
+			out[i] = fr.frag(id.Frag).StringValue(id.Pre)
+		}
+		if n.UFn == algebra.UnAtomize {
+			return xdm.StringColumn(xdm.KUntyped, out), true, nil
+		}
+		return xdm.StringColumn(xdm.KString, out), true, nil
+	case algebra.UnNumber:
+		out := xdm.GetFloats(len(ns))
+		for i, id := range ns {
+			if i&(probeChunk-1) == 0 {
+				if err := ex.CheckCancel(); err != nil {
+					xdm.PutFloats(out)
+					return nil, true, err
+				}
+			}
+			f, err := xdm.ParseDouble(fr.frag(id.Frag).StringValue(id.Pre))
+			if err != nil {
+				f = math.NaN()
+			}
+			out[i] = f
+		}
+		return xdm.DoubleColumn(out), true, nil
+	default:
+		return nil, false, nil
+	}
 }
 
 func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, error) {

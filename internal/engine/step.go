@@ -127,6 +127,7 @@ func (ex *Exec) evalStep(n *algebra.Node, in *Table) (*Table, error) {
 	outIter := xdm.GetInts(in.NumRows())[:0]
 	outItem := xdm.GetNodes(in.NumRows())[:0]
 	fr := fragRun{store: ex.store}
+	m := NewMatcher(n.Axis, n.Test)
 	for i := 0; runs.Next(); i++ {
 		if i&(probeChunk-1) == 0 {
 			if err := ex.CheckCancel(); err != nil {
@@ -135,8 +136,10 @@ func (ex *Exec) evalStep(n *algebra.Node, in *Table) (*Table, error) {
 				return nil, err
 			}
 		}
-		outItem = AppendAxis(outItem, fr.frag(runs.Ctx[0].Frag), runs.Ctx, n.Axis, n.Test)
-		outIter = AppendIter(outIter, runs.Iter, len(outItem))
+		if f := fr.frag(runs.Ctx[0].Frag); m.Bind(f) {
+			outItem = AppendAxis(outItem, f, runs.Ctx, &m)
+			outIter = AppendIter(outIter, runs.Iter, len(outItem))
+		}
 	}
 	return StepTable(outIter, outItem), nil
 }
@@ -212,16 +215,17 @@ func Staircase(f *xmltree.Fragment, ctx []xdm.NodeID, axis xquery.Axis, scan fun
 }
 
 // ScanRegionRange scans the preorder subrange [lo, hi] of a descendant
-// region rooted at ctx, appending the matches (as nodes of fragment frag)
-// to out. Subdividing a region into consecutive subranges and
-// concatenating the outputs yields exactly the full-region scan. A name
-// test over a document with element postings costs a binary search plus
-// the matches instead of a visit to every node of the range.
-func ScanRegionRange(out []xdm.NodeID, f *xmltree.Fragment, frag uint32, ctx, lo, hi int32, test xquery.NodeTest) []xdm.NodeID {
-	if test.Kind == xquery.TestName {
+// region rooted at ctx, appending the nodes m (bound to f) matches, as
+// nodes of fragment frag, to out. Subdividing a region into consecutive
+// subranges and concatenating the outputs yields exactly the full-region
+// scan. A name test over a document with element postings costs a
+// binary search plus the matches instead of a visit to every node of
+// the range.
+func ScanRegionRange(out []xdm.NodeID, f *xmltree.Fragment, frag uint32, ctx, lo, hi int32, m *Matcher) []xdm.NodeID {
+	if m.byName {
 		// Postings hold elements only, which is all a name test matches
 		// here — even an attribute context on its own -or-self axis fails it.
-		if post, ok := f.ElemPostings(test.Name); ok {
+		if post, ok := f.ElemPostings(m.id); ok {
 			i, _ := slices.BinarySearch(post, lo)
 			for ; i < len(post) && post[i] <= hi; i++ {
 				out = pushNode(out, frag, post[i])
@@ -232,25 +236,25 @@ func ScanRegionRange(out []xdm.NodeID, f *xmltree.Fragment, frag uint32, ctx, lo
 	for c := lo; c <= hi; c++ {
 		// Attributes are not on the descendant axis, but a context node is
 		// on its own descendant-or-self axis even if it is an attribute.
-		if (c == ctx || f.Kind[c] != xmltree.KindAttr) && TestMatch(f, c, xquery.AxisDescendant, test) {
+		if (c == ctx || f.Kind[c] != xmltree.KindAttr) && m.match(f, c) {
 			out = pushNode(out, frag, c)
 		}
 	}
 	return out
 }
 
-// AppendAxis evaluates one axis over a sorted, duplicate-free context set
-// within fragment f, appending the matching nodes to out in document
-// order.
-func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, axis xquery.Axis, test xquery.NodeTest) []xdm.NodeID {
+// AppendAxis evaluates m's axis over a sorted, duplicate-free context set
+// within fragment f, appending the nodes m (bound to f) matches to out in
+// document order.
+func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, m *Matcher) []xdm.NodeID {
 	if len(ctx) == 0 {
 		return out
 	}
-	base, frag := len(out), ctx[0].Frag
+	base, frag, axis := len(out), ctx[0].Frag, m.axis
 	switch axis {
 	case xquery.AxisDescendant, xquery.AxisDescendantOrSelf:
 		Staircase(f, ctx, axis, func(ctx, lo, hi int32) {
-			out = ScanRegionRange(out, f, frag, ctx, lo, hi, test)
+			out = ScanRegionRange(out, f, frag, ctx, lo, hi, m)
 		})
 	case xquery.AxisChild:
 		sorted, last := true, int32(-1)
@@ -259,7 +263,7 @@ func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, axis xq
 			end := v + f.Size[v]
 			lvl := f.Level[v] + 1
 			for c := v + 1; c <= end; c += f.Size[c] + 1 {
-				if f.Kind[c] != xmltree.KindAttr && f.Level[c] == lvl && TestMatch(f, c, axis, test) {
+				if f.Kind[c] != xmltree.KindAttr && f.Level[c] == lvl && m.match(f, c) {
 					sorted = sorted && c > last
 					last = c
 					out = pushNode(out, frag, c)
@@ -274,20 +278,20 @@ func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, axis xq
 			v := cn.Pre
 			end := v + f.Size[v]
 			for c := v + 1; c <= end && f.Kind[c] == xmltree.KindAttr && f.Level[c] == f.Level[v]+1; c++ {
-				if TestMatch(f, c, axis, test) {
+				if m.match(f, c) {
 					out = pushNode(out, frag, c)
 				}
 			}
 		}
 	case xquery.AxisSelf:
 		for _, cn := range ctx {
-			if TestMatch(f, cn.Pre, axis, test) {
+			if m.match(f, cn.Pre) {
 				out = pushNode(out, frag, cn.Pre)
 			}
 		}
 	case xquery.AxisParent:
 		for _, cn := range ctx {
-			if p := f.Parent[cn.Pre]; p >= 0 && TestMatch(f, p, axis, test) {
+			if p := f.Parent[cn.Pre]; p >= 0 && m.match(f, p) {
 				out = pushNode(out, frag, p)
 			}
 		}
@@ -298,11 +302,15 @@ func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, axis xq
 
 // AxisScan is AppendAxis over bare preorder ranks.
 func AxisScan(f *xmltree.Fragment, ctx []int32, axis xquery.Axis, test xquery.NodeTest) []int32 {
+	m := NewMatcher(axis, test)
+	if !m.Bind(f) {
+		return []int32{}
+	}
 	cs := make([]xdm.NodeID, len(ctx))
 	for i, v := range ctx {
 		cs[i].Pre = v
 	}
-	ns := AppendAxis(nil, f, cs, axis, test)
+	ns := AppendAxis(nil, f, cs, &m)
 	out := make([]int32, len(ns))
 	for i := range ns {
 		out[i] = ns[i].Pre
@@ -311,24 +319,54 @@ func AxisScan(f *xmltree.Fragment, ctx []int32, axis xquery.Axis, test xquery.No
 	return out
 }
 
-// TestMatch applies a node test; the principal node kind is attribute on
-// the attribute axis and element elsewhere.
-func TestMatch(f *xmltree.Fragment, pre int32, axis xquery.Axis, test xquery.NodeTest) bool {
-	kind := f.Kind[pre]
+// Matcher is a step's axis and node test bound to one name dictionary.
+// A name test holds its name's id there, so a node matches on integer
+// compares alone. The principal node kind is attribute on the attribute
+// axis and element elsewhere.
+type Matcher struct {
+	axis    xquery.Axis
+	name    string
+	kind    xmltree.NodeKind // the kind a match needs, unless anyKind
+	anyKind bool
+	byName  bool     // a name test: a match also needs name id id
+	id      uint32   // the name's id in names
+	found   bool     // names holds the name
+	names   []string // the dictionary id was resolved in
+}
+
+// NewMatcher compiles a step's node test; Bind it to a fragment before
+// use.
+func NewMatcher(axis xquery.Axis, test xquery.NodeTest) Matcher {
+	m := Matcher{axis: axis, name: test.Name, kind: xmltree.KindElem}
+	if axis == xquery.AxisAttribute {
+		m.kind = xmltree.KindAttr
+	}
 	switch test.Kind {
 	case xquery.TestNode:
-		return true
+		m.anyKind = true
 	case xquery.TestText:
-		return kind == xmltree.KindText
-	case xquery.TestWild:
-		if axis == xquery.AxisAttribute {
-			return kind == xmltree.KindAttr
-		}
-		return kind == xmltree.KindElem
-	default:
-		if axis == xquery.AxisAttribute {
-			return kind == xmltree.KindAttr && f.Name[pre] == test.Name
-		}
-		return kind == xmltree.KindElem && f.Name[pre] == test.Name
+		m.kind = xmltree.KindText
+	case xquery.TestName:
+		m.byName = true
 	}
+	return m
+}
+
+// Bind resolves a name test in f's dictionary — only when that is not
+// the dictionary it was last resolved in, the way fragRun keeps the last
+// fragment — and reports whether any node of f can match: a name the
+// dictionary lacks matches nothing, so the scan is skipped.
+func (m *Matcher) Bind(f *xmltree.Fragment) bool {
+	if !m.byName {
+		return true
+	}
+	if !xmltree.SameDict(m.names, f.Names) {
+		m.names = f.Names
+		m.id, m.found = f.NameID(m.name)
+	}
+	return m.found
+}
+
+func (m *Matcher) match(f *xmltree.Fragment, v int32) bool {
+	return (m.anyKind || f.Kind[v] == m.kind) && (!m.byName || f.Name[v] == m.id)
 }

@@ -52,7 +52,7 @@ func naiveMatch(f *xmltree.Fragment, v int32, axis xquery.Axis, test xquery.Node
 	case xquery.TestWild:
 		return f.Kind[v] == principal
 	default:
-		return f.Kind[v] == principal && f.Name[v] == test.Name
+		return f.Kind[v] == principal && f.NodeName(v) == test.Name
 	}
 }
 
@@ -311,15 +311,19 @@ func TestStepOverAtomic(t *testing.T) {
 func TestElemPostingsScan(t *testing.T) {
 	doc := xmltree.MustParseString(sharedNames)
 	plain := wrapCopy(doc)
-	if _, ok := doc.ElemPostings("x"); !ok {
+	if id, _ := doc.NameID("x"); !okPostings(doc, id) {
 		t.Fatal("a parsed document must have postings")
 	}
-	if _, ok := plain.ElemPostings("x"); ok {
+	if id, _ := plain.NameID("x"); okPostings(plain, id) {
 		t.Fatal("a constructed fragment must not have postings")
 	}
-	pres := func(ns []xdm.NodeID) []int32 {
+	scan := func(f *xmltree.Fragment, lo, hi int32, test xquery.NodeTest) []int32 {
 		out := []int32{}
-		for _, n := range ns {
+		m := engine.NewMatcher(xquery.AxisDescendant, test)
+		if !m.Bind(f) {
+			return out
+		}
+		for _, n := range engine.ScanRegionRange(nil, f, 0, lo, lo, hi, &m) {
 			out = append(out, n.Pre)
 		}
 		return out
@@ -335,8 +339,8 @@ func TestElemPostingsScan(t *testing.T) {
 						want = append(want, c)
 					}
 				}
-				indexed := pres(engine.ScanRegionRange(nil, doc, 0, lo, lo, hi, test))
-				scanned := pres(engine.ScanRegionRange(nil, plain, 0, lo, lo, hi, test))
+				indexed := scan(doc, lo, hi, test)
+				scanned := scan(plain, lo, hi, test)
 				if !slices.Equal(indexed, want) || !slices.Equal(scanned, want) {
 					t.Fatalf("%s over [%d,%d]: indexed %v, scanned %v, want %v", test, lo, hi, indexed, scanned, want)
 				}
@@ -351,6 +355,11 @@ func TestElemPostingsScan(t *testing.T) {
 			t.Errorf("descendant-or-self::%s from @x: got %v, want %v", test, got, want)
 		}
 	}
+}
+
+func okPostings(f *xmltree.Fragment, id uint32) bool {
+	_, ok := f.ElemPostings(id)
+	return ok
 }
 
 // TestStaircaseKeepsCoveredAttribute: an attribute context inside another

@@ -347,9 +347,9 @@ func matchTest(f *xmltree.Fragment, pre int32, axis xquery.Axis, test xquery.Nod
 		return kind == xmltree.KindElem
 	default: // TestName
 		if axis == xquery.AxisAttribute {
-			return kind == xmltree.KindAttr && f.Name[pre] == test.Name
+			return kind == xmltree.KindAttr && f.NodeName(pre) == test.Name
 		}
-		return kind == xmltree.KindElem && f.Name[pre] == test.Name
+		return kind == xmltree.KindElem && f.NodeName(pre) == test.Name
 	}
 }
 

@@ -225,14 +225,19 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 	type slot struct {
 		iter int64
 		frag *xmltree.Fragment
+		m    engine.Matcher // the step's test bound to frag, read-only in the morsels
 		ctx  []xdm.NodeID
 		outs [][]xdm.NodeID // per-morsel results, morsel order = scan order
 	}
 	var slots []slot
 	totalWork := 0
+	m := engine.NewMatcher(n.Axis, n.Test)
 	for runs.Next() {
 		f := e.ex.Store().Frag(runs.Ctx[0].Frag)
-		slots = append(slots, slot{iter: runs.Iter, frag: f, ctx: runs.Ctx})
+		if !m.Bind(f) {
+			continue // nothing in f matches
+		}
+		slots = append(slots, slot{iter: runs.Iter, frag: f, m: m, ctx: runs.Ctx})
 		if !isDesc {
 			totalWork += len(runs.Ctx)
 			continue
@@ -283,7 +288,7 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 				for lo := start; lo <= end; lo += int32(chunk) {
 					hi := min(lo+int32(chunk)-1, end)
 					scan(func() []xdm.NodeID {
-						return engine.ScanRegionRange(nil, f, ctx[0].Frag, root, lo, hi, n.Test)
+						return engine.ScanRegionRange(nil, f, ctx[0].Frag, root, lo, hi, &s.m)
 					})
 				}
 			})
@@ -291,7 +296,7 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 		}
 		for lo := 0; lo < len(ctx); lo += chunk {
 			part := ctx[lo:min(lo+chunk, len(ctx))]
-			scan(func() []xdm.NodeID { return engine.AppendAxis(nil, f, part, n.Axis, n.Test) })
+			scan(func() []xdm.NodeID { return engine.AppendAxis(nil, f, part, &s.m) })
 		}
 	}
 	if len(tasks) < 2 {

@@ -343,31 +343,15 @@ func writePart(path string, frag *xmltree.Fragment, lo, hi int) (err error) {
 		}
 	}()
 
-	n := hi - lo
-	// Per-part name dictionary, in first-use order.
-	dictIdx := make(map[string]uint32)
-	var dict []string
-	nameID := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		nm := frag.Name[lo+i]
-		id, ok := dictIdx[nm]
-		if !ok {
-			id = uint32(len(dict))
-			dictIdx[nm] = id
-			dict = append(dict, nm)
-		}
-		nameID[i] = id
-	}
-
 	w := &partWriter{f: f, off: headerSize}
 	if err := w.seekPastHeader(); err != nil {
 		return err
 	}
 
 	var hdr header
-	hdr.nodes = uint64(n)
+	hdr.nodes = uint64(hi - lo)
 	hdr.rowLo = uint64(lo)
-	hdr.dictN = uint64(len(dict))
+	hdr.dictN = uint64(len(frag.Names))
 
 	// kind: one byte per node.
 	w.begin(&hdr.secs[sKind])
@@ -385,14 +369,16 @@ func writePart(path string, frag *xmltree.Fragment, lo, hi int) (err error) {
 		w.end(s)
 	}
 
+	// Every part carries the fragment's whole name dictionary, so the
+	// name ids go out as they are.
 	w.begin(&hdr.secs[sNameID])
-	for _, id := range nameID {
+	for _, id := range frag.Name[lo:hi] {
 		w.u32(id)
 	}
 	w.end(&hdr.secs[sNameID])
 
 	w.begin(&hdr.secs[sDict])
-	for _, s := range dict {
+	for _, s := range frag.Names {
 		w.u32(uint32(len(s)))
 		w.bytes([]byte(s))
 	}

@@ -359,8 +359,8 @@ func (s *Store) numParts() int { return len(s.parts) }
 
 // assembleDoc rebuilds one document's Fragment from its parts (already
 // in index order, row-contiguous). For a single-part document the int
-// columns alias the mapping directly; a sharded document concatenates
-// them into heap slices. Value strings always alias the part mappings —
+// columns and the name ids alias the mapping directly; a sharded
+// document concatenates them into heap slices. Value strings always alias the part mappings —
 // the text payload, which dominates corpus bytes, stays demand-paged
 // either way.
 func assembleDoc(uri string, parts []*part) (*xmltree.Fragment, error) {
@@ -400,8 +400,15 @@ func assembleDoc(uri string, parts []*part) (*xmltree.Fragment, error) {
 		}
 	}
 
-	frag.Name = make([]string, n)
 	frag.Value = make([]string, n)
+	if len(parts) > 1 {
+		frag.Name = make([]uint32, n)
+	}
+	// A sharded document's parts may list their names in different
+	// orders (earlier writers used each part's first-use order), so
+	// their ids are remapped into one merged dictionary.
+	var names []string
+	ids := map[string]uint32{}
 	for _, p := range parts {
 		if p.hdr.nodes == 0 {
 			continue
@@ -412,12 +419,27 @@ func assembleDoc(uri string, parts []*part) (*xmltree.Fragment, error) {
 		}
 		lo, pn := int(p.hdr.rowLo), int(p.hdr.nodes)
 		nameID := unsafe.Slice((*uint32)(unsafe.Pointer(&p.sec(sNameID)[0])), pn)
-		for i := 0; i < pn; i++ {
-			id := nameID[i]
+		for i, id := range nameID {
 			if id >= uint32(len(dict)) {
 				return nil, corruptf("%s: node %d names dictionary entry %d of %d", p.path, lo+i, id, len(dict))
 			}
-			frag.Name[lo+i] = dict[id]
+		}
+		if len(parts) == 1 {
+			frag.Name, names = nameID, dict
+		} else {
+			remap := make([]uint32, len(dict))
+			for j, s := range dict {
+				id, ok := ids[s]
+				if !ok {
+					id = uint32(len(names))
+					names = append(names, s)
+					ids[s] = id
+				}
+				remap[j] = id
+			}
+			for i, id := range nameID {
+				frag.Name[lo+i] = remap[id]
+			}
 		}
 		valOff := unsafe.Slice((*uint64)(unsafe.Pointer(&p.sec(sValOff)[0])), pn+1)
 		heap := p.sec(sValHeap)
@@ -435,6 +457,8 @@ func assembleDoc(uri string, parts []*part) (*xmltree.Fragment, error) {
 			}
 		}
 	}
+
+	frag.Names = names
 
 	if err := xmltree.Validate(frag); err != nil {
 		return nil, corruptf("%s: invalid tree encoding: %v", uri, err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,13 +24,13 @@ func fragsEqual(t *testing.T, want, got *xmltree.Fragment) {
 	if want.Len() != got.Len() {
 		t.Fatalf("node count: want %d, got %d", want.Len(), got.Len())
 	}
-	for i := 0; i < want.Len(); i++ {
+	for i := int32(0); i < int32(want.Len()); i++ {
 		if want.Kind[i] != got.Kind[i] || want.Size[i] != got.Size[i] ||
 			want.Level[i] != got.Level[i] || want.Parent[i] != got.Parent[i] ||
-			want.Name[i] != got.Name[i] || want.Value[i] != got.Value[i] {
+			want.NodeName(i) != got.NodeName(i) || want.Value[i] != got.Value[i] {
 			t.Fatalf("node %d differs: want {%v %q %q %d %d %d}, got {%v %q %q %d %d %d}",
-				i, want.Kind[i], want.Name[i], want.Value[i], want.Size[i], want.Level[i], want.Parent[i],
-				got.Kind[i], got.Name[i], got.Value[i], got.Size[i], got.Level[i], got.Parent[i])
+				i, want.Kind[i], want.NodeName(i), want.Value[i], want.Size[i], want.Level[i], want.Parent[i],
+				got.Kind[i], got.NodeName(i), got.Value[i], got.Size[i], got.Level[i], got.Parent[i])
 		}
 	}
 	if xmltree.SerializeToString(want, 0, xmltree.SerializeOptions{}) !=
@@ -318,4 +319,58 @@ func TestStatsShape(t *testing.T) {
 			t.Fatalf("part: %+v", p)
 		}
 	}
+}
+
+// TestMountRemapsPartDictionaries: a two-part store whose part
+// dictionaries list the same names in different orders — each part's
+// first-use order, the layout earlier writers produced — mounts with
+// every node's name right.
+func TestMountRemapsPartDictionaries(t *testing.T) {
+	// Rows 0-3 (doc, r, a, b) and 4-8 (text, r, b, text, a) use the same
+	// four names, first in the order "", r, a, b, then "", r, b, a.
+	frag := xmltree.MustParseString(`<r><a/><b>t</b><r><b/>u<a/></r></r>`)
+	base := t.TempDir()
+	dirs := []string{filepath.Join(base, "a"), filepath.Join(base, "b")}
+	if err := WriteDoc(dirs, "d.xml", frag); err != nil {
+		t.Fatal(err)
+	}
+	n := frag.Len()
+	var dicts [][]string
+	for k, dir := range dirs {
+		lo, hi := k*n/2, (k+1)*n/2
+		part := firstUseNames(frag, lo, hi)
+		dicts = append(dicts, part.Names)
+		if err := writePart(filepath.Join(dir, partFileName("d.xml", k)), part, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted := func(d []string) []string { d = slices.Clone(d); slices.Sort(d); return d }
+	if slices.Equal(dicts[0], dicts[1]) || !slices.Equal(sorted(dicts[0]), sorted(dicts[1])) {
+		t.Fatalf("part dictionaries %q and %q: want the same names in two orders", dicts[0], dicts[1])
+	}
+	st, err := Open(dirs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fragsEqual(t, frag, st.Docs()[0].Frag)
+}
+
+// firstUseNames returns frag with the names of rows [lo, hi) re-indexed
+// into a dictionary of just those rows' names, in first-use order.
+func firstUseNames(frag *xmltree.Fragment, lo, hi int) *xmltree.Fragment {
+	out := &xmltree.Fragment{Kind: frag.Kind, Name: make([]uint32, frag.Len()), Value: frag.Value,
+		Size: frag.Size, Level: frag.Level, Parent: frag.Parent}
+	ids := map[string]uint32{}
+	for v := lo; v < hi; v++ {
+		name := frag.NodeName(int32(v))
+		id, ok := ids[name]
+		if !ok {
+			id = uint32(len(out.Names))
+			ids[name] = id
+			out.Names = append(out.Names, name)
+		}
+		out.Name[v] = id
+	}
+	return out
 }

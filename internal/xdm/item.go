@@ -188,15 +188,22 @@ func (it Item) AsDouble() (float64, error) {
 	case KBoolean:
 		return float64(it.I), nil
 	case KUntyped, KString:
-		s := strings.TrimSpace(it.S)
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return 0, fmt.Errorf("xdm: cannot cast %q to xs:double", it.S)
-		}
-		return f, nil
+		return ParseDouble(it.S)
 	default:
 		return 0, fmt.Errorf("xdm: cannot cast %s to xs:double", it.Kind)
 	}
+}
+
+// ParseDouble casts the lexical form of a string or untypedAtomic value
+// to xs:double; surrounding whitespace is ignored. Typed kernels cast
+// whole untyped columns through it, so they fail exactly where AsDouble
+// does.
+func ParseDouble(s string) (float64, error) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return 0, fmt.Errorf("xdm: cannot cast %q to xs:double", s)
+	}
+	return f, nil
 }
 
 // NumberOrNaN implements fn:number(): failed casts yield NaN instead of an

@@ -323,7 +323,11 @@ func Arith(a, b Item, op ArithOp) (Item, error) {
 		if bf == 0 {
 			return Item{}, fmt.Errorf("xdm: division by zero")
 		}
-		return NewInt(int64(af / bf)), nil
+		// A NaN or infinite quotient fails the range test too (FOAR0002).
+		if q := af / bf; q >= -(1<<63) && q < 1<<63 {
+			return NewInt(int64(q)), nil
+		}
+		return Item{}, fmt.Errorf("xdm: idiv quotient out of integer range")
 	case OpMod:
 		return NewDouble(math.Mod(af, bf)), nil
 	default:

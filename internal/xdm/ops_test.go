@@ -147,3 +147,34 @@ func TestEffectiveBooleanValue(t *testing.T) {
 		}
 	}
 }
+
+// TestIDivOverDoublesErrors: a double quotient that is NaN, infinite or
+// outside xs:integer has no integer value, so idiv reports an arithmetic
+// error (FOAR0002) instead of Go's saturated int64 conversion.
+func TestIDivOverDoublesErrors(t *testing.T) {
+	for _, tc := range []struct{ a, b Item }{
+		{NewDouble(math.Inf(1)), NewInt(1)},
+		{NewDouble(math.Inf(-1)), NewInt(1)},
+		{NewDouble(math.NaN()), NewInt(2)},
+		{NewDouble(1e300), NewDouble(1e-300)},
+		{NewDouble(1e19), NewInt(1)},
+		{NewDouble(-1e19), NewInt(1)},
+	} {
+		got, err := Arith(tc.a, tc.b, OpIDiv)
+		if err == nil || err.Error() != "xdm: idiv quotient out of integer range" {
+			t.Errorf("%s idiv %s = %v, %v; want the out-of-range error", tc.a.StringValue(), tc.b.StringValue(), got.StringValue(), err)
+		}
+	}
+	for _, tc := range []struct {
+		a, b Item
+		want int64
+	}{
+		{NewDouble(7.9), NewInt(2), 3},
+		{NewDouble(-7.9), NewInt(2), -3},
+		{NewDouble(-9.2e18), NewInt(1), -9200000000000000000},
+	} {
+		if got, err := Arith(tc.a, tc.b, OpIDiv); err != nil || got.Kind != KInteger || got.I != tc.want {
+			t.Errorf("%s idiv %s = %v, %v; want %d", tc.a.StringValue(), tc.b.StringValue(), got, err, tc.want)
+		}
+	}
+}

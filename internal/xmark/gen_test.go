@@ -23,7 +23,7 @@ func findPath(f *xmltree.Fragment, names ...string) []int32 {
 		var next []int32
 		for _, v := range ctx {
 			for _, c := range f.Children(v) {
-				if f.Kind[c] == xmltree.KindElem && f.Name[c] == name {
+				if f.Kind[c] == xmltree.KindElem && f.NodeName(c) == name {
 					next = append(next, c)
 				}
 			}
@@ -77,16 +77,16 @@ func TestPersonFields(t *testing.T) {
 	var withProfile, withIncome, withHomepage, withoutHomepage int
 	for _, p := range persons {
 		attrs := f.Attributes(p)
-		if len(attrs) == 0 || f.Name[attrs[0]] != "id" {
+		if len(attrs) == 0 || f.NodeName(attrs[0]) != "id" {
 			t.Fatalf("person %d lacks id attribute", p)
 		}
 		hasHome := false
 		for _, c := range f.Children(p) {
-			switch f.Name[c] {
+			switch f.NodeName(c) {
 			case "profile":
 				withProfile++
 				for _, a := range f.Attributes(c) {
-					if f.Name[a] == "income" {
+					if f.NodeName(a) == "income" {
 						withIncome++
 					}
 				}
@@ -128,7 +128,7 @@ func TestGoldAppearsInDescriptions(t *testing.T) {
 	hits := 0
 	for _, it := range items {
 		for _, c := range f.Children(it) {
-			if f.Name[c] == "description" &&
+			if f.NodeName(c) == "description" &&
 				strings.Contains(f.StringValue(c), "gold") {
 				hits++
 			}
@@ -148,7 +148,7 @@ func TestBidderIncreaseNumeric(t *testing.T) {
 	withBidders := 0
 	for _, a := range auctions {
 		for _, c := range f.Children(a) {
-			if f.Name[c] == "bidder" {
+			if f.NodeName(c) == "bidder" {
 				withBidders++
 				break
 			}
@@ -173,10 +173,10 @@ func TestWriteXMLParsesBack(t *testing.T) {
 	if f.Len() != direct.Len() {
 		t.Fatalf("round trip: %d nodes vs %d direct", f.Len(), direct.Len())
 	}
-	for i := 0; i < f.Len(); i++ {
-		if f.Kind[i] != direct.Kind[i] || f.Name[i] != direct.Name[i] || f.Value[i] != direct.Value[i] {
+	for i := int32(0); i < int32(f.Len()); i++ {
+		if f.Kind[i] != direct.Kind[i] || f.NodeName(i) != direct.NodeName(i) || f.Value[i] != direct.Value[i] {
 			t.Fatalf("node %d differs: %v %q %q vs %v %q %q",
-				i, f.Kind[i], f.Name[i], f.Value[i], direct.Kind[i], direct.Name[i], direct.Value[i])
+				i, f.Kind[i], f.NodeName(i), f.Value[i], direct.Kind[i], direct.NodeName(i), direct.Value[i])
 		}
 	}
 }

@@ -19,13 +19,52 @@ type Builder struct {
 	open    []int32  // stack of open node preorder ranks
 	lastTop int32    // top-of-stack when the last text node was appended, for merging
 	atoms   []string // AppendContent's pending atomic values, reused
+	names   []string // the dictionary the fragment's names index; "" is id 0
+	ids     map[string]uint32
+
+	// CopySubtree's translation of the last source dictionary, remapSrc:
+	// remap[s] is the builder's id of source id s plus one, or 0 until
+	// the first copy of a node named s.
+	remapSrc []string
+	remap    []uint32
 }
 
 // NewBuilder returns an empty builder. The fragment's ID is assigned when
 // it is added to a Store.
 func NewBuilder() *Builder {
-	return &Builder{frag: &Fragment{}, lastTop: -2}
+	return &Builder{frag: &Fragment{}, lastTop: -2, names: []string{""}}
 }
+
+// intern returns name's id in the builder's dictionary, adding it on
+// first use. A scan finds the first few names; a map takes over from
+// dictMapAt names on.
+func (b *Builder) intern(name string) uint32 {
+	if b.ids == nil {
+		for i, n := range b.names {
+			if n == name {
+				return uint32(i)
+			}
+		}
+		if len(b.names) < dictMapAt {
+			b.names = append(b.names, name)
+			return uint32(len(b.names) - 1)
+		}
+		b.ids = make(map[string]uint32, 2*len(b.names))
+		for i, n := range b.names {
+			b.ids[n] = uint32(i)
+		}
+	} else if id, ok := b.ids[name]; ok {
+		return id
+	}
+	id := uint32(len(b.names))
+	b.names = append(b.names, name)
+	b.ids[name] = id
+	return id
+}
+
+// dictMapAt is the dictionary size from which a builder interns names
+// through a map rather than a scan.
+const dictMapAt = 8
 
 // reserve makes room for n more nodes in every column, doubling their
 // capacity when they must grow: append's own growth (1.25x for large
@@ -37,14 +76,14 @@ func (f *Fragment) reserve(n int) {
 	}
 	c := max(2*cap(f.Kind), len(f.Kind)+n, 64)
 	f.Kind = append(make([]NodeKind, 0, c), f.Kind...)
-	f.Name = append(make([]string, 0, c), f.Name...)
+	f.Name = append(make([]uint32, 0, c), f.Name...)
 	f.Value = append(make([]string, 0, c), f.Value...)
 	f.Size = append(make([]int32, 0, c), f.Size...)
 	f.Level = append(make([]int32, 0, c), f.Level...)
 	f.Parent = append(make([]int32, 0, c), f.Parent...)
 }
 
-func (b *Builder) push(kind NodeKind, name, value string) int32 {
+func (b *Builder) push(kind NodeKind, name uint32, value string) int32 {
 	f := b.frag
 	f.reserve(1)
 	pre := int32(f.Len())
@@ -69,13 +108,13 @@ func (b *Builder) StartDoc(uri string) {
 		panic("xmltree: StartDoc on non-empty builder")
 	}
 	b.frag.Name_ = uri
-	pre := b.push(KindDoc, "", "")
+	pre := b.push(KindDoc, 0, "")
 	b.open = append(b.open, pre)
 }
 
 // StartElem opens an element node.
 func (b *Builder) StartElem(name string) {
-	pre := b.push(KindElem, name, "")
+	pre := b.push(KindElem, b.intern(name), "")
 	b.open = append(b.open, pre)
 	b.lastTop = -2
 }
@@ -92,7 +131,7 @@ func (b *Builder) Attr(name, value string) {
 	if int32(b.frag.Len()) != owner+1 && b.frag.Kind[b.frag.Len()-1] != KindAttr {
 		panic("xmltree: Attr after element content")
 	}
-	b.push(KindAttr, name, value)
+	b.push(KindAttr, b.intern(name), value)
 }
 
 // Text appends a text node; adjacent text nodes under the same parent are
@@ -112,7 +151,7 @@ func (b *Builder) Text(value string) {
 		f.Value[last] += value
 		return
 	}
-	b.push(KindText, "", value)
+	b.push(KindText, 0, value)
 	b.lastTop = top
 }
 
@@ -131,7 +170,9 @@ func (b *Builder) EndElem() {
 
 // CopySubtree appends a deep copy of the subtree rooted at src:pre
 // (including attributes) as content of the currently open element. This is
-// the node-copying step of XQuery element construction.
+// the node-copying step of XQuery element construction. Names are
+// translated into the builder's dictionary through a table kept for the
+// last source dictionary, so a copied node costs no map lookup.
 func (b *Builder) CopySubtree(src *Fragment, pre int32) {
 	f := b.frag
 	n := len(b.open)
@@ -143,9 +184,19 @@ func (b *Builder) CopySubtree(src *Fragment, pre int32) {
 	parentLevel := f.Level[b.open[n-1]]
 	srcLevel := src.Level[pre]
 	end := pre + src.Size[pre]
+	if !SameDict(b.remapSrc, src.Names) {
+		b.remapSrc = src.Names
+		b.remap = slices.Grow(b.remap[:0], len(src.Names))[:len(src.Names)]
+		clear(b.remap)
+	}
 	for c := pre; c <= end; c++ {
 		f.Kind = append(f.Kind, src.Kind[c])
-		f.Name = append(f.Name, src.Name[c])
+		id := b.remap[src.Name[c]]
+		if id == 0 {
+			id = b.intern(src.Names[src.Name[c]]) + 1
+			b.remap[src.Name[c]] = id
+		}
+		f.Name = append(f.Name, id-1)
 		f.Value = append(f.Value, src.Value[c])
 		f.Size = append(f.Size, src.Size[c])
 		f.Level = append(f.Level, src.Level[c]-srcLevel+parentLevel+1)
@@ -171,14 +222,15 @@ func (b *Builder) Close() *Fragment {
 	return f
 }
 
-// end closes every open node and detaches the fragment (a Slab re-arms
-// its builder afterwards).
+// end closes every open node and detaches the fragment with the
+// dictionary as it stands (a Slab re-arms its builder afterwards).
 func (b *Builder) end() *Fragment {
 	for len(b.open) > 0 {
 		b.EndElem()
 	}
 	f := b.frag
 	b.frag = nil
+	f.Names = b.names
 	return f
 }
 

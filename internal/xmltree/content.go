@@ -32,9 +32,9 @@ func AppendContent(store *Store, b *Builder, elemName string, items []xdm.Item) 
 			}
 			if f.Kind[it.N.Pre] == KindAttr {
 				if sawContent || len(pendingAtomics) > 0 {
-					return fmt.Errorf("xmltree: attribute %s after content of <%s>", f.Name[it.N.Pre], elemName)
+					return fmt.Errorf("xmltree: attribute %s after content of <%s>", f.NodeName(it.N.Pre), elemName)
 				}
-				b.Attr(f.Name[it.N.Pre], f.Value[it.N.Pre])
+				b.Attr(f.NodeName(it.N.Pre), f.Value[it.N.Pre])
 				continue
 			}
 			flushAtomics()
@@ -65,7 +65,7 @@ func SerializeItems(store *Store, items []xdm.Item) (string, error) {
 		if it.IsNode() {
 			f := store.Frag(it.N.Frag)
 			if f.Kind[it.N.Pre] == KindAttr {
-				return "", fmt.Errorf("xmltree: cannot serialize free-standing attribute %s", f.Name[it.N.Pre])
+				return "", fmt.Errorf("xmltree: cannot serialize free-standing attribute %s", f.NodeName(it.N.Pre))
 			}
 			n += f.serializedLen(it.N.Pre)
 		} else {

@@ -53,7 +53,8 @@ type Fragment struct {
 	ID     uint32
 	Name_  string // document URI or a synthetic label; informational
 	Kind   []NodeKind
-	Name   []string // element/attribute name (empty for text/doc)
+	Name   []uint32 // element/attribute name as an index into Names ("" for text/doc)
+	Names  []string // the name dictionary; the fragments of one Slab share it
 	Value  []string // text/attribute value (empty otherwise)
 	Size   []int32
 	Level  []int32
@@ -146,7 +147,26 @@ func (f *Fragment) StringValue(v int32) string {
 
 // NodeName returns the name of an element or attribute node and "" for
 // text and document nodes.
-func (f *Fragment) NodeName(v int32) string { return f.Name[v] }
+func (f *Fragment) NodeName(v int32) string { return f.Names[f.Name[v]] }
+
+// NameID returns name's index in f's dictionary; ok is false when no
+// node of f carries the name. Dictionaries hold the few distinct names
+// of a document or constructor, so a scan is all a lookup needs.
+func (f *Fragment) NameID(name string) (id uint32, ok bool) {
+	for i, n := range f.Names {
+		if n == name {
+			return uint32(i), true
+		}
+	}
+	return 0, false
+}
+
+// SameDict reports whether two name dictionaries are one: the same array
+// and length, so an id resolved in one names the same string in the
+// other.
+func SameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
 
 // Stats summarizes a fragment for diagnostics.
 type Stats struct {

@@ -1,25 +1,23 @@
 package xmltree
 
-import "repro/internal/xdm"
-
 // elemPostings lists a document's element nodes by name in CSR form:
 // pre[off[id]:off[id+1]] holds the ascending preorder ranks of every
-// element named by ids' key id — the (name, pre) access path that turns a
-// descendant::name region scan into a binary search.
+// element whose name has dictionary id id — the (name, pre) access path
+// that turns a descendant::name region scan into a binary search.
 type elemPostings struct {
-	ids map[string]int32
 	off []int32
 	pre []int32
 }
 
-// ElemPostings returns the preorder ranks of all elements named name, in
-// document order. ok is false for a fragment that is not document-rooted:
-// constructed fragments live for one query and are scanned about once, so
-// an index would cost more than the scans it saves, while a parsed or
-// mounted document is immutable and queried many times. The postings are
-// built on first use — no load path pays for them — and published
-// atomically; concurrent first users may each build a copy, all equal.
-func (f *Fragment) ElemPostings(name string) (pres []int32, ok bool) {
+// ElemPostings returns the preorder ranks of all elements whose name has
+// dictionary id id, in document order. ok is false for a fragment that
+// is not document-rooted: constructed fragments live for one query and
+// are scanned about once, so an index would cost more than the scans it
+// saves, while a parsed or mounted document is immutable and queried
+// many times. The postings are built on first use — no load path pays
+// for them — and published atomically; concurrent first users may each
+// build a copy, all equal.
+func (f *Fragment) ElemPostings(id uint32) (pres []int32, ok bool) {
 	if f.Kind[0] != KindDoc {
 		return nil, false
 	}
@@ -28,34 +26,22 @@ func (f *Fragment) ElemPostings(name string) (pres []int32, ok bool) {
 		ix = buildElemPostings(f)
 		f.elems.Store(ix)
 	}
-	id, found := ix.ids[name]
-	if !found {
+	if int(id) >= len(f.Names) {
 		return nil, true
 	}
 	return ix.pre[ix.off[id]:ix.off[id+1]], true
 }
 
 func buildElemPostings(f *Fragment) *elemPostings {
-	ix := &elemPostings{ids: make(map[string]int32)}
-	nameOf := xdm.GetInt32s(len(f.Kind)) // name id by preorder rank, elements only
-	defer xdm.PutInt32s(nameOf)
-	var next []int32 // per name: first a count, then the fill cursor
+	next := make([]int32, len(f.Names)) // per name: first a count, then the fill cursor
 	elems := int32(0)
 	for v, k := range f.Kind {
-		if k != KindElem {
-			continue
+		if k == KindElem {
+			next[f.Name[v]]++
+			elems++
 		}
-		id, seen := ix.ids[f.Name[v]]
-		if !seen {
-			id = int32(len(next))
-			ix.ids[f.Name[v]] = id
-			next = append(next, 0)
-		}
-		nameOf[v] = id
-		next[id]++
-		elems++
 	}
-	ix.off = make([]int32, len(next)+1)
+	ix := &elemPostings{off: make([]int32, len(next)+1)}
 	for id, c := range next {
 		ix.off[id+1] = ix.off[id] + c
 	}
@@ -63,7 +49,7 @@ func buildElemPostings(f *Fragment) *elemPostings {
 	ix.pre = make([]int32, elems)
 	for v, k := range f.Kind {
 		if k == KindElem {
-			id := nameOf[v]
+			id := f.Name[v]
 			ix.pre[next[id]] = int32(v)
 			next[id]++
 		}

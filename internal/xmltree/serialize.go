@@ -28,9 +28,9 @@ func (f *Fragment) serializedLen(v int32) int {
 	for c := v; c <= v+f.Size[v]; c++ {
 		switch f.Kind[c] {
 		case KindElem:
-			n += 2*len(f.Name[c]) + 5 // <name></name>
+			n += 2*len(f.NodeName(c)) + 5 // <name></name>
 		case KindAttr:
-			n += len(f.Name[c]) + len(f.Value[c]) + 4 //  name=""
+			n += len(f.NodeName(c)) + len(f.Value[c]) + 4 //  name=""
 		case KindText:
 			n += len(f.Value[c])
 		}
@@ -55,7 +55,7 @@ func (s *serializer) newline(depth int) {
 }
 
 func (s *serializer) attr(a int32) {
-	s.sb.WriteString(s.f.Name[a])
+	s.sb.WriteString(s.f.NodeName(a))
 	s.sb.WriteString(`="`)
 	attrEscaper.WriteString(&s.sb, s.f.Value[a])
 	s.sb.WriteByte('"')
@@ -78,7 +78,7 @@ func (s *serializer) node(v int32, depth int) {
 		s.attr(v)
 	case KindElem:
 		s.sb.WriteByte('<')
-		s.sb.WriteString(f.Name[v])
+		s.sb.WriteString(f.NodeName(v))
 		first := v + 1 // attributes directly follow their owner
 		for ; first <= end && f.Kind[first] == KindAttr; first++ {
 			s.sb.WriteByte(' ')
@@ -103,7 +103,7 @@ func (s *serializer) node(v int32, depth int) {
 			s.newline(depth)
 		}
 		s.sb.WriteString("</")
-		s.sb.WriteString(f.Name[v])
+		s.sb.WriteString(f.NodeName(v))
 		s.sb.WriteByte('>')
 	}
 }

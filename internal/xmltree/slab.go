@@ -1,5 +1,7 @@
 package xmltree
 
+import "unsafe"
+
 // Slab builds the fragments of one constructor evaluation — one element
 // or attribute per loop iteration — out of one backing array per column
 // type, the transient container Pathfinder builds a constructor's twigs
@@ -14,30 +16,34 @@ package xmltree
 // than overwriting a neighbour.
 type Slab struct {
 	kind                []NodeKind
-	name, value         []string
+	name                []uint32
+	value               []string
 	size, level, parent []int32
 	frags               []Fragment
 	next                int // first node not yet taken by a fragment
 	b                   Builder
-	stack               [16]int32 // the builder's open stack, until it nests deeper
+	stack               [16]int32  // the builder's open stack, until it nests deeper
+	dict                [8]string  // the builder's dictionary, until it holds more names
+	remap               [16]uint32 // the builder's CopySubtree translation, likewise
 }
 
 // NewSlab reserves room for frags fragments of nodes nodes in total.
-// Columns of one element type share one array, cut into capped halves or
-// thirds.
+// The four 4-byte columns share one array, cut into capped quarters.
 func NewSlab(frags, nodes int) *Slab {
-	strs := make([]string, 2*nodes)
-	ints := make([]int32, 3*nodes)
+	ints := make([]int32, 4*nodes)
+	names := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(ints[3*nodes:]))), nodes)
 	s := &Slab{
 		kind:   make([]NodeKind, 0, nodes),
-		name:   strs[:0:nodes],
-		value:  strs[nodes : nodes : 2*nodes],
+		name:   names[:0],
+		value:  make([]string, 0, nodes),
 		size:   ints[:0:nodes],
 		level:  ints[nodes : nodes : 2*nodes],
 		parent: ints[2*nodes : 2*nodes : 3*nodes],
 		frags:  make([]Fragment, 0, frags),
 	}
 	s.b.open = s.stack[:0]
+	s.b.names = s.dict[:1]
+	s.b.remap = s.remap[:0]
 	return s
 }
 
@@ -54,7 +60,7 @@ func (s *Slab) Elem(name string) *Builder {
 // element).
 func (s *Slab) Attr(name, value string) {
 	s.start()
-	s.b.push(KindAttr, name, value)
+	s.b.push(KindAttr, s.b.intern(name), value)
 	s.Close()
 }
 
@@ -83,5 +89,12 @@ func (s *Slab) Close() {
 }
 
 // AddTo registers the slab's fragments with store in the order they were
-// built, under consecutive ids, and returns the first id.
-func (s *Slab) AddTo(store *Store) uint32 { return store.AddAll(s.frags) }
+// built, under consecutive ids, and returns the first id. From here on
+// every fragment holds the slab's whole dictionary, the one slice a step
+// resolves its name test in once.
+func (s *Slab) AddTo(store *Store) uint32 {
+	for i := range s.frags {
+		s.frags[i].Names = s.b.names
+	}
+	return store.AddAll(s.frags)
+}

@@ -45,7 +45,7 @@ func TestSlab(t *testing.T) {
 	for i := 0; i+1 < len(want); i++ {
 		f := store.Frag(first + uint32(i))
 		f.Kind = append(f.Kind, KindText)
-		f.Name = append(f.Name, "")
+		f.Name = append(f.Name, 0)
 		f.Value = append(f.Value, "overwrite")
 		f.Size = append(f.Size, 0)
 		f.Level = append(f.Level, 1)

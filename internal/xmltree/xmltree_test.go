@@ -21,9 +21,9 @@ func TestFigure5Encoding(t *testing.T) {
 	if f.Len() != 6 {
 		t.Fatalf("got %d nodes, want 6", f.Len())
 	}
-	for i := 0; i < 6; i++ {
-		if f.Name[i] != wantNames[i] {
-			t.Errorf("node %d name %q, want %q", i, f.Name[i], wantNames[i])
+	for i := int32(0); i < 6; i++ {
+		if f.NodeName(i) != wantNames[i] {
+			t.Errorf("node %d name %q, want %q", i, f.NodeName(i), wantNames[i])
 		}
 		if f.Level[i] != wantLevels[i] {
 			t.Errorf("node %d level %d, want %d", i, f.Level[i], wantLevels[i])
@@ -48,13 +48,13 @@ func TestChildrenAttributesDescendants(t *testing.T) {
 	if got := f.Children(r); len(got) != 2 || got[0] != 4 || got[1] != 7 {
 		t.Errorf("Children(r) = %v", got)
 	}
-	if got := f.Attributes(r); len(got) != 2 || f.Name[got[0]] != "a" || f.Name[got[1]] != "b" {
+	if got := f.Attributes(r); len(got) != 2 || f.NodeName(got[0]) != "a" || f.NodeName(got[1]) != "b" {
 		t.Errorf("Attributes(r) = %v", got)
 	}
 	if got := f.Descendants(r); len(got) != 4 { // x, y, text, z (attrs excluded)
 		t.Errorf("Descendants(r) = %v", got)
 	}
-	if got := f.Children(4); len(got) != 2 || f.Name[got[0]] != "y" || f.Kind[got[1]] != KindText {
+	if got := f.Children(4); len(got) != 2 || f.NodeName(got[0]) != "y" || f.Kind[got[1]] != KindText {
 		t.Errorf("Children(x) = %v", got)
 	}
 }
@@ -193,8 +193,8 @@ func TestBuilderCopySubtree(t *testing.T) {
 	}
 	// In the new fragment, d now precedes b in document order.
 	var dNew, bNew int32 = -1, -1
-	for i := 0; i < f.Len(); i++ {
-		switch f.Name[i] {
+	for i := int32(0); i < int32(f.Len()); i++ {
+		switch f.NodeName(i) {
 		case "d":
 			dNew = int32(i)
 		case "b":
