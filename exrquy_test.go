@@ -107,6 +107,41 @@ func TestReferenceAgreement(t *testing.T) {
 	}
 }
 
+// TestXSDoubleCastsAndRounding: untyped text casts to xs:double by
+// xs:double's lexical rules, not Go's float syntax, and fn:round and
+// fn:substring round half up without the error of floor(x + 0.5) — in the
+// pipeline and in the reference interpreter alike.
+func TestXSDoubleCastsAndRounding(t *testing.T) {
+	eng := New()
+	if err := eng.LoadDocumentString("d.xml", `<r><a>inf</a><a>1_000</a><a>0x1p3</a></r>`); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ q, want string }{
+		{`for $a in doc("d.xml")//a return number($a)`, "NaN NaN NaN"},
+		{`round(0.49999999999999994)`, "0"},
+		{`round(4503599627370497.0)`, "4.503599627370497e+15"},
+		{`(round(-2.5), round(2.5))`, "-2 3"},
+		{`substring("abcde", 0.49999999999999994, 2.5)`, "ab"},
+	} {
+		for name, run := range map[string]func(string) (*Result, error){"pipeline": eng.Query, "reference": eng.Reference} {
+			res, err := run(c.q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.q, err)
+			}
+			if got, _ := res.XML(); got != c.want {
+				t.Errorf("%s %s = %q, want %q", name, c.q, got, c.want)
+			}
+		}
+	}
+	q := `doc("d.xml")//a[. = 1000]`
+	for name, run := range map[string]func(string) (*Result, error){"pipeline": eng.Query, "reference": eng.Reference} {
+		if res, err := run(q); err == nil {
+			got, _ := res.XML()
+			t.Errorf("%s %s = %q, want a cast error", name, q, got)
+		}
+	}
+}
+
 // TestValueJoinErrorParity: a general comparison the compiler evaluates
 // as a value join (two θ-joins over the operand tables, one per mode)
 // raises exactly where the per-iteration semantics does — the reference

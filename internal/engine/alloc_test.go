@@ -154,12 +154,12 @@ func TestAllocApplyBinArithmetic(t *testing.T) {
 	n := b.BinOp(b.EmptyLit("a", "b"), algebra.BArithMul, 0, "r", "a", "b")
 	x, y := xdm.NewInt(5000), xdm.NewUntyped("12.5")
 	avg := testing.AllocsPerRun(100, func() {
-		if v, err := ex.ApplyBin(n, x, y); err != nil || v.F != 62500 {
+		if v, err := ex.applyBinFn(n, x, y); err != nil || v.F != 62500 {
 			t.Fatalf("5000 * '12.5' = %v, %v", v, err)
 		}
 	})
 	if avg != 0 {
-		t.Errorf("ApplyBin integer × untyped allocates %.1f times per row, want 0", avg)
+		t.Errorf("applyBinFn integer × untyped allocates %.1f times per row, want 0", avg)
 	}
 }
 

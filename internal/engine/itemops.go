@@ -64,26 +64,20 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 }
 
 // typedBinOp evaluates the arithmetic and comparison kernels over flat
-// columns without boxing a single Item: boolean×boolean conjunction and
-// disjunction, integer×integer arithmetic, comparisons of two
-// string-class columns, and the double kernels (doubleBinOp). ok=false
-// means no typed kernel applies and the caller should run the boxed
-// loop. The kernels replicate xdm.Arith/CompareValue/CompareGeneral
-// exactly: integer comparisons go through the double projection, div
-// yields a double, idiv/mod report the xdm division-by-zero error.
+// columns without boxing a single Item: boolean conjunction and
+// disjunction, integer×integer arithmetic, double arithmetic over numeric
+// and untyped columns (doubleArith), and comparisons in the θ-join's
+// comparison domains (compareBinOp). ok=false means no typed kernel
+// applies and the caller should run the boxed loop. The kernels replicate
+// xdm.Arith/CompareValue/CompareGeneral exactly: integer comparisons go
+// through the double projection, div yields a double, idiv/mod report the
+// xdm division-by-zero error.
 func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
-	if lb, ok := l.Bools(); ok {
-		rb, ok := r.Bools()
-		if !ok {
-			return nil, false, nil
-		}
-		var word func(a, b int64) int64
-		switch n.BFn {
-		case algebra.BAnd:
-			word = func(a, b int64) int64 { return a & b }
-		case algebra.BOr:
-			word = func(a, b int64) int64 { return a | b }
-		default:
+	switch n.BFn {
+	case algebra.BAnd, algebra.BOr:
+		lb, lok := l.Bools()
+		rb, rok := r.Bools()
+		if !lok || !rok {
 			return nil, false, nil
 		}
 		out := xdm.GetInts(len(lb))
@@ -94,11 +88,13 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 					return nil, true, err
 				}
 			}
-			out[i] = word(lb[i], rb[i])
+			if n.BFn == algebra.BAnd {
+				out[i] = lb[i] & rb[i]
+			} else {
+				out[i] = lb[i] | rb[i]
+			}
 		}
 		return xdm.BoolColumn(out), true, nil
-	}
-	switch n.BFn {
 	case algebra.BArithAdd, algebra.BArithSub, algebra.BArithMul, algebra.BArithIDiv, algebra.BArithMod:
 		li, lok := l.Ints()
 		ri, rok := r.Ints()
@@ -108,21 +104,11 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 		case n.BFn == algebra.BArithIDiv:
 			return nil, false, nil
 		}
-		return ex.doubleBinOp(n, l, r)
+		return ex.doubleArith(n, l, r)
 	case algebra.BArithDiv:
-		return ex.doubleBinOp(n, l, r)
+		return ex.doubleArith(n, l, r)
 	case algebra.BCmpGen, algebra.BCmpVal:
-		// Untyped meets string-class as a string in both comparisons.
-		if ls, _, ok := l.Strings(); ok {
-			if rs, _, ok := r.Strings(); ok {
-				col, err := compareKernel(ex, n.Cmp, ls, rs)
-				return col, true, err
-			}
-		}
-		if n.BFn == algebra.BCmpVal && (l.Kind() == xdm.ColUntyped || r.Kind() == xdm.ColUntyped) {
-			return nil, false, nil // untyped against a number is a type error here
-		}
-		return ex.doubleBinOp(n, l, r)
+		return ex.compareBinOp(n, l, r)
 	default:
 		return nil, false, nil
 	}
@@ -160,22 +146,64 @@ func (ex *Exec) intArith(n *algebra.Node, li, ri []int64) (*xdm.Column, bool, er
 	return xdm.IntColumn(out), true, nil
 }
 
-// doubleBinOp computes arithmetic (but idiv) and comparisons in doubles,
-// as xdm does for two numeric or untyped operands. Each untyped cell is
-// cast once, through xdm.ParseDouble; at the first cell that fails to
-// cast, ok=false hands the call to the boxed loop, which reports xdm's
-// error for the first failing row.
-func (ex *Exec) doubleBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
-	lf, ok := doubles(l)
-	if !ok {
+// doubleArith computes arithmetic (but idiv) in doubles, as xdm does once
+// an operand is a double or untyped, over two flat columns that render in
+// the numeric domain (thetaDomain). A boxed column keeps the row loop:
+// its integer cells stay integral against an integer.
+func (ex *Exec) doubleArith(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
+	for _, c := range [...]*xdm.Column{l, r} {
+		if c.Kind() == xdm.ColItems || thetaDomain(thetaColumnClass(c), thetaNum) != thetaNum {
+			return nil, false, nil
+		}
+	}
+	return ex.wordBinOp(n, l, r, thetaNum)
+}
+
+// compareBinOp is the general or value comparison of two columns, row by
+// row, in the domain the θ-join compares the same two columns in: both
+// are classified by thetaColumnClass, thetaDomain picks the domain, and
+// strSide or wordSide renders them. A value comparison takes an untyped
+// column as a string one first, as xdm.CompareValue does, so untyped
+// against a number stays a type error. A mixed column and a pair of
+// classes that is a type error take the boxed loop.
+func (ex *Exec) compareBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
+	if l.Len() == 0 {
+		return nil, false, nil // thetaColumnClass reads a boxed column's first cell
+	}
+	lc, rc := thetaColumnClass(l), thetaColumnClass(r)
+	if n.BFn == algebra.BCmpVal {
+		lc, rc = untypedAsString(lc), untypedAsString(rc)
+	}
+	switch dom := thetaDomain(lc, rc); {
+	case lc == thetaMixed || rc == thetaMixed || dom == thetaNone:
+		return nil, false, nil
+	case dom == thetaStr:
+		col, err := compareKernel(ex, n.Cmp, strSide(l).vals, strSide(r).vals)
+		return col, true, err
+	default:
+		return ex.wordBinOp(n, l, r, dom)
+	}
+}
+
+func untypedAsString(c thetaClass) thetaClass {
+	if c == thetaUntyped {
+		return thetaStr
+	}
+	return c
+}
+
+// wordBinOp renders two columns in the numeric or boolean domain
+// (wordSide) and compares them, or combines them arithmetically, row by
+// row. At a cell that does not cast, ok=false hands the call to the boxed
+// loop, which reports xdm's error for the first failing row.
+func (ex *Exec) wordBinOp(n *algebra.Node, l, r *xdm.Column, dom thetaClass) (*xdm.Column, bool, error) {
+	ls, rs := wordSide(l, dom), wordSide(r, dom)
+	defer xdm.PutFloats(ls.vals)
+	defer xdm.PutFloats(rs.vals)
+	if ls.bad != nil || rs.bad != nil {
 		return nil, false, nil
 	}
-	defer xdm.PutFloats(lf)
-	rf, ok := doubles(r)
-	if !ok {
-		return nil, false, nil
-	}
-	defer xdm.PutFloats(rf)
+	lf, rf := ls.vals, rs.vals
 	if n.BFn == algebra.BCmpGen || n.BFn == algebra.BCmpVal {
 		col, err := compareKernel(ex, n.Cmp, lf, rf)
 		return col, true, err
@@ -203,32 +231,6 @@ func (ex *Exec) doubleBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, boo
 		}
 	}
 	return xdm.DoubleColumn(out), true, nil
-}
-
-// doubles copies the cells of an integer, double or untyped column into
-// a pooled double buffer. ok is false for any other column and for an
-// untyped cell that does not cast.
-func doubles(c *xdm.Column) ([]float64, bool) {
-	is, isInt := c.Ints()
-	ds, isDouble := c.Floats()
-	ss, k, isText := c.Strings()
-	if !isInt && !isDouble && !(isText && k == xdm.KUntyped) {
-		return nil, false
-	}
-	fs := xdm.GetFloats(c.Len())
-	copy(fs, ds)
-	for i, v := range is {
-		fs[i] = float64(v)
-	}
-	for i, s := range ss {
-		f, err := xdm.ParseDouble(s)
-		if err != nil {
-			xdm.PutFloats(fs)
-			return nil, false
-		}
-		fs[i] = f
-	}
-	return fs, true
 }
 
 // compareKernel is the typed comparison of two string or two double
@@ -267,34 +269,6 @@ func compare[T cmp.Ordered](op xdm.CmpOp, a, b T) bool {
 	default:
 		return a >= b
 	}
-}
-
-// ApplyBin evaluates one OpBinOp row — the kernel evalBinOp maps over its
-// input, exported for morsel-wise evaluation by the parallel executor.
-// Safe for concurrent use (it only reads the store).
-func (ex *Exec) ApplyBin(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
-	return ex.applyBinFn(n, a, b)
-}
-
-// ApplyTern is ApplyBin for ternary functions.
-func (ex *Exec) ApplyTern(n *algebra.Node, a, b, c xdm.Item) (xdm.Item, error) {
-	return ex.applyTernFn(n, a, b, c)
-}
-
-// MapUn evaluates OpMap1 over rows [lo, hi) of arg into out — the kernel
-// evalMap1 runs chunk by chunk and the parallel executor morsel by
-// morsel. Safe for concurrent use on disjoint ranges (it only reads the
-// store).
-func (ex *Exec) MapUn(n *algebra.Node, arg *xdm.Column, lo, hi int, out []xdm.Item) error {
-	fr := fragRun{store: ex.store}
-	for i := lo; i < hi; i++ {
-		v, err := ex.applyUnFn(n, arg.Get(i), &fr)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
 }
 
 // fragRun resolves the fragments behind a column of node references,
@@ -416,15 +390,20 @@ func (ex *Exec) evalMap1(n *algebra.Node, in *Table) (*Table, error) {
 	}
 	rows := arg.Len()
 	out := xdm.GetItems(rows)
-	for lo := 0; lo < rows; lo += probeChunk {
-		err := ex.CheckCancel()
-		if err == nil {
-			err = ex.MapUn(n, arg, lo, min(lo+probeChunk, rows), out)
+	fr := fragRun{store: ex.store}
+	for i := 0; i < rows; i++ {
+		if i&(probeChunk-1) == 0 {
+			if err := ex.CheckCancel(); err != nil {
+				xdm.PutItems(out)
+				return nil, err
+			}
 		}
+		v, err := ex.applyUnFn(n, arg.Get(i), &fr)
 		if err != nil {
 			xdm.PutItems(out)
 			return nil, err
 		}
+		out[i] = v
 	}
 	return in.WithColumn(n.Res, xdm.FromItemsOwned(out)), nil
 }
@@ -435,7 +414,8 @@ func (ex *Exec) evalMap1(n *algebra.Node, in *Table) (*Table, error) {
 // column itself (tables share columns through the *Column pointer); a
 // node column's string values are written straight into an untyped or
 // string column, or cast into a double one; fn:string of a string-class
-// column is a string column. ok=false means the caller runs MapUn.
+// column is a string column. ok=false means the caller runs the boxed
+// row loop.
 func (ex *Exec) typedMap1(n *algebra.Node, arg *xdm.Column) (*xdm.Column, bool, error) {
 	kind := arg.Kind()
 	ns, nodes := arg.Nodes()
@@ -881,7 +861,7 @@ func roundingFn(fn algebra.UnFn, it xdm.Item) (xdm.Item, error) {
 	f := v.F
 	switch fn {
 	case algebra.UnRound:
-		return xdm.NewDouble(math.Floor(f + 0.5)), nil // round half up, per fn:round
+		return xdm.NewDouble(xdm.RoundHalfUp(f)), nil
 	case algebra.UnFloor:
 		return xdm.NewDouble(math.Floor(f)), nil
 	case algebra.UnCeiling:
@@ -899,10 +879,10 @@ func substring(s string, start, length float64, hasLen bool) string {
 	if math.IsNaN(start) || (hasLen && math.IsNaN(length)) {
 		return ""
 	}
-	lo := math.Floor(start + 0.5)
+	lo := xdm.RoundHalfUp(start)
 	hi := math.Inf(1)
 	if hasLen {
-		hi = lo + math.Floor(length+0.5)
+		hi = lo + xdm.RoundHalfUp(length)
 	}
 	var sb strings.Builder
 	for i, r := range runes {

@@ -101,14 +101,17 @@ type thetaSide[T float64 | string] struct {
 	bad  []int32
 }
 
-// wordSide renders a column in the numeric or boolean domain; booleans
-// compare as 0 < 1, which the doubles 0 and 1 reproduce.
+// wordSide renders a column in the numeric or boolean domain into a
+// pooled buffer, which the caller returns with xdm.PutFloats. Booleans
+// compare as 0 < 1, which the doubles 0 and 1 reproduce; an untyped cell
+// is cast from its text, by xdm.ParseDouble in the numeric domain.
 func wordSide(c *xdm.Column, dom thetaClass) thetaSide[float64] {
 	n := c.Len()
+	s := thetaSide[float64]{vals: xdm.GetFloats(n)[:0]}
 	if fs, ok := c.Floats(); ok {
-		return thetaSide[float64]{vals: fs}
+		s.vals = append(s.vals, fs...)
+		return s
 	}
-	s := thetaSide[float64]{vals: make([]float64, 0, n)}
 	ints, ok := c.Ints()
 	if !ok {
 		ints, ok = c.Bools()
@@ -119,29 +122,36 @@ func wordSide(c *xdm.Column, dom thetaClass) thetaSide[float64] {
 		}
 		return s
 	}
-	target := xdm.KDouble
-	if dom == thetaBool {
-		target = xdm.KBoolean
-	}
-	s.rows = make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		it := c.Get(i)
-		if it.Kind == xdm.KUntyped {
-			cast, err := xdm.CoerceUntyped(it, target)
-			if err != nil {
-				s.bad = append(s.bad, int32(i))
-				continue
-			}
-			it = cast
-		}
-		f := it.F
-		if it.Kind != xdm.KDouble {
+		f, ok := it.F, true
+		switch it.Kind {
+		case xdm.KInteger, xdm.KBoolean:
 			f = float64(it.I)
+		case xdm.KUntyped:
+			var err error
+			if dom == thetaNum {
+				f, err = xdm.ParseDouble(it.S)
+			} else {
+				it, err = xdm.CoerceUntyped(it, xdm.KBoolean)
+				f = float64(it.I)
+			}
+			ok = err == nil
 		}
-		s.vals, s.rows = append(s.vals, f), append(s.rows, int32(i))
-	}
-	if s.bad == nil {
-		s.rows = nil
+		if !ok {
+			if s.bad == nil { // the comparable cells so far sit at their rows
+				s.rows = make([]int32, len(s.vals), n)
+				for k := range s.rows {
+					s.rows[k] = int32(k)
+				}
+			}
+			s.bad = append(s.bad, int32(i))
+			continue
+		}
+		s.vals = append(s.vals, f)
+		if s.bad != nil {
+			s.rows = append(s.rows, int32(i))
+		}
 	}
 	return s
 }
@@ -212,7 +222,10 @@ func (ex *Exec) thetaJoin(n *algebra.Node, lk, rk *xdm.Column, width int) (lperm
 		case dom == thetaStr:
 			err = thetaTyped(o, strSide(lk), strSide(rk), n.Cmp, match, strEq)
 		default:
-			err = thetaTyped(o, wordSide(lk, dom), wordSide(rk, dom), n.Cmp, match, floatEq)
+			ls, rs := wordSide(lk, dom), wordSide(rk, dom)
+			err = thetaTyped(o, ls, rs, n.Cmp, match, floatEq)
+			xdm.PutFloats(ls.vals)
+			xdm.PutFloats(rs.vals)
 		}
 	}
 	if err == nil {

@@ -174,3 +174,36 @@ func TestThetaJoinPollsAndBudget(t *testing.T) {
 		t.Errorf("< join comparing %d pairs polled %d times, want >= %d", side*side, polls, want)
 	}
 }
+
+// FuzzThetaJoin: any two columns of any kinds, any comparison operator,
+// both join modes — the kernel emits exactly the pairs, in exactly the
+// order, of its specification pairwiseTheta.
+func FuzzThetaJoin(f *testing.F) {
+	for l := uint8(0); l < numTypedKinds; l++ {
+		for r := uint8(0); r < numTypedKinds; r++ {
+			for op := range thetaOps {
+				f.Add(l, r, uint8(op), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, []byte{14, 13, 11, 3, 2, 1, 0, 7})
+			}
+		}
+	}
+	ex := NewExec(xmltree.NewStore(), nil, Options{})
+	b := algebra.NewBuilder()
+	in := b.EmptyLit("v")
+	right := b.Project(in, algebra.ColPair{New: "w", Old: "v"})
+	f.Fuzz(func(t *testing.T, lk, rk, op uint8, lpicks, rpicks []byte) {
+		l := kernelColumn(int(lk)%numTypedKinds, lpicks[:min(len(lpicks), 64)], 8)
+		r := kernelColumn(int(rk)%numTypedKinds, rpicks[:min(len(rpicks), 64)], 8)
+		cmp := thetaOps[int(op)%len(thetaOps)]
+		for _, mode := range []algebra.JoinMode{algebra.JoinTheta, algebra.JoinIncomparable} {
+			n := b.ThetaJoin(in, right, "v", "w", cmp, mode)
+			lp, rp, err := ex.thetaJoin(n, l, r, 2)
+			if err != nil {
+				t.Fatalf("%s over %v × %v: %v", algebra.Label(n), l, r, err)
+			}
+			wl, wr := pairwiseTheta(l.AppendTo(nil), r.AppendTo(nil), cmp, mode == algebra.JoinTheta)
+			if !slices.Equal(lp, wl) || !slices.Equal(rp, wr) {
+				t.Fatalf("%s over %v × %v:\n got %v\n     %v\nwant %v\n     %v", algebra.Label(n), l, r, lp, rp, wl, wr)
+			}
+		}
+	})
+}

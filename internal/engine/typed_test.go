@@ -23,7 +23,7 @@ const typedDoc = `<r x="NaN"><a> 12 </a><a>abc</a><a>1e3</a><a/><a>INF</a><b>1<c
 var (
 	typedInts    = []int64{0, 1, -1, 12, 1000, 1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64}
 	typedFloats  = []float64{math.NaN(), 0, math.Copysign(0, -1), 12, 1e3, math.Inf(1), math.Inf(-1), 1.5, 1 << 53, 1e300}
-	typedStrings = []string{"NaN", " 12 ", "12", "1e3", "INF", "-0", "", "abc", "9007199254740993", "-INF", " 1.5", "0"}
+	typedStrings = []string{"NaN", " 12 ", "12", "1e3", "INF", "-0", "", "abc", "9007199254740993", "-INF", " 1.5", "0", "inf", "1_000", "0x1p3"}
 )
 
 // Column kinds the fuzzer draws, by index.
@@ -200,7 +200,7 @@ func FuzzTypedKernels(f *testing.F) {
 		panic(s)
 	}
 	castable := []byte{}
-	for _, s := range []string{"NaN", " 12 ", "1e3", "INF", "-0", "9007199254740993", "12", "-INF", " 1.5", "0"} {
+	for _, s := range []string{"NaN", " 12 ", "1e3", "INF", "-0", "9007199254740993", "12", "-INF", " 1.5", "0", "inf", "1_000", "0x1p3"} {
 		castable = append(castable, idx(typedStrings, s))
 	}
 	failing := append(slices.Clone(castable[:8]), idx(typedStrings, "abc"), idx(typedStrings, ""))
@@ -257,6 +257,18 @@ func TestTypedKernelsApply(t *testing.T) {
 		n := b.Map1(b.EmptyLit("l"), fn, "res", "l")
 		if _, ok, err := ex.typedMap1(n, kernelColumn(tkNode, []byte{0}, 1)); !ok || err != nil {
 			t.Errorf("%s over nodes: typed kernel ok=%v, err %v", algebra.Label(n), ok, err)
+		}
+	}
+}
+
+// TestTypedKernelsEmptyBoxedColumn: an empty boxed column has no first
+// cell to classify, so every operator over it and an empty column of any
+// kind yields no rows, as the boxed loop does.
+func TestTypedKernelsEmptyBoxedColumn(t *testing.T) {
+	for _, op := range typedOps() {
+		for k := 0; k < numTypedKinds; k++ {
+			checkTyped(t, op, kernelColumn(tkMixed, nil, 1), kernelColumn(k, nil, 1))
+			checkTyped(t, op, kernelColumn(k, nil, 1), kernelColumn(tkMixed, nil, 1))
 		}
 	}
 }

@@ -225,7 +225,7 @@ func (st *evalState) evalFuncCall(e *xquery.FuncCall, en *env, c ctx) ([]xdm.Ite
 		}
 		switch e.Name {
 		case "round":
-			f = math.Floor(f + 0.5)
+			f = xdm.RoundHalfUp(f)
 		case "floor":
 			f = math.Floor(f)
 		case "ceiling":
@@ -486,10 +486,10 @@ func substringFn(s string, start, length float64, hasLen bool) string {
 	if math.IsNaN(start) || (hasLen && math.IsNaN(length)) {
 		return ""
 	}
-	lo := math.Floor(start + 0.5)
+	lo := xdm.RoundHalfUp(start)
 	hi := math.Inf(1)
 	if hasLen {
-		hi = lo + math.Floor(length+0.5)
+		hi = lo + xdm.RoundHalfUp(length)
 	}
 	var sb strings.Builder
 	i := 0

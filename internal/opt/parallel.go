@@ -66,11 +66,10 @@ const (
 )
 
 // MarkParallel computes order-liveness for every node of the DAG and
-// sets algebra.Node.Par on the nodes whose full row order is dead (at
-// most the group structure is observed — which every morsel kernel
-// preserves by merging partitions in deterministic serial-scan order).
-// ρ and the constructors are never marked (they are blocking or
-// identity-assigning by nature). It returns the number of marked nodes.
+// sets algebra.Node.Par on the steps and equi-joins whose full row order
+// is dead (at most the group structure is observed — which both morsel
+// kernels preserve by merging partitions in deterministic serial-scan
+// order). It returns the number of marked nodes.
 func MarkParallel(root *algebra.Node) int {
 	a := inferRequired(root)
 	a.inferProps()
@@ -156,7 +155,7 @@ func MarkParallel(root *algebra.Node) int {
 
 	marked := 0
 	for i, n := range nodes {
-		n.Par = live[i] <= ordGroup && parallelizableKind(n.Kind)
+		n.Par = live[i] <= ordGroup && parallelizable(n)
 		if n.Par {
 			marked++
 		}
@@ -198,13 +197,10 @@ func rowNumTieFree(n *algebra.Node, a *analysis) bool {
 	return false
 }
 
-// parallelizableKind excludes the operators that are blocking (ρ) or
-// assign node identity in row order (constructors) from parallel regions
-// regardless of order-liveness.
-func parallelizableKind(k algebra.OpKind) bool {
-	switch k {
-	case algebra.OpRowNum, algebra.OpElem, algebra.OpAttr:
-		return false
-	}
-	return true
+// parallelizable reports whether the morsel pool (internal/parallel) has
+// a kernel for n: the staircase step and the equi-join, the two operators
+// that partition. Every other operator runs serially whatever its
+// order-liveness, so a [par] mark means the pool will take the node.
+func parallelizable(n *algebra.Node) bool {
+	return n.Kind == algebra.OpStep || (n.Kind == algebra.OpJoin && n.Mode == algebra.JoinEqui)
 }

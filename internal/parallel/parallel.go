@@ -1,11 +1,13 @@
-// Package parallel holds the morsel-wise operator kernels: an operator
-// whose output row order is provably unobservable (algebra.Node.Par, set
-// by opt.MarkParallel from the order-indifference analysis of
-// internal/opt) is partitioned into morsels and evaluated across a bounded
-// worker pool. The executor loop (internal/vm) offers each Par-marked
-// operator to EvalParOp; everything else — and every operator below the
-// morsel threshold — takes the serial engine kernel, so a plan with no
-// order-dead regions runs exactly as before.
+// Package parallel holds the morsel-wise operator kernels. It runs the
+// two operators that partition — the staircase step and the equi-join —
+// when their output row order is provably unobservable (algebra.Node.Par,
+// which opt.MarkParallel sets from the order-indifference analysis of
+// internal/opt on those two kinds only): the work is split into morsels
+// and evaluated across a bounded worker pool. The executor loop
+// (internal/vm) offers each Par-marked operator to EvalParOp; every other
+// operator — and these two below the morsel threshold — takes the serial
+// engine kernel, so a plan with no order-dead regions runs exactly as
+// before.
 //
 // Although the analysis licenses arbitrary interleavings, every parallel
 // operator here merges its morsels in deterministic (morsel-index)
@@ -45,23 +47,15 @@ const (
 
 // executor is one operator's morsel pool: the execution whose budgets the
 // workers share, the pool size, and the smallest per-morsel work unit
-// (rows for row kernels, contexts for axis scans).
+// (probe rows for the equi-join; parStep scales it to contexts or
+// preorder slots).
 type executor struct {
 	ex      *engine.Exec
 	workers int
 	minRows int
 }
 
-// opResult is a parallel operator evaluation: the output table, the
-// summed per-worker busy time, and whether the workers already charged
-// the output cells against the shared budget.
-type opResult struct {
-	t       *engine.Table
-	busy    time.Duration
-	charged bool
-}
-
-// EvalParOp evaluates one Par-marked operator morsel-wise over
+// EvalParOp evaluates one Par-marked step or equi-join morsel-wise over
 // already-evaluated inputs, on a pool of workers goroutines. A nil table
 // (with a nil error) means the operator or its input size is not worth
 // partitioning and the caller should run the serial kernel instead.
@@ -76,23 +70,14 @@ func EvalParOp(ex *engine.Exec, workers, minMorselRows int, n *algebra.Node, ins
 	if e.minRows <= 0 {
 		e.minRows = defaultMinMorselRows
 	}
-	var r *opResult
 	switch n.Kind {
 	case algebra.OpStep:
-		r, err = e.parStep(n, ins[0])
+		return e.parStep(n, ins[0])
 	case algebra.OpJoin:
-		r, err = e.parJoin(n, ins[0], ins[1])
-	case algebra.OpSelect:
-		r, err = e.parSelect(n, ins[0])
-	case algebra.OpBinOp:
-		r, err = e.parBinOp(n, ins[0])
-	case algebra.OpMap1:
-		r, err = e.parMap1(n, ins[0])
+		t, busy, err := e.parJoin(n, ins[0], ins[1])
+		return t, busy, false, err
 	}
-	if err != nil || r == nil {
-		return nil, 0, false, err
-	}
-	return r.t, r.busy, r.charged, nil
+	return nil, 0, false, nil
 }
 
 // runTasks drains n's morsel tasks over up to e.workers goroutines
@@ -213,10 +198,10 @@ func (e *executor) ranges(n, min int) [][2]int {
 // axes chunk the per-fragment context sets. Morsels merge in serial scan
 // order — into flat iter/node columns, no boxing — so the output is
 // identical to evalStep's.
-func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error) {
+func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*engine.Table, time.Duration, bool, error) {
 	runs, err := engine.GroupStep(in)
 	if err != nil {
-		return nil, e.ex.Errf(n, "%v", err)
+		return nil, 0, false, e.ex.Errf(n, "%v", err)
 	}
 	defer runs.Release() // after runTasks: the morsels read the runs' context sets
 	isDesc := n.Axis == xquery.AxisDescendant || n.Axis == xquery.AxisDescendantOrSelf
@@ -255,7 +240,7 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 		minChunk = e.minRows * 32
 	}
 	if totalWork < 2*minChunk {
-		return nil, nil
+		return nil, 0, false, nil
 	}
 	chunk := totalWork / (morselsPerWorker * e.workers)
 	if chunk < minChunk {
@@ -300,12 +285,12 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 		}
 	}
 	if len(tasks) < 2 {
-		return nil, nil
+		return nil, 0, false, nil
 	}
 
 	busy, err := e.runTasks(n, tasks)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 
 	total := 0
@@ -329,7 +314,7 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 		}
 		outIter = engine.AppendIter(outIter, s.iter, len(outItem))
 	}
-	return &opResult{t: engine.StepTable(outIter, outItem), busy: busy, charged: chargeInWorker}, nil
+	return engine.StepTable(outIter, outItem), busy, chargeInWorker, nil
 }
 
 // parJoin builds the key index serially (builds don't decompose well at
@@ -338,15 +323,15 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*opResult, error)
 // A θ-join takes the serial kernel: its operand tables are the small
 // sides of a value join, and its sorted and indexed right side is not a
 // structure to rebuild per morsel.
-func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, error) {
+func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*engine.Table, time.Duration, error) {
 	lk, rk := l.Col(n.LCol), r.Col(n.RCol)
 	cs := e.ranges(lk.Len(), e.minRows)
 	if cs == nil || n.Mode != algebra.JoinEqui {
-		return nil, nil
+		return nil, 0, nil
 	}
 	ix, err := e.ex.BuildJoinIndex(rk)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	width := len(l.Cols) + len(r.Cols)
 	type part struct{ lperm, rperm []int32 }
@@ -363,14 +348,14 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, erro
 	busy, err := e.runTasks(n, tasks)
 	ix.Release()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	total := 0
 	for _, p := range parts {
 		total += len(p.lperm)
 	}
 	if err := e.ex.CheckCells(total, width); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	lperm := xdm.GetInt32s(total)[:0]
 	rperm := xdm.GetInt32s(total)[:0]
@@ -384,119 +369,7 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*opResult, erro
 	xdm.PutInt32s(lperm)
 	xdm.PutInt32s(rperm)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return &opResult{t: t, busy: busy}, nil
-}
-
-// parSelect filters row chunks concurrently; chunk-ordered concatenation
-// of the absolute row indices is the serial keep list. A flat boolean
-// condition column filters without touching an Item.
-func (e *executor) parSelect(n *algebra.Node, in *engine.Table) (*opResult, error) {
-	cond := in.Col(n.Col)
-	cs := e.ranges(cond.Len(), e.minRows)
-	if cs == nil {
-		return nil, nil
-	}
-	bools, flat := cond.Bools()
-	parts := make([][]int32, len(cs))
-	tasks := make([]func() error, len(cs))
-	for ci, c := range cs {
-		ci, lo, hi := ci, c[0], c[1]
-		tasks[ci] = func() error {
-			var keep []int32
-			if flat {
-				for r := lo; r < hi; r++ {
-					if bools[r] != 0 {
-						keep = append(keep, int32(r))
-					}
-				}
-			} else {
-				for r := lo; r < hi; r++ {
-					it := cond.Get(r)
-					if it.Kind != xdm.KBoolean {
-						return e.ex.Errf(n, "selection over non-boolean %s", it.Kind)
-					}
-					if it.I != 0 {
-						keep = append(keep, int32(r))
-					}
-				}
-			}
-			parts[ci] = keep
-			return nil
-		}
-	}
-	busy, err := e.runTasks(n, tasks)
-	if err != nil {
-		return nil, err
-	}
-	var keep []int32
-	for _, p := range parts {
-		keep = append(keep, p...)
-	}
-	return &opResult{t: in.Filter(keep), busy: busy}, nil
-}
-
-// parBinOp maps the binary (or ternary) item kernel over row chunks into
-// a shared preallocated output buffer, adopted by the result column.
-func (e *executor) parBinOp(n *algebra.Node, in *engine.Table) (*opResult, error) {
-	rows := in.NumRows()
-	cs := e.ranges(rows, e.minRows)
-	if cs == nil {
-		return nil, nil
-	}
-	l, r := in.Col(n.LCol), in.Col(n.RCol)
-	var tc *xdm.Column
-	if n.TCol != "" {
-		tc = in.Col(n.TCol)
-	}
-	out := xdm.GetItems(rows)
-	tasks := make([]func() error, len(cs))
-	for ci, c := range cs {
-		lo, hi := c[0], c[1]
-		tasks[ci] = func() error {
-			for i := lo; i < hi; i++ {
-				var v xdm.Item
-				var err error
-				if tc != nil {
-					v, err = e.ex.ApplyTern(n, l.Get(i), r.Get(i), tc.Get(i))
-				} else {
-					v, err = e.ex.ApplyBin(n, l.Get(i), r.Get(i))
-				}
-				if err != nil {
-					return e.ex.Errf(n, "%v", err)
-				}
-				out[i] = v
-			}
-			return nil
-		}
-	}
-	busy, err := e.runTasks(n, tasks)
-	if err != nil {
-		xdm.PutItems(out)
-		return nil, err
-	}
-	return &opResult{t: in.WithColumn(n.Res, xdm.FromItemsOwned(out)), busy: busy}, nil
-}
-
-// parMap1 maps the unary item kernel over row chunks.
-func (e *executor) parMap1(n *algebra.Node, in *engine.Table) (*opResult, error) {
-	arg := in.Col(n.LCol)
-	rows := arg.Len()
-	cs := e.ranges(rows, e.minRows)
-	if cs == nil {
-		return nil, nil
-	}
-	out := xdm.GetItems(rows)
-	tasks := make([]func() error, len(cs))
-	for ci, c := range cs {
-		lo, hi := c[0], c[1]
-		tasks[ci] = func() error { return e.ex.MapUn(n, arg, lo, hi, out) }
-	}
-	busy, err := e.runTasks(n, tasks)
-	if err != nil {
-		xdm.PutItems(out)
-		return nil, err
-	}
-	return &opResult{t: in.WithColumn(n.Res, xdm.FromItemsOwned(out)), busy: busy}, nil
+	return t, busy, nil
 }

@@ -185,7 +185,8 @@ func TestThetaJoinTakesSerialKernel(t *testing.T) {
 // TestMarkParallelRegions checks the analysis end of the subsystem: an
 // order-indifferent aggregate query gets Par-marked steps (and the
 // marker shows up in Explain), while ρ and constructors are never marked
-// anywhere in the corpus.
+// anywhere in the corpus, and only the operators the morsel pool runs —
+// steps and equi-joins — are marked at all.
 func TestMarkParallelRegions(t *testing.T) {
 	u := xquery.Unordered
 	cfg := core.DefaultConfig()
@@ -223,6 +224,9 @@ func TestMarkParallelRegions(t *testing.T) {
 		for _, n := range algebra.Nodes(pq.Plan.Root) {
 			if n.Par && (n.Kind == algebra.OpRowNum || n.Kind == algebra.OpElem || n.Kind == algebra.OpAttr) {
 				t.Errorf("%s: %s marked parallel", q.Name, n.Kind)
+			}
+			if n.Par && n.Kind != algebra.OpStep && (n.Kind != algebra.OpJoin || n.Mode != algebra.JoinEqui) {
+				t.Errorf("%s: %s marked parallel, but the morsel pool has no kernel for it", q.Name, algebra.Label(n))
 			}
 		}
 	}

@@ -9,8 +9,9 @@
 // cancel/heartbeat poll, the tracer span, the profile record, the
 // per-plan-node statistics (so EXPLAIN ANALYZE joins runs back to plan
 // #ids), the cell charge and the buffer release. The operators themselves
-// are the kernels of internal/engine; a Par-marked operator is first
-// offered to the morsel pool of internal/parallel — order indifference
+// are the kernels of internal/engine; a Par-marked operator — a staircase
+// step or an equi-join, the only kinds opt.MarkParallel marks — is first
+// offered to the morsel pool of internal/parallel: order indifference
 // licenses the parallel run, the pool's deterministic serial merge keeps
 // the bytes.
 package vm
@@ -28,10 +29,10 @@ import (
 
 // Options configures one execution of a program. The embedded
 // engine.Options carry the budget/cancel/heartbeat/observability hooks;
-// Workers > 1 offers Par-marked operators to a morsel pool of that size
-// (a degraded governor admission passes 1 to keep the run serial), and
-// MinMorselRows is the pool's smallest per-morsel work unit (zero means
-// the default).
+// Workers > 1 offers Par-marked steps and equi-joins to a morsel pool of
+// that size (a degraded governor admission passes 1 to keep the run
+// serial), and MinMorselRows is the pool's smallest per-morsel work unit
+// (zero means the default).
 type Options struct {
 	engine.Options
 	Workers       int

@@ -123,8 +123,8 @@ func ItemColumn(v []Item) *Column { return &Column{kind: ColItems, items: v} }
 // FromItemsOwned adopts an owned []Item, converting it to the typed
 // representation when every cell has the same kind (the boxed buffer is
 // then returned to the pool). It is the bridge for kernels that must
-// build into a shared []Item (the parallel chunk writers) but still want
-// typed output columns.
+// build into a []Item (the boxed row loops of the map and binop
+// operators) but still want typed output columns.
 func FromItemsOwned(v []Item) *Column {
 	if ForceBoxed || len(v) == 0 {
 		return &Column{kind: ColItems, items: v}

@@ -195,15 +195,87 @@ func (it Item) AsDouble() (float64, error) {
 }
 
 // ParseDouble casts the lexical form of a string or untypedAtomic value
-// to xs:double; surrounding whitespace is ignored. Typed kernels cast
-// whole untyped columns through it, so they fail exactly where AsDouble
-// does.
+// to xs:double: an optional sign, digits with an optional fraction, an
+// optional exponent, or one of INF, +INF, -INF and NaN, between optional
+// XML whitespace. A numeral beyond the double range rounds to ±INF or ±0.
+// Typed kernels cast whole untyped columns through it, so they fail
+// exactly where AsDouble does.
 func ParseDouble(s string) (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("xdm: cannot cast %q to xs:double", s)
+	t := s
+	for len(t) > 0 && isXMLSpace(t[0]) {
+		t = t[1:]
 	}
-	return f, nil
+	for len(t) > 0 && isXMLSpace(t[len(t)-1]) {
+		t = t[:len(t)-1]
+	}
+	if isDoubleNumeral(t) {
+		// strconv accepts every such numeral; its only error is the range
+		// one, whose value is the rounded ±Inf or ±0.
+		f, _ := strconv.ParseFloat(t, 64)
+		return f, nil
+	}
+	switch t {
+	case "INF", "+INF":
+		return math.Inf(1), nil
+	case "-INF":
+		return math.Inf(-1), nil
+	case "NaN":
+		return math.NaN(), nil
+	}
+	return 0, fmt.Errorf("xdm: cannot cast %q to xs:double", s)
+}
+
+func isXMLSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// isDoubleNumeral reports whether s is an xs:double numeral: an optional
+// sign, at least one digit before or after an optional point, and an
+// optional exponent with an optional sign.
+func isDoubleNumeral(s string) bool {
+	i, digits := 0, 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		digits++
+	}
+	if i < len(s) && s[i] == '.' {
+		for i++; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+			digits++
+		}
+	}
+	if digits == 0 {
+		return false
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		exp := i
+		for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+			i++
+		}
+		if i == exp {
+			return false
+		}
+	}
+	return i == len(s)
+}
+
+// RoundHalfUp is fn:round over a double: the nearest integer, halves
+// toward positive infinity, and a negative argument that rounds to zero
+// gives -0. It floors first and adds one when the remainder is at least
+// one half, so no sum rounds on the way (floor(x + 0.5) does, just below
+// one half and beyond 2⁵²).
+func RoundHalfUp(f float64) float64 {
+	r := math.Floor(f)
+	if f-r >= 0.5 {
+		r++
+	}
+	if r == 0 && math.Signbit(f) {
+		return math.Copysign(0, -1)
+	}
+	return r
 }
 
 // NumberOrNaN implements fn:number(): failed casts yield NaN instead of an
@@ -228,7 +300,7 @@ func (it Item) AsInteger() (int64, error) {
 	case KUntyped, KString:
 		i, err := strconv.ParseInt(strings.TrimSpace(it.S), 10, 64)
 		if err != nil {
-			f, ferr := strconv.ParseFloat(strings.TrimSpace(it.S), 64)
+			f, ferr := ParseDouble(it.S)
 			if ferr != nil {
 				return 0, fmt.Errorf("xdm: cannot cast %q to xs:integer", it.S)
 			}

@@ -149,3 +149,54 @@ func TestOrderCompareTotalOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestParseDoubleLexicalForm: ParseDouble accepts exactly xs:double's
+// lexical space — an optional sign, digits with an optional fraction, an
+// optional exponent, INF, +INF, -INF and NaN — around XML whitespace
+// only. Go's own float syntax (inf, Infinity, nan, digit separators, hex
+// mantissas) is not xs:double's.
+func TestParseDoubleLexicalForm(t *testing.T) {
+	for _, tc := range []struct {
+		s    string
+		want float64
+	}{
+		{"0", 0}, {"-0", math.Copysign(0, -1)}, {"+12", 12}, {"1.", 1}, {".5", 0.5},
+		{"-1.5e3", -1500}, {"1E-2", 0.01}, {"2.5e+1", 25}, {" \t12\r\n", 12},
+		{"INF", math.Inf(1)}, {"+INF", math.Inf(1)}, {"-INF", math.Inf(-1)}, {"1e400", math.Inf(1)},
+	} {
+		got, err := ParseDouble(tc.s)
+		if err != nil || math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("ParseDouble(%q) = %v, %v, want %v", tc.s, got, err, tc.want)
+		}
+	}
+	if got, err := ParseDouble("NaN"); err != nil || !math.IsNaN(got) {
+		t.Errorf("ParseDouble(NaN) = %v, %v", got, err)
+	}
+	for _, s := range []string{
+		"", " ", ".", "-", "+", "e3", "1e", "1e+", "1.2.3", "--1", "+-1",
+		"inf", "-inf", "Inf", "Infinity", "+Infinity", "nan", "NAN", "-NaN", "+NaN",
+		"1_000", "0x1p3", "0x10", "1\u00a0", "\u00a01", "1 2",
+	} {
+		if f, err := ParseDouble(s); err == nil {
+			t.Errorf("ParseDouble(%q) = %v, want a cast error", s, f)
+		}
+	}
+}
+
+// TestRoundHalfUp: fn:round rounds half toward positive infinity, and is
+// exact where floor(x + 0.5) is not — just below one half, and beyond 2⁵²
+// where adding 0.5 rounds the sum.
+func TestRoundHalfUp(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{0.49999999999999994, 0}, {4503599627370497, 4503599627370497},
+		{-2.5, -2}, {2.5, 3}, {-0.5, math.Copysign(0, -1)}, {0.5, 1}, {-1.6, -2}, {1e300, 1e300},
+		{math.Inf(1), math.Inf(1)}, {math.Inf(-1), math.Inf(-1)}, {-0.2, math.Copysign(0, -1)},
+	} {
+		if got := RoundHalfUp(tc.in); math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("RoundHalfUp(%v) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+	if got := RoundHalfUp(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("RoundHalfUp(NaN) = %v", got)
+	}
+}
