@@ -208,6 +208,14 @@ var diffCases = []diffCase{
 	{name: "mixed-aggregates", query: `(sum((1, 2.5, 3)), max((1, 2.5)), min((3, 0.5)), avg((1, 2.5)))`},
 	{name: "mixed-string-of", query: `for $x in (1, "a", 2.5, <x>n</x>) return concat("[", string($x), "]")`},
 	{name: "mixed-constructor", query: `<e>{ for $x in (1, "a", <x/>, 2.5) return $x }</e>`},
+	// Scalars through the one xdm library: integers exact beyond 2⁵³,
+	// XML whitespace only, untypedAtomic arguments cast to xs:double.
+	{name: "scalar-exact-integers", query: `(9007199254740993 = 9007199254740992, 9007199254740993 > 9007199254740992,
+		sum((9007199254740993, 0)), max((9007199254740992, 9007199254740993)),
+		for $x in (9007199254740993, 9007199254740992) order by $x return $x)`},
+	{name: "scalar-whitespace", query: `(normalize-space("&#160;a&#160; b "), string-length(string(<a>&#160;</a>)))`},
+	{name: "scalar-untyped-args", query: bindA + `for $p in $a/people/person/profile
+		return (round($p/@income div 7), abs(-$p/@income), sum(($p/@income, 1)), max(($p/@income, 1)))`},
 }
 
 func buildStore(t *testing.T) (*xmltree.Store, map[string][]uint32) {

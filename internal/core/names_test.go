@@ -45,3 +45,22 @@ func TestIDivOverDoublesErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestScalarErrorParity: the rounding family over xs:string or
+// xs:boolean is a type error, and fn:max/fn:min over incomparable types
+// is FORG0006, in the pipeline and the oracle alike.
+func TestScalarErrorParity(t *testing.T) {
+	store, docs := buildStore(t)
+	for q, code := range map[string]string{
+		`round("1.5")`: "XPTY0004", `floor("2.5")`: "XPTY0004", `abs(true())`: "XPTY0004",
+		`max((1, "a"))`: "FORG0006", `min(("a", true()))`: "FORG0006",
+	} {
+		_, _, ierr := tryInterp(store, docs, q)
+		_, _, perr := tryPipeline(store, docs, q, Config{})
+		for who, err := range map[string]error{"oracle": ierr, "pipeline": perr} {
+			if err == nil || !strings.Contains(err.Error(), code) {
+				t.Errorf("%s: %s: got %v, want an error naming %s", who, q, err, code)
+			}
+		}
+	}
+}

@@ -929,67 +929,22 @@ func (ex *Exec) evalSemiDiff(n *algebra.Node, l, r *Table) (*Table, error) {
 
 // cellCompare builds a comparator over one column's cells under exactly
 // compareSortItems' semantics: typed columns compare raw payloads (ints
-// through their double projection, as xdm.OrderCompare does), the boxed
-// fallback dispatches per item and handles the KNull markers.
+// as ints, as xdm.OrderCompare does), the boxed fallback dispatches per
+// item and handles the KNull markers.
 func cellCompare(c *xdm.Column, emptyGreatest bool) func(a, b int32) int {
 	switch c.Kind() {
 	case xdm.ColInt:
 		v, _ := c.Ints()
-		return func(a, b int32) int {
-			af, bf := float64(v[a]), float64(v[b])
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
-		}
+		return compareCells(v)
 	case xdm.ColDouble:
 		fs, _ := c.Floats()
-		return func(a, b int32) int {
-			af, bf := fs[a], fs[b]
-			an, bn := af != af, bf != bf // NaN sorts first
-			switch {
-			case an && bn:
-				return 0
-			case an:
-				return -1
-			case bn:
-				return 1
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
-		}
+		return compareCells(fs) // cmp.Compare sorts NaN first, as xdm.OrderCompare does
 	case xdm.ColBool:
 		v, _ := c.Bools()
-		return func(a, b int32) int {
-			switch {
-			case v[a] < v[b]:
-				return -1
-			case v[a] > v[b]:
-				return 1
-			default:
-				return 0
-			}
-		}
+		return compareCells(v)
 	case xdm.ColString, xdm.ColUntyped:
 		ss, _, _ := c.Strings()
-		return func(a, b int32) int {
-			switch {
-			case ss[a] < ss[b]:
-				return -1
-			case ss[a] > ss[b]:
-				return 1
-			default:
-				return 0
-			}
-		}
+		return compareCells(ss)
 	case xdm.ColNode:
 		ns, _ := c.Nodes()
 		return func(a, b int32) int {
@@ -1131,6 +1086,10 @@ func allIntegers(col []xdm.Item) bool {
 		}
 	}
 	return true
+}
+
+func compareCells[T cmp.Ordered](v []T) func(a, b int32) int {
+	return func(a, b int32) int { return cmp.Compare(v[a], v[b]) }
 }
 
 // compareSortItems orders items for ρ and for result serialization: the

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -11,18 +10,6 @@ import (
 	"repro/internal/xdm"
 	"repro/internal/xmltree"
 )
-
-// coerceArith applies the arithmetic untypedAtomic→double coercion.
-func coerceArith(it xdm.Item) (xdm.Item, error) {
-	if it.Kind == xdm.KUntyped {
-		f, err := it.AsDouble()
-		if err != nil {
-			return xdm.Item{}, err
-		}
-		return xdm.NewDouble(f), nil
-	}
-	return it, nil
-}
 
 func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 	l, r := in.Col(n.LCol), in.Col(n.RCol)
@@ -69,9 +56,9 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 // and untyped columns (doubleArith), and comparisons in the θ-join's
 // comparison domains (compareBinOp). ok=false means no typed kernel
 // applies and the caller should run the boxed loop. The kernels replicate
-// xdm.Arith/CompareValue/CompareGeneral exactly: integer comparisons go
-// through the double projection, div yields a double, idiv/mod report the
-// xdm division-by-zero error.
+// xdm.Arith/CompareValue/CompareGeneral exactly: two integer columns
+// compare as integers, div yields a double, and integer arithmetic
+// reports xdm.IntArith's overflow and division-by-zero errors.
 func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
 	switch n.BFn {
 	case algebra.BAnd, algebra.BOr:
@@ -117,6 +104,7 @@ func (ex *Exec) typedBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool
 // intArith is integer×integer arithmetic other than div.
 func (ex *Exec) intArith(n *algebra.Node, li, ri []int64) (*xdm.Column, bool, error) {
 	out := xdm.GetInts(len(li))
+	op := arithOps[n.BFn]
 	for i := range li {
 		if i&(probeChunk-1) == 0 {
 			if err := ex.CheckCancel(); err != nil {
@@ -124,24 +112,12 @@ func (ex *Exec) intArith(n *algebra.Node, li, ri []int64) (*xdm.Column, bool, er
 				return nil, true, err
 			}
 		}
-		switch n.BFn {
-		case algebra.BArithAdd:
-			out[i] = li[i] + ri[i]
-		case algebra.BArithSub:
-			out[i] = li[i] - ri[i]
-		case algebra.BArithMul:
-			out[i] = li[i] * ri[i]
-		default:
-			if ri[i] == 0 {
-				xdm.PutInts(out)
-				return nil, true, ex.Errf(n, "%v", fmt.Errorf("xdm: division by zero"))
-			}
-			if n.BFn == algebra.BArithIDiv {
-				out[i] = li[i] / ri[i]
-			} else {
-				out[i] = li[i] % ri[i]
-			}
+		v, err := xdm.IntArith(li[i], ri[i], op)
+		if err != nil {
+			xdm.PutInts(out)
+			return nil, true, ex.Errf(n, "%v", err)
 		}
+		out[i] = v
 	}
 	return xdm.IntColumn(out), true, nil
 }
@@ -162,20 +138,27 @@ func (ex *Exec) doubleArith(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, boo
 // compareBinOp is the general or value comparison of two columns, row by
 // row, in the domain the θ-join compares the same two columns in: both
 // are classified by thetaColumnClass, thetaDomain picks the domain, and
-// strSide or wordSide renders them. A value comparison takes an untyped
-// column as a string one first, as xdm.CompareValue does, so untyped
-// against a number stays a type error. A mixed column and a pair of
-// classes that is a type error take the boxed loop.
+// strSide or wordSide renders them; two integer columns compare as
+// integers. A value comparison takes an untyped column as a string one
+// first, as xdm.CompareValue does, so untyped against a number stays a
+// type error. A mixed column, a pair of classes that is a type error and
+// integers the doubles cannot decide (floatsExact) take the boxed loop.
 func (ex *Exec) compareBinOp(n *algebra.Node, l, r *xdm.Column) (*xdm.Column, bool, error) {
 	if l.Len() == 0 {
 		return nil, false, nil // thetaColumnClass reads a boxed column's first cell
+	}
+	if li, ok := l.Ints(); ok {
+		if ri, ok := r.Ints(); ok {
+			col, err := compareKernel(ex, n.Cmp, li, ri)
+			return col, true, err
+		}
 	}
 	lc, rc := thetaColumnClass(l), thetaColumnClass(r)
 	if n.BFn == algebra.BCmpVal {
 		lc, rc = untypedAsString(lc), untypedAsString(rc)
 	}
 	switch dom := thetaDomain(lc, rc); {
-	case lc == thetaMixed || rc == thetaMixed || dom == thetaNone:
+	case lc == thetaMixed || rc == thetaMixed || dom == thetaNone || dom == thetaNum && !floatsExact(l, r):
 		return nil, false, nil
 	case dom == thetaStr:
 		col, err := compareKernel(ex, n.Cmp, strSide(l).vals, strSide(r).vals)
@@ -233,8 +216,8 @@ func (ex *Exec) wordBinOp(n *algebra.Node, l, r *xdm.Column, dom thetaClass) (*x
 	return xdm.DoubleColumn(out), true, nil
 }
 
-// compareKernel is the typed comparison of two string or two double
-// columns into a boolean column.
+// compareKernel is the typed comparison of two string, two integer or two
+// double columns into a boolean column.
 func compareKernel[T cmp.Ordered](ex *Exec, op xdm.CmpOp, l, r []T) (*xdm.Column, error) {
 	out := xdm.GetInts(len(l))
 	for i := range l {
@@ -300,15 +283,7 @@ func (r *fragRun) atomize(it xdm.Item) xdm.Item {
 func (ex *Exec) applyTernFn(n *algebra.Node, a, b, c xdm.Item) (xdm.Item, error) {
 	switch n.BFn {
 	case algebra.BSubstr3:
-		start, err := b.AsDouble()
-		if err != nil {
-			return xdm.Item{}, err
-		}
-		length, err := c.AsDouble()
-		if err != nil {
-			return xdm.Item{}, err
-		}
-		return xdm.NewString(substring(a.StringValue(), start, length, true)), nil
+		return xdm.Substring(a.StringValue(), b, c)
 	default:
 		return xdm.Item{}, ex.Errf(n, "unknown ternary function")
 	}
@@ -326,15 +301,7 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 	switch n.BFn {
 	case algebra.BArithAdd, algebra.BArithSub, algebra.BArithMul,
 		algebra.BArithDiv, algebra.BArithIDiv, algebra.BArithMod:
-		a2, err := coerceArith(a)
-		if err != nil {
-			return xdm.Item{}, err
-		}
-		b2, err := coerceArith(b)
-		if err != nil {
-			return xdm.Item{}, err
-		}
-		return xdm.Arith(a2, b2, arithOps[n.BFn])
+		return xdm.Arith(a, b, arithOps[n.BFn])
 	case algebra.BCmpGen:
 		ok, err := xdm.CompareGeneral(a, b, n.Cmp)
 		if err != nil {
@@ -370,11 +337,7 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 	case algebra.BEndsWith:
 		return xdm.NewBool(strings.HasSuffix(a.StringValue(), b.StringValue())), nil
 	case algebra.BSubstr2:
-		start, err := b.AsDouble()
-		if err != nil {
-			return xdm.Item{}, err
-		}
-		return xdm.NewString(substring(a.StringValue(), start, 0, false)), nil
+		return xdm.Substring(a.StringValue(), b)
 	default:
 		return xdm.Item{}, ex.Errf(n, "unknown binary function")
 	}
@@ -483,11 +446,7 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 		}
 		return xdm.NewBool(it.I == 0), nil
 	case algebra.UnNeg:
-		v, err := coerceArith(it)
-		if err != nil {
-			return xdm.Item{}, err
-		}
-		return xdm.Arith(xdm.NewInt(0), v, xdm.OpSub)
+		return xdm.Arith(xdm.NewInt(0), it, xdm.OpSub)
 	case algebra.UnNameOf:
 		if !it.IsNode() {
 			return xdm.Item{}, ex.Errf(n, "name() over atomic value")
@@ -505,13 +464,19 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 		}
 		return xdm.NewDouble(f), nil
 	case algebra.UnNormalizeSpace:
-		return xdm.NewString(strings.Join(strings.Fields(fr.atomize(it).StringValue()), " ")), nil
+		return xdm.NewString(xdm.NormalizeSpace(fr.atomize(it).StringValue())), nil
 	case algebra.UnUpperCase:
 		return xdm.NewString(strings.ToUpper(fr.atomize(it).StringValue())), nil
 	case algebra.UnLowerCase:
 		return xdm.NewString(strings.ToLower(fr.atomize(it).StringValue())), nil
-	case algebra.UnRound, algebra.UnFloor, algebra.UnCeiling, algebra.UnAbs:
-		return roundingFn(n.UFn, it)
+	case algebra.UnRound:
+		return xdm.Round(it)
+	case algebra.UnFloor:
+		return xdm.Floor(it)
+	case algebra.UnCeiling:
+		return xdm.Ceiling(it)
+	case algebra.UnAbs:
+		return xdm.Abs(it)
 	default:
 		return xdm.Item{}, ex.Errf(n, "unknown unary function")
 	}
@@ -519,16 +484,16 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 
 // --- Grouped aggregation ---
 
-// aggGroup is one group's running state.
-type aggGroup struct {
-	count int64
-	sum   float64
-	dbl   bool     // sum: a member was not an xs:integer, so is the sum
-	has   bool     // max/min: item holds the best member so far
-	item  xdm.Item // max/min: that member; ebv: an atomic member
-	// EBV state
-	nodes   int
-	atomics int
+// ebvGroup is one group's effective-boolean-value state.
+type ebvGroup struct {
+	nodes, atomics int
+	item           xdm.Item // an atomic member
+}
+
+// aggOps maps the fold aggregates to their xdm operators.
+var aggOps = map[algebra.AggrFn]xdm.AggOp{
+	algebra.AggrSum: xdm.AggSum, algebra.AggrAvg: xdm.AggAvg,
+	algebra.AggrMax: xdm.AggMax, algebra.AggrMin: xdm.AggMin,
 }
 
 // sortByPos orders a group's row numbers (ascending on entry) by their pos
@@ -590,8 +555,8 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 		}
 		res = xdm.StringColumn(xdm.KString, out)
 
-	default:
-		groups := make([]aggGroup, ix.groups)
+	case algebra.AggrEbv:
+		groups := make([]ebvGroup, ix.groups)
 		for r := 0; r < rows; r++ {
 			if r&(probeChunk-1) == 0 {
 				if err := ex.CheckCancel(); err != nil {
@@ -599,74 +564,47 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 				}
 			}
 			g := &groups[ix.ids[r]]
-			g.count++
-			v := val.Get(r)
-			switch n.AFn {
-			case algebra.AggrSum, algebra.AggrAvg:
-				c, err := coerceArith(v)
-				if err != nil {
-					return nil, ex.Errf(n, "%s: %v", n.AFn, err)
-				}
-				if !c.Kind.IsNumeric() {
-					return nil, ex.Errf(n, "%s over non-numeric %s", n.AFn, c.Kind)
-				}
-				if c.Kind != xdm.KInteger {
-					g.dbl = true
-				}
-				f, _ := c.AsDouble()
-				g.sum += f
-			case algebra.AggrMax, algebra.AggrMin:
-				c, err := coerceArith(v)
-				if err != nil {
-					return nil, ex.Errf(n, "%s: %v", n.AFn, err)
-				}
-				if !g.has {
-					g.item, g.has = c, true
-					break
-				}
-				cv := xdm.OrderCompare(c, g.item)
-				if (n.AFn == algebra.AggrMax && cv > 0) || (n.AFn == algebra.AggrMin && cv < 0) {
-					g.item = c
-				}
-			case algebra.AggrEbv:
-				if v.IsNode() {
-					g.nodes++
-				} else {
-					g.atomics++
-					g.item = v
-				}
+			if v := val.Get(r); v.IsNode() {
+				g.nodes++
+			} else {
+				g.atomics++
+				g.item = v
 			}
 		}
 		var rb xdm.ColumnBuilder
-		for i := range groups {
-			g := &groups[i]
-			var item xdm.Item
-			switch n.AFn {
-			case algebra.AggrSum:
-				if g.dbl {
-					item = xdm.NewDouble(g.sum)
-				} else {
-					item = xdm.NewInt(int64(g.sum))
+		for _, g := range groups {
+			switch {
+			case g.atomics == 0:
+				rb.Append(xdm.True) // non-empty group of nodes
+			case g.nodes == 0 && g.atomics == 1:
+				b, err := xdm.EffectiveBooleanValue([]xdm.Item{g.item})
+				if err != nil {
+					return nil, ex.Errf(n, "%v", err)
 				}
-			case algebra.AggrAvg:
-				item = xdm.NewDouble(g.sum / float64(g.count))
-			case algebra.AggrMax, algebra.AggrMin:
-				item = g.item
-			case algebra.AggrEbv:
-				switch {
-				case g.atomics == 0:
-					item = xdm.True // non-empty group of nodes
-				case g.nodes == 0 && g.atomics == 1:
-					b, err := xdm.EffectiveBooleanValue([]xdm.Item{g.item})
-					if err != nil {
-						return nil, ex.Errf(n, "%v", err)
-					}
-					item = xdm.NewBool(b)
-				default:
-					return nil, ex.Errf(n, "effective boolean value of a mixed multi-item sequence")
+				rb.Append(xdm.NewBool(b))
+			default:
+				return nil, ex.Errf(n, "effective boolean value of a mixed multi-item sequence")
+			}
+		}
+		res = rb.Finish()
+
+	default:
+		op := aggOps[n.AFn]
+		aggs := make([]xdm.Aggregate, ix.groups)
+		for r := 0; r < rows; r++ {
+			if r&(probeChunk-1) == 0 {
+				if err := ex.CheckCancel(); err != nil {
+					return nil, err
 				}
 			}
-			rb.Append(item)
+			if err := aggs[ix.ids[r]].Add(op, val.Get(r)); err != nil {
+				return nil, ex.Errf(n, "%v", err)
+			}
+		}
+		var rb xdm.ColumnBuilder
+		for i := range aggs {
+			it, _ := aggs[i].Result(op) // a group has a member
+			rb.Append(it)
 		}
 		res = rb.Finish()
 	}
@@ -840,56 +778,4 @@ func (ex *Exec) evalCheckCard(n *algebra.Node, ins []*Table) (*Table, error) {
 		}
 	}
 	return in, nil
-}
-
-// roundingFn implements fn:round/floor/ceiling/abs with the integer fast
-// path (integers stay integers).
-func roundingFn(fn algebra.UnFn, it xdm.Item) (xdm.Item, error) {
-	v, err := coerceArith(it)
-	if err != nil {
-		return xdm.Item{}, err
-	}
-	if v.Kind == xdm.KInteger {
-		if fn == algebra.UnAbs && v.I < 0 {
-			return xdm.NewInt(-v.I), nil
-		}
-		return v, nil
-	}
-	if !v.Kind.IsNumeric() {
-		return xdm.Item{}, fmt.Errorf("engine: %s over non-numeric %s", "rounding", v.Kind)
-	}
-	f := v.F
-	switch fn {
-	case algebra.UnRound:
-		return xdm.NewDouble(xdm.RoundHalfUp(f)), nil
-	case algebra.UnFloor:
-		return xdm.NewDouble(math.Floor(f)), nil
-	case algebra.UnCeiling:
-		return xdm.NewDouble(math.Ceil(f)), nil
-	default:
-		return xdm.NewDouble(math.Abs(f)), nil
-	}
-}
-
-// substring implements the fn:substring positional rules: characters at
-// 1-based positions p with round(start) <= p (< round(start)+round(len)
-// when a length is given). NaN bounds select nothing.
-func substring(s string, start, length float64, hasLen bool) string {
-	runes := []rune(s)
-	if math.IsNaN(start) || (hasLen && math.IsNaN(length)) {
-		return ""
-	}
-	lo := xdm.RoundHalfUp(start)
-	hi := math.Inf(1)
-	if hasLen {
-		hi = lo + xdm.RoundHalfUp(length)
-	}
-	var sb strings.Builder
-	for i, r := range runes {
-		p := float64(i + 1)
-		if p >= lo && p < hi {
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
 }

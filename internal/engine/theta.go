@@ -95,7 +95,7 @@ func thetaDomain(a, b thetaClass) thetaClass {
 // values of its comparable cells in row order, their row numbers (nil when
 // every row is comparable, so position = row), and the rows whose cast
 // into the domain failed.
-type thetaSide[T float64 | string] struct {
+type thetaSide[T int64 | float64 | string] struct {
 	vals []T
 	rows []int32
 	bad  []int32
@@ -156,6 +156,32 @@ func wordSide(c *xdm.Column, dom thetaClass) thetaSide[float64] {
 	return s
 }
 
+// floatsExact reports whether the double projection (wordSide) decides
+// every pair of an integer cell of l with one of r as xdm does, which
+// compares two integers exactly: it does unless both sides hold integers
+// and one of them an integer beyond ±2⁵³, where doubles stop being exact.
+func floatsExact(l, r *xdm.Column) bool {
+	return !holdsInts(l) || !holdsInts(r) || exactIntCells(l) && exactIntCells(r)
+}
+
+func holdsInts(c *xdm.Column) bool {
+	if _, ok := c.Ints(); ok {
+		return true
+	}
+	items, _ := c.RawItems()
+	return slices.ContainsFunc(items, func(it xdm.Item) bool { return it.Kind == xdm.KInteger })
+}
+
+func exactIntCells(c *xdm.Column) bool {
+	if v, ok := c.Ints(); ok {
+		return exactInts(v)
+	}
+	items, _ := c.RawItems()
+	return !slices.ContainsFunc(items, func(it xdm.Item) bool {
+		return it.Kind == xdm.KInteger && (it.I < -exactInt || it.I > exactInt)
+	})
+}
+
 // strSide renders a column in the string domain.
 func strSide(c *xdm.Column) thetaSide[string] {
 	if ss, _, ok := c.Strings(); ok {
@@ -212,8 +238,12 @@ func (ex *Exec) thetaJoin(n *algebra.Node, lk, rk *xdm.Column, width int) (lperm
 	if lk.Len() > 0 && rk.Len() > 0 {
 		match := n.Mode == algebra.JoinTheta
 		lc, rc := thetaColumnClass(lk), thetaColumnClass(rk)
+		li, lints := lk.Ints()
+		ri, rints := rk.Ints()
 		switch dom := thetaDomain(lc, rc); {
-		case lc == thetaMixed || rc == thetaMixed:
+		case lints && rints:
+			err = thetaTyped(o, thetaSide[int64]{vals: li}, thetaSide[int64]{vals: ri}, n.Cmp, match, intEq)
+		case lc == thetaMixed || rc == thetaMixed || dom == thetaNum && !floatsExact(lk, rk):
 			err = thetaPairwise(o, lk, rk, n.Cmp, match)
 		case dom == thetaNone:
 			if !match {
@@ -309,12 +339,13 @@ func floatKey(f float64) int64 {
 func (ix *groupIndex) lookupFloat(f float64) int32 { return ix.lookupInt(floatKey(f)) }
 
 // eqIndex is how a domain's values are indexed for =.
-type eqIndex[T float64 | string] struct {
+type eqIndex[T int64 | float64 | string] struct {
 	group  func([]T, func() error) (*groupIndex, error)
 	lookup func(*groupIndex, T) int32
 }
 
 var (
+	intEq   = eqIndex[int64]{groupInts, (*groupIndex).lookupInt}
 	floatEq = eqIndex[float64]{groupFloats, (*groupIndex).lookupFloat}
 	strEq   = eqIndex[string]{
 		func(keys []string, poll func() error) (*groupIndex, error) { return groupStrings(poll, keys) },
@@ -328,7 +359,7 @@ var (
 // back into row order when it is short, by a flat scan of the right side
 // when it is not; != is the complement of =, a flat scan. Incomparable
 // pairs are those with a cell whose cast into the domain failed.
-func thetaTyped[T float64 | string](o *thetaOut, l, r thetaSide[T], op xdm.CmpOp, match bool, eq eqIndex[T]) error {
+func thetaTyped[T int64 | float64 | string](o *thetaOut, l, r thetaSide[T], op xdm.CmpOp, match bool, eq eqIndex[T]) error {
 	if !match {
 		if l.bad == nil && r.bad == nil {
 			return nil
@@ -366,7 +397,7 @@ func thetaTyped[T float64 | string](o *thetaOut, l, r thetaSide[T], op xdm.CmpOp
 	return nil
 }
 
-func thetaEq[T float64 | string](o *thetaOut, l, r []T, eq eqIndex[T]) error {
+func thetaEq[T int64 | float64 | string](o *thetaOut, l, r []T, eq eqIndex[T]) error {
 	ix, err := eq.group(r, o.ex.CheckCancel)
 	if err != nil {
 		return err
@@ -389,7 +420,7 @@ func thetaEq[T float64 | string](o *thetaOut, l, r []T, eq eqIndex[T]) error {
 }
 
 // scanRight emits the positions j with v op r[j], ascending.
-func scanRight[T float64 | string](o *thetaOut, i int32, v T, r []T, op xdm.CmpOp) error {
+func scanRight[T int64 | float64 | string](o *thetaOut, i int32, v T, r []T, op xdm.CmpOp) error {
 	for lo := 0; lo < len(r); lo += probeChunk {
 		hi := min(lo+probeChunk, len(r))
 		o.reserve(hi - lo)
@@ -438,7 +469,7 @@ func scanRight[T float64 | string](o *thetaOut, i int32, v T, r []T, op xdm.CmpO
 	return nil
 }
 
-func thetaOrdered[T float64 | string](o *thetaOut, l, r []T, op xdm.CmpOp) error {
+func thetaOrdered[T int64 | float64 | string](o *thetaOut, l, r []T, op xdm.CmpOp) error {
 	perm := xdm.GetInt32s(len(r))
 	defer xdm.PutInt32s(perm)
 	for j := range perm {

@@ -186,6 +186,13 @@ func FuzzThetaJoin(f *testing.F) {
 			}
 		}
 	}
+	// Integers around ±2⁵³ and the int64 limits (typedInts 5–11), against
+	// integers, doubles (typedFloats 8 is 2⁵³) and a boxed numeric column.
+	for op := range thetaOps {
+		for _, r := range []uint8{tkInt, tkDouble, tkMixed} {
+			f.Add(uint8(tkInt), r, uint8(op), []byte{5, 6, 7, 8, 9, 10, 11, 6}, []byte{6, 5, 11, 10, 9, 8, 7, 8})
+		}
+	}
 	ex := NewExec(xmltree.NewStore(), nil, Options{})
 	b := algebra.NewBuilder()
 	in := b.EmptyLit("v")

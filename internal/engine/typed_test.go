@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -19,9 +20,10 @@ import (
 const typedDoc = `<r x="NaN"><a> 12 </a><a>abc</a><a>1e3</a><a/><a>INF</a><b>1<c>2</c></b><a>-0</a></r>`
 
 // Cell pools per column kind: NaN, ±0, padded and unparsable strings,
-// and integers beyond 2⁵³ that round when projected onto doubles.
+// integers around ±2⁵³, where their doubles stop being exact, and the
+// int64 limits, where arithmetic overflows.
 var (
-	typedInts    = []int64{0, 1, -1, 12, 1000, 1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64}
+	typedInts    = []int64{0, 1, -1, 12, 1000, 1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64, -(1 << 53), 1<<53 - 1}
 	typedFloats  = []float64{math.NaN(), 0, math.Copysign(0, -1), 12, 1e3, math.Inf(1), math.Inf(-1), 1.5, 1 << 53, 1e300}
 	typedStrings = []string{"NaN", " 12 ", "12", "1e3", "INF", "-0", "", "abc", "9007199254740993", "-INF", " 1.5", "0", "inf", "1_000", "0x1p3"}
 )
@@ -220,6 +222,9 @@ func FuzzTypedKernels(f *testing.F) {
 		}
 		f.Add(uint8(tkInt), uint8(tkDouble), uint8(op), wide, big)
 		f.Add(uint8(tkInt), uint8(tkUntyped), uint8(op), wide, big)
+		// ±2⁵³ and its neighbours, and the int64 limits, against each other.
+		f.Add(uint8(tkInt), uint8(tkInt), uint8(op), []byte{5, 6, 7, 8, 9, 10, 11, 8, 9, 2}, []byte{6, 5, 10, 1, 2, 7, 5, 8, 9, 9})
+		f.Add(uint8(tkInt), uint8(tkMixed), uint8(op), []byte{5, 6, 7, 8, 9, 10, 11}, []byte{1, 4, 7, 10, 13, 16, 19})
 		f.Add(uint8(tkNode), uint8(tkInt), uint8(op), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, make([]byte, 16))
 	}
 	f.Fuzz(func(t *testing.T, lk, rk, op uint8, lpicks, rpicks []byte) {
@@ -270,5 +275,46 @@ func TestTypedKernelsEmptyBoxedColumn(t *testing.T) {
 			checkTyped(t, op, kernelColumn(tkMixed, nil, 1), kernelColumn(k, nil, 1))
 			checkTyped(t, op, kernelColumn(k, nil, 1), kernelColumn(tkMixed, nil, 1))
 		}
+	}
+}
+
+// TestTypedIntegerExactness: the typed integer kernels raise FOAR0002 on
+// overflow and compare integers exactly beyond 2⁵³, as xdm does, and the
+// typed kernel, not the boxed loop, is what ran.
+func TestTypedIntegerExactness(t *testing.T) {
+	ex := NewExec(xmltree.NewStore(), nil, Options{})
+	b := algebra.NewBuilder()
+	ints := func(v ...int64) *xdm.Column { return xdm.IntColumn(v) }
+	for _, c := range []struct {
+		fn   algebra.BinFn
+		l, r *xdm.Column
+	}{
+		{algebra.BArithAdd, ints(1, math.MaxInt64), ints(1, 1)},
+		{algebra.BArithSub, ints(math.MinInt64), ints(1)},
+		{algebra.BArithMul, ints(math.MaxInt64), ints(2)},
+		{algebra.BArithIDiv, ints(math.MinInt64), ints(-1)},
+	} {
+		n := b.BinOp(b.EmptyLit("l", "r"), c.fn, 0, "res", "l", "r")
+		_, ok, err := ex.typedBinOp(n, c.l, c.r)
+		if !ok || err == nil || !strings.Contains(err.Error(), "FOAR0002") {
+			t.Errorf("%s over %v, %v: ok=%v, err %v; want FOAR0002", algebra.Label(n), c.l, c.r, ok, err)
+		}
+	}
+	l, r := ints(1<<53+1, math.MinInt64, 7), ints(1<<53, math.MinInt64+1, 7)
+	for op, want := range map[xdm.CmpOp][]int64{xdm.CmpEq: {0, 0, 1}, xdm.CmpGt: {1, 0, 0}, xdm.CmpLt: {0, 1, 0}} {
+		n := b.BinOp(b.EmptyLit("l", "r"), algebra.BCmpVal, op, "res", "l", "r")
+		col, ok, err := ex.typedBinOp(n, l, r)
+		if got, _ := col.Bools(); !ok || err != nil || !slices.Equal(got, want) {
+			t.Errorf("%s over %v, %v = %v (ok=%v, %v); want %v", algebra.Label(n), l, r, col, ok, err, want)
+		}
+	}
+	in := b.EmptyLit("v")
+	n := b.ThetaJoin(in, b.Project(in, algebra.ColPair{New: "w", Old: "v"}), "v", "w", xdm.CmpEq, algebra.JoinTheta)
+	if lp, rp, err := ex.thetaJoin(n, l, r, 2); err != nil || !slices.Equal(lp, []int32{2}) || !slices.Equal(rp, []int32{2}) {
+		t.Errorf("θ-join = over %v × %v: %v, %v, %v; want the one pair (2, 2)", l, r, lp, rp, err)
+	}
+	order := cellCompare(ints(1<<53+1, 1<<53), false)
+	if order(0, 1) <= 0 || order(1, 0) >= 0 {
+		t.Error("cellCompare orders 2⁵³+1 and 2⁵³ as equal")
 	}
 }

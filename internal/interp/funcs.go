@@ -91,7 +91,24 @@ func (st *evalState) evalFuncCall(e *xquery.FuncCall, en *env, c ctx) ([]xdm.Ite
 		return []xdm.Item{xdm.NewInt(int64(len(v)))}, nil
 
 	case "sum", "avg", "max", "min":
-		return st.aggregate(e.Name, e, en, c)
+		if err := checkArity(1); err != nil {
+			return nil, err
+		}
+		v, err := atomizeArg(0)
+		if err != nil {
+			return nil, err
+		}
+		op := map[string]xdm.AggOp{"sum": xdm.AggSum, "avg": xdm.AggAvg, "max": xdm.AggMax, "min": xdm.AggMin}[e.Name]
+		var agg xdm.Aggregate
+		for _, it := range v {
+			if err := agg.Add(op, it); err != nil {
+				return nil, err
+			}
+		}
+		if it, ok := agg.Result(op); ok {
+			return []xdm.Item{it}, nil
+		}
+		return nil, nil
 
 	case "empty":
 		v, err := evalArg(0)
@@ -197,7 +214,7 @@ func (st *evalState) evalFuncCall(e *xquery.FuncCall, en *env, c ctx) ([]xdm.Ite
 		}
 		switch e.Name {
 		case "normalize-space":
-			s = strings.Join(strings.Fields(s), " ")
+			s = xdm.NormalizeSpace(s)
 		case "upper-case":
 			s = strings.ToUpper(s)
 		default:
@@ -213,27 +230,10 @@ func (st *evalState) evalFuncCall(e *xquery.FuncCall, en *env, c ctx) ([]xdm.Ite
 		if err != nil || v == nil {
 			return nil, err
 		}
-		if v.Kind == xdm.KInteger {
-			if e.Name == "abs" && v.I < 0 {
-				return []xdm.Item{xdm.NewInt(-v.I)}, nil
-			}
-			return []xdm.Item{*v}, nil
-		}
-		f, err := v.AsDouble()
-		if err != nil {
-			return nil, fmt.Errorf("interp: %s: %v", e.Name, err)
-		}
-		switch e.Name {
-		case "round":
-			f = xdm.RoundHalfUp(f)
-		case "floor":
-			f = math.Floor(f)
-		case "ceiling":
-			f = math.Ceil(f)
-		default:
-			f = math.Abs(f)
-		}
-		return []xdm.Item{xdm.NewDouble(f)}, nil
+		fn := map[string]func(xdm.Item) (xdm.Item, error){
+			"round": xdm.Round, "floor": xdm.Floor, "ceiling": xdm.Ceiling, "abs": xdm.Abs,
+		}[e.Name]
+		return arithResult(fn(*v))
 
 	case "substring":
 		if len(e.Args) != 2 && len(e.Args) != 3 {
@@ -243,32 +243,18 @@ func (st *evalState) evalFuncCall(e *xquery.FuncCall, en *env, c ctx) ([]xdm.Ite
 		if err != nil {
 			return nil, err
 		}
-		startIt, err := st.atomizeSingleton(e.Args[1], en, c)
-		if err != nil {
-			return nil, err
-		}
-		if startIt == nil {
-			return []xdm.Item{xdm.NewString("")}, nil
-		}
-		start, err := startIt.AsDouble()
-		if err != nil {
-			return nil, err
-		}
-		length, hasLen := 0.0, false
-		if len(e.Args) == 3 {
-			lenIt, err := st.atomizeSingleton(e.Args[2], en, c)
+		var bounds []xdm.Item
+		for _, a := range e.Args[1:] {
+			b, err := st.atomizeSingleton(a, en, c)
 			if err != nil {
 				return nil, err
 			}
-			if lenIt == nil {
+			if b == nil {
 				return []xdm.Item{xdm.NewString("")}, nil
 			}
-			if length, err = lenIt.AsDouble(); err != nil {
-				return nil, err
-			}
-			hasLen = true
+			bounds = append(bounds, *b)
 		}
-		return []xdm.Item{xdm.NewString(substringFn(s, start, length, hasLen))}, nil
+		return arithResult(xdm.Substring(s, bounds[0], bounds[1:]...))
 
 	case "string-join":
 		if err := checkArity(2); err != nil {
@@ -410,95 +396,4 @@ func (st *evalState) stringArg(e *xquery.FuncCall, i int, en *env, c ctx) (strin
 	default:
 		return "", fmt.Errorf("interp: %s: argument %d is a sequence", e.Name, i+1)
 	}
-}
-
-// aggregate implements fn:sum/avg/max/min with untypedAtomic-to-double
-// coercion (the XMark documents carry numbers as untyped text).
-func (st *evalState) aggregate(name string, e *xquery.FuncCall, en *env, c ctx) ([]xdm.Item, error) {
-	if len(e.Args) != 1 {
-		return nil, fmt.Errorf("interp: %s expects 1 argument", name)
-	}
-	v, err := st.atomize(e.Args[0], en, c)
-	if err != nil {
-		return nil, err
-	}
-	if len(v) == 0 {
-		if name == "sum" {
-			return []xdm.Item{xdm.NewInt(0)}, nil
-		}
-		return nil, nil
-	}
-	// Coerce untyped to double; reject non-numeric for sum/avg, allow
-	// string ordering for max/min over strings.
-	allNumeric := true
-	coerced := make([]xdm.Item, len(v))
-	for i, it := range v {
-		if it.Kind == xdm.KUntyped {
-			f, err := it.AsDouble()
-			if err != nil {
-				return nil, fmt.Errorf("interp: %s: %v", name, err)
-			}
-			coerced[i] = xdm.NewDouble(f)
-			continue
-		}
-		coerced[i] = it
-		if !it.Kind.IsNumeric() {
-			allNumeric = false
-		}
-	}
-	switch name {
-	case "sum", "avg":
-		if !allNumeric {
-			return nil, fmt.Errorf("interp: %s over non-numeric values", name)
-		}
-		sum := 0.0
-		allInt := true
-		for _, it := range coerced {
-			if it.Kind != xdm.KInteger {
-				allInt = false
-			}
-			f, _ := it.AsDouble()
-			sum += f
-		}
-		if name == "avg" {
-			return []xdm.Item{xdm.NewDouble(sum / float64(len(coerced)))}, nil
-		}
-		if allInt {
-			return []xdm.Item{xdm.NewInt(int64(sum))}, nil
-		}
-		return []xdm.Item{xdm.NewDouble(sum)}, nil
-	default: // max, min
-		best := coerced[0]
-		for _, it := range coerced[1:] {
-			cv := xdm.OrderCompare(it, best)
-			if (name == "max" && cv > 0) || (name == "min" && cv < 0) {
-				best = it
-			}
-		}
-		return []xdm.Item{best}, nil
-	}
-}
-
-// substringFn implements the fn:substring positional rules: characters at
-// 1-based positions p with round(start) <= p (< round(start)+round(len)
-// when a length is given). NaN bounds select nothing.
-func substringFn(s string, start, length float64, hasLen bool) string {
-	if math.IsNaN(start) || (hasLen && math.IsNaN(length)) {
-		return ""
-	}
-	lo := xdm.RoundHalfUp(start)
-	hi := math.Inf(1)
-	if hasLen {
-		hi = lo + xdm.RoundHalfUp(length)
-	}
-	var sb strings.Builder
-	i := 0
-	for _, r := range s {
-		i++
-		p := float64(i)
-		if p >= lo && p < hi {
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
 }

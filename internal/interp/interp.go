@@ -608,23 +608,7 @@ func (st *evalState) evalArith(e *xquery.Arith, en *env, c ctx) ([]xdm.Item, err
 	if err != nil || r == nil {
 		return nil, err
 	}
-	lv, rv := *l, *r
-	// untypedAtomic coerces to double in arithmetic.
-	if lv.Kind == xdm.KUntyped {
-		f, err := lv.AsDouble()
-		if err != nil {
-			return nil, err
-		}
-		lv = xdm.NewDouble(f)
-	}
-	if rv.Kind == xdm.KUntyped {
-		f, err := rv.AsDouble()
-		if err != nil {
-			return nil, err
-		}
-		rv = xdm.NewDouble(f)
-	}
-	return arithResult(xdm.Arith(lv, rv, e.Op))
+	return arithResult(xdm.Arith(*l, *r, e.Op))
 }
 
 func (st *evalState) evalGeneralCmp(e *xquery.GeneralCmp, en *env, c ctx) ([]xdm.Item, error) {

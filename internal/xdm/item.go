@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Kind identifies the dynamic type of an Item.
@@ -201,13 +200,7 @@ func (it Item) AsDouble() (float64, error) {
 // Typed kernels cast whole untyped columns through it, so they fail
 // exactly where AsDouble does.
 func ParseDouble(s string) (float64, error) {
-	t := s
-	for len(t) > 0 && isXMLSpace(t[0]) {
-		t = t[1:]
-	}
-	for len(t) > 0 && isXMLSpace(t[len(t)-1]) {
-		t = t[:len(t)-1]
-	}
+	t := TrimXMLSpace(s)
 	if isDoubleNumeral(t) {
 		// strconv accepts every such numeral; its only error is the range
 		// one, whose value is the rounded ±Inf or ±0.
@@ -225,7 +218,21 @@ func ParseDouble(s string) (float64, error) {
 	return 0, fmt.Errorf("xdm: cannot cast %q to xs:double", s)
 }
 
-func isXMLSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+// IsXMLSpace reports whether c is one of XML's four whitespace
+// characters, #x20, #x9, #xD and #xA: the only ones XQuery strips,
+// collapses or ignores (U+00A0 and the other Unicode spaces are text).
+func IsXMLSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// TrimXMLSpace strips leading and trailing XML whitespace from s.
+func TrimXMLSpace(s string) string {
+	for len(s) > 0 && IsXMLSpace(s[0]) {
+		s = s[1:]
+	}
+	for len(s) > 0 && IsXMLSpace(s[len(s)-1]) {
+		s = s[:len(s)-1]
+	}
+	return s
+}
 
 // isDoubleNumeral reports whether s is an xs:double numeral: an optional
 // sign, at least one digit before or after an optional point, and an
@@ -298,7 +305,7 @@ func (it Item) AsInteger() (int64, error) {
 	case KBoolean:
 		return it.I, nil
 	case KUntyped, KString:
-		i, err := strconv.ParseInt(strings.TrimSpace(it.S), 10, 64)
+		i, err := strconv.ParseInt(TrimXMLSpace(it.S), 10, 64)
 		if err != nil {
 			f, ferr := ParseDouble(it.S)
 			if ferr != nil {
@@ -313,10 +320,13 @@ func (it Item) AsInteger() (int64, error) {
 }
 
 // SameAtomicValue reports deep equality of two atomic items under the
-// semantics of fn:distinct-values: numeric values compare numerically
-// across integer/double, strings and untyped compare by codepoints, and
-// items of incomparable type classes are distinct.
+// semantics of fn:distinct-values: two integers compare exactly, other
+// numeric values compare as doubles, strings and untyped compare by
+// codepoints, and items of incomparable type classes are distinct.
 func SameAtomicValue(a, b Item) bool {
+	if a.Kind == KInteger && b.Kind == KInteger {
+		return a.I == b.I
+	}
 	if a.Kind.IsNumeric() && b.Kind.IsNumeric() {
 		af, _ := a.AsDouble()
 		bf, _ := b.AsDouble()
@@ -335,13 +345,23 @@ func SameAtomicValue(a, b Item) bool {
 func isStringy(k Kind) bool { return k == KString || k == KUntyped }
 
 // DistinctKey returns a string key under which SameAtomicValue-equal items
-// collide; used for hash-based distinct-values and grouping.
+// collide; used for hash-based distinct-values and grouping. A number keys
+// as its double (-0 as 0), except an integer without an exact double,
+// which keys as itself: it equals no other integer, and SameAtomicValue's
+// double promotion is not transitive there, so no key can follow it.
 func DistinctKey(it Item) string {
 	switch it.Kind {
 	case KInteger:
-		return "n" + strconv.FormatFloat(float64(it.I), 'g', -1, 64)
+		if f := float64(it.I); f >= -(1<<63) && f < 1<<63 && int64(f) == it.I {
+			return "n" + strconv.FormatFloat(f, 'g', -1, 64)
+		}
+		return "i" + strconv.FormatInt(it.I, 10)
 	case KDouble:
-		return "n" + strconv.FormatFloat(it.F, 'g', -1, 64)
+		f := it.F
+		if f == 0 {
+			f = 0 // -0 keys as 0
+		}
+		return "n" + strconv.FormatFloat(f, 'g', -1, 64)
 	case KString, KUntyped:
 		return "s" + it.S
 	case KBoolean:

@@ -1,8 +1,11 @@
 package xdm
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // CmpOp enumerates the six comparison relations shared by XQuery's value
@@ -76,22 +79,25 @@ func applyCmp(op CmpOp, c int) bool {
 }
 
 // CompareValue implements XQuery value comparison (eq, lt, ...) on two
-// atomized items: untypedAtomic is treated as xs:string, numerics promote
-// to double, and comparing incompatible type classes is a type error.
+// atomized items: untypedAtomic is treated as xs:string, two integers
+// compare exactly, other numerics promote to double, and comparing
+// incompatible type classes is a type error.
 func CompareValue(a, b Item, op CmpOp) (bool, error) {
 	ak, bk := valueClass(a.Kind), valueClass(b.Kind)
 	if ak != bk {
 		return false, fmt.Errorf("xdm: cannot compare %s with %s", a.Kind, b.Kind)
 	}
-	switch ak {
-	case classNum:
+	switch {
+	case a.Kind == KInteger && b.Kind == KInteger:
+		return applyCmp(op, cmp.Compare(a.I, b.I)), nil
+	case ak == classNum:
 		af, _ := a.AsDouble()
 		bf, _ := b.AsDouble()
 		return cmpFloat(af, bf, op), nil
-	case classStr:
-		return applyCmp(op, cmpString(a.S, b.S)), nil
-	case classBool:
-		return applyCmp(op, cmpInt(a.I, b.I)), nil
+	case ak == classStr:
+		return applyCmp(op, cmp.Compare(a.S, b.S)), nil
+	case ak == classBool:
+		return applyCmp(op, cmp.Compare(a.I, b.I)), nil
 	default:
 		return false, fmt.Errorf("xdm: cannot compare %s values", a.Kind)
 	}
@@ -133,7 +139,7 @@ func CoerceUntyped(u Item, target Kind) (Item, error) {
 		}
 		return NewDouble(f), nil
 	case target == KBoolean:
-		switch u.S {
+		switch TrimXMLSpace(u.S) {
 		case "true", "1":
 			return True, nil
 		case "false", "0":
@@ -183,65 +189,32 @@ func cmpFloat(a, b float64, op CmpOp) bool {
 	}
 }
 
-func cmpString(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // OrderCompare is a total order over atomic items used for order by keys
 // and deterministic result canonicalization: items order first by type
-// class (numbers < strings < booleans < nodes), then by value. NaN sorts
-// before all other numbers.
+// class (numbers < strings < booleans < nodes), then by value, two
+// integers exactly. NaN sorts before all other numbers.
 func OrderCompare(a, b Item) int {
 	ac, bc := valueClass(a.Kind), valueClass(b.Kind)
 	if ac != bc {
 		return int(ac) - int(bc)
 	}
+	if a.Kind == KInteger && b.Kind == KInteger {
+		return cmp.Compare(a.I, b.I)
+	}
 	switch ac {
 	case classNum:
 		af, _ := a.AsDouble()
 		bf, _ := b.AsDouble()
-		an, bn := math.IsNaN(af), math.IsNaN(bf)
-		switch {
-		case an && bn:
-			return 0
-		case an:
-			return -1
-		case bn:
-			return 1
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(af, bf) // NaN first
 	case classStr:
-		return cmpString(a.S, b.S)
+		return cmp.Compare(a.S, b.S)
 	case classBool:
-		return cmpInt(a.I, b.I)
+		return cmp.Compare(a.I, b.I)
 	default:
 		if a.N.Frag != b.N.Frag {
-			return cmpInt(int64(a.N.Frag), int64(b.N.Frag))
+			return cmp.Compare(a.N.Frag, b.N.Frag)
 		}
-		return cmpInt(int64(a.N.Pre), int64(b.N.Pre))
+		return cmp.Compare(a.N.Pre, b.N.Pre)
 	}
 }
 
@@ -278,35 +251,25 @@ func (op ArithOp) String() string {
 	}
 }
 
-// Arith evaluates a op b with XQuery numeric promotion: integer ops stay
-// integral (except div, which yields a double), anything involving a
-// double or untypedAtomic is computed in doubles.
+// ErrIntOverflow is FOAR0002: an xs:integer result beyond int64.
+var ErrIntOverflow = errors.New("xdm: integer overflow (FOAR0002)")
+
+var errDivZero = errors.New("xdm: division by zero")
+
+// Arith evaluates a op b with XQuery numeric promotion: an untypedAtomic
+// operand is cast to xs:double, integer ops stay integral (IntArith; div
+// yields a double), anything involving a double is computed in doubles,
+// and any other operand is a type error.
 func Arith(a, b Item, op ArithOp) (Item, error) {
 	if a.Kind == KInteger && b.Kind == KInteger && op != OpDiv {
-		switch op {
-		case OpAdd:
-			return NewInt(a.I + b.I), nil
-		case OpSub:
-			return NewInt(a.I - b.I), nil
-		case OpMul:
-			return NewInt(a.I * b.I), nil
-		case OpIDiv:
-			if b.I == 0 {
-				return Item{}, fmt.Errorf("xdm: division by zero")
-			}
-			return NewInt(a.I / b.I), nil
-		case OpMod:
-			if b.I == 0 {
-				return Item{}, fmt.Errorf("xdm: division by zero")
-			}
-			return NewInt(a.I % b.I), nil
-		}
+		i, err := IntArith(a.I, b.I, op)
+		return NewInt(i), err
 	}
-	af, err := a.AsDouble()
+	af, err := arithOperand(a)
 	if err != nil {
 		return Item{}, err
 	}
-	bf, err := b.AsDouble()
+	bf, err := arithOperand(b)
 	if err != nil {
 		return Item{}, err
 	}
@@ -321,7 +284,7 @@ func Arith(a, b Item, op ArithOp) (Item, error) {
 		return NewDouble(af / bf), nil
 	case OpIDiv:
 		if bf == 0 {
-			return Item{}, fmt.Errorf("xdm: division by zero")
+			return Item{}, errDivZero
 		}
 		// A NaN or infinite quotient fails the range test too (FOAR0002).
 		if q := af / bf; q >= -(1<<63) && q < 1<<63 {
@@ -333,6 +296,62 @@ func Arith(a, b Item, op ArithOp) (Item, error) {
 	default:
 		return Item{}, fmt.Errorf("xdm: unknown arithmetic operator")
 	}
+}
+
+// arithOperand is an arithmetic operand as a double: a number, or an
+// untypedAtomic cast to xs:double.
+func arithOperand(it Item) (float64, error) {
+	switch it.Kind {
+	case KInteger:
+		return float64(it.I), nil
+	case KDouble:
+		return it.F, nil
+	case KUntyped:
+		return ParseDouble(it.S)
+	}
+	return 0, fmt.Errorf("xdm: arithmetic over %s (XPTY0004)", it.Kind)
+}
+
+// IntArith is xs:integer arithmetic other than div: a result beyond
+// int64 is ErrIntOverflow rather than a wrapped value.
+func IntArith(a, b int64, op ArithOp) (int64, error) {
+	switch op {
+	case OpAdd:
+		if s := a + b; (s^a)&(s^b) >= 0 {
+			return s, nil
+		}
+	case OpSub:
+		if d := a - b; (a^b)&(a^d) >= 0 {
+			return d, nil
+		}
+	case OpMul:
+		hi, lo := bits.Mul64(absU(a), absU(b))
+		if (a < 0) != (b < 0) {
+			if hi == 0 && lo <= 1<<63 {
+				return int64(-lo), nil
+			}
+		} else if hi == 0 && lo < 1<<63 {
+			return int64(lo), nil
+		}
+	case OpIDiv, OpMod:
+		switch {
+		case b == 0:
+			return 0, errDivZero
+		case op == OpMod:
+			return a % b, nil
+		case a != math.MinInt64 || b != -1:
+			return a / b, nil
+		}
+	}
+	return 0, ErrIntOverflow
+}
+
+// absU is |x| as an unsigned integer, exact for math.MinInt64 too.
+func absU(x int64) uint64 {
+	if x < 0 {
+		return -uint64(x)
+	}
+	return uint64(x)
 }
 
 // EffectiveBooleanValue computes fn:boolean() of a sequence per XQuery:

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/qerr"
+	"repro/internal/xdm"
 )
 
 // ParseOptions controls XML parsing.
@@ -107,7 +108,7 @@ func Parse(r io.Reader, uri string, opts ParseOptions) (*Fragment, error) {
 				continue // whitespace between top-level constructs
 			}
 			s := string(t)
-			if !opts.KeepWhitespaceText && strings.TrimSpace(s) == "" {
+			if !opts.KeepWhitespaceText && xdm.TrimXMLSpace(s) == "" {
 				continue
 			}
 			b.Text(s)

@@ -1,6 +1,10 @@
 package xquery
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/xdm"
+)
 
 // parseDirectConstructor parses <name attr="…{e}…">content</name> in
 // expression position. It drives the lexer in raw character mode for tag
@@ -70,7 +74,7 @@ func (p *parser) parseElemAfterLT() (Expr, error) {
 		text.Reset()
 		// Whitespace-only runs here always sit between markup boundaries,
 		// so the default boundary-space=strip policy drops them.
-		if s == "" || strings.TrimSpace(s) == "" {
+		if xdm.TrimXMLSpace(s) == "" {
 			return
 		}
 		e.Content = append(e.Content, &CharContent{Text: s})
