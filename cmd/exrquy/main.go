@@ -21,7 +21,7 @@
 //	5  overload (shed by the resource governor; retry after the printed hint)
 //	6  corrupt on-disk store (bad magic, checksum mismatch, version skew)
 //
-// On-disk columnar stores built by xmarkgen -store (or Engine.WriteStore)
+// On-disk columnar stores built by xmarkgen -store (or Engine.WriteStoreReplicated)
 // mount with -store DIR; a corpus sharded across several directories
 // mounts as -store DIR1,DIR2,... With -store-bytes N the mounted stores
 // page under a dedicated N-byte budget, so a corpus far larger than RAM

@@ -135,11 +135,6 @@ type Optimizations struct {
 	DisjointDistinct bool // drop duplicate elimination over disjoint step unions
 }
 
-// AllOptimizations enables every rewrite.
-func AllOptimizations() Optimizations {
-	return Optimizations{ColumnAnalysis: true, RownumRelax: true, StepMerge: true, DisjointDistinct: true}
-}
-
 // options is what the Option functions set: the pipeline configuration
 // every query of the Engine runs under, plus the Engine's store settings.
 type options struct {
@@ -190,14 +185,6 @@ func WithTimeout(d time.Duration) Option {
 // cutoff error.
 func WithMemoryLimit(cells int64) Option {
 	return func(o *options) { o.cfg.MaxCells = cells }
-}
-
-// WithInterestingOrders enables the engine's physical sortedness check on
-// ρ operators (the paper's §6 pointer to Moerkotte/Neumann): already-
-// ordered inputs skip their sort. Off by default — the paper's
-// measurements pay every sort, and the reproduction does too.
-func WithInterestingOrders(on bool) Option {
-	return func(o *options) { o.cfg.InterestingOrders = on }
 }
 
 // WithParallelism evaluates order-dead plan regions morsel-wise: operators

@@ -176,18 +176,14 @@ func (e *Engine) SampleStores() (mapped, resident int64) {
 	return mapped, resident
 }
 
-// WriteStore persists the named loaded document to dirs as an on-disk
-// store: one directory writes a single-part store, N directories shard
-// the document by equal preorder ranges (one part per directory).
-func (e *Engine) WriteStore(name string, dirs ...string) error {
-	return e.WriteStoreReplicated(name, 1, dirs...)
-}
-
-// WriteStoreReplicated is WriteStore with replication: every part is
-// written to replicas distinct directories (replica r of part k lands
-// in dirs[(k+r) mod len(dirs)], so two copies of one part never share a
-// directory). A mount prefers the first healthy copy of each part and
-// fails over to the next on corruption; requires replicas <= len(dirs).
+// WriteStoreReplicated persists the named loaded document to dirs as an
+// on-disk store: one directory writes a single-part store, N directories
+// shard the document by equal preorder ranges (one part per directory).
+// Every part is written to replicas distinct directories (replica r of
+// part k lands in dirs[(k+r) mod len(dirs)], so two copies of one part
+// never share a directory). A mount prefers the first healthy copy of
+// each part and fails over to the next on corruption; requires replicas
+// <= len(dirs), and replicas 1 writes each part once.
 func (e *Engine) WriteStoreReplicated(name string, replicas int, dirs ...string) error {
 	// A mounted document's columns are mmap'd: hold the shared mount lock
 	// so a concurrent DetachStore cannot release and unmap them mid-write.

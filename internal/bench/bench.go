@@ -333,23 +333,22 @@ type AblationRow struct {
 func Ablation(factor float64, repeats int, w io.Writer) ([]AblationRow, error) {
 	env := NewEnv(factor)
 	u := xquery.Unordered
+	unordered := func(o opt.Options) core.Config {
+		return core.Config{Indifference: true, ForceOrdering: &u, Opt: o}
+	}
 	configs := []struct {
 		name string
-		opt  opt.Options
+		cfg  core.Config
 	}{
-		{"none", opt.Options{}},
-		{"analysis", opt.Options{ColumnAnalysis: true}},
-		{"analysis+relax", opt.Options{ColumnAnalysis: true, RownumRelax: true}},
-		{"analysis+merge", opt.Options{ColumnAnalysis: true, StepMerge: true}},
-		{"all", opt.AllOptions()},
+		{"none", unordered(opt.Options{})},
+		{"analysis", unordered(opt.Options{ColumnAnalysis: true})},
+		{"analysis+relax", unordered(opt.Options{ColumnAnalysis: true, RownumRelax: true})},
+		{"analysis+merge", unordered(opt.Options{ColumnAnalysis: true, StepMerge: true})},
+		{"all", unordered(opt.AllOptions())},
+		{"ordered", core.BaselineConfig()}, // the order-ignorant baseline
 	}
 	queries := []int{1, 6, 7, 11, 19}
 	var rows []AblationRow
-	// An extra configuration measures §6's orthogonal physical
-	// optimization: the order-ignorant baseline given an engine that
-	// skips sorts over already-ordered inputs ([15]).
-	physBase := core.BaselineConfig()
-	physBase.InterestingOrders = true
 	if w != nil {
 		fmt.Fprintf(w, "ablation at factor %g (ordering mode unordered)\n", factor)
 		fmt.Fprintf(w, "%-5s %-16s %12s\n", "query", "optimizer", "ms")
@@ -357,26 +356,11 @@ func Ablation(factor float64, repeats int, w io.Writer) ([]AblationRow, error) {
 	for _, id := range queries {
 		q := xmarkq.Get(id)
 		for _, c := range configs {
-			cfg := core.Config{Indifference: true, ForceOrdering: &u, Opt: c.opt}
-			d, _, err := medianRun(env, q.Text, cfg, repeats)
+			d, _, err := medianRun(env, q.Text, c.cfg, repeats)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", q.Name, c.name, err)
 			}
 			row := AblationRow{Query: q.Name, Config: c.name, MS: ms(d)}
-			rows = append(rows, row)
-			if w != nil {
-				fmt.Fprintf(w, "%-5s %-16s %12.2f\n", row.Query, row.Config, row.MS)
-			}
-		}
-		for name, cfg := range map[string]core.Config{
-			"ordered":      core.BaselineConfig(),
-			"ordered+phys": physBase,
-		} {
-			d, _, err := medianRun(env, q.Text, cfg, repeats)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", q.Name, name, err)
-			}
-			row := AblationRow{Query: q.Name, Config: name, MS: ms(d)}
 			rows = append(rows, row)
 			if w != nil {
 				fmt.Fprintf(w, "%-5s %-16s %12.2f\n", row.Query, row.Config, row.MS)

@@ -199,7 +199,7 @@ func (c *compiler) compileAt(e xquery.Expr, sc *frame) *algebra.Node {
 	case *xquery.Arith:
 		return c.compileArith(e.Op, e.L, e.R, sc)
 	case *xquery.Neg:
-		return c.compileArith(xdm.OpSub, &xquery.IntLit{Val: 0}, e.Expr, sc)
+		return c.mapAtom(e.Expr, algebra.UnNeg, "arithmetic operand", sc)
 	case *xquery.GeneralCmp:
 		return c.compileGeneralCmp(e, sc)
 	case *xquery.ValueCmp:

@@ -161,11 +161,7 @@ func (c *compiler) compileFuncCall(e *xquery.FuncCall, sc *frame) *algebra.Node 
 			"round": algebra.UnRound, "floor": algebra.UnFloor,
 			"ceiling": algebra.UnCeiling, "abs": algebra.UnAbs,
 		}[e.Name]
-		a := c.atomized(c.guardCard(c.compile(e.Args[0], sc), "fn:"+e.Name))
-		m := c.b.Map1(a, fn, "rv", "item")
-		return c.withPos1(c.b.Project(m,
-			algebra.ColPair{New: "iter", Old: "iter"},
-			algebra.ColPair{New: "item", Old: "rv"}))
+		return c.mapAtom(e.Args[0], fn, "fn:"+e.Name, sc)
 
 	case "substring":
 		if len(e.Args) != 2 && len(e.Args) != 3 {

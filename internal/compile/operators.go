@@ -21,6 +21,16 @@ func (c *compiler) compileArith(op xdm.ArithOp, le, re xquery.Expr, sc *frame) *
 	return c.combine(c.withPos1(l), c.withPos1(r), arithToBinFn[op], 0, "arithmetic")
 }
 
+// mapAtom applies fn to the one atomized item of e in each iteration;
+// what names the operand in the cardinality error.
+func (c *compiler) mapAtom(e xquery.Expr, fn algebra.UnFn, what string, sc *frame) *algebra.Node {
+	a := c.atomized(c.guardCard(c.compile(e, sc), what))
+	m := c.b.Map1(a, fn, "rv", "item")
+	return c.withPos1(c.b.Project(m,
+		algebra.ColPair{New: "iter", Old: "iter"},
+		algebra.ColPair{New: "item", Old: "rv"}))
+}
+
 func (c *compiler) compileValueCmp(e *xquery.ValueCmp, sc *frame) *algebra.Node {
 	l := c.atomized(c.guardCard(c.compile(e.L, sc), "comparison operand"))
 	r := c.atomized(c.guardCard(c.compile(e.R, sc), "comparison operand"))

@@ -54,9 +54,6 @@ type Config struct {
 	// exceeding it aborts with a cutoff error, like the gaps in the
 	// paper's Figure 12.
 	MaxCells int64
-	// InterestingOrders enables the engine's physical sortedness check on
-	// ρ (§6/[15], orthogonal to the paper's technique; off by default).
-	InterestingOrders bool
 	// Parallelism offers order-dead plan regions (opt.MarkParallel) to a
 	// morsel worker pool of this size. 0 or 1 keeps every operator serial
 	// (the paper's configuration); negative means runtime.GOMAXPROCS(0).
@@ -330,14 +327,13 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 	end := p.cfg.span("execute")
 	res, err := vm.Run(prog, store, docs, vm.Options{
 		Options: engine.Options{
-			Context:           ctx,
-			MaxCells:          p.cfg.MaxCells,
-			Memory:            memory,
-			InterestingOrders: p.cfg.InterestingOrders,
-			Collect:           collect,
-			Tracer:            p.cfg.Tracer,
-			Heartbeat:         beat,
-			StoreProbe:        storeProbe,
+			Context:    ctx,
+			MaxCells:   p.cfg.MaxCells,
+			Memory:     memory,
+			Collect:    collect,
+			Tracer:     p.cfg.Tracer,
+			Heartbeat:  beat,
+			StoreProbe: storeProbe,
 		},
 		Workers: workers,
 	})

@@ -291,3 +291,38 @@ func TestAllocStepIterations(t *testing.T) {
 		t.Logf("%s: %.1f allocs per evalStep", name, avg)
 	}
 }
+
+// TestAllocRowNumSorted pins ρ over input already in (part, criterion)
+// order: sortByKeys' scan finds it, so no permutation is built, the input
+// columns pass through untouched, and the allocations are a
+// row-independent handful (the key slice header, the rank column, the
+// output table).
+func TestAllocRowNumSorted(t *testing.T) {
+	const rows = 8192
+	iter, pos := make([]int64, rows), make([]int64, rows)
+	for i := range iter {
+		iter[i], pos[i] = int64(i/16), int64(i%16)
+	}
+	in := NewTable([]string{"iter", "pos"})
+	in.Data[0], in.Data[1] = xdm.IntColumn(iter), xdm.IntColumn(pos)
+	b := algebra.NewBuilder()
+	n := b.RowNum(b.EmptyLit("iter", "pos"), "rank", []algebra.SortSpec{{Col: "pos"}}, "iter")
+	ex := NewExec(xmltree.NewStore(), nil, Options{})
+	out, err := ex.evalRowNum(n, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Col("iter") != in.Col("iter") || out.Col("pos") != in.Col("pos") {
+		t.Error("ρ over sorted input permuted its columns")
+	}
+	if rank := out.Col("rank"); rank.Get(0).I != 1 || rank.Get(15).I != 16 || rank.Get(16).I != 1 {
+		t.Errorf("ranks %v…, want 1…16 per iter", rank.Get(15))
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		out, _ := ex.evalRowNum(n, in)
+		xdm.RecycleColumn(out.Col("rank")) // steady-state pooling
+	})
+	if avg > 12 {
+		t.Errorf("ρ over sorted input allocates %.1f times for %d rows, want <= 12 (row-independent)", avg, rows)
+	}
+}

@@ -1,13 +1,11 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -43,13 +41,6 @@ type Options struct {
 	// and the observed usage. The account's lifetime is the caller's:
 	// the engine only reserves, it never closes.
 	Memory *xdm.Account
-	// InterestingOrders enables the physical-layer sortedness check on ρ
-	// (§6's [15] reference): when a ρ input already arrives in the
-	// required order (e.g. straight from a staircase join), the sort is
-	// skipped. Off by default — the paper's engine pays its sorts, and
-	// the reproduction should too; enable it to measure how much of the
-	// paper's win a physically order-aware engine would recover anyway.
-	InterestingOrders bool
 	// Collect, when non-nil, receives per-plan-node execution statistics
 	// (rows in/out, cells, wall time, memo hits) — the data behind
 	// EXPLAIN ANALYZE. A nil collector costs one pointer comparison per
@@ -131,15 +122,14 @@ func (r *Result) SerializeXML() (string, error) {
 // (package parallel) can charge them cooperatively; the profile map is
 // only touched from the driver's goroutine.
 type Exec struct {
-	store     *xmltree.Store
-	docs      map[string][]uint32
-	prof      map[string]*ProfileEntry
-	ctx       context.Context
-	done      <-chan struct{}
-	maxCells  int64
-	cells     atomic.Int64
-	mem       *xdm.Account
-	intOrders bool
+	store    *xmltree.Store
+	docs     map[string][]uint32
+	prof     map[string]*ProfileEntry
+	ctx      context.Context
+	done     <-chan struct{}
+	maxCells int64
+	cells    atomic.Int64
+	mem      *xdm.Account
 	// Observability (see internal/obs): collect is the per-run operator
 	// statistics sink (nil = off, and every call site guards on nil so
 	// the disabled path allocates nothing), tracer the span sink.
@@ -162,7 +152,6 @@ func NewExec(base *xmltree.Store, docs map[string][]uint32, opts Options) *Exec 
 		ctx:        opts.Context,
 		maxCells:   opts.MaxCells,
 		mem:        opts.Memory,
-		intOrders:  opts.InterestingOrders,
 		collect:    opts.Collect,
 		tracer:     opts.Tracer,
 		beat:       opts.Heartbeat,
@@ -285,19 +274,13 @@ func (ex *Exec) ChargeCells(n int64) error {
 func (ex *Exec) Finish(t *Table, start time.Time) *Result {
 	res := &Result{Store: ex.store, Elapsed: time.Since(start)}
 	// The root carries (pos, item): order by pos rank for serialization.
-	n := t.NumRows()
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if pos := iterInts(t.Col("pos")); !slices.IsSorted(pos) {
-		slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(pos[a], pos[b]) })
-	}
 	items := t.Col("item")
-	res.Items = make([]xdm.Item, n)
-	for i, p := range perm {
-		res.Items[i] = items.Get(int(p))
+	perm, _, _ := sortByKeys(t.NumRows(), [][]int64{iterInts(t.Col("pos"))}, nil) // no poll, so no error
+	res.Items = make([]xdm.Item, t.NumRows())
+	for i, r := range perm {
+		res.Items[i] = items.Get(int(r))
 	}
+	xdm.PutInt32s(perm)
 	for _, e := range ex.prof {
 		res.Profile = append(res.Profile, *e)
 	}
@@ -704,7 +687,7 @@ func (ex *Exec) keyRows(tabs [][]*xdm.Column) (keys [][]int64, owned bool, err e
 // colKeys keys column position c across all tables:
 //   - ColInt within ±exactInt in every table: the raw integers, not
 //     copied — the compiled plans' iter ids, almost all the traffic;
-//   - ColNode in every table: frag<<32 | pre;
+//   - ColNode in every table: nodeKey;
 //   - anything else: the dense group ids of the cells' string keys — the
 //     raw strings when the column is string-class in every table, else
 //     xdm.DistinctKey of every cell, whose class prefix keeps the string
@@ -728,11 +711,10 @@ func (ex *Exec) colKeys(tabs [][]*xdm.Column, c int) ([][]int64, bool, error) {
 	case nodes:
 		for t, cols := range tabs {
 			ns, _ := cols[c].Nodes()
-			k := xdm.GetInts(len(ns))
+			keys[t] = xdm.GetInts(len(ns))
 			for r, id := range ns {
-				k[r] = int64(uint64(id.Frag)<<32 | uint64(uint32(id.Pre)))
+				keys[t][r] = nodeKey(id)
 			}
-			keys[t] = k
 		}
 		return keys, true, nil
 	}
@@ -927,155 +909,44 @@ func (ex *Exec) evalSemiDiff(n *algebra.Node, l, r *Table) (*Table, error) {
 
 // --- Row numbering: the ρ/# cost asymmetry ---
 
-// cellCompare builds a comparator over one column's cells under exactly
-// compareSortItems' semantics: typed columns compare raw payloads (ints
-// as ints, as xdm.OrderCompare does), the boxed fallback dispatches per
-// item and handles the KNull markers.
-func cellCompare(c *xdm.Column, emptyGreatest bool) func(a, b int32) int {
-	switch c.Kind() {
-	case xdm.ColInt:
-		v, _ := c.Ints()
-		return compareCells(v)
-	case xdm.ColDouble:
-		fs, _ := c.Floats()
-		return compareCells(fs) // cmp.Compare sorts NaN first, as xdm.OrderCompare does
-	case xdm.ColBool:
-		v, _ := c.Bools()
-		return compareCells(v)
-	case xdm.ColString, xdm.ColUntyped:
-		ss, _, _ := c.Strings()
-		return compareCells(ss)
-	case xdm.ColNode:
-		ns, _ := c.Nodes()
-		return func(a, b int32) int {
-			x, y := ns[a], ns[b]
-			switch {
-			case x.Frag < y.Frag:
-				return -1
-			case x.Frag > y.Frag:
-				return 1
-			case x.Pre < y.Pre:
-				return -1
-			case x.Pre > y.Pre:
-				return 1
-			default:
-				return 0
-			}
-		}
-	default:
-		items, _ := c.RawItems()
-		return func(a, b int32) int { return compareSortItems(items[a], items[b], emptyGreatest) }
-	}
-}
-
 // evalRowNum implements ρ: a stable sort of the full table by
 // (part, sort criteria) followed by dense per-group numbering. The
 // physical reordering is deliberate — it is the blocking sort whose
-// elimination the whole paper is about.
-//
-// With Options.InterestingOrders (§6's [15] reference, off by default):
-// when the input already arrives in the required physical order — common
-// after steps, whose staircase join emits document order — an O(n) check
-// detects it and the O(n log n) sort is skipped. The logical plan is
-// untouched; this is the orthogonal physical optimization the paper
-// defers to [15].
+// elimination the whole paper is about. Input that already arrives in
+// the required order (common after steps, whose staircase join emits
+// document order) is found by sortByKeys' scan and not permuted.
 func (ex *Exec) evalRowNum(n *algebra.Node, in *Table) (*Table, error) {
 	rows := in.NumRows()
-	var partCmp func(a, b int32) int
+	keys := make([][]int64, 0, len(n.Sort)+1)
 	if n.Part != "" {
-		partCmp = cellCompare(in.Col(n.Part), false)
+		keys = append(keys, orderKey(in.Col(n.Part), false, false))
 	}
-	keyCmps := make([]func(a, b int32) int, len(n.Sort))
-	for i, s := range n.Sort {
-		keyCmps[i] = cellCompare(in.Col(s.Col), s.EmptyGreatest)
+	for _, s := range n.Sort {
+		keys = append(keys, orderKey(in.Col(s.Col), s.Desc, s.EmptyGreatest))
 	}
-	less := func(ra, rb int32) int {
-		if partCmp != nil {
-			if c := partCmp(ra, rb); c != 0 {
-				return c
-			}
+	defer func() {
+		for _, k := range keys {
+			xdm.PutInts(k)
 		}
-		for i, s := range n.Sort {
-			c := keyCmps[i](ra, rb)
-			if s.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	sorted := false
-	if ex.intOrders {
-		sorted = true
-		for i := 1; i < rows; i++ {
-			if less(int32(i-1), int32(i)) > 0 {
-				sorted = false
-				break
-			}
-		}
+	}()
+	perm, moved, err := sortByKeys(rows, keys, ex.CheckCancel)
+	defer xdm.PutInt32s(perm)
+	if err != nil {
+		return nil, err
 	}
 	out := in
-	if !sorted {
-		perm := xdm.GetInt32s(rows)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		if err := ex.sortStable(perm, less); err != nil {
-			xdm.PutInt32s(perm)
-			return nil, err
-		}
+	if moved {
 		out = in.Filter(perm)
-		xdm.PutInt32s(perm)
 	}
+	// Numbering restarts where the partition key changes.
 	num := xdm.GetInts(rows)
-	if n.Part != "" {
-		cmp := cellCompare(out.Col(n.Part), false)
-		k := int64(0)
-		for i := 0; i < rows; i++ {
-			if i > 0 && cmp(int32(i-1), int32(i)) != 0 {
-				k = 0
-			}
-			k++
-			num[i] = k
-		}
-	} else {
-		for i := range num {
-			num[i] = int64(i + 1)
+	for i := range num {
+		num[i] = 1
+		if i > 0 && (n.Part == "" || keys[0][perm[i-1]] == keys[0][perm[i]]) {
+			num[i] = num[i-1] + 1
 		}
 	}
 	return out.WithColumn(n.Res, xdm.IntColumn(num)), nil
-}
-
-// abortSort carries a cancellation error out of a sort comparator; the
-// standard library offers no other way to stop a running sort.
-type abortSort struct{ err error }
-
-// sortStable is slices.SortStableFunc over row ids with cooperative
-// cancellation: the comparator polls CheckCancel periodically and unwinds
-// via a private panic, so multi-second ρ sorts stop within the
-// cancellation bound.
-func (ex *Exec) sortStable(perm []int32, cmp func(a, b int32) int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := r.(abortSort); ok {
-				err = a.err
-				return
-			}
-			panic(r)
-		}
-	}()
-	calls := 0
-	slices.SortStableFunc(perm, func(a, b int32) int {
-		if calls++; calls&(1<<16-1) == 0 {
-			if cerr := ex.CheckCancel(); cerr != nil {
-				panic(abortSort{cerr})
-			}
-		}
-		return cmp(a, b)
-	})
-	return nil
 }
 
 // allIntegers reports whether every item in the column is an xs:integer.
@@ -1086,10 +957,6 @@ func allIntegers(col []xdm.Item) bool {
 		}
 	}
 	return true
-}
-
-func compareCells[T cmp.Ordered](v []T) func(a, b int32) int {
-	return func(a, b int32) int { return cmp.Compare(v[a], v[b]) }
 }
 
 // compareSortItems orders items for ρ and for result serialization: the

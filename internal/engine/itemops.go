@@ -446,7 +446,7 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 		}
 		return xdm.NewBool(it.I == 0), nil
 	case algebra.UnNeg:
-		return xdm.Arith(xdm.NewInt(0), it, xdm.OpSub)
+		return xdm.Negate(it)
 	case algebra.UnNameOf:
 		if !it.IsNode() {
 			return xdm.Item{}, ex.Errf(n, "name() over atomic value")
@@ -496,18 +496,6 @@ var aggOps = map[algebra.AggrFn]xdm.AggOp{
 	algebra.AggrMax: xdm.AggMax, algebra.AggrMin: xdm.AggMin,
 }
 
-// sortByPos orders a group's row numbers (ascending on entry) by their pos
-// rank, stably. Rows that came out of ρ arrive in pos order already, which
-// one pass establishes.
-func sortByPos(rows []int32, pos []int64) {
-	for k := 1; k < len(rows); k++ {
-		if pos[rows[k-1]] > pos[rows[k]] {
-			slices.SortStableFunc(rows, func(a, b int32) int { return cmp.Compare(pos[a], pos[b]) })
-			return
-		}
-	}
-}
-
 func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 	rows := in.NumRows()
 	var val *xdm.Column
@@ -546,7 +534,9 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 		var parts []string
 		for g := range out {
 			rs := ix.rowsOf(int32(g))
-			sortByPos(rs, pos)
+			if err := sortRows(rs, pos, ex.CheckCancel); err != nil {
+				return nil, err
+			}
 			parts = parts[:0]
 			for _, r := range rs {
 				parts = append(parts, fr.atomize(val.Get(int(r))).StringValue())
@@ -640,7 +630,9 @@ func (ex *Exec) evalElem(n *algebra.Node, loop, content *Table) (*Table, error) 
 	total := 0
 	for _, li := range loopIter {
 		rs := ix.rowsOf(ix.lookupInt(li))
-		sortByPos(rs, poss)
+		if err := sortRows(rs, poss, ex.CheckCancel); err != nil {
+			return nil, err
+		}
 		total++
 		text := false
 		for _, r := range rs {

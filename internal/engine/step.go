@@ -60,21 +60,16 @@ func GroupStep(in *Table) (StepRuns, error) {
 	if clustered {
 		return StepRuns{iters: iters, nodes: nodes}, nil
 	}
+	// Order by the first occurrence of the iteration, then by node.
 	ix, _ := groupInts(iters, func() error { return nil })
-	rank := ix.ids // first-occurrence rank of each row's iteration
-	perm := xdm.GetInt32s(len(nodes))
-	for r := range perm {
-		perm[r] = int32(r)
+	rank, keys := xdm.GetInts(len(nodes)), xdm.GetInts(len(nodes))
+	for r, id := range nodes {
+		rank[r], keys[r] = int64(ix.ids[r]), nodeKey(id)
 	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := cmp.Compare(rank[a], rank[b]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(nodes[a].Frag, nodes[b].Frag); c != 0 {
-			return c
-		}
-		return cmp.Compare(nodes[a].Pre, nodes[b].Pre)
-	})
+	ix.release()
+	perm, _, _ := sortByKeys(len(nodes), [][]int64{rank, keys}, nil) // no poll, so no error
+	xdm.PutInts(rank)
+	xdm.PutInts(keys)
 	g := StepRuns{iters: xdm.GetInts(len(nodes))[:0], nodes: xdm.GetNodes(len(nodes))[:0], pooled: true}
 	for _, r := range perm {
 		if n := len(g.nodes); n > 0 && g.iters[n-1] == iters[r] && g.nodes[n-1] == nodes[r] {
@@ -82,7 +77,6 @@ func GroupStep(in *Table) (StepRuns, error) {
 		}
 		g.iters, g.nodes = append(g.iters, iters[r]), append(g.nodes, nodes[r])
 	}
-	ix.release()
 	xdm.PutInt32s(perm)
 	return g, nil
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -321,22 +319,12 @@ func thetaIncomparable(o *thetaOut, ln, rn int, lbad, rbad []int32, all bool) er
 // groupFloats indexes doubles under numeric equality: -0 keys as +0, and
 // a NaN's key is never looked up (thetaTyped skips NaN probes).
 func groupFloats(vals []float64, poll func() error) (*groupIndex, error) {
-	keys := xdm.GetInts(len(vals))
+	keys := valueKeys(vals)
 	defer xdm.PutInts(keys)
-	for i, f := range vals {
-		keys[i] = floatKey(f)
-	}
 	return groupInts(keys, poll)
 }
 
-func floatKey(f float64) int64 {
-	if f == 0 {
-		f = 0
-	}
-	return int64(math.Float64bits(f))
-}
-
-func (ix *groupIndex) lookupFloat(f float64) int32 { return ix.lookupInt(floatKey(f)) }
+func (ix *groupIndex) lookupFloat(f float64) int32 { return ix.lookupInt(doubleKey(f)) }
 
 // eqIndex is how a domain's values are indexed for =.
 type eqIndex[T int64 | float64 | string] struct {
@@ -470,13 +458,14 @@ func scanRight[T int64 | float64 | string](o *thetaOut, i int32, v T, r []T, op 
 }
 
 func thetaOrdered[T int64 | float64 | string](o *thetaOut, l, r []T, op xdm.CmpOp) error {
-	perm := xdm.GetInt32s(len(r))
+	// doubleKey puts NaNs first; they qualify for nothing and are cut.
+	keys := valueKeys(r)
+	perm, _, err := sortByKeys(len(r), [][]int64{keys}, o.ex.CheckCancel)
+	xdm.PutInts(keys)
 	defer xdm.PutInt32s(perm)
-	for j := range perm {
-		perm[j] = int32(j)
+	if err != nil {
+		return err
 	}
-	// cmp.Compare puts NaNs first; they qualify for nothing and are cut.
-	slices.SortStableFunc(perm, func(a, b int32) int { return cmp.Compare(r[a], r[b]) })
 	for len(perm) > 0 && r[perm[0]] != r[perm[0]] {
 		perm = perm[1:]
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -313,8 +314,30 @@ func TestTypedIntegerExactness(t *testing.T) {
 	if lp, rp, err := ex.thetaJoin(n, l, r, 2); err != nil || !slices.Equal(lp, []int32{2}) || !slices.Equal(rp, []int32{2}) {
 		t.Errorf("θ-join = over %v × %v: %v, %v, %v; want the one pair (2, 2)", l, r, lp, rp, err)
 	}
-	order := cellCompare(ints(1<<53+1, 1<<53), false)
-	if order(0, 1) <= 0 || order(1, 0) >= 0 {
-		t.Error("cellCompare orders 2⁵³+1 and 2⁵³ as equal")
+	if k := orderKey(ints(1<<53+1, 1<<53), false, false); k[0] <= k[1] {
+		t.Error("orderKey orders 2⁵³+1 and 2⁵³ as equal")
+	}
+	// ρ's keys order every pair of cells as compareSortItems does, both
+	// ways round: ±0 tie, every NaN is least, and the int64 extremes
+	// survive the descending complement.
+	for _, col := range []*xdm.Column{
+		ints(math.MinInt64, math.MaxInt64, 0, -1, 1<<53+1, 1<<53, math.MinInt64+1),
+		xdm.DoubleColumn([]float64{0, math.Copysign(0, -1), math.NaN(), -math.NaN(), math.Inf(-1), math.Inf(1),
+			-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, -math.MaxFloat64, 1 << 53}),
+	} {
+		for _, desc := range []bool{false, true} {
+			k := orderKey(col, desc, false)
+			for i := range k {
+				for j := range k {
+					want := compareSortItems(col.Get(i), col.Get(j), false)
+					if desc {
+						want = -want
+					}
+					if got := cmp.Compare(k[i], k[j]); got != want {
+						t.Errorf("orderKey(desc=%v) orders %v against %v as %d; want %d", desc, col.Get(i), col.Get(j), got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -196,7 +196,7 @@ func (st *evalState) eval(e xquery.Expr, en *env, c ctx) ([]xdm.Item, error) {
 		if err != nil || v == nil {
 			return nil, err
 		}
-		return arithResult(xdm.Arith(xdm.NewInt(0), *v, xdm.OpSub))
+		return arithResult(xdm.Negate(*v))
 	case *xquery.GeneralCmp:
 		return st.evalGeneralCmp(e, en, c)
 	case *xquery.ValueCmp:

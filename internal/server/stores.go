@@ -13,7 +13,7 @@ import (
 )
 
 // Out-of-core store management: attach/detach on-disk columnar stores
-// (built by xmarkgen -store or Engine.WriteStore) at runtime, the
+// (built by xmarkgen -store or Engine.WriteStoreReplicated) at runtime, the
 // serving-layer face of Engine.AttachStore/DetachStore. Attaching makes
 // the store's documents queryable immediately; detaching removes them
 // from the registry at once and releases the mappings only after

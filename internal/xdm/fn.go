@@ -26,8 +26,22 @@ func Abs(it Item) (Item, error) {
 	if it.I >= 0 {
 		return it, nil
 	}
-	i, err := IntArith(0, it.I, OpSub)
-	return NewInt(i), err
+	return Negate(it)
+}
+
+// Negate is unary minus: an integer negates exactly (the negation of
+// math.MinInt64 is ErrIntOverflow), and a double or an untypedAtomic,
+// cast to xs:double, flips its sign, so -(0e0) is -0.
+func Negate(it Item) (Item, error) {
+	if it.Kind == KInteger {
+		i, err := IntArith(0, it.I, OpSub)
+		return NewInt(i), err
+	}
+	f, err := arithOperand(it)
+	if err != nil {
+		return Item{}, err
+	}
+	return NewDouble(-f), nil
 }
 
 // rounding applies f to a numeric argument: an integer is returned as

@@ -373,6 +373,19 @@ func specRound(fn string, it Item) (specNum, specErr) {
 	return specNum{f: out}, specOK
 }
 
+// specNegate is op:numeric-unary-minus: an exact integer negation, or a
+// double's sign flipped.
+func specNegate(it Item) (specNum, specErr) {
+	x, e := specNumeric(it)
+	if e != specOK {
+		return specNum{}, e
+	}
+	if x.isInt {
+		return specInt(new(big.Int).Neg(x.i))
+	}
+	return specNum{f: -x.f}, specOK
+}
+
 // specSubstring is fn:substring: the characters at positions p with
 // round(start) <= p < round(start) + round(length), in doubles.
 func specSubstring(s string, start Item, length *Item) (string, specErr) {
@@ -556,6 +569,12 @@ func checkScalarSpec(t *testing.T, a, b Item, s string, pick uint16) {
 			t.Fatalf("%s(%#v) = %#v, %v; model %+v, %q", fn, a, got, err, want, e)
 		}
 	}
+	{
+		want, e := specNegate(a)
+		if got, err := Negate(a); !errMatches(err, e) || err == nil && !sameNum(got, want) {
+			t.Fatalf("-(%#v) = %#v, %v; model %+v, %q", a, got, err, want, e)
+		}
+	}
 	got, err := Substring(s, a)
 	want, e := specSubstring(s, a, nil)
 	if !errMatches(err, e) || err == nil && got != NewString(want) {
@@ -604,7 +623,7 @@ func checkScalarSpec(t *testing.T, a, b Item, s string, pick uint16) {
 
 // FuzzScalarSpec checks the scalar library against the spec model: Arith,
 // CompareValue, CompareGeneral, OrderCompare, SameAtomicValue and
-// DistinctKey, ParseDouble, the rounding family, Substring,
+// DistinctKey, ParseDouble, the rounding family, Negate, Substring,
 // NormalizeSpace and the Aggregate fold.
 func FuzzScalarSpec(f *testing.F) {
 	const max, min = math.MaxInt64, math.MinInt64
@@ -618,6 +637,7 @@ func FuzzScalarSpec(f *testing.F) {
 		{0, 0, min, -1, 0, 0, " 1.5 "},                   // min idiv -1, abs(min)
 		{0, 0, 1<<53 + 1, 1 << 53, 0, 0, "a\u00a0b"},     // beyond 2⁵³; a non-XML space
 		{0, 1, 1<<53 + 1, 0, 0, 1 << 53, "a \t\r\n b  "}, // integer against its rounded double
+		{1, 1, 0, 0, 0, math.Copysign(0, -1), "0"},       // ±0: unary minus flips a zero's sign
 		{1, 1, 0, 0, 2.5, -2.5, "INF"},
 		{1, 1, 0, 0, 1.5, 2.6, "12345"},
 		{1, 1, 0, 0, -42, math.Inf(1), "12345"},
