@@ -7,6 +7,7 @@ package exrquy
 // ~30% headroom for incidental churn.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -150,5 +151,37 @@ func TestAllocCollectDisabledZeroOverhead(t *testing.T) {
 	}
 	if on <= off {
 		t.Errorf("Collect=true (%.0f allocs/run) not above Collect=false (%.0f): collection machinery appears dead", on, off)
+	}
+}
+
+// TestAllocNestedConstructor: a tree of directly nested constructors is
+// one template operator, which builds the whole tree per loop row into one
+// slab, so a chain of 12 nested elements allocates what a chain of 2
+// does per execution, give or take a constant (twelve names outgrow the
+// slab's inline dictionary) — not a slab, group index, union and copy per
+// level.
+func TestAllocNestedConstructor(t *testing.T) {
+	allocs := func(depth int) float64 {
+		q := "{$i}"
+		for d := depth; d > 0; d-- {
+			q = fmt.Sprintf("<e%d>%s</e%d>", d, q, d)
+		}
+		p, err := core.Prepare("for $i in 1 to 1000 return "+q, unorderedCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := xmltree.NewStore()
+		run := func() {
+			if _, err := p.Run(store, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm-up: buffer pools
+		return testing.AllocsPerRun(5, run)
+	}
+	two, twelve := allocs(2), allocs(12)
+	t.Logf("allocations per execution: chain of 2 %.0f, chain of 12 %.0f", two, twelve)
+	if twelve > two+16 {
+		t.Errorf("a chain of 12 nested constructors allocates %.0f times per execution, a chain of 2 %.0f; want the same within 16", twelve, two)
 	}
 }

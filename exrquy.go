@@ -388,9 +388,7 @@ func (e *Engine) releaseDrained(ids []uint32) {
 	}
 	e.mountsMu.Lock()
 	e.mountsMu.Unlock() //nolint:staticcheck // empty critical section is the drain barrier
-	for _, id := range ids {
-		e.store.Release(id)
-	}
+	e.store.Release(ids...)
 }
 
 // mountedLocked reports whether an attached store owns fragment id.

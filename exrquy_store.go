@@ -143,9 +143,7 @@ func (e *Engine) DetachStore(dir string) ([]string, error) {
 	e.mountsMu.Lock()
 	e.mountsMu.Unlock() //nolint:staticcheck // empty critical section is the drain barrier
 	// m.ids is complete: registerHealed adds nothing for an unmounted m.
-	for _, id := range m.ids {
-		e.store.Release(id)
-	}
+	e.store.Release(m.ids...)
 	m.st.Close()
 	return append([]string(nil), m.uris...), nil
 }

@@ -32,31 +32,37 @@ func TestConstructorsNeverShare(t *testing.T) {
 	b := NewBuilder()
 	loop := b.LitCol("iter", xdm.NewInt(1))
 	content := b.EmptyLit("iter", "pos", "item")
-	e1 := b.Elem("a", loop, content)
-	e2 := b.Elem("a", loop, content)
+	e1 := b.Elem(elemTmpl("a"), loop, content)
+	e2 := b.Elem(elemTmpl("a"), loop, content)
 	if e1 == e2 {
 		t.Error("element constructors create fresh node identity and must not be shared")
 	}
-	a1 := b.Attr("k", b.Lit([]string{"iter", "v"}), "v")
-	a2 := b.Attr("k", b.Lit([]string{"iter", "v"}), "v")
+	attr := []Tmpl{{Kind: TElem, Text: "a"}, {Kind: TAttr, Text: "k"}, {Kind: TValue, Slot: 1}, {Kind: TEnd}}
+	a1 := b.Elem(attr, loop, content)
+	a2 := b.Elem(attr, loop, content)
 	if a1 == a2 {
-		t.Error("attribute constructors must not be shared")
+		t.Error("constructors with attributes must not be shared")
 	}
+}
+
+// elemTmpl is the template of <name>{1}</name>.
+func elemTmpl(name string) []Tmpl {
+	return []Tmpl{{Kind: TElem, Text: name}, {Kind: TContent, Slot: 1}, {Kind: TEnd}}
 }
 
 func TestRebuildPreservesIdentityAndSerial(t *testing.T) {
 	b := NewBuilder()
 	loop := b.LitCol("iter", xdm.NewInt(1))
 	content := b.EmptyLit("iter", "pos", "item")
-	e := b.Elem("a", loop, content)
+	e := b.Elem(elemTmpl("a"), loop, content)
 	same := b.Rebuild(e, []*Node{loop, content})
 	if same != e {
 		t.Error("rebuild with identical inputs must return the same node")
 	}
 	content2 := b.EmptyLit("item", "pos", "iter") // different column order
 	r := b.Rebuild(e, []*Node{loop, content2})
-	if r == e || r.Ser != e.Ser || r.Name != "a" {
-		t.Errorf("rebuild must keep parameters (ser %d vs %d)", r.Ser, e.Ser)
+	if r == e || r.Ser != e.Ser || !reflect.DeepEqual(r.Tmpl, e.Tmpl) {
+		t.Errorf("rebuild must keep parameters (ser %d vs %d, template %v vs %v)", r.Ser, e.Ser, r.Tmpl, e.Tmpl)
 	}
 }
 
@@ -241,6 +247,14 @@ func TestInternKeyInjective(t *testing.T) {
 		"Max":  {func(n *Node) { n.Max = 1 }, func(n *Node) { n.Max = -1 }},
 		"Ser":  {func(n *Node) { n.Ser = 1 }},
 		"Disj": {func(n *Node) { n.Disj = "c" }},
+		"Tmpl": {
+			func(n *Node) { n.Tmpl = []Tmpl{{Kind: TElem, Text: "ab"}} },
+			func(n *Node) { n.Tmpl = []Tmpl{{Kind: TElem, Text: "a"}, {Kind: TElem, Text: "b"}} },
+			func(n *Node) { n.Tmpl = []Tmpl{{Kind: TAttr, Text: "ab"}} },
+			func(n *Node) { n.Tmpl = []Tmpl{{Kind: TContent, Slot: 1}} },
+			func(n *Node) { n.Tmpl = []Tmpl{{Kind: TContent, Text: "a", Slot: 1}} },
+			func(n *Node) { n.Tmpl = []Tmpl{{Kind: TElem, Text: "a"}, {Kind: TEnd}} },
+		},
 	}
 	notStructural := map[string]bool{"ID": true, "Origin": true, "Par": true, "schema": true}
 	typ := reflect.TypeOf(Node{})

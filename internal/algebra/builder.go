@@ -13,9 +13,9 @@ import (
 // Builder constructs hash-consed plan DAGs: structurally identical
 // operator trees become a single shared node, mirroring the sharing in
 // Pathfinder-emitted code (the same path expression compiled twice costs
-// once). Element/attribute constructors are exempt — XQuery constructors
-// create fresh node identity per evaluation, so they carry a serial that
-// defeats sharing.
+// once). Element constructors are exempt — XQuery constructors create
+// fresh node identity per evaluation, so they carry a serial that defeats
+// sharing.
 type Builder struct {
 	interned map[string]*Node
 	key      []byte // scratch for mk's intern key, reused across calls
@@ -66,6 +66,10 @@ func appendKey(k []byte, n *Node) []byte {
 	for _, v := range [...]int{n.Min, n.Max, n.Ser, len(n.Ins)} {
 		k = binary.AppendVarint(k, int64(v))
 	}
+	k = binary.AppendUvarint(k, uint64(len(n.Tmpl)))
+	for _, t := range n.Tmpl {
+		k = binary.AppendVarint(appendStr(append(k, byte(t.Kind)), t.Text), int64(t.Slot))
+	}
 	for _, in := range n.Ins {
 		k = binary.AppendVarint(k, int64(in.ID))
 	}
@@ -115,6 +119,20 @@ func schemaUnion(a, b []string) []string {
 	out := make([]string, 0, len(a)+len(b))
 	out = append(out, a...)
 	return append(out, b...)
+}
+
+// checkTmpl panics unless n's template is an element with one slot per
+// input after the loop.
+func checkTmpl(n *Node) {
+	slots := 0
+	for _, t := range n.Tmpl {
+		if t.Slot != 0 {
+			slots++
+		}
+	}
+	if len(n.Tmpl) == 0 || n.Tmpl[0].Kind != TElem || slots != len(n.Ins)-1 {
+		panic(fmt.Sprintf("algebra: element template over %d slots for %d inputs: %v", slots, len(n.Ins)-1, n.Tmpl))
+	}
 }
 
 func requireCol(n *Node, in int, col string, op string) {
@@ -209,13 +227,12 @@ func computeSchema(n *Node) []string {
 		return []string{"item"}
 	case OpElem:
 		requireCol(n, 0, "iter", "element")
-		requireCol(n, 1, "iter", "element")
-		requireCol(n, 1, "pos", "element")
-		requireCol(n, 1, "item", "element")
-		return []string{"iter", "item"}
-	case OpAttr:
-		requireCol(n, 0, "iter", "attribute")
-		requireCol(n, 0, n.Col, "attribute")
+		checkTmpl(n)
+		for i := 1; i < len(n.Ins); i++ {
+			for _, c := range [...]string{"iter", "pos", "item"} {
+				requireCol(n, i, c, "element slot")
+			}
+		}
 		return []string{"iter", "item"}
 	case OpRange:
 		requireCol(n, 0, "iter", "range")
@@ -392,18 +409,12 @@ func (b *Builder) Doc(uri string) *Node {
 	return b.mk(Node{Kind: OpDoc, URI: uri})
 }
 
-// Elem builds element construction: one new element per iteration in loop,
-// with content drawn from content (iter|pos|item) in pos order.
-func (b *Builder) Elem(name string, loop, content *Node) *Node {
+// Elem builds element construction: one new tree per iteration in loop,
+// built by the template tmpl, whose slots are the iter|pos|item tables
+// slots (Tmpl.Slot k reads slots[k-1]) in pos order.
+func (b *Builder) Elem(tmpl []Tmpl, loop *Node, slots ...*Node) *Node {
 	b.nextSer++
-	return b.mk(Node{Kind: OpElem, Ins: []*Node{loop, content}, Name: name, Ser: b.nextSer})
-}
-
-// Attr builds attribute construction: one attribute node per row of in,
-// named name, valued by the string column val.
-func (b *Builder) Attr(name string, in *Node, val string) *Node {
-	b.nextSer++
-	return b.mk(Node{Kind: OpAttr, Ins: []*Node{in}, Name: name, Col: val, Ser: b.nextSer})
+	return b.mk(Node{Kind: OpElem, Ins: append([]*Node{loop}, slots...), Tmpl: tmpl, Ser: b.nextSer})
 }
 
 // Range expands (lo, hi) integer pairs into one row per value.

@@ -43,8 +43,7 @@ const (
 	OpAggr                    // grouped aggregation
 	OpStep                    // ⤋ax::nt: XPath step evaluation (staircase join)
 	OpDoc                     // document access (fn:doc)
-	OpElem                    // element construction (twig)
-	OpAttr                    // attribute node construction
+	OpElem                    // element construction (a template of nested elements)
 	OpRange                   // integer range expansion (e1 to e2)
 	OpCheckCard               // cardinality guard (zero-or-one & friends)
 
@@ -88,8 +87,6 @@ func (k OpKind) String() string {
 		return "doc"
 	case OpElem:
 		return "element"
-	case OpAttr:
-		return "attribute"
 	case OpRange:
 		return "range"
 	case OpCheckCard:
@@ -165,9 +162,9 @@ const (
 // AggrFn enumerates grouped aggregation functions.
 type AggrFn uint8
 
-// Aggregation functions. AggrStrJoin is the order-sensitive space-joined
-// string concatenation used for attribute value templates (it consumes the
-// pos column, so it keeps order alive where XQuery demands it).
+// Aggregation functions. AggrStrJoin is the order-sensitive string
+// concatenation of fn:string-join (it consumes the pos column, so it keeps
+// order alive where XQuery demands it).
 const (
 	AggrCount AggrFn = iota
 	AggrSum
@@ -175,8 +172,7 @@ const (
 	AggrMax
 	AggrMin
 	// AggrStrJoin joins group members' string values in pos order; the
-	// separator travels in Node.Name ("" for attribute value templates'
-	// space is set explicitly).
+	// separator travels in Node.Name.
 	AggrStrJoin
 	// AggrEbv computes the effective boolean value of each group (empty
 	// groups are simply absent; the compiler fills them with false where
@@ -203,6 +199,30 @@ func (f AggrFn) String() string {
 	default:
 		return "strjoin"
 	}
+}
+
+// TmplKind enumerates the instructions of a constructor template.
+type TmplKind uint8
+
+// Template instructions. A template is one tree of directly nested
+// element constructors in preorder: every TElem is closed by a TEnd, and
+// an element's TAttr instructions, each followed by the TValue parts of
+// its value, come before its content.
+const (
+	TElem    TmplKind = iota // open an element named Text
+	TEnd                     // close the innermost open element
+	TAttr                    // an attribute of the open element, named Text
+	TValue                   // part of the last TAttr's value: literal Text, or slot Slot's items atomized and joined by spaces
+	TContent                 // element content: literal text Text, or slot Slot's items under the element-content rules
+)
+
+// Tmpl is one instruction of an OpElem template. Slot indexes the
+// operator's inputs (Ins[0] is the loop, so slots count from 1); 0 marks
+// a literal.
+type Tmpl struct {
+	Kind TmplKind
+	Text string
+	Slot int
 }
 
 // ColPair is one output column of a projection: New takes the value of Old.
@@ -245,10 +265,11 @@ type Node struct {
 	Axis xquery.Axis     // OpStep
 	Test xquery.NodeTest // OpStep
 	URI  string          // OpDoc
-	Name string          // OpElem/OpAttr: node name
+	Name string          // OpAggr strjoin: separator
 	Min  int             // OpCheckCard: minimum group cardinality
 	Max  int             // OpCheckCard: maximum group cardinality (-1 = unbounded)
-	Ser  int             // OpElem/OpAttr: constructor serial (blocks sharing: constructors create fresh node identity)
+	Ser  int             // OpElem: constructor serial (blocks sharing: constructors create fresh node identity)
+	Tmpl []Tmpl          // OpElem: the constructed tree; Ins[1:] are its slots
 	Disj string          // OpUnion: column on which the compiler asserts the inputs are disjoint ("" = none); drives key inference (§7)
 
 	// Origin tags the XQuery construct this operator implements; the

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -91,9 +92,7 @@ func label(n *Node) string {
 	case OpDoc:
 		return fmt.Sprintf("doc %q", n.URI)
 	case OpElem:
-		return "element <" + n.Name + ">"
-	case OpAttr:
-		return "attribute @" + n.Name
+		return "element " + tmplLabel(n.Tmpl)
 	case OpRange:
 		return fmt.Sprintf("range %s..%s", n.LCol, n.RCol)
 	case OpCheckCard:
@@ -101,6 +100,42 @@ func label(n *Node) string {
 	default:
 		return n.Kind.String()
 	}
+}
+
+// tmplLabel renders a constructor template the way it reads in a query,
+// with {k} for slot k and literal content text Go-quoted.
+func tmplLabel(tmpl []Tmpl) string {
+	var sb strings.Builder
+	var open []string
+	for i, t := range tmpl {
+		switch {
+		case t.Kind == TElem:
+			sb.WriteString("<" + t.Text)
+			open = append(open, t.Text)
+		case t.Kind == TEnd:
+			sb.WriteString("</" + open[len(open)-1] + ">")
+			open = open[:len(open)-1]
+		case t.Kind == TAttr:
+			sb.WriteString(" " + t.Text + `="`)
+		case t.Slot != 0:
+			fmt.Fprintf(&sb, "{%d}", t.Slot)
+		case t.Kind == TValue:
+			sb.WriteString(t.Text)
+		default:
+			sb.WriteString(strconv.Quote(t.Text))
+		}
+		next := TEnd
+		if i+1 < len(tmpl) {
+			next = tmpl[i+1].Kind
+		}
+		if (t.Kind == TAttr || t.Kind == TValue) && next != TValue {
+			sb.WriteByte('"')
+		}
+		if t.Kind != TEnd && t.Kind != TContent && next != TAttr && next != TValue {
+			sb.WriteByte('>')
+		}
+	}
+	return sb.String()
 }
 
 // Label returns the human-readable operator label.

@@ -140,8 +140,7 @@ func (c *compiler) compile(e xquery.Expr, sc *frame) *algebra.Node {
 // cross product (so hoisting could only hurt).
 func cheapPerLoop(e xquery.Expr) bool {
 	switch e := e.(type) {
-	case *xquery.IntLit, *xquery.DecLit, *xquery.StrLit,
-		*xquery.CharContent, *xquery.EmptySeq:
+	case *xquery.IntLit, *xquery.DecLit, *xquery.StrLit, *xquery.EmptySeq:
 		return true
 	case *xquery.FuncCall:
 		switch e.Name {
@@ -160,8 +159,6 @@ func (c *compiler) compileAt(e xquery.Expr, sc *frame) *algebra.Node {
 		return c.litTable(sc.loop, xdm.NewDouble(e.Val))
 	case *xquery.StrLit:
 		return c.litTable(sc.loop, xdm.NewString(e.Val))
-	case *xquery.CharContent:
-		return c.litTable(sc.loop, xdm.NewRawText(e.Text))
 	case *xquery.EmptySeq:
 		return c.b.EmptyLit("iter", "pos", "item")
 	case *xquery.VarRef:

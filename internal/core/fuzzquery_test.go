@@ -44,6 +44,7 @@ func FuzzQuery(f *testing.F) {
 		`1 + `,
 		`declare variable $x external; $x`,
 		`<t>{ doc("f.xml")//w/text() }</t>`,
+		`for $e in doc("f.xml")/r/e return <o a="{ $e/@k }-{ $e/v }">{ $e/@g }<p><q>{ $e/v/text() }</q>x{ 1 }{ 2 }</p>{ <s/>, $e/w }</o>`,
 	} {
 		f.Add(seed)
 	}

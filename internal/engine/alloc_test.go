@@ -193,12 +193,12 @@ func stampInts(rows int) []int64 {
 	return num
 }
 
-// TestAllocConstructIterations pins the constructors: building 4096
-// elements (each a copy of a small subtree) or 4096 attributes allocates
-// the same handful of times as building one — the slab's columns and the
-// output wrappers, not a builder and a fragment per constructed node.
-// (One iteration misses the pool: its buffers are below the pooled
-// size, so it allocates a few more than 4096 do.)
+// TestAllocConstructIterations pins the constructor: building 4096
+// elements (each with a copy of a small subtree) or 4096 elements with an
+// attribute allocates the same handful of times as building one — the
+// slab's columns and the output wrappers, not a builder and a fragment
+// per constructed node. (One iteration misses the pool: its buffers are
+// below the pooled size, so it allocates a few more than 4096 do.)
 func TestAllocConstructIterations(t *testing.T) {
 	bound := 16.0
 	if raceEnabled {
@@ -208,8 +208,9 @@ func TestAllocConstructIterations(t *testing.T) {
 	store := xmltree.NewStore()
 	c := xdm.NodeID{Frag: store.Add(doc), Pre: 2} // doc=0, r=1, c=2
 	ab := algebra.NewBuilder()
-	elem := ab.Elem("e", ab.EmptyLit("iter"), ab.EmptyLit("iter", "pos", "item"))
-	attr := ab.Attr("a", ab.EmptyLit("iter", "item"), "item")
+	slot := ab.EmptyLit("iter", "pos", "item")
+	elem := ab.Elem([]algebra.Tmpl{{Kind: algebra.TElem, Text: "e"}, {Kind: algebra.TContent, Slot: 1}, {Kind: algebra.TEnd}}, ab.EmptyLit("iter"), slot)
+	attr := ab.Elem([]algebra.Tmpl{{Kind: algebra.TElem, Text: "e"}, {Kind: algebra.TAttr, Text: "a"}, {Kind: algebra.TValue, Slot: 1}, {Kind: algebra.TEnd}}, ab.EmptyLit("iter"), slot)
 	ex := NewExec(store, nil, Options{})
 	for _, rows := range []int{1, 4096} {
 		iters, poss := make([]int64, rows), make([]int64, rows)
@@ -221,11 +222,11 @@ func TestAllocConstructIterations(t *testing.T) {
 		loop.Data[0] = xdm.IntColumn(iters)
 		content := NewTable([]string{"iter", "pos", "item"})
 		content.Data[0], content.Data[1], content.Data[2] = xdm.IntColumn(iters), xdm.IntColumn(poss), xdm.NodeColumn(nodes)
-		vals := NewTable([]string{"iter", "item"})
-		vals.Data[0], vals.Data[1] = xdm.IntColumn(iters), xdm.StringColumn(xdm.KString, strs)
+		vals := NewTable([]string{"iter", "pos", "item"})
+		vals.Data[0], vals.Data[1], vals.Data[2] = xdm.IntColumn(iters), xdm.IntColumn(poss), xdm.StringColumn(xdm.KString, strs)
 		for name, run := range map[string]func() (*Table, error){
-			"evalElem": func() (*Table, error) { return ex.evalElem(elem, loop, content) },
-			"evalAttr": func() (*Table, error) { return ex.evalAttr(attr, vals) },
+			"evalElem content":   func() (*Table, error) { return ex.evalElem(elem, []*Table{loop, content}) },
+			"evalElem attribute": func() (*Table, error) { return ex.evalElem(attr, []*Table{loop, vals}) },
 		} {
 			avg := testing.AllocsPerRun(20, func() {
 				out, err := run()

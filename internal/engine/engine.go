@@ -461,10 +461,7 @@ func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 		return t, nil
 
 	case algebra.OpElem:
-		return ex.evalElem(n, ins[0], ins[1])
-
-	case algebra.OpAttr:
-		return ex.evalAttr(n, ins[0])
+		return ex.evalElem(n, ins)
 
 	case algebra.OpRange:
 		return ex.evalRange(n, ins[0])

@@ -255,9 +255,9 @@ func compare[T cmp.Ordered](op xdm.CmpOp, a, b T) bool {
 }
 
 // fragRun resolves the fragments behind a column of node references,
-// taking the store's lock once per run of equal fragment ids instead of
-// once per row. Fragments never move within an execution's store, so the
-// cached pointer stays valid while constructors append new ones.
+// once per run of equal fragment ids instead of once per row. Fragments
+// never move within an execution's store, so the cached pointer stays
+// valid while constructors append new ones.
 type fragRun struct {
 	store *xmltree.Store
 	f     *xmltree.Fragment
@@ -612,67 +612,109 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 
 // --- Node construction ---
 
-func (ex *Exec) evalElem(n *algebra.Node, loop, content *Table) (*Table, error) {
-	poss := iterInts(content.Col("pos"))
-	items := content.Col("item")
-	ix, err := groupInts(iterInts(content.Col("iter")), ex.CheckCancel)
-	if err != nil {
-		return nil, err
+// evalElem builds one tree per loop row from the operator's template,
+// writing every element, attribute and literal text node of the row
+// straight into the row's fragment of one slab. Each slot is grouped by
+// iter once; a row's group of a slot, in pos order, is copied in under
+// the element-content rules (one enclosed expression per slot) or, in an
+// attribute value, atomized and joined by spaces.
+func (ex *Exec) evalElem(n *algebra.Node, ins []*Table) (*Table, error) {
+	type slot struct {
+		ix    *groupIndex // clustered, each group in pos order
+		items *xdm.Column
 	}
-	defer ix.release()
-	ix.cluster()
-	loopIter := iterInts(loop.Col("iter"))
-	fr := fragRun{store: ex.store}
-	// The fragment of one iteration holds the element, a copy of every
-	// content subtree and one text node per run of atomic items. A first
-	// pass orders each iteration's content and sums that count, so the
-	// slab is sized exactly.
-	total := 0
-	for _, li := range loopIter {
-		rs := ix.rowsOf(ix.lookupInt(li))
-		if err := sortRows(rs, poss, ex.CheckCancel); err != nil {
+	var small [8]slot
+	slots := small[:] // slots[0], the loop, stays empty
+	if len(ins) > len(small) {
+		slots = make([]slot, len(ins))
+	}
+	defer func() {
+		for _, s := range slots[1:] {
+			if s.ix != nil {
+				s.ix.release()
+			}
+		}
+	}()
+	for k := 1; k < len(ins); k++ {
+		ix, err := groupInts(iterInts(ins[k].Col("iter")), ex.CheckCancel)
+		if err != nil {
 			return nil, err
 		}
-		total++
-		text := false
-		for _, r := range rs {
-			it := items.Get(int(r))
-			switch {
-			case it.IsNode():
-				total += 1 + int(fr.frag(it.N.Frag).Size[it.N.Pre])
-				text = false
-			case !text:
-				total++
-				text = true
+		ix.cluster()
+		slots[k] = slot{ix, ins[k].Col("item")}
+		pos := iterInts(ins[k].Col("pos"))
+		for g := range int32(ix.groups) {
+			if err := sortRows(ix.rowsOf(g), pos, ex.CheckCancel); err != nil {
+				return nil, err
 			}
 		}
 	}
-	slab := xmltree.NewSlab(len(loopIter), total)
-	var buf [8]xdm.Item // an iteration's content, on the stack when short
-	seq := buf[:0]
-	for _, li := range loopIter {
-		rs := ix.rowsOf(ix.lookupInt(li))
-		seq = seq[:0]
-		for _, r := range rs {
-			seq = append(seq, items.Get(int(r)))
+	loopIter := iterInts(ins[0].Col("iter"))
+	fr := fragRun{store: ex.store}
+	// Size the slab: every row's static nodes, a copy of each content
+	// node, and at most one text node per atomic content item.
+	total := 0
+	for _, t := range n.Tmpl {
+		switch {
+		case t.Kind == algebra.TElem || t.Kind == algebra.TAttr || t.Kind == algebra.TContent && t.Slot == 0:
+			total += len(loopIter)
+		case t.Kind == algebra.TContent:
+			items := slots[t.Slot].items
+			for r := range items.Len() {
+				if it := items.Get(r); it.IsNode() {
+					total += 1 + int(fr.frag(it.N.Frag).Size[it.N.Pre])
+				} else {
+					total++
+				}
+			}
 		}
-		b := slab.Elem(n.Name)
-		if err := xmltree.AppendContent(ex.store, b, n.Name, seq); err != nil {
-			return nil, ex.Errf(n, "%v", err)
+	}
+	rows := func(k int, li int64) []int32 { return slots[k].ix.rowsOf(slots[k].ix.lookupInt(li)) }
+	slab := xmltree.NewSlab(len(loopIter), total)
+	var content xmltree.Content
+	var pieces [8]string
+	val := pieces[:0] // an attribute value's pieces
+	for _, li := range loopIter {
+		b := slab.Elem(n.Tmpl[0].Text)
+		content.Reset(ex.store, b)
+		for i := 1; i < len(n.Tmpl); i++ {
+			switch t := n.Tmpl[i]; t.Kind {
+			case algebra.TElem:
+				b.StartElem(t.Text)
+			case algebra.TEnd:
+				b.EndElem()
+			case algebra.TAttr:
+				val = val[:0]
+				for ; i+1 < len(n.Tmpl) && n.Tmpl[i+1].Kind == algebra.TValue; i++ {
+					v := n.Tmpl[i+1]
+					if v.Slot == 0 {
+						val = append(val, v.Text)
+						continue
+					}
+					for j, r := range rows(v.Slot, li) {
+						if j > 0 {
+							val = append(val, " ")
+						}
+						val = append(val, fr.atomize(slots[v.Slot].items.Get(int(r))).StringValue())
+					}
+				}
+				b.Attr(t.Text, strings.Join(val, ""))
+			case algebra.TContent:
+				if t.Slot == 0 {
+					b.Text(t.Text)
+					continue
+				}
+				for _, r := range rows(t.Slot, li) {
+					if err := content.Add(slots[t.Slot].items.Get(int(r))); err != nil {
+						return nil, ex.Errf(n, "%v", err)
+					}
+				}
+				content.Flush()
+			}
 		}
 		slab.Close()
 	}
-	return ex.constructed(n, loop.Col("iter"), slab), nil
-}
-
-func (ex *Exec) evalAttr(n *algebra.Node, in *Table) (*Table, error) {
-	vals := in.Col(n.Col)
-	rows := vals.Len()
-	slab := xmltree.NewSlab(rows, rows)
-	for i := 0; i < rows; i++ {
-		slab.Attr(n.Name, ex.store.Atomize(vals.Get(i)).StringValue())
-	}
-	return ex.constructed(n, in.Col("iter"), slab), nil
+	return ex.constructed(n, ins[0].Col("iter"), slab), nil
 }
 
 // constructed registers a constructor's slab and returns its (iter,

@@ -141,9 +141,10 @@ func stepStore(t testing.TB) *xmltree.Store {
 		}
 		store.Add(f)
 	}
-	attr := xmltree.NewSlab(1, 1)
-	attr.Attr("x", "v")
-	attr.AddTo(store)
+	store.Add(&xmltree.Fragment{
+		Kind: []xmltree.NodeKind{xmltree.KindAttr}, Name: []uint32{1}, Names: []string{"", "x"},
+		Value: []string{"v"}, Size: []int32{0}, Level: []int32{0}, Parent: []int32{-1},
+	})
 	return store
 }
 

@@ -238,10 +238,6 @@ func (st *evalState) eval(e xquery.Expr, en *env, c ctx) ([]xdm.Item, error) {
 		return st.eval(e.Expr, en, c)
 	case *xquery.ElemCons:
 		return st.evalElemCons(e, en, c)
-	case *xquery.CharContent:
-		// Only meaningful inside constructors; handled there. Reaching it
-		// directly means a text node of the literal.
-		return []xdm.Item{xdm.NewString(e.Text)}, nil
 	default:
 		return nil, fmt.Errorf("interp: unsupported expression %T", e)
 	}
@@ -795,25 +791,25 @@ func (st *evalState) evalElemCons(e *xquery.ElemCons, en *env, c ctx) ([]xdm.Ite
 		}
 		b.Attr(a.Name, sb.String())
 	}
-	// Evaluate content in order; attribute nodes arising from content are
-	// not supported (our subset has no computed attribute constructors
-	// producing free-standing attributes in element content except via
-	// paths, which is a dynamic error here as in XQuery when they follow
-	// non-attribute content).
-	var contentItems []xdm.Item
+	// Each enclosed expression's items go in as one run: its atomic
+	// values join with spaces, and the run ends at the next content item.
+	var content xmltree.Content
+	content.Reset(st.store, b)
 	for _, ce := range e.Content {
 		if cc, ok := ce.(*xquery.CharContent); ok {
-			contentItems = append(contentItems, xdm.NewRawText(cc.Text))
+			b.Text(cc.Text)
 			continue
 		}
 		v, err := st.eval(ce, en, c)
 		if err != nil {
 			return nil, err
 		}
-		contentItems = append(contentItems, v...)
-	}
-	if err := xmltree.AppendContent(st.store, b, e.Name, contentItems); err != nil {
-		return nil, err
+		for _, it := range v {
+			if err := content.Add(it); err != nil {
+				return nil, err
+			}
+		}
+		content.Flush()
 	}
 	frag := b.Close()
 	id := st.store.Add(frag)

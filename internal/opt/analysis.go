@@ -238,15 +238,13 @@ func inferRequired(root *algebra.Node) *analysis {
 
 		case algebra.OpElem:
 			in(0).add("iter", useValue)
-			in(1).add("iter", useValue)
-			in(1).add("item", useValue)
-			// Sequence order establishes document order (interaction 2):
-			// constructors genuinely consume content order.
-			in(1).add("pos", useOrder)
-
-		case algebra.OpAttr:
-			in(0).add("iter", useValue)
-			in(0).add(n.Col, useValue)
+			for k := 1; k < len(n.Ins); k++ {
+				in(k).add("iter", useValue)
+				in(k).add("item", useValue)
+				// Sequence order establishes document order (interaction
+				// 2): constructors genuinely consume each slot's order.
+				in(k).add("pos", useOrder)
+			}
 
 		case algebra.OpRange:
 			in(0).add("iter", useValue)
@@ -363,11 +361,15 @@ func (a *analysis) inferProps() {
 				p[0].unique = true // one row per group
 			}
 
-		case algebra.OpStep, algebra.OpElem, algebra.OpAttr, algebra.OpRange:
+		case algebra.OpElem:
+			// One row per loop row, whose iter it copies: the loop's
+			// properties, uniqueness included, carry over.
+			p[0] = a.prop(n.Ins[0], "iter")
+
+		case algebra.OpStep, algebra.OpRange:
 			// Iteration ids (the schema's first column) are copied
 			// through; constants and arbitrariness survive, uniqueness
-			// does not (steps and ranges fan out, constructors keep loop
-			// cardinality — be conservative regardless).
+			// does not (steps and ranges fan out).
 			p[0] = a.prop(n.Ins[0], "iter")
 			p[0].unique = false
 		}

@@ -102,11 +102,9 @@ func MarkParallel(root *algebra.Node) int {
 			}
 
 		case algebra.OpElem:
-			demand(0, ordFull)
-			demand(1, ordFull)
-
-		case algebra.OpAttr:
-			demand(0, ordFull)
+			for k := range c.Ins {
+				demand(k, ordFull)
+			}
 
 		case algebra.OpRowNum:
 			switch {

@@ -222,7 +222,7 @@ func TestMarkParallelRegions(t *testing.T) {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 		for _, n := range algebra.Nodes(pq.Plan.Root) {
-			if n.Par && (n.Kind == algebra.OpRowNum || n.Kind == algebra.OpElem || n.Kind == algebra.OpAttr) {
+			if n.Par && (n.Kind == algebra.OpRowNum || n.Kind == algebra.OpElem) {
 				t.Errorf("%s: %s marked parallel", q.Name, n.Kind)
 			}
 			if n.Par && n.Kind != algebra.OpStep && (n.Kind != algebra.OpJoin || n.Mode != algebra.JoinEqui) {

@@ -559,6 +559,6 @@ func kindToCol(k Kind) ColKind {
 	case KNode:
 		return ColNode
 	default:
-		return ColItems // KRawText, KNull and anything internal stay boxed
+		return ColItems // KNull and anything internal stay boxed
 	}
 }

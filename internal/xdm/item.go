@@ -30,8 +30,7 @@ const (
 	KNode                // node reference, stored in N
 
 	// Internal kinds that never appear in query results:
-	KRawText // literal constructor text (becomes its own text node, no space joining), stored in S
-	KNull    // absent order-by key; sorts below (empty least) or above (empty greatest) everything
+	KNull // absent order-by key; sorts below (empty least) or above (empty greatest) everything
 )
 
 // String returns the XDM type name for the kind.
@@ -49,8 +48,6 @@ func (k Kind) String() string {
 		return "xs:boolean"
 	case KNode:
 		return "node()"
-	case KRawText:
-		return "text-literal"
 	case KNull:
 		return "null"
 	default:
@@ -113,10 +110,6 @@ func NewBool(b bool) Item {
 // NewNode returns a node-reference item.
 func NewNode(id NodeID) Item { return Item{Kind: KNode, N: id} }
 
-// NewRawText returns a literal-text item; inside element construction it
-// becomes its own text node without space joining. Internal use only.
-func NewRawText(s string) Item { return Item{Kind: KRawText, S: s} }
-
 // Null is the absent-order-key marker. Internal use only.
 var Null = Item{Kind: KNull}
 
@@ -141,7 +134,7 @@ func (it Item) Bool() bool {
 // node items (their string value needs the tree store).
 func (it Item) StringValue() string {
 	switch it.Kind {
-	case KUntyped, KString, KRawText:
+	case KUntyped, KString:
 		return it.S
 	case KInteger:
 		return strconv.FormatInt(it.I, 10)

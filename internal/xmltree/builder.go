@@ -18,7 +18,6 @@ type Builder struct {
 	frag    *Fragment
 	open    []int32  // stack of open node preorder ranks
 	lastTop int32    // top-of-stack when the last text node was appended, for merging
-	atoms   []string // AppendContent's pending atomic values, reused
 	names   []string // the dictionary the fragment's names index; "" is id 0
 	ids     map[string]uint32
 
@@ -123,15 +122,21 @@ func (b *Builder) StartElem(name string) {
 // must be added before any child content so that they sit directly after
 // their owner in preorder.
 func (b *Builder) Attr(name, value string) {
-	n := len(b.open)
-	if n == 0 || b.frag.Kind[b.open[n-1]] != KindElem {
+	if n := len(b.open); n == 0 || b.frag.Kind[b.open[n-1]] != KindElem {
 		panic("xmltree: Attr outside an open element")
 	}
-	owner := b.open[n-1]
-	if int32(b.frag.Len()) != owner+1 && b.frag.Kind[b.frag.Len()-1] != KindAttr {
+	if _, ok := b.openWithoutContent(); !ok {
 		panic("xmltree: Attr after element content")
 	}
 	b.push(KindAttr, b.intern(name), value)
+}
+
+// openWithoutContent returns the open node's name and whether everything
+// after it so far is its own attributes.
+func (b *Builder) openWithoutContent() (string, bool) {
+	owner := b.open[len(b.open)-1]
+	last := int32(b.frag.Len() - 1)
+	return b.names[b.frag.Name[owner]], last == owner || (b.frag.Kind[last] == KindAttr && b.frag.Parent[last] == owner)
 }
 
 // Text appends a text node; adjacent text nodes under the same parent are

@@ -7,51 +7,56 @@ import (
 	"repro/internal/xdm"
 )
 
-// AppendContent implements the XQuery element-content rules while building
-// an element: attribute nodes become attributes of the element (and must
-// precede any other content), consecutive atomic values are joined by
-// single spaces into one text node, KRawText items become their own text
-// nodes, and nodes are deep-copied (constructors copy, establishing fresh
-// node identity and document order — interaction 2 of the paper).
-func AppendContent(store *Store, b *Builder, elemName string, items []xdm.Item) error {
-	sawContent := false
-	pendingAtomics := b.atoms[:0]
-	flushAtomics := func() {
-		if len(pendingAtomics) > 0 {
-			b.Text(strings.Join(pendingAtomics, " "))
-			pendingAtomics = pendingAtomics[:0]
-		}
+// Content applies the XQuery element-content rules (XQuery 3.1
+// §3.9.1.3) to the element a Builder has open. The items of one enclosed
+// expression go in through Add, and Flush ends the expression: its
+// adjacent atomic values become one text node, joined by single spaces.
+// Text nodes that end up adjacent — from two enclosed expressions, or one
+// and literal text — merge with no blank between them (Builder.Text).
+// Attribute nodes become attributes of the open element and must come
+// before any other content of it; other nodes are deep-copied
+// (constructors copy, establishing fresh node identity and document order
+// — interaction 2 of the paper). The oracle and the template kernel both
+// build element content through it; the zero value is ready after Reset.
+type Content struct {
+	store *Store
+	b     *Builder
+	atoms []string  // the current expression's pending atomic values
+	f     *Fragment // the last node item's fragment, fid its id
+	fid   uint32
+}
+
+// Reset points the appender at the element b has open, resolving node
+// items through store; its buffers stay.
+func (c *Content) Reset(store *Store, b *Builder) { c.store, c.b = store, b }
+
+// Add appends one item of the current enclosed expression.
+func (c *Content) Add(it xdm.Item) error {
+	if !it.IsNode() {
+		c.atoms = append(c.atoms, it.StringValue())
+		return nil
 	}
-	var f *Fragment // the last item's fragment, fid its id
-	var fid uint32
-	for _, it := range items {
-		switch {
-		case it.IsNode():
-			if f == nil || fid != it.N.Frag {
-				f, fid = store.Frag(it.N.Frag), it.N.Frag
-			}
-			if f.Kind[it.N.Pre] == KindAttr {
-				if sawContent || len(pendingAtomics) > 0 {
-					return fmt.Errorf("xmltree: attribute %s after content of <%s>", f.NodeName(it.N.Pre), elemName)
-				}
-				b.Attr(f.NodeName(it.N.Pre), f.Value[it.N.Pre])
-				continue
-			}
-			flushAtomics()
-			b.CopySubtree(f, it.N.Pre)
-			sawContent = true
-		case it.Kind == xdm.KRawText:
-			flushAtomics()
-			b.Text(it.S)
-			sawContent = true
-		default:
-			pendingAtomics = append(pendingAtomics, it.StringValue())
-			sawContent = true
-		}
+	if c.f == nil || c.fid != it.N.Frag {
+		c.f, c.fid = c.store.Frag(it.N.Frag), it.N.Frag
 	}
-	flushAtomics()
-	b.atoms = pendingAtomics
+	c.Flush()
+	if c.f.Kind[it.N.Pre] != KindAttr {
+		c.b.CopySubtree(c.f, it.N.Pre)
+		return nil
+	}
+	if owner, ok := c.b.openWithoutContent(); !ok {
+		return fmt.Errorf("xmltree: attribute %s after content of <%s>", c.f.NodeName(it.N.Pre), owner)
+	}
+	c.b.Attr(c.f.NodeName(it.N.Pre), c.f.Value[it.N.Pre])
 	return nil
+}
+
+// Flush ends the current enclosed expression.
+func (c *Content) Flush() {
+	if len(c.atoms) > 0 {
+		c.b.Text(strings.Join(c.atoms, " "))
+		c.atoms = c.atoms[:0]
+	}
 }
 
 // SerializeItems renders an item sequence per the XQuery serialization

@@ -49,7 +49,8 @@ func TestSlabSharesDictionary(t *testing.T) {
 	s := NewSlab(3, 8)
 	s.Elem("e").CopySubtree(src, 2)
 	s.Close()
-	s.Attr("a", "v")
+	s.Elem("a").Attr("x", "v")
+	s.Close()
 	s.Elem("f").Text("t")
 	s.Close()
 	first := s.AddTo(store)
@@ -61,7 +62,7 @@ func TestSlabSharesDictionary(t *testing.T) {
 		f    *Fragment
 		v    int32
 		want string
-	}{{e, 0, "e"}, {e, 1, "b"}, {e, 2, "i"}, {a, 0, "a"}, {f, 0, "f"}, {f, 1, ""}} {
+	}{{e, 0, "e"}, {e, 1, "b"}, {e, 2, "i"}, {a, 0, "a"}, {a, 1, "x"}, {f, 0, "f"}, {f, 1, ""}} {
 		if got := c.f.NodeName(c.v); got != c.want {
 			t.Errorf("node %d of fragment %d named %q, want %q", c.v, c.f.ID, got, c.want)
 		}

@@ -3,7 +3,7 @@ package xmltree
 import "unsafe"
 
 // Slab builds the fragments of one constructor evaluation — one element
-// or attribute per loop iteration — out of one backing array per column
+// tree per loop iteration — out of one backing array per column
 // type, the transient container Pathfinder builds a constructor's twigs
 // into. Every constructed node is still the root (preorder rank 0) of its
 // own Fragment, so the axes, Validate and the store see ordinary
@@ -28,12 +28,14 @@ type Slab struct {
 }
 
 // NewSlab reserves room for frags fragments of nodes nodes in total.
-// The four 4-byte columns share one array, cut into capped quarters.
+// The four 4-byte columns and the kinds share one array, cut into capped
+// quarters and a tail.
 func NewSlab(frags, nodes int) *Slab {
-	ints := make([]int32, 4*nodes)
+	ints := make([]int32, 4*nodes+(nodes+3)/4)
 	names := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(ints[3*nodes:]))), nodes)
+	kinds := unsafe.Slice((*NodeKind)(unsafe.Pointer(unsafe.SliceData(ints[4*nodes:]))), nodes)
 	s := &Slab{
-		kind:   make([]NodeKind, 0, nodes),
+		kind:   kinds[:0],
 		name:   names[:0],
 		value:  make([]string, 0, nodes),
 		size:   ints[:0:nodes],
@@ -53,15 +55,6 @@ func (s *Slab) Elem(name string) *Builder {
 	s.start()
 	s.b.StartElem(name)
 	return &s.b
-}
-
-// Attr adds a free-standing attribute fragment (such attributes are
-// transient: the enclosing element constructor copies them into its
-// element).
-func (s *Slab) Attr(name, value string) {
-	s.start()
-	s.b.push(KindAttr, s.b.intern(name), value)
-	s.Close()
 }
 
 func (s *Slab) start() {

@@ -11,8 +11,8 @@ func TestSlab(t *testing.T) {
 	src := MustParseString(`<s><b i="1"><c/>t</b><d/></s>`) // doc=0, s=1, b=2, @i=3, c=4, t=5, d=6
 	store := NewStore()
 	store.Add(src)
-	s := NewSlab(4, 5+1+2) // room for all but f
-	b := s.Elem("e")       // e and a copy of b's four nodes
+	s := NewSlab(4, 5+3) // room for e and three more nodes
+	b := s.Elem("e")     // e and a copy of b's four nodes
 	b.CopySubtree(src, 2)
 	s.Close()
 	b = s.Elem("f") // four nodes where three are left
@@ -21,12 +21,13 @@ func TestSlab(t *testing.T) {
 	b.Text("y")
 	b.CopySubtree(src, 6)
 	s.Close()
-	s.Attr("a", "v")
-	b = s.Elem("g")
+	s.Elem("a").Attr("k", "v") // two nodes where three are left
+	s.Close()
+	b = s.Elem("g") // two nodes where one is left
 	b.Text("z")
 	s.Close()
 	first := s.AddTo(store)
-	want := []string{`<e><b i="1"><c/>t</b></e>`, `<f><x/>y<d/></f>`, `a="v"`, `<g>z</g>`}
+	want := []string{`<e><b i="1"><c/>t</b></e>`, `<f><x/>y<d/></f>`, `<a k="v"/>`, `<g>z</g>`}
 	for i, w := range want {
 		id := first + uint32(i)
 		f := store.Frag(id)

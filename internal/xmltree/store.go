@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/xdm"
 )
@@ -13,21 +14,36 @@ import (
 // into which its constructed fragments are appended, so concurrent
 // executions never contend and temporary fragments are garbage after the
 // query finishes.
+//
+// Reads take no lock: writers append under mu and publish the new slice
+// header through frags, and a reader works on whichever header it loaded.
+// An append writes only past the length of every published header, and
+// Release writes into a copy, so no published element is ever written.
 type Store struct {
-	mu    sync.RWMutex
-	frags []*Fragment
+	mu    sync.Mutex
+	frags atomic.Pointer[[]*Fragment]
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
+// list returns the published fragment slice.
+func (s *Store) list() []*Fragment {
+	if p := s.frags.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // Add registers a fragment, assigns its ID, and returns it.
 func (s *Store) Add(f *Fragment) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := uint32(len(s.frags))
+	frags := s.list()
+	id := uint32(len(frags))
 	f.ID = id
-	s.frags = append(s.frags, f)
+	frags = append(frags, f)
+	s.frags.Store(&frags)
 	return id
 }
 
@@ -36,50 +52,50 @@ func (s *Store) Add(f *Fragment) uint32 {
 func (s *Store) AddAll(frags []Fragment) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	first := uint32(len(s.frags))
-	s.frags = slices.Grow(s.frags, len(frags))
+	all := s.list()
+	first := uint32(len(all))
+	all = slices.Grow(all, len(frags))
 	for i := range frags {
 		frags[i].ID = first + uint32(i)
-		s.frags = append(s.frags, &frags[i])
+		all = append(all, &frags[i])
 	}
+	s.frags.Store(&all)
 	return first
 }
 
-// Release forgets the fragment with the given ID: its slot reads nil from
-// now on and its ID is never reused. Stores derived earlier keep their
-// own reference, so executions and results already holding it are
-// unaffected.
-func (s *Store) Release(id uint32) {
+// Release forgets the fragments with the given IDs: their slots read nil
+// from now on and their IDs are never reused. Stores derived earlier keep
+// their own reference, so executions and results already holding them
+// are unaffected.
+func (s *Store) Release(ids ...uint32) {
 	s.mu.Lock()
-	s.frags[id] = nil
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	frags := slices.Clone(s.list())
+	for _, id := range ids {
+		frags[id] = nil
+	}
+	s.frags.Store(&frags)
 }
 
 // Frag returns the fragment with the given ID (nil once released).
 func (s *Store) Frag(id uint32) *Fragment {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if int(id) >= len(s.frags) {
+	frags := s.list()
+	if int(id) >= len(frags) {
 		panic(fmt.Sprintf("xmltree: unknown fragment %d", id))
 	}
-	return s.frags[id]
+	return frags[id]
 }
 
 // Len returns the number of fragment IDs assigned, released ones included.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.frags)
-}
+func (s *Store) Len() int { return len(s.list()) }
 
 // Derive returns a new store that shares this store's fragments (read-only)
 // and owns any fragments added afterwards.
 func (s *Store) Derive() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	frags := make([]*Fragment, len(s.frags))
-	copy(frags, s.frags)
-	return &Store{frags: frags}
+	frags := slices.Clone(s.list())
+	d := &Store{}
+	d.frags.Store(&frags)
+	return d
 }
 
 // StringValueOf resolves the XDM string value of a node reference.
