@@ -117,13 +117,13 @@ func TestPrepareAllocBudget(t *testing.T) {
 }
 
 // TestAllocCollectDisabledZeroOverhead pins the observability contract:
-// with Config.Collect off (the default), the per-operator statistics
-// machinery must add zero allocations to the execution hot path — its
-// only residue is one nil check per operator. The guard compares the
+// with Config.Collect off (the default), the per-operator records the
+// executor writes into its pooled frame add no allocation to the
+// execution hot path beyond the profile roll-up. The guard compares the
 // same query with collection off and on: the disabled run must hit the
 // tight historical count (Q1 typed: ~3.0k, measured 3046), and the
-// enabled run must sit strictly above it (proof the machinery was live
-// in the build, so the disabled figure is not vacuous).
+// enabled run must sit strictly above it (the copy into Result.Stats
+// was live in the build, so the disabled figure is not vacuous).
 func TestAllocCollectDisabledZeroOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation bound needs the factor-0.01 instance")
@@ -183,5 +183,52 @@ func TestAllocNestedConstructor(t *testing.T) {
 	t.Logf("allocations per execution: chain of 2 %.0f, chain of 12 %.0f", two, twelve)
 	if twelve > two+16 {
 		t.Errorf("a chain of 12 nested constructors allocates %.0f times per execution, a chain of 2 %.0f; want the same within 16", twelve, two)
+	}
+}
+
+// TestAllocPassBudget bounds a whole unordered pass with plans prepared
+// once, as the benchmark's joins and paths workloads run it. The
+// executor writes one record per operator into its pooled frame and
+// rolls the profile up over a per-program origin table, so no string,
+// map entry or collector call is made per operator evaluation: Q8–Q12 at
+// factor 0.005 measure ~2.7k allocations per pass and the 15 path
+// queries at factor 0.02 ~4.7k, where a per-origin map keyed by a
+// per-operator "(kind)" string cost ~3.1k and ~5.7k.
+func TestAllocPassBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation bound needs generated XMark instances and the pools a -race build drops from")
+	}
+	for _, c := range []struct {
+		name   string
+		factor float64
+		qs     []int
+		bound  float64
+	}{
+		{"joins", 0.005, []int{8, 9, 10, 11, 12}, 2750},
+		{"paths", 0.02, []int{1, 2, 3, 4, 5, 6, 7, 13, 14, 15, 16, 17, 18, 19, 20}, 4800},
+	} {
+		store := xmltree.NewStore()
+		docs := map[string][]uint32{"auction.xml": {store.Add(xmark.Generate(xmark.Config{Factor: c.factor}))}}
+		var ps []*core.Prepared
+		for _, q := range c.qs {
+			p, err := core.Prepare(xmarkq.Get(q).Text, unorderedCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps = append(ps, p)
+		}
+		pass := func() {
+			for _, p := range ps {
+				if _, err := p.Run(store, docs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pass() // warm-up: buffer pools, frame pools, GC heap target
+		if avg := testing.AllocsPerRun(5, pass); avg > c.bound {
+			t.Errorf("%s pass at factor %g: %.0f allocs, want <= %.0f", c.name, c.factor, avg, c.bound)
+		} else {
+			t.Logf("%s pass at factor %g: %.0f allocs", c.name, c.factor, avg)
+		}
 	}
 }

@@ -312,10 +312,11 @@ func Metrics() []Metric { return obs.Default.Snapshot() }
 // WriteMetrics writes the Metrics snapshot as "name value" text lines.
 func WriteMetrics(w io.Writer) error { return obs.Default.Write(w) }
 
-// WithCollect attaches per-operator statistics collection to every
-// execution: Result.Stats reports rows, wall time, memo hits and morsel
-// distribution per plan operator. Off by default; when off the only cost
-// is one nil check per operator (zero allocations on the hot path).
+// WithCollect attaches per-operator statistics to every execution:
+// Result.Stats reports rows, wall time, memo hits and morsel distribution
+// per plan operator. Every run measures them (Result.Profile is their
+// roll-up by origin); off by default, the only saving is the copy into
+// Result.Stats.
 func WithCollect(on bool) Option {
 	return func(o *options) { o.cfg.Collect = on }
 }

@@ -65,11 +65,10 @@ type Config struct {
 	Compiled bool
 	// Vars binds external prolog variables (declare variable $x external).
 	Vars map[string][]xdm.Item
-	// Collect turns on per-operator statistics collection (obs.OpStats):
-	// every Run attaches an obs.RunStats to its Result, and
-	// Prepared.ExplainAnalyze can annotate the plan with measured rows and
-	// times. Off (the default) costs one nil check per operator — zero
-	// allocations on the hot path.
+	// Collect attaches the executor's per-operator records (obs.OpStats,
+	// the same records every run rolls up into Result.Profile) to each
+	// Result as an obs.RunStats, which Prepared.ExplainAnalyze renders
+	// against the plan. Off (the default) skips only that copy.
 	Collect bool
 	// Tracer, when non-nil, receives a span per pipeline phase (category
 	// "phase") and per executed operator ("op"); the parallel executor adds
@@ -298,10 +297,6 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 		ctx, cancel = context.WithTimeout(ctx, p.cfg.Timeout)
 		defer cancel()
 	}
-	var collect *obs.Collector
-	if p.cfg.Collect {
-		collect = obs.NewCollector()
-	}
 	// Watchdog liveness: when a serving-layer watchdog registered a
 	// heartbeat on this context (resilience.Watch), hand it to the engine
 	// so every cooperative poll point proves the query is making progress.
@@ -330,12 +325,12 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 			Context:    ctx,
 			MaxCells:   p.cfg.MaxCells,
 			Memory:     memory,
-			Collect:    collect,
 			Tracer:     p.cfg.Tracer,
 			Heartbeat:  beat,
 			StoreProbe: storeProbe,
 		},
 		Workers: workers,
+		Collect: p.cfg.Collect,
 	})
 	end()
 	if err != nil {
@@ -401,9 +396,6 @@ func (p *Prepared) ExplainAnalyze(st *obs.RunStats) string {
 			return "  [not executed]"
 		}
 		s := fmt.Sprintf("  [rows=%d wall=%s", op.RowsOut, op.Wall.Round(time.Microsecond))
-		if op.Calls > 1 {
-			s += fmt.Sprintf(" calls=%d", op.Calls)
-		}
 		if op.MemoHits > 0 {
 			s += fmt.Sprintf(" memo=%d", op.MemoHits)
 		}

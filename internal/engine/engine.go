@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -41,12 +40,6 @@ type Options struct {
 	// and the observed usage. The account's lifetime is the caller's:
 	// the engine only reserves, it never closes.
 	Memory *xdm.Account
-	// Collect, when non-nil, receives per-plan-node execution statistics
-	// (rows in/out, cells, wall time, memo hits) — the data behind
-	// EXPLAIN ANALYZE. A nil collector costs one pointer comparison per
-	// operator and zero allocations: the default path stays exactly the
-	// measured hot path.
-	Collect *obs.Collector
 	// Tracer, when non-nil, receives one span per operator kernel
 	// evaluation (category "op", track 0). Pipeline-phase spans are the
 	// caller's job (package core).
@@ -80,19 +73,13 @@ var ErrCutoff = qerr.ErrCutoff
 var EvalHook func(n *algebra.Node)
 
 // ProfileEntry aggregates evaluation time by operator origin; the set of
-// origins reproduces the sub-expression rows of Table 2. Under parallel
-// execution Duration sums the per-worker (CPU) time spent on the origin,
-// so profiles keep accounting for the work performed, not the wall clock.
-type ProfileEntry struct {
-	Origin   string
-	Duration time.Duration
-	Ops      int
-	Rows     int // rows produced by operators with this origin
-}
+// origins reproduces the sub-expression rows of Table 2.
+type ProfileEntry = obs.ProfileEntry
 
 // Result is an executed query: the item sequence in serialization order,
-// the store owning constructed nodes, and the per-origin profile. Stats
-// is non-nil only when Options.Collect was set.
+// the store owning constructed nodes, and the per-origin profile. Profile
+// and Stats are two views of the executor's per-operator records (see
+// internal/vm); Stats is non-nil only when collection was on.
 type Result struct {
 	Items   []xdm.Item
 	Store   *xmltree.Store
@@ -115,26 +102,20 @@ func (r *Result) SerializeXML() (string, error) {
 }
 
 // Exec is one plan execution's kernel context: the derived store
-// receiving constructed fragments, the per-origin profile, and the shared
-// time/memory budget. It evaluates one operator at a time (EvalOp); which
-// operator runs next, and where its inputs live, is the driver's business
+// receiving constructed fragments and the shared time/memory budget. It
+// evaluates one operator at a time (EvalOp); which operator runs next,
+// where its inputs live and what it measured are the driver's business
 // (internal/vm). The budget counters are atomic so that morsel workers
-// (package parallel) can charge them cooperatively; the profile map is
-// only touched from the driver's goroutine.
+// (package parallel) can charge them cooperatively.
 type Exec struct {
 	store    *xmltree.Store
 	docs     map[string][]uint32
-	prof     map[string]*ProfileEntry
 	ctx      context.Context
 	done     <-chan struct{}
 	maxCells int64
 	cells    atomic.Int64
 	mem      *xdm.Account
-	// Observability (see internal/obs): collect is the per-run operator
-	// statistics sink (nil = off, and every call site guards on nil so
-	// the disabled path allocates nothing), tracer the span sink.
-	collect *obs.Collector
-	tracer  obs.Tracer
+	tracer   obs.Tracer
 	// beat is the watchdog heartbeat (Options.Heartbeat); nil when no one
 	// is watching. Bumped in CheckCancel, shared with parallel workers.
 	beat *atomic.Int64
@@ -148,17 +129,12 @@ func NewExec(base *xmltree.Store, docs map[string][]uint32, opts Options) *Exec 
 	ex := &Exec{
 		store:      base.Derive(),
 		docs:       docs,
-		prof:       make(map[string]*ProfileEntry),
 		ctx:        opts.Context,
 		maxCells:   opts.MaxCells,
 		mem:        opts.Memory,
-		collect:    opts.Collect,
 		tracer:     opts.Tracer,
 		beat:       opts.Heartbeat,
 		storeProbe: opts.StoreProbe,
-	}
-	if ex.collect != nil {
-		ex.collect.SetPoolBaseline(xdm.PoolStats())
 	}
 	if ex.ctx != nil {
 		ex.done = ex.ctx.Done()
@@ -270,7 +246,7 @@ func (ex *Exec) ChargeCells(n int64) error {
 }
 
 // Finish assembles the Result from the root table: order by pos rank for
-// serialization and flatten the profile.
+// serialization.
 func (ex *Exec) Finish(t *Table, start time.Time) *Result {
 	res := &Result{Store: ex.store, Elapsed: time.Since(start)}
 	// The root carries (pos, item): order by pos rank for serialization.
@@ -281,14 +257,6 @@ func (ex *Exec) Finish(t *Table, start time.Time) *Result {
 		res.Items[i] = items.Get(int(r))
 	}
 	xdm.PutInt32s(perm)
-	for _, e := range ex.prof {
-		res.Profile = append(res.Profile, *e)
-	}
-	sort.Slice(res.Profile, func(a, b int) bool { return res.Profile[a].Duration > res.Profile[b].Duration })
-	if ex.collect != nil {
-		hits, misses := xdm.PoolStats()
-		res.Stats = ex.collect.Finish(res.Elapsed, hits, misses)
-	}
 	return res
 }
 
@@ -302,10 +270,6 @@ func (ex *Exec) Errf(n *algebra.Node, format string, args ...any) error {
 	return fmt.Errorf("engine: %s: %s", origin, fmt.Sprintf(format, args...))
 }
 
-// Collector returns the execution's statistics sink (nil when collection
-// is off); the parallel executor records morsel splits through it.
-func (ex *Exec) Collector() *obs.Collector { return ex.collect }
-
 // Tracer returns the execution's span sink (nil when tracing is off).
 func (ex *Exec) Tracer() obs.Tracer { return ex.tracer }
 
@@ -316,52 +280,6 @@ func (ex *Exec) StartOpSpan(n *algebra.Node) func() {
 		return nil
 	}
 	return ex.tracer.StartSpan(0, "op", algebra.Label(n))
-}
-
-// CollectMemoHit records a reuse of n's table by a consumer beyond the
-// first. No-op unless collection is on.
-func (ex *Exec) CollectMemoHit(n *algebra.Node) {
-	if ex.collect == nil {
-		return
-	}
-	ex.collect.MemoHit(n.ID)
-	obs.MemoHitsTotal.Inc()
-}
-
-// CollectOp records one kernel evaluation of n: d of wall time, the input
-// row counts, and the output table's rows and cells. No-op (and
-// allocation-free) unless collection is on — the label rendering below is
-// the only per-operator allocation the observability layer ever makes,
-// and it happens strictly behind the nil check.
-func (ex *Exec) CollectOp(n *algebra.Node, d time.Duration, ins []*Table, t *Table) {
-	if ex.collect == nil {
-		return
-	}
-	var rowsIn int64
-	for _, in := range ins {
-		rowsIn += int64(in.NumRows())
-	}
-	rows := int64(t.NumRows())
-	ex.collect.OpDone(n.ID, n.Kind.String(), algebra.Label(n), n.Origin, n.Par,
-		d, rowsIn, rows, rows*int64(len(t.Cols)))
-}
-
-// Record attributes d of evaluation time and rows produced rows to the
-// node's origin. Not safe for concurrent use; parallel executors must
-// aggregate per-worker durations first and record once.
-func (ex *Exec) Record(n *algebra.Node, d time.Duration, rows int) {
-	origin := n.Origin
-	if origin == "" {
-		origin = "(" + n.Kind.String() + ")"
-	}
-	e := ex.prof[origin]
-	if e == nil {
-		e = &ProfileEntry{Origin: origin}
-		ex.prof[origin] = e
-	}
-	e.Duration += d
-	e.Ops++
-	e.Rows += rows
 }
 
 // EvalOp evaluates a single operator over already-evaluated inputs.

@@ -7,12 +7,12 @@
 //   - # (rowid) is a single column stamp — "negligible cost or even for
 //     free" in the paper's words.
 //
-// The package holds the operator kernels and the per-execution budget,
-// profile and statistics (Exec); the loop that drives them over a plan —
-// each shared DAG node evaluated exactly once, mirroring common
-// subexpression reuse in MonetDB BAT programs — is internal/vm. Every
-// operator evaluation is timed and attributed to the operator's origin
-// label, which is how the Table 2 profile is reproduced.
+// The package holds the operator kernels and the per-execution budget
+// (Exec); the loop that drives them over a plan — each shared DAG node
+// evaluated exactly once, mirroring common subexpression reuse in
+// MonetDB BAT programs — is internal/vm. That loop times every operator
+// evaluation into one record per operator, which it rolls up by the
+// operator's origin label into the Table 2 profile.
 //
 // Columns are xdm.Column values: homogeneous columns (the common case —
 // iter/pos/numbering columns are always integers, step outputs are always

@@ -1,18 +1,15 @@
 // Package obs is the engine's observability layer: a lightweight metrics
 // registry (atomic counters, gauges and power-of-two histograms — zero
 // allocations on the hot path, whether or not anyone is watching), the
-// per-plan-node execution statistics behind EXPLAIN ANALYZE
-// (Collector/OpStats/RunStats), and a Tracer span interface with a
-// chrome://tracing-compatible JSON sink (JSONTrace).
+// per-plan-node execution record (OpStats, rolled up by origin into the
+// profile or copied into a RunStats for EXPLAIN ANALYZE), and a Tracer
+// span interface with a chrome://tracing-compatible JSON sink (JSONTrace).
 //
 // The package sits below every other engine layer (it imports only the
 // standard library), so xdm, engine, parallel and core can all report
 // into it without cycles. Process-wide engine metrics live in the Default
-// registry; per-query operator statistics travel through a *Collector
-// handed to the engine via its Options (nil = off, and a nil collector
-// costs exactly one pointer comparison per operator — the paper's
-// measured claims should be checkable without perturbing what they
-// measure).
+// registry; the per-operator records live in the executor's frame
+// (internal/vm), which writes each once per operator on every run.
 package obs
 
 import (

@@ -80,53 +80,45 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// TestCollectorAggregation: the profile is the operator records rolled
+// up by origin — Duration sums max(Wall, Busy), Ops counts records, Rows
+// sums RowsOut, entries come by descending Duration with ties in origin
+// order — and RunStats.Op finds a record by plan node id.
 func TestCollectorAggregation(t *testing.T) {
-	c := NewCollector()
-	c.SetPoolBaseline(100, 10)
-	c.OpDone(3, "step", "step child::item", "for $x", true, 2*time.Millisecond, 10, 20, 40)
-	c.OpDone(3, "step", "step child::item", "for $x", true, time.Millisecond, 5, 10, 20)
-	c.MemoHit(3)
-	c.OpDone(1, "doc", `doc "x"`, "", false, time.Microsecond, 0, 1, 1)
-	c.Morsel(3, 0, time.Millisecond)
-	c.Morsel(3, 1, 2*time.Millisecond)
-	c.Morsel(3, 0, time.Millisecond)
+	ms := time.Millisecond
+	ops := []OpStats{
+		{Node: 1, Wall: 2 * ms, RowsOut: 20},
+		{Node: 3, Wall: ms, Busy: 4 * ms, Morsels: 3, RowsOut: 10}, // parallel: busy exceeds wall
+		{Node: 4, Wall: 3 * ms, RowsOut: 1},
+		{Node: 7, Wall: ms, RowsOut: 5},
+		{Node: 9, Wall: 2 * ms, RowsOut: 2},
+	}
+	of := []int32{0, 1, 0, 2, 3}
+	prof := RollUp(ops, of, []string{"for $x", "(step)", "(rownum)", "(doc)"})
+	want := []ProfileEntry{
+		{Origin: "for $x", Duration: 5 * ms, Ops: 2, Rows: 21},
+		{Origin: "(step)", Duration: 4 * ms, Ops: 1, Rows: 10},
+		{Origin: "(doc)", Duration: 2 * ms, Ops: 1, Rows: 2},
+		{Origin: "(rownum)", Duration: ms, Ops: 1, Rows: 5},
+	}
+	if len(prof) != len(want) {
+		t.Fatalf("RollUp = %+v, want %+v", prof, want)
+	}
+	for i := range want {
+		if prof[i] != want[i] {
+			t.Errorf("entry %d = %+v, want %+v", i, prof[i], want[i])
+		}
+	}
+	if got := RollUp(ops[:3], of[:3], []string{"for $x", "(step)", "(a)", "(b)"}); got[2].Origin != "(a)" || got[3].Origin != "(b)" || got[2].Ops != 0 {
+		t.Errorf("ties must keep origin order: %+v", got)
+	}
 
-	st := c.Finish(5*time.Millisecond, 130, 14)
-	if len(st.Ops) != 2 || st.Ops[0].Node != 1 || st.Ops[1].Node != 3 {
-		t.Fatalf("ops not sorted by node: %+v", st.Ops)
+	st := &RunStats{Ops: ops}
+	if op := st.Op(3); op == nil || op.Morsels != 3 {
+		t.Errorf("Op(3) = %+v", op)
 	}
-	op := st.Op(3)
-	if op == nil {
-		t.Fatal("Op(3) = nil")
-	}
-	if op.Calls != 2 || op.RowsIn != 15 || op.RowsOut != 30 || op.Cells != 60 || op.Wall != 3*time.Millisecond {
-		t.Errorf("aggregation wrong: %+v", op)
-	}
-	if op.MemoHits != 1 || st.MemoHits != 1 {
-		t.Errorf("memo hits: op %d, run %d, want 1/1", op.MemoHits, st.MemoHits)
-	}
-	if op.Morsels != 3 || op.Busy != 4*time.Millisecond {
-		t.Errorf("morsels/busy = %d/%v, want 3/4ms", op.Morsels, op.Busy)
-	}
-	if len(op.Workers) != 2 || op.Workers[0].Worker != 0 || op.Workers[0].Morsels != 2 || op.Workers[1].Morsels != 1 {
-		t.Errorf("worker split wrong: %+v", op.Workers)
-	}
-	if st.PoolHits != 30 || st.PoolMisses != 4 {
-		t.Errorf("pool deltas = %d/%d, want 30/4", st.PoolHits, st.PoolMisses)
-	}
-	if st.Op(99) != nil {
-		t.Error("Op(99) should be nil")
-	}
-}
-
-func TestNilCollectorIsNoOp(t *testing.T) {
-	var c *Collector
-	c.SetPoolBaseline(1, 2)
-	c.OpDone(1, "k", "l", "", false, time.Second, 1, 1, 1)
-	c.MemoHit(1)
-	c.Morsel(1, 0, time.Second)
-	if st := c.Finish(time.Second, 0, 0); st != nil {
-		t.Errorf("nil collector Finish = %+v, want nil", st)
+	if st.Op(2) != nil || st.Op(99) != nil {
+		t.Error("Op of an unevaluated node should be nil")
 	}
 }
 

@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -14,11 +15,13 @@ type WorkerStats struct {
 	Busy    time.Duration `json:"busy_ns"`
 }
 
-// OpStats aggregates the measured execution of one plan node — the data
-// EXPLAIN ANALYZE attaches to the Explain tree. Node is the plan node id
-// (the "#id" prefix Explain prints), so stats join the rendered plan by
-// id. For operators evaluated morsel-wise, Busy sums per-worker CPU time
-// (it exceeds Wall on a multicore pool) and Workers carries the split.
+// OpStats is the measured execution of one plan node: the record the
+// executor loop writes once per operator, which EXPLAIN ANALYZE attaches
+// to the Explain tree and RollUp sums into the profile. Node is the plan
+// node id (the "#id" prefix Explain prints), so stats join the rendered
+// plan by id. For operators evaluated morsel-wise, Busy sums the
+// workers' morsel times (it exceeds Wall on a multicore pool) and
+// Workers carries the split.
 type OpStats struct {
 	Node   int    `json:"node"`
 	Kind   string `json:"kind"`
@@ -26,7 +29,8 @@ type OpStats struct {
 	Origin string `json:"origin,omitempty"`
 	Par    bool   `json:"par,omitempty"`
 	// Calls counts kernel evaluations (1 for every reachable node: shared
-	// DAG nodes are memoized); MemoHits counts the memoized reuses.
+	// DAG nodes are evaluated once); MemoHits counts the reuses, the
+	// node's consumers beyond the first.
 	Calls    int64 `json:"calls"`
 	MemoHits int64 `json:"memo_hits,omitempty"`
 	RowsIn   int64 `json:"rows_in"`
@@ -75,112 +79,32 @@ func (s *RunStats) Op(node int) *OpStats {
 	return nil
 }
 
-// Collector accumulates OpStats during one execution. The engine walks
-// the DAG on a single goroutine, but morsel workers report concurrently,
-// so every method locks; the frequency is per-operator and per-morsel,
-// not per-row, which keeps the cost invisible next to the work measured.
-// All methods are nil-safe: calling them on a nil *Collector is a no-op,
-// so call sites need no guard of their own.
-type Collector struct {
-	mu                     sync.Mutex
-	ops                    map[int]*OpStats
-	memoHits               int64
-	poolHits0, poolMisses0 int64
+// ProfileEntry is one row of the per-origin profile (the paper's Table 2
+// sub-expression rows): the operator records charged to one origin.
+// Duration sums max(Wall, Busy) over them, so under parallel execution
+// it accounts for the work performed, not the wall clock.
+type ProfileEntry struct {
+	Origin   string
+	Duration time.Duration
+	Ops      int
+	Rows     int // rows produced by operators with this origin
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{ops: make(map[int]*OpStats)}
-}
-
-// SetPoolBaseline records the buffer-pool counters at execution start;
-// Finish reports the delta.
-func (c *Collector) SetPoolBaseline(hits, misses int64) {
-	if c == nil {
-		return
+// RollUp charges each operator record ops[i] to origins[of[i]] and
+// returns one entry per origin, by descending Duration (ties keep the
+// order of origins). It is the profile view of the records EXPLAIN
+// ANALYZE reads one by one.
+func RollUp(ops []OpStats, of []int32, origins []string) []ProfileEntry {
+	prof := make([]ProfileEntry, len(origins))
+	for i, o := range origins {
+		prof[i].Origin = o
 	}
-	c.mu.Lock()
-	c.poolHits0, c.poolMisses0 = hits, misses
-	c.mu.Unlock()
-}
-
-func (c *Collector) op(node int) *OpStats {
-	s, ok := c.ops[node]
-	if !ok {
-		s = &OpStats{Node: node}
-		c.ops[node] = s
+	for i := range ops {
+		e := &prof[of[i]]
+		e.Duration += max(ops[i].Wall, ops[i].Busy)
+		e.Ops++
+		e.Rows += int(ops[i].RowsOut)
 	}
-	return s
-}
-
-// OpDone records one kernel evaluation of a plan node.
-func (c *Collector) OpDone(node int, kind, label, origin string, par bool, wall time.Duration, rowsIn, rowsOut, cells int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	s := c.op(node)
-	s.Kind, s.Label, s.Origin, s.Par = kind, label, origin, par
-	s.Calls++
-	s.RowsIn += rowsIn
-	s.RowsOut += rowsOut
-	s.Cells += cells
-	s.Wall += wall
-	c.mu.Unlock()
-}
-
-// MemoHit records a memoized reuse of a plan node.
-func (c *Collector) MemoHit(node int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.op(node).MemoHits++
-	c.memoHits++
-	c.mu.Unlock()
-}
-
-// Morsel records one completed morsel task of a parallel operator: which
-// worker ran it and for how long. Safe for concurrent use from workers.
-func (c *Collector) Morsel(node, worker int, busy time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	s := c.op(node)
-	s.Morsels++
-	s.Busy += busy
-	for i := range s.Workers {
-		if s.Workers[i].Worker == worker {
-			s.Workers[i].Morsels++
-			s.Workers[i].Busy += busy
-			c.mu.Unlock()
-			return
-		}
-	}
-	s.Workers = append(s.Workers, WorkerStats{Worker: worker, Morsels: 1, Busy: busy})
-	c.mu.Unlock()
-}
-
-// Finish freezes the collector into a RunStats: operators sorted by node
-// id, worker splits sorted by worker, pool deltas against the baseline.
-func (c *Collector) Finish(elapsed time.Duration, poolHits, poolMisses int64) *RunStats {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := &RunStats{
-		Elapsed:    elapsed,
-		MemoHits:   c.memoHits,
-		PoolHits:   poolHits - c.poolHits0,
-		PoolMisses: poolMisses - c.poolMisses0,
-	}
-	st.Ops = make([]OpStats, 0, len(c.ops))
-	for _, s := range c.ops {
-		sort.Slice(s.Workers, func(i, j int) bool { return s.Workers[i].Worker < s.Workers[j].Worker })
-		st.Ops = append(st.Ops, *s)
-	}
-	sort.Slice(st.Ops, func(i, j int) bool { return st.Ops[i].Node < st.Ops[j].Node })
-	return st
+	slices.SortStableFunc(prof, func(a, b ProfileEntry) int { return cmp.Compare(b.Duration, a.Duration) })
+	return prof
 }

@@ -60,12 +60,14 @@ type executor struct {
 // (with a nil error) means the operator or its input size is not worth
 // partitioning and the caller should run the serial kernel instead.
 // minMorselRows is the smallest per-morsel work unit; zero means the
-// default (256). busy is the summed per-worker time (for profile
-// attribution) and charged reports whether the workers already charged
-// the output cells against the shared budget. A panic inside a worker is
-// recovered there and returned as an error (see runTasks), so a poisoned
-// morsel kernel fails the query instead of killing the process.
-func EvalParOp(ex *engine.Exec, workers, minMorselRows int, n *algebra.Node, ins []*engine.Table) (t *engine.Table, busy time.Duration, charged bool, err error) {
+// default (256). split is the per-worker morsel count and busy time of
+// the workers that ran a morsel, in worker order (the executor loop
+// stores it in the operator's record), and charged reports whether the
+// workers already charged the output cells against the shared budget.
+// A panic inside a worker is recovered there and returned as an error
+// (see runTasks), so a poisoned morsel kernel fails the query instead of
+// killing the process.
+func EvalParOp(ex *engine.Exec, workers, minMorselRows int, n *algebra.Node, ins []*engine.Table) (t *engine.Table, split []obs.WorkerStats, charged bool, err error) {
 	e := &executor{ex: ex, workers: workers, minRows: minMorselRows}
 	if e.minRows <= 0 {
 		e.minRows = defaultMinMorselRows
@@ -74,31 +76,31 @@ func EvalParOp(ex *engine.Exec, workers, minMorselRows int, n *algebra.Node, ins
 	case algebra.OpStep:
 		return e.parStep(n, ins[0])
 	case algebra.OpJoin:
-		t, busy, err := e.parJoin(n, ins[0], ins[1])
-		return t, busy, false, err
+		t, split, err := e.parJoin(n, ins[0], ins[1])
+		return t, split, false, err
 	}
-	return nil, 0, false, nil
+	return nil, nil, false, nil
 }
 
 // runTasks drains n's morsel tasks over up to e.workers goroutines
 // (atomic index pull, so uneven morsels balance). Workers poll the
-// shared context between tasks and stop after the first error; the
-// summed per-worker busy time is returned for profile attribution.
-// When collection is on, every morsel is attributed to (n, worker), and
-// when tracing is on each morsel emits a span on track worker+1 (track 0
-// is the coordinator).
-func (e *executor) runTasks(n *algebra.Node, tasks []func() error) (time.Duration, error) {
+// shared context between tasks and stop after the first error. Each
+// worker counts its morsels and their time in its own slot of the
+// returned split, which drops the workers that ran none; when tracing is
+// on each morsel emits a span on track worker+1 (track 0 is the
+// coordinator).
+func (e *executor) runTasks(n *algebra.Node, tasks []func() error) ([]obs.WorkerStats, error) {
 	w := e.workers
 	if w > len(tasks) {
 		w = len(tasks)
 	}
-	collect := e.ex.Collector()
+	split := make([]obs.WorkerStats, w)
 	tracer := e.ex.Tracer()
 	label := ""
 	if tracer != nil {
 		label = algebra.Label(n)
 	}
-	var next, busy atomic.Int64
+	var next atomic.Int64
 	var mu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
@@ -107,8 +109,7 @@ func (e *executor) runTasks(n *algebra.Node, tasks []func() error) (time.Duratio
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t0 := time.Now()
-			defer func() { busy.Add(int64(time.Since(t0))) }()
+			slot := &split[g]
 			for {
 				mu.Lock()
 				stop := firstErr != nil
@@ -132,9 +133,8 @@ func (e *executor) runTasks(n *algebra.Node, tasks []func() error) (time.Duratio
 						end()
 					}
 					obs.MorselsTotal.Inc()
-					if collect != nil {
-						collect.Morsel(n.ID, g, time.Since(m0))
-					}
+					slot.Morsels++
+					slot.Busy += time.Since(m0)
 				}
 				if err != nil {
 					if qerr.IsRetryableCorrupt(err) {
@@ -155,7 +155,14 @@ func (e *executor) runTasks(n *algebra.Node, tasks []func() error) (time.Duratio
 		}()
 	}
 	wg.Wait()
-	return time.Duration(busy.Load()), firstErr
+	ran := split[:0]
+	for g, s := range split {
+		if s.Morsels > 0 {
+			s.Worker = g
+			ran = append(ran, s)
+		}
+	}
+	return ran, firstErr
 }
 
 // runMorsel executes one morsel task with panic isolation: a panicking
@@ -198,10 +205,10 @@ func (e *executor) ranges(n, min int) [][2]int {
 // axes chunk the per-fragment context sets. Morsels merge in serial scan
 // order — into flat iter/node columns, no boxing — so the output is
 // identical to evalStep's.
-func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*engine.Table, time.Duration, bool, error) {
+func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*engine.Table, []obs.WorkerStats, bool, error) {
 	runs, err := engine.GroupStep(in)
 	if err != nil {
-		return nil, 0, false, e.ex.Errf(n, "%v", err)
+		return nil, nil, false, e.ex.Errf(n, "%v", err)
 	}
 	defer runs.Release() // after runTasks: the morsels read the runs' context sets
 	isDesc := n.Axis == xquery.AxisDescendant || n.Axis == xquery.AxisDescendantOrSelf
@@ -240,7 +247,7 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*engine.Table, ti
 		minChunk = e.minRows * 32
 	}
 	if totalWork < 2*minChunk {
-		return nil, 0, false, nil
+		return nil, nil, false, nil
 	}
 	chunk := totalWork / (morselsPerWorker * e.workers)
 	if chunk < minChunk {
@@ -285,12 +292,12 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*engine.Table, ti
 		}
 	}
 	if len(tasks) < 2 {
-		return nil, 0, false, nil
+		return nil, nil, false, nil
 	}
 
-	busy, err := e.runTasks(n, tasks)
+	split, err := e.runTasks(n, tasks)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, nil, false, err
 	}
 
 	total := 0
@@ -314,7 +321,7 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*engine.Table, ti
 		}
 		outIter = engine.AppendIter(outIter, s.iter, len(outItem))
 	}
-	return engine.StepTable(outIter, outItem), busy, chargeInWorker, nil
+	return engine.StepTable(outIter, outItem), split, chargeInWorker, nil
 }
 
 // parJoin builds the key index serially (builds don't decompose well at
@@ -323,15 +330,15 @@ func (e *executor) parStep(n *algebra.Node, in *engine.Table) (*engine.Table, ti
 // A θ-join takes the serial kernel: its operand tables are the small
 // sides of a value join, and its sorted and indexed right side is not a
 // structure to rebuild per morsel.
-func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*engine.Table, time.Duration, error) {
+func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*engine.Table, []obs.WorkerStats, error) {
 	lk, rk := l.Col(n.LCol), r.Col(n.RCol)
 	cs := e.ranges(lk.Len(), e.minRows)
 	if cs == nil || n.Mode != algebra.JoinEqui {
-		return nil, 0, nil
+		return nil, nil, nil
 	}
 	ix, err := e.ex.BuildJoinIndex(rk)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	width := len(l.Cols) + len(r.Cols)
 	type part struct{ lperm, rperm []int32 }
@@ -345,17 +352,17 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*engine.Table, 
 			return err
 		}
 	}
-	busy, err := e.runTasks(n, tasks)
+	split, err := e.runTasks(n, tasks)
 	ix.Release()
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	total := 0
 	for _, p := range parts {
 		total += len(p.lperm)
 	}
 	if err := e.ex.CheckCells(total, width); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	lperm := xdm.GetInt32s(total)[:0]
 	rperm := xdm.GetInt32s(total)[:0]
@@ -369,7 +376,7 @@ func (e *executor) parJoin(n *algebra.Node, l, r *engine.Table) (*engine.Table, 
 	xdm.PutInt32s(lperm)
 	xdm.PutInt32s(rperm)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return t, busy, nil
+	return t, split, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/xdm"
 )
 
@@ -20,8 +21,8 @@ type instr struct {
 	// is: after the output is stored, these tables drop their column
 	// references and buffers at zero references return to the xdm pool.
 	release []uint32
-	// extraUses is the number of consumers beyond the first, reported to
-	// the stats collector as EXPLAIN ANALYZE's memo count.
+	// extraUses is the number of consumers beyond the first: EXPLAIN
+	// ANALYZE's memo count for the node.
 	extraUses int
 }
 
@@ -32,7 +33,13 @@ type instr struct {
 // per-execution state lives in pooled frames.
 type Program struct {
 	instrs []instr
-	frames sync.Pool
+	// origins is the profile's origin table and originOf[i] the entry
+	// instruction i is charged to: the node's Origin, or "(kind)" when it
+	// has none. memoHits sums the instructions' extraUses.
+	origins  []string
+	originOf []int32
+	memoHits int64
+	frames   sync.Pool
 }
 
 // NumInstrs returns the instruction count: one per plan node.
@@ -43,7 +50,8 @@ func (p *Program) NumInstrs() int { return len(p.instrs) }
 // many times; the register is released at its last consumer.
 func Compile(root *algebra.Node) *Program {
 	nodes := algebra.Nodes(root)
-	p := &Program{instrs: make([]instr, len(nodes))}
+	p := &Program{instrs: make([]instr, len(nodes)), originOf: make([]int32, len(nodes))}
+	index, kinds := make(map[string]int32), make(map[algebra.OpKind]string)
 
 	reg := make(map[*algebra.Node]uint32, len(nodes))
 	// remaining counts each node's consumers not yet emitted; when a
@@ -63,7 +71,9 @@ func Compile(root *algebra.Node) *Program {
 		ins := instr{node: n, dst: uint32(i), srcs: make([]uint32, len(n.Ins))}
 		if c := remaining[n]; c > 1 {
 			ins.extraUses = c - 1
+			p.memoHits += int64(c - 1)
 		}
+		p.originOf[i] = p.origin(n, index, kinds)
 		for j, in := range n.Ins {
 			ins.srcs[j] = reg[in]
 			c := remaining[in] - 1
@@ -80,7 +90,27 @@ func Compile(root *algebra.Node) *Program {
 		return &frame{
 			regs:    make([]*engine.Table, nregs),
 			colRefs: make(map[*xdm.Column]int, nregs*2),
+			ops:     make([]obs.OpStats, nregs),
 		}
 	}
 	return p
+}
+
+// origin returns n's index in the origin table, adding the entry on
+// first sight; kinds caches the "(kind)" name of unlabelled nodes.
+func (p *Program) origin(n *algebra.Node, index map[string]int32, kinds map[algebra.OpKind]string) int32 {
+	o := n.Origin
+	if o == "" {
+		if o = kinds[n.Kind]; o == "" {
+			o = "(" + n.Kind.String() + ")"
+			kinds[n.Kind] = o
+		}
+	}
+	k, ok := index[o]
+	if !ok {
+		k = int32(len(p.origins))
+		index[o] = k
+		p.origins = append(p.origins, o)
+	}
+	return k
 }

@@ -6,9 +6,10 @@
 // reuses) or at Run time.
 //
 // The loop owns everything that happens once per operator: the
-// cancel/heartbeat poll, the tracer span, the profile record, the
-// per-plan-node statistics (so EXPLAIN ANALYZE joins runs back to plan
-// #ids), the cell charge and the buffer release. The operators themselves
+// cancel/heartbeat poll, the tracer span, the operator's record (one
+// obs.OpStats per instruction, written once: the profile rolls the
+// records up by origin, EXPLAIN ANALYZE reads them by plan #id), the
+// cell charge and the buffer release. The operators themselves
 // are the kernels of internal/engine; a Par-marked operator — a staircase
 // step or an equi-join, the only kinds opt.MarkParallel marks — is first
 // offered to the morsel pool of internal/parallel: order indifference
@@ -17,8 +18,11 @@
 package vm
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -32,20 +36,24 @@ import (
 // Workers > 1 offers Par-marked steps and equi-joins to a morsel pool of
 // that size (a degraded governor admission passes 1 to keep the run
 // serial), and MinMorselRows is the pool's smallest per-morsel work unit
-// (zero means the default).
+// (zero means the default). Collect attaches the operator records to the
+// Result as an obs.RunStats (the profile is built from them either way).
 type Options struct {
 	engine.Options
 	Workers       int
 	MinMorselRows int
+	Collect       bool
 }
 
-// frame is the per-execution state of a program: the register file and
-// the column reference counts driving buffer recycling. Frames are pooled
-// per program; a frame never outlives its execution.
+// frame is the per-execution state of a program: the register file, the
+// column reference counts driving buffer recycling, and one operator
+// record per instruction. Frames are pooled per program; a frame never
+// outlives its execution.
 type frame struct {
 	regs    []*engine.Table
 	colRefs map[*xdm.Column]int
 	scratch []*engine.Table
+	ops     []obs.OpStats
 }
 
 // inputs gathers the source registers into the frame's scratch slice
@@ -77,20 +85,29 @@ func Run(p *Program, base *xmltree.Store, docs map[string][]uint32, opts Options
 		}
 	}()
 	ex := engine.NewExec(base, docs, opts.Options)
+	var hits0, misses0 int64
+	if opts.Collect {
+		hits0, misses0 = xdm.PoolStats()
+	}
+	f := p.frames.Get().(*frame)
+	defer p.putFrame(f)
 	start := time.Now()
-	t, err := p.exec(ex, opts.Workers, opts.MinMorselRows)
+	t, err := p.exec(f, ex, opts.Workers, opts.MinMorselRows)
 	if err != nil {
 		return nil, err
 	}
 	res = ex.Finish(t, start)
+	res.Profile = obs.RollUp(f.ops, p.originOf, p.origins)
+	obs.MemoHitsTotal.Add(p.memoHits)
+	if opts.Collect {
+		res.Stats = p.runStats(f.ops, res.Elapsed, hits0, misses0)
+	}
 	obs.QueryNanos.Observe(res.Elapsed.Nanoseconds())
 	return res, nil
 }
 
 // exec is the executor loop.
-func (p *Program) exec(ex *engine.Exec, workers, minMorselRows int) (*engine.Table, error) {
-	f := p.frames.Get().(*frame)
-	defer p.putFrame(f)
+func (p *Program) exec(f *frame, ex *engine.Exec, workers, minMorselRows int) (*engine.Table, error) {
 	for ii := range p.instrs {
 		ins := &p.instrs[ii]
 		n := ins.node
@@ -102,12 +119,12 @@ func (p *Program) exec(ex *engine.Exec, workers, minMorselRows int) (*engine.Tab
 		start := time.Now()
 		var (
 			t       *engine.Table
-			busy    time.Duration
+			split   []obs.WorkerStats
 			charged bool
 			err     error
 		)
 		if n.Par && workers > 1 {
-			t, busy, charged, err = parallel.EvalParOp(ex, workers, minMorselRows, n, tables)
+			t, split, charged, err = parallel.EvalParOp(ex, workers, minMorselRows, n, tables)
 		}
 		if t == nil && err == nil {
 			t, err = ex.EvalOp(n, tables)
@@ -121,29 +138,49 @@ func (p *Program) exec(ex *engine.Exec, workers, minMorselRows int) (*engine.Tab
 		if err != nil {
 			return nil, err
 		}
-		// Attribute the summed per-worker busy time when it exceeds wall
-		// time (it does, on a multicore pool): the profile then reports
-		// work performed per origin, comparable to serial runs.
-		wall := time.Since(start)
-		ex.Record(n, max(wall, busy), t.NumRows())
-		ex.CollectOp(n, wall, tables, t)
+		rows := int64(t.NumRows())
+		rec := &f.ops[ii]
+		*rec = obs.OpStats{Wall: time.Since(start), RowsOut: rows, Cells: rows * int64(len(t.Cols)), Workers: split}
+		for _, in := range tables {
+			rec.RowsIn += int64(in.NumRows())
+		}
+		for _, w := range split {
+			rec.Morsels += w.Morsels
+			rec.Busy += w.Busy
+		}
 		if !charged {
-			if err := ex.ChargeCells(int64(t.NumRows()) * int64(len(t.Cols))); err != nil {
+			if err := ex.ChargeCells(rec.Cells); err != nil {
 				return nil, err
 			}
 		}
-		f.store(ins, t, ex)
+		f.store(ins, t)
 	}
 	return f.regs[len(p.instrs)-1], nil
+}
+
+// runStats copies the operator records into a RunStats with their plan
+// nodes' static fields, in ascending node id, and the buffer-pool deltas
+// since the run began.
+func (p *Program) runStats(ops []obs.OpStats, elapsed time.Duration, hits0, misses0 int64) *obs.RunStats {
+	hits, misses := xdm.PoolStats()
+	st := &obs.RunStats{Ops: make([]obs.OpStats, len(ops)), Elapsed: elapsed, MemoHits: p.memoHits,
+		PoolHits: hits - hits0, PoolMisses: misses - misses0}
+	for i, op := range ops {
+		n := p.instrs[i].node
+		op.Node, op.Kind, op.Label, op.Origin, op.Par = n.ID, n.Kind.String(), algebra.Label(n), n.Origin, n.Par
+		op.Calls, op.MemoHits = 1, int64(p.instrs[i].extraUses)
+		st.Ops[i] = op
+	}
+	slices.SortFunc(st.Ops, func(a, b obs.OpStats) int { return cmp.Compare(a.Node, b.Node) })
+	return st
 }
 
 // store writes the output table to its register, takes column references
 // (before releasing inputs, so aliased columns survive), then frees the
 // registers whose last consumer this instruction was: a column at zero
 // references provably has no surviving alias and its backing buffer
-// returns to the xdm pool. It also reports the node's consumers beyond
-// the first to the stats collector (EXPLAIN ANALYZE's memo count).
-func (f *frame) store(ins *instr, t *engine.Table, ex *engine.Exec) {
+// returns to the xdm pool.
+func (f *frame) store(ins *instr, t *engine.Table) {
 	f.regs[ins.dst] = t
 	for _, c := range t.Data {
 		f.colRefs[c]++
@@ -160,9 +197,6 @@ func (f *frame) store(ins *instr, t *engine.Table, ex *engine.Exec) {
 			delete(f.colRefs, c)
 			xdm.RecycleColumn(c)
 		}
-	}
-	for k := 0; k < ins.extraUses; k++ {
-		ex.CollectMemoHit(ins.node)
 	}
 }
 

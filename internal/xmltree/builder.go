@@ -139,6 +139,18 @@ func (b *Builder) openWithoutContent() (string, bool) {
 	return b.names[b.frag.Name[owner]], last == owner || (b.frag.Kind[last] == KindAttr && b.frag.Parent[last] == owner)
 }
 
+// hasAttr reports whether the open element already has an attribute
+// called name.
+func (b *Builder) hasAttr(name string) bool {
+	f := b.frag
+	for a := b.open[len(b.open)-1] + 1; a < int32(f.Len()) && f.Kind[a] == KindAttr; a++ {
+		if b.names[f.Name[a]] == name {
+			return true
+		}
+	}
+	return false
+}
+
 // Text appends a text node; adjacent text nodes under the same parent are
 // merged, and empty strings are dropped (XDM forbids empty text nodes).
 func (b *Builder) Text(value string) {

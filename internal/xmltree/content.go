@@ -13,8 +13,10 @@ import (
 // adjacent atomic values become one text node, joined by single spaces.
 // Text nodes that end up adjacent — from two enclosed expressions, or one
 // and literal text — merge with no blank between them (Builder.Text).
-// Attribute nodes become attributes of the open element and must come
-// before any other content of it; other nodes are deep-copied
+// Attribute nodes become attributes of the open element, must come
+// before any other content of it and must not repeat one of its
+// attribute names (XQDY0025); a text node is copied as text, so it
+// merges with adjacent text too; other nodes are deep-copied
 // (constructors copy, establishing fresh node identity and document order
 // — interaction 2 of the paper). The oracle and the template kernel both
 // build element content through it; the zero value is ready after Reset.
@@ -40,14 +42,24 @@ func (c *Content) Add(it xdm.Item) error {
 		c.f, c.fid = c.store.Frag(it.N.Frag), it.N.Frag
 	}
 	c.Flush()
-	if c.f.Kind[it.N.Pre] != KindAttr {
-		c.b.CopySubtree(c.f, it.N.Pre)
+	pre := it.N.Pre
+	switch c.f.Kind[pre] {
+	case KindText:
+		c.b.Text(c.f.Value[pre]) // a copy that merges with adjacent text
+		return nil
+	case KindAttr:
+		name := c.f.NodeName(pre)
+		owner, ok := c.b.openWithoutContent()
+		if !ok {
+			return fmt.Errorf("xmltree: attribute %s after content of <%s>", name, owner)
+		}
+		if c.b.hasAttr(name) {
+			return fmt.Errorf("xmltree: duplicate attribute %s of <%s> (XQDY0025)", name, owner)
+		}
+		c.b.Attr(name, c.f.Value[pre])
 		return nil
 	}
-	if owner, ok := c.b.openWithoutContent(); !ok {
-		return fmt.Errorf("xmltree: attribute %s after content of <%s>", c.f.NodeName(it.N.Pre), owner)
-	}
-	c.b.Attr(c.f.NodeName(it.N.Pre), c.f.Value[it.N.Pre])
+	c.b.CopySubtree(c.f, pre)
 	return nil
 }
 

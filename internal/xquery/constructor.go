@@ -53,6 +53,11 @@ func (p *parser) parseElemAfterLT() (Expr, error) {
 		if aname == "" {
 			return nil, l.errAt(l.pos, "expected attribute name in <%s>", name)
 		}
+		for _, prev := range e.Attrs {
+			if prev.Name == aname {
+				return nil, l.errAt(l.pos, "duplicate attribute %s in <%s> (XQST0040)", aname, name)
+			}
+		}
 		l.pos = npos
 		p.skipRawSpace()
 		if l.pos >= len(l.src) || l.src[l.pos] != '=' {
