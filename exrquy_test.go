@@ -142,6 +142,44 @@ func TestXSDoubleCastsAndRounding(t *testing.T) {
 	}
 }
 
+// TestOrderByMixedNumericKeys: an order by column that mixes integers and
+// doubles is ordered in xs:double, the least common type with a gt
+// operator (XQuery 3.1 §3.12.8), so two integers that round to one double
+// tie and a stable order by keeps their input order. In ordered mode the
+// pipeline and the reference interpreter give exactly that order; under
+// ordering mode unordered the order of ties is implementation-dependent,
+// so only the bag is compared.
+func TestOrderByMixedNumericKeys(t *testing.T) {
+	ordered, unordered := New(), New(WithOrdering(Unordered))
+	for _, c := range []struct{ q, want string }{
+		{`for $x in (9007199254740993, 9007199254740992, 1e0) stable order by $x return $x`,
+			"1 9007199254740993 9007199254740992"},
+		{`for $x in (9007199254740992, 9007199254740993, 1e0) stable order by $x descending return $x`,
+			"9007199254740992 9007199254740993 1"},
+	} {
+		for name, run := range map[string]func(string) (*Result, error){
+			"pipeline": ordered.Query, "reference": ordered.Reference, "unordered": unordered.Query,
+		} {
+			res, err := run(c.q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.q, err)
+			}
+			got, err := res.Items()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strings.Fields(c.want)
+			if name == "unordered" {
+				sort.Strings(got)
+				sort.Strings(want)
+			}
+			if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Errorf("%s %s = %q, want %q", name, c.q, got, c.want)
+			}
+		}
+	}
+}
+
 // TestValueJoinErrorParity: a general comparison the compiler evaluates
 // as a value join (two θ-joins over the operand tables, one per mode)
 // raises exactly where the per-iteration semantics does — the reference

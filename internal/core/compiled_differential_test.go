@@ -7,9 +7,6 @@
 // execution, typed and boxed column storage. Both go through the one
 // executor loop in the same deterministic order (see algebra.Nodes), so
 // equality is exact — no bag comparison, no exceptions.
-//
-// The test lives in package core_test because it drives the bench
-// environment (internal/bench imports core).
 package core_test
 
 import (
@@ -17,19 +14,26 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/xdm"
+	"repro/internal/xmark"
 	"repro/internal/xmarkq"
+	"repro/internal/xmltree"
 	"repro/internal/xquery"
 )
+
+// xmarkStore generates an XMark instance at factor as auction.xml.
+func xmarkStore(factor float64) (*xmltree.Store, map[string][]uint32) {
+	store := xmltree.NewStore()
+	return store, map[string][]uint32{"auction.xml": {store.Add(xmark.Generate(xmark.Config{Factor: factor}))}}
+}
 
 func TestDifferentialCompiledVsWalked(t *testing.T) {
 	factor := 0.01
 	if testing.Short() {
 		factor = 0.002
 	}
-	env := bench.NewEnv(factor)
+	store, docs := xmarkStore(factor)
 
 	unordered := xquery.Unordered
 	ucfg := core.DefaultConfig()
@@ -55,12 +59,12 @@ func TestDifferentialCompiledVsWalked(t *testing.T) {
 		if compiled != (p.Program != nil) {
 			return "", fmt.Errorf("Compiled=%v but Program=%v", compiled, p.Program != nil)
 		}
-		res, err := p.Run(env.Store, env.Docs)
+		res, err := p.Run(store, docs)
 		if err == nil && compiled {
 			// The property under test is reuse: serialize the second
 			// execution of the shared Program, which runs on the frame the
 			// first one returned to the pool.
-			res, err = p.Run(env.Store, env.Docs)
+			res, err = p.Run(store, docs)
 		}
 		if err != nil {
 			return "", fmt.Errorf("run: %w", err)
@@ -102,7 +106,7 @@ func TestDifferentialCompiledVsWalked(t *testing.T) {
 // plan prints, so exrquy -analyze and ?analyze=1 join runs back to #id
 // lines with no translation layer.
 func TestCompiledStatsKeyedByPlanNode(t *testing.T) {
-	env := bench.NewEnv(0.002)
+	store, docs := xmarkStore(0.002)
 	cfg := core.DefaultConfig()
 	q := xmarkq.Get(1)
 	p, err := core.Prepare(q.Text, cfg)
@@ -112,7 +116,7 @@ func TestCompiledStatsKeyedByPlanNode(t *testing.T) {
 	if p.Program == nil {
 		t.Fatal("DefaultConfig did not compile a program")
 	}
-	res, annotated, err := p.Analyze(t.Context(), env.Store, env.Docs)
+	res, annotated, err := p.Analyze(t.Context(), store, docs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/opt"
 	"repro/internal/xmarkq"
@@ -39,7 +38,12 @@ func TestValueJoinMintsInnerLoop(t *testing.T) {
 
 	cfg := core.BaselineConfig()
 	cfg.Collect = true
-	run, _, _, err := bench.Run(bench.NewEnv(0.005), xmarkq.Get(11).Text, cfg)
+	store, docs := xmarkStore(0.005)
+	p, err := core.Prepare(xmarkq.Get(11).Text, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := p.Run(store, docs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ import (
 // --- One stable sort of row ids over order-preserving int64 keys ---
 
 // orderKey keys a column for ρ: two rows' keys compare as their cells do
-// under compareSortItems(a, b, emptyGreatest), reversed when desc. The
+// under compareSortItems(a, b, emptyGreatest), reversed when desc, after
+// xdm.PromoteSortKeys (a typed column never mixes integers and doubles). The
 // keys are a pooled buffer; hand it back with xdm.PutInts.
 func orderKey(c *xdm.Column, desc, emptyGreatest bool) []int64 {
 	var k []int64
@@ -37,6 +38,7 @@ func orderKey(c *xdm.Column, desc, emptyGreatest bool) []int64 {
 		}
 	default: // boxed cells, Null markers among them, rank by compareSortItems
 		items, _ := c.RawItems()
+		items = xdm.PromoteSortKeys(items)
 		k = xdm.GetInts(len(items))
 		rankKeys(items, func(a, b xdm.Item) int { return compareSortItems(a, b, emptyGreatest) }, k)
 	}

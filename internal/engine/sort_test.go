@@ -73,19 +73,14 @@ func rowNumColumn(k int, n int, pick func(i int) int) *xdm.Column {
 }
 
 // rowNumMixed draws a cell of a boxed column: the Null marker and every
-// atomic class. Its integers stay within ±2⁵³: beyond it, an integer and
-// the double it rounds to compare equal while two such integers do not,
-// so compareSortItems is no strict weak order and no stable sort —
-// the reference included — has one defined output.
+// atomic class, integers beyond ±2⁵³ among them. Such a column mixes
+// integers and doubles, so ρ orders it in doubles (xdm.PromoteSortKeys).
 func rowNumMixed(p int) xdm.Item {
 	switch p % 6 {
 	case 0:
 		return xdm.Null
 	case 1:
-		if v := rowNumInts[p/6%len(rowNumInts)]; v >= -(1<<53) && v <= 1<<53 {
-			return xdm.NewInt(v)
-		}
-		return xdm.NewInt(int64(p))
+		return xdm.NewInt(rowNumInts[p/6%len(rowNumInts)])
 	case 2:
 		return xdm.NewDouble(rowNumFloats[p/6%len(rowNumFloats)])
 	case 3:
@@ -98,8 +93,9 @@ func rowNumMixed(p int) xdm.Item {
 }
 
 // FuzzRowNum checks ρ against its specification: sort.SliceStable over
-// compareSortItems by (partition, criteria), then numbering that restarts
-// at every partition change.
+// compareSortItems by (partition, criteria), each column promoted by
+// xdm.PromoteSortKeys, then numbering that restarts at every partition
+// change.
 func FuzzRowNum(f *testing.F) {
 	long := make([]byte, 300)
 	for i := range long {
@@ -141,14 +137,22 @@ func FuzzRowNum(f *testing.F) {
 			t.Fatal(err)
 		}
 
+		cells := map[string][]xdm.Item{}
+		for j, name := range in.Cols {
+			col := make([]xdm.Item, n)
+			for i := range col {
+				col[i] = in.Data[j].Get(i)
+			}
+			cells[name] = xdm.PromoteSortKeys(col)
+		}
 		cmpRows := func(x, y int) int {
 			if part != "" {
-				if c := compareSortItems(in.Col(part).Get(x), in.Col(part).Get(y), false); c != 0 {
+				if c := compareSortItems(cells[part][x], cells[part][y], false); c != 0 {
 					return c
 				}
 			}
 			for _, s := range specs {
-				c := compareSortItems(in.Col(s.Col).Get(x), in.Col(s.Col).Get(y), s.EmptyGreatest)
+				c := compareSortItems(cells[s.Col][x], cells[s.Col][y], s.EmptyGreatest)
 				if s.Desc {
 					c = -c
 				}
@@ -168,7 +172,7 @@ func FuzzRowNum(f *testing.F) {
 			if got := out.Col("id").Get(i).I; got != int64(r) {
 				t.Fatalf("%s over %v, %v, %v: row %d is input row %d, want %d", algebra.Label(node), in.Data[1], in.Data[2], in.Data[3], i, got, r)
 			}
-			if i == 0 || part != "" && compareSortItems(in.Col(part).Get(want[i-1]), in.Col(part).Get(r), false) != 0 {
+			if i == 0 || part != "" && compareSortItems(cells[part][want[i-1]], cells[part][r], false) != 0 {
 				rank = 0
 			}
 			rank++

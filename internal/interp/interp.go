@@ -472,6 +472,16 @@ func (st *evalState) evalFLWOR(fl *xquery.FLWOR, en *env, c ctx) ([]xdm.Item, er
 			}
 			wts[i] = wt
 		}
+		// Each key column is ordered in its values' least common type.
+		col := make([]xdm.Item, len(wts))
+		for k := range fl.Order {
+			for i := range wts {
+				col[i] = wts[i].keys[k]
+			}
+			for i, key := range xdm.PromoteSortKeys(col) {
+				wts[i].keys[k] = key
+			}
+		}
 		sort.SliceStable(wts, func(a, b int) bool {
 			for k, spec := range fl.Order {
 				cv := compareKeys(wts[a].keys[k], wts[a].keyE[k], wts[b].keys[k], wts[b].keyE[k], spec)

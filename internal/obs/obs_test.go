@@ -86,12 +86,12 @@ func TestRegistryConcurrent(t *testing.T) {
 // order — and RunStats.Op finds a record by plan node id.
 func TestCollectorAggregation(t *testing.T) {
 	ms := time.Millisecond
-	ops := []OpStats{
-		{Node: 1, Wall: 2 * ms, RowsOut: 20},
-		{Node: 3, Wall: ms, Busy: 4 * ms, Morsels: 3, RowsOut: 10}, // parallel: busy exceeds wall
-		{Node: 4, Wall: 3 * ms, RowsOut: 1},
-		{Node: 7, Wall: ms, RowsOut: 5},
-		{Node: 9, Wall: 2 * ms, RowsOut: 2},
+	ops := []OpRecord{
+		{Wall: 2 * ms, RowsOut: 20},
+		{Wall: ms, Busy: 4 * ms, Morsels: 3, RowsOut: 10}, // parallel: busy exceeds wall
+		{Wall: 3 * ms, RowsOut: 1},
+		{Wall: ms, RowsOut: 5},
+		{Wall: 2 * ms, RowsOut: 2},
 	}
 	of := []int32{0, 1, 0, 2, 3}
 	prof := RollUp(ops, of, []string{"for $x", "(step)", "(rownum)", "(doc)"})
@@ -113,7 +113,10 @@ func TestCollectorAggregation(t *testing.T) {
 		t.Errorf("ties must keep origin order: %+v", got)
 	}
 
-	st := &RunStats{Ops: ops}
+	st := &RunStats{Ops: make([]OpStats, len(ops))}
+	for i, node := range []int{1, 3, 4, 7, 9} {
+		st.Ops[i] = OpStats{Node: node, OpRecord: ops[i]}
+	}
 	if op := st.Op(3); op == nil || op.Morsels != 3 {
 		t.Errorf("Op(3) = %+v", op)
 	}

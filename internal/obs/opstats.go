@@ -15,13 +15,10 @@ type WorkerStats struct {
 	Busy    time.Duration `json:"busy_ns"`
 }
 
-// OpStats is the measured execution of one plan node: the record the
-// executor loop writes once per operator, which EXPLAIN ANALYZE attaches
-// to the Explain tree and RollUp sums into the profile. Node is the plan
-// node id (the "#id" prefix Explain prints), so stats join the rendered
-// plan by id. For operators evaluated morsel-wise, Busy sums the
-// workers' morsel times (it exceeds Wall on a multicore pool) and
-// Workers carries the split.
+// OpStats is the measured execution of one plan node: EXPLAIN ANALYZE
+// attaches it to the Explain tree. Node is the plan node id (the "#id"
+// prefix Explain prints), so stats join the rendered plan by id; the
+// embedded OpRecord is what the executor loop measured.
 type OpStats struct {
 	Node   int    `json:"node"`
 	Kind   string `json:"kind"`
@@ -33,8 +30,17 @@ type OpStats struct {
 	// node's consumers beyond the first.
 	Calls    int64 `json:"calls"`
 	MemoHits int64 `json:"memo_hits,omitempty"`
-	RowsIn   int64 `json:"rows_in"`
-	RowsOut  int64 `json:"rows_out"`
+	OpRecord
+}
+
+// OpRecord is the record the executor loop writes once per operator, and
+// all a pooled frame holds per instruction: RollUp sums the records into
+// the profile, and a collected run copies them into OpStats. For
+// operators evaluated morsel-wise, Busy sums the workers' morsel times
+// (it exceeds Wall on a multicore pool) and Workers carries the split.
+type OpRecord struct {
+	RowsIn  int64 `json:"rows_in"`
+	RowsOut int64 `json:"rows_out"`
 	// Cells is rows×columns materialized for the node's output table —
 	// the quantity the engine's memory cutoff charges.
 	Cells int64 `json:"cells"`
@@ -94,7 +100,7 @@ type ProfileEntry struct {
 // returns one entry per origin, by descending Duration (ties keep the
 // order of origins). It is the profile view of the records EXPLAIN
 // ANALYZE reads one by one.
-func RollUp(ops []OpStats, of []int32, origins []string) []ProfileEntry {
+func RollUp(ops []OpRecord, of []int32, origins []string) []ProfileEntry {
 	prof := make([]ProfileEntry, len(origins))
 	for i, o := range origins {
 		prof[i].Origin = o

@@ -90,7 +90,7 @@ func Compile(root *algebra.Node) *Program {
 		return &frame{
 			regs:    make([]*engine.Table, nregs),
 			colRefs: make(map[*xdm.Column]int, nregs*2),
-			ops:     make([]obs.OpStats, nregs),
+			ops:     make([]obs.OpRecord, nregs),
 		}
 	}
 	return p

@@ -7,7 +7,7 @@
 //
 // The loop owns everything that happens once per operator: the
 // cancel/heartbeat poll, the tracer span, the operator's record (one
-// obs.OpStats per instruction, written once: the profile rolls the
+// obs.OpRecord per instruction, written once: the profile rolls the
 // records up by origin, EXPLAIN ANALYZE reads them by plan #id), the
 // cell charge and the buffer release. The operators themselves
 // are the kernels of internal/engine; a Par-marked operator — a staircase
@@ -53,7 +53,7 @@ type frame struct {
 	regs    []*engine.Table
 	colRefs map[*xdm.Column]int
 	scratch []*engine.Table
-	ops     []obs.OpStats
+	ops     []obs.OpRecord
 }
 
 // inputs gathers the source registers into the frame's scratch slice
@@ -140,7 +140,7 @@ func (p *Program) exec(f *frame, ex *engine.Exec, workers, minMorselRows int) (*
 		}
 		rows := int64(t.NumRows())
 		rec := &f.ops[ii]
-		*rec = obs.OpStats{Wall: time.Since(start), RowsOut: rows, Cells: rows * int64(len(t.Cols)), Workers: split}
+		*rec = obs.OpRecord{Wall: time.Since(start), RowsOut: rows, Cells: rows * int64(len(t.Cols)), Workers: split}
 		for _, in := range tables {
 			rec.RowsIn += int64(in.NumRows())
 		}
@@ -158,18 +158,17 @@ func (p *Program) exec(f *frame, ex *engine.Exec, workers, minMorselRows int) (*
 	return f.regs[len(p.instrs)-1], nil
 }
 
-// runStats copies the operator records into a RunStats with their plan
-// nodes' static fields, in ascending node id, and the buffer-pool deltas
+// runStats builds a RunStats from the operator records and their plan
+// nodes' static fields, in ascending node id, with the buffer-pool deltas
 // since the run began.
-func (p *Program) runStats(ops []obs.OpStats, elapsed time.Duration, hits0, misses0 int64) *obs.RunStats {
+func (p *Program) runStats(ops []obs.OpRecord, elapsed time.Duration, hits0, misses0 int64) *obs.RunStats {
 	hits, misses := xdm.PoolStats()
 	st := &obs.RunStats{Ops: make([]obs.OpStats, len(ops)), Elapsed: elapsed, MemoHits: p.memoHits,
 		PoolHits: hits - hits0, PoolMisses: misses - misses0}
-	for i, op := range ops {
+	for i, rec := range ops {
 		n := p.instrs[i].node
-		op.Node, op.Kind, op.Label, op.Origin, op.Par = n.ID, n.Kind.String(), algebra.Label(n), n.Origin, n.Par
-		op.Calls, op.MemoHits = 1, int64(p.instrs[i].extraUses)
-		st.Ops[i] = op
+		st.Ops[i] = obs.OpStats{Node: n.ID, Kind: n.Kind.String(), Label: algebra.Label(n), Origin: n.Origin, Par: n.Par,
+			Calls: 1, MemoHits: int64(p.instrs[i].extraUses), OpRecord: rec}
 	}
 	slices.SortFunc(st.Ops, func(a, b obs.OpStats) int { return cmp.Compare(a.Node, b.Node) })
 	return st

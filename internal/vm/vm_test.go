@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/engine"
@@ -138,5 +139,15 @@ func TestRunUnknownDocumentError(t *testing.T) {
 	_, err := Run(Compile(plan), xmltree.NewStore(), nil, Options{})
 	if err == nil || !strings.Contains(err.Error(), `unknown document "missing.xml"`) {
 		t.Fatalf("err = %v, want unknown document", err)
+	}
+}
+
+// TestFrameRecordSize pins the per-instruction record a pooled frame
+// holds: only the fields the executor loop writes (72 bytes), not the
+// plan node's static fields a collected run adds to its copy.
+func TestFrameRecordSize(t *testing.T) {
+	var f frame
+	if n := unsafe.Sizeof(f.ops[0]); n > 72 {
+		t.Errorf("a frame holds %d bytes per instruction record, want at most 72", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // CmpOp enumerates the six comparison relations shared by XQuery's value
@@ -187,6 +188,31 @@ func cmpFloat(a, b float64, op CmpOp) bool {
 	default:
 		return applyCmp(op, 0)
 	}
+}
+
+// PromoteSortKeys applies the order-by rule that a sort column is ordered
+// in its values' least common type: when keys holds both integers and
+// doubles, it returns a copy with every integer promoted to a double,
+// otherwise keys itself. Promoting the column as a whole keeps equality
+// transitive (two integers beyond ±2⁵³ that round to one double tie, as
+// each ties with that double), and a column of integers only keeps its
+// exact comparison.
+func PromoteSortKeys(keys []Item) []Item {
+	var ints, doubles bool
+	for _, k := range keys {
+		ints = ints || k.Kind == KInteger
+		doubles = doubles || k.Kind == KDouble
+	}
+	if !ints || !doubles {
+		return keys
+	}
+	out := slices.Clone(keys)
+	for i, k := range out {
+		if k.Kind == KInteger {
+			out[i] = NewDouble(float64(k.I))
+		}
+	}
+	return out
 }
 
 // OrderCompare is a total order over atomic items used for order by keys

@@ -3,6 +3,7 @@ package xdm
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,25 @@ func TestArithOperandTypes(t *testing.T) {
 		if got, err := Arith(a, NewInt(1), OpAdd); err == nil {
 			t.Errorf("%s + 1 = %v, want a type error", a.Kind, got.StringValue())
 		}
+	}
+}
+
+// TestPromoteSortKeys: a sort column that mixes integers and doubles is
+// promoted to doubles as a whole, into a copy; any other column is
+// returned as it is, so integers alone keep their exact order.
+func TestPromoteSortKeys(t *testing.T) {
+	ints := []Item{NewInt(1<<53 + 1), NewInt(1 << 53), Null}
+	if got := PromoteSortKeys(ints); &got[0] != &ints[0] {
+		t.Error("a column of integers was copied")
+	}
+	mixed := append(slices.Clone(ints), NewDouble(1))
+	got := PromoteSortKeys(mixed)
+	if mixed[0].Kind != KInteger {
+		t.Error("PromoteSortKeys changed its input")
+	}
+	want := []Item{NewDouble(1 << 53), NewDouble(1 << 53), Null, NewDouble(1)}
+	if !slices.Equal(got, want) {
+		t.Errorf("PromoteSortKeys(%v) = %v, want %v", mixed, got, want)
 	}
 }
 
