@@ -83,7 +83,6 @@ func main() {
 		reference  = flag.Bool("reference", false, "evaluate with the reference interpreter instead of the compiled pipeline")
 		timeoutSec = flag.Float64("timeout", 0, "execution cutoff in seconds (0 = none)")
 		maxCells   = flag.Int64("maxcells", 0, "memory cutoff in intermediate table cells (0 = none)")
-		parallelN  = flag.Int("parallel", 0, "morsel-wise parallel execution with this many workers (0 = serial, -1 = GOMAXPROCS)")
 		govSlots   = flag.Int("gov-slots", 0, "resource governor: admission slots (0 = no governor)")
 		govQueue   = flag.Int("gov-queue", 0, "resource governor: admission queue depth (0 = 8x slots)")
 		govWaitSec = flag.Float64("gov-wait", 0, "resource governor: max seconds a query may wait queued (0 = unbounded)")
@@ -141,9 +140,6 @@ func main() {
 	}
 	if *maxCells > 0 {
 		opts = append(opts, exrquy.WithMemoryLimit(*maxCells))
-	}
-	if *parallelN != 0 {
-		opts = append(opts, exrquy.WithParallelism(*parallelN))
 	}
 	if *storeBytes > 0 {
 		opts = append(opts, exrquy.WithStoreBudget(*storeBytes))

@@ -64,7 +64,6 @@ func main() {
 		maxTime   = flag.Duration("max-timeout", 5*time.Minute, "upper bound for the ?timeout= request parameter")
 		maxDoc    = flag.Int64("max-doc-bytes", 64<<20, "upload size limit for PUT /documents (bytes)")
 		cacheSize = flag.Int("cache", 256, "prepared-query plan cache capacity (entries)")
-		parallelN = flag.Int("parallel", 0, "morsel-parallel execution with this many workers (0 = serial, -1 = GOMAXPROCS)")
 		govSlots  = flag.Int("gov-slots", 0, "admission slots (0 = 2x GOMAXPROCS)")
 		govQueue  = flag.Int("gov-queue", 0, "admission queue depth (0 = 8x slots)")
 		govWait   = flag.Duration("gov-wait", 0, "max time a query may wait queued before shedding (0 = unbounded)")
@@ -106,7 +105,6 @@ func main() {
 			MaxBytes:      *govBytes,
 			QueryBytes:    *govQuery,
 		},
-		Parallelism:      *parallelN,
 		StoreBudget:      *storeBytes,
 		Timeout:          *timeout,
 		MaxTimeout:       *maxTime,

@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -187,23 +186,6 @@ func WithMemoryLimit(cells int64) Option {
 	return func(o *options) { o.cfg.MaxCells = cells }
 }
 
-// WithParallelism evaluates order-dead plan regions morsel-wise: operators
-// whose row order is provably unobservable (no live ρ, no
-// order-sensitive aggregate — the same analysis that licenses # over ρ)
-// are partitioned and evaluated across a pool of n workers; everything
-// else runs its serial kernel. n == 0 picks runtime.GOMAXPROCS(0);
-// n == 1 keeps every operator serial. Results are identical to serial
-// execution. Off by default — the paper's engine is single-threaded, and
-// the reproduction's measurements should be too unless asked.
-func WithParallelism(n int) Option {
-	return func(o *options) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		o.cfg.Parallelism = n
-	}
-}
-
 // WithCompiled says when a query's optimized plan is flattened into the
 // executor's program: true (the default) flattens once at Compile — what
 // a cached Query reuses across executions — and false flattens at each
@@ -218,10 +200,7 @@ func WithCompiled(on bool) Option {
 type (
 	// Governor is a process-wide resource governor: admission control
 	// with a bounded FIFO wait queue, load shedding (ErrOverload), a
-	// shared memory ledger all admitted queries draw from, and graceful
-	// degradation (parallel plans forced serial under pressure — safe
-	// because only order-indifferent plan regions ever run parallel, so
-	// serial and parallel execution produce identical results). Share one
+	// shared memory ledger all admitted queries draw from. Share one
 	// Governor across every Engine in the process via WithGovernor.
 	Governor = governor.Governor
 	// GovernorConfig configures a Governor (see NewGovernor).
@@ -248,8 +227,7 @@ func WithQuotaContext(ctx context.Context, bytes int64) context.Context {
 // WithGovernor routes every execution of this Engine through g: queries
 // are admitted (possibly queueing, possibly shed with ErrOverload),
 // draw intermediate-result memory from g's shared ledger (exhaustion
-// surfaces as ErrMemoryLimit), and run degraded when admitted under
-// pressure. Pass the same *Governor to several Engines to govern them
+// surfaces as ErrMemoryLimit). Pass the same *Governor to several Engines to govern them
 // as one pool. Nil (the default) disables governance.
 func WithGovernor(g *Governor) Option {
 	return func(o *options) { o.cfg.Governor = g }
@@ -282,16 +260,13 @@ func WithStoreScrub(cfg StoreScrubConfig) Option {
 // internal/obs; these aliases make the structured statistics usable from
 // the public API without importing internal packages.
 type (
-	// Tracer receives a span per pipeline phase (category "phase"), per
-	// executed operator ("op"), and — under WithParallelism — per morsel
-	// ("morsel", on track worker+1). StartSpan returns the span closer.
+	// Tracer receives a span per pipeline phase (category "phase") and
+	// per executed operator ("op"). StartSpan returns the span closer.
 	Tracer = obs.Tracer
 	// RunStats is one execution's per-operator statistics (Result.Stats).
 	RunStats = obs.RunStats
 	// OpStats is one plan operator's measured statistics.
 	OpStats = obs.OpStats
-	// WorkerStats is one worker's share of a parallel operator's morsels.
-	WorkerStats = obs.WorkerStats
 	// JSONTrace is a Tracer writing Trace Event Format JSON, loadable in
 	// chrome://tracing or Perfetto.
 	JSONTrace = obs.JSONTrace
@@ -304,7 +279,7 @@ type (
 func NewJSONTrace(w io.Writer) *JSONTrace { return obs.NewJSONTrace(w) }
 
 // Metrics snapshots the process-wide engine metrics (queries executed,
-// cells materialized, memo hits, morsels, query latency histogram),
+// cells materialized, memo hits, query latency histogram),
 // sorted by name. These counters are always on — they cost single atomic
 // adds — and are cumulative across all Engines in the process.
 func Metrics() []Metric { return obs.Default.Snapshot() }
@@ -313,8 +288,7 @@ func Metrics() []Metric { return obs.Default.Snapshot() }
 func WriteMetrics(w io.Writer) error { return obs.Default.Write(w) }
 
 // WithCollect attaches per-operator statistics to every execution:
-// Result.Stats reports rows, wall time, memo hits and morsel distribution
-// per plan operator. Every run measures them (Result.Profile is their
+// Result.Stats reports rows, wall time and memo hits per plan operator. Every run measures them (Result.Profile is their
 // roll-up by origin); off by default, the only saving is the copy into
 // Result.Stats.
 func WithCollect(on bool) Option {
@@ -648,8 +622,7 @@ func (e *Engine) Query(query string) (*Result, error) {
 }
 
 // QueryContext compiles and executes in one call under a context:
-// ctx.Done() aborts a running query cooperatively on both the serial and
-// the parallel path, returning an error wrapping ErrCanceled (or
+// ctx.Done() aborts a running query cooperatively, returning an error wrapping ErrCanceled (or
 // ErrTimeout when the context carried a deadline) and ctx's own error.
 func (e *Engine) QueryContext(ctx context.Context, query string) (*Result, error) {
 	q, err := e.Compile(query)
@@ -726,7 +699,7 @@ func (q *Query) run(exec func(*xmltree.Store, map[string][]uint32) (*engine.Resu
 		return &Result{
 			items: res.Items, store: res.Store, eng: q.eng, profile: res.Profile,
 			elapsed: res.Elapsed, stats: res.Stats,
-			degraded: res.Degraded, queueWait: res.QueueWait,
+			queueWait: res.QueueWait,
 		}, nil
 	}
 }
@@ -737,7 +710,7 @@ func (q *Query) Explain() string { return q.prepared.Explain() }
 // Analyze is EXPLAIN ANALYZE: it executes the query with statistics
 // collection forced on (regardless of WithCollect) and returns the
 // result alongside the plan rendering annotated with measured per-
-// operator rows, wall time, memo hits and morsel distribution.
+// operator rows, wall time and memo hits.
 func (q *Query) Analyze() (*Result, string, error) {
 	return q.AnalyzeContext(context.Background())
 }
@@ -786,7 +759,6 @@ type Result struct {
 	profile   []ProfileEntry
 	elapsed   time.Duration
 	stats     *RunStats
-	degraded  bool
 	queueWait time.Duration
 }
 
@@ -835,13 +807,6 @@ func (r *Result) Elapsed() time.Duration { return r.elapsed }
 // unless the engine was built WithCollect (or the result came from
 // Analyze). The RunStats marshals to JSON for external tooling.
 func (r *Result) Stats() *RunStats { return r.stats }
-
-// Degraded reports whether a resource governor downgraded this
-// execution (parallel plan forced serial) because the process was under
-// pressure when the query was admitted. Always false without
-// WithGovernor. A degraded result is identical to the undegraded one —
-// only order-indifferent plan regions run parallel in the first place.
-func (r *Result) Degraded() bool { return r.degraded }
 
 // QueueWait returns how long the query waited in the governor's
 // admission queue before executing (zero without WithGovernor, or when

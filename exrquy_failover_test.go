@@ -137,7 +137,7 @@ func TestStoreFailoverXMark(t *testing.T) {
 func TestStoreFailoverConcurrent(t *testing.T) {
 	dirs := writeReplicated(t, 0.001, 2, 2)
 
-	eng := New(WithParallelism(4), WithStoreScrub(StoreScrubConfig{Interval: 5 * time.Millisecond}))
+	eng := New(WithStoreScrub(StoreScrubConfig{Interval: 5 * time.Millisecond}))
 	if _, err := eng.AttachStore(dirs...); err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,6 @@ func TestGovernorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded() {
-		t.Error("idle single query reported degraded")
-	}
 	if res.QueueWait() != 0 {
 		t.Errorf("idle single query reported queue wait %v", res.QueueWait())
 	}

@@ -119,8 +119,8 @@ func TestStoreDifferentialXMark(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentAttachDetach races morsel-parallel scatter/gather
-// queries against hot attach/detach cycles of the store they read. Run
+// TestStoreConcurrentAttachDetach races scatter/gather queries against
+// hot attach/detach cycles of the store they read. Run
 // under -race in CI: queries must either succeed or fail with "unknown
 // document" (when they start after a detach), never crash or read
 // unmapped memory.
@@ -132,7 +132,7 @@ func TestStoreConcurrentAttachDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := New(WithParallelism(4))
+	eng := New()
 	eng.LoadXMark("auction.xml", 0.001)
 	if _, err := eng.AttachStore(dirs...); err != nil {
 		t.Fatal(err)

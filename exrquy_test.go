@@ -550,7 +550,6 @@ func TestExternalVariablesAcrossModes(t *testing.T) {
 	}{
 		{"ordered", []Option{WithOrdering(Ordered)}},
 		{"unordered", []Option{WithOrdering(Unordered)}},
-		{"parallel", []Option{WithOrdering(Unordered), WithParallelism(4)}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -565,107 +564,60 @@ func TestExternalVariablesAcrossModes(t *testing.T) {
 	}
 }
 
-func TestWithParallelism(t *testing.T) {
-	serial := New()
-	par := New(WithParallelism(4))
-	serial.LoadXMark("auction.xml", 0.01)
-	par.LoadXMark("auction.xml", 0.01)
-	queries := []string{
-		`count(doc("auction.xml")//keyword)`,
-		`unordered { for $i in doc("auction.xml")//item
-			where contains(string(exactly-one($i/description)), "gold")
-			return $i/name/text() }`,
-		`doc("auction.xml")/site/people/person/name`,
+// TestConcurrentQueries exercises concurrent use of one Engine from many
+// goroutines — mixed Query and compile-once/Execute-many — against shared
+// documents. Run under -race in CI.
+func TestConcurrentQueries(t *testing.T) {
+	eng := New()
+	if err := eng.LoadDocumentString("t.xml", `<a><b><c/><d/></b><c/></a>`); err != nil {
+		t.Fatal(err)
 	}
-	for _, q := range queries {
-		sres, err := serial.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pres, err := par.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sx, _ := sres.XML()
-		px, _ := pres.XML()
-		if sx != px {
-			t.Errorf("parallel result differs for %q:\n got %.200q\nwant %.200q", q, px, sx)
-		}
-	}
-	// The profile still attributes work per origin under parallel execution.
-	pres, err := par.Query(`count(doc("auction.xml")//keyword)`)
+	eng.LoadXMark("auction.xml", 0.002)
+	shared, err := eng.Compile(`count(doc("auction.xml")//keyword)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pres.Profile()) == 0 {
-		t.Error("no profile entries from parallel execution")
+	want, err := shared.Execute()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	wantXML, _ := want.XML()
 
-// TestConcurrentQueries exercises concurrent use of one Engine from many
-// goroutines — mixed Query and compile-once/Execute-many, serial and
-// parallel mode — against shared documents. Run under -race in CI.
-func TestConcurrentQueries(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"serial", nil},
-		{"parallel", []Option{WithParallelism(4)}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			eng := New(mode.opts...)
-			if err := eng.LoadDocumentString("t.xml", `<a><b><c/><d/></b><c/></a>`); err != nil {
-				t.Fatal(err)
-			}
-			eng.LoadXMark("auction.xml", 0.002)
-			shared, err := eng.Compile(`count(doc("auction.xml")//keyword)`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := shared.Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantXML, _ := want.XML()
-
-			var wg sync.WaitGroup
-			errs := make(chan error, 64)
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 4; i++ {
-						if g%2 == 0 {
-							res, err := shared.Execute()
-							if err != nil {
-								errs <- err
-								return
-							}
-							if xml, _ := res.XML(); xml != wantXML {
-								errs <- fmt.Errorf("shared query: got %q, want %q", xml, wantXML)
-								return
-							}
-						} else {
-							res, err := eng.Query(`doc("t.xml")/a//(c|d)`)
-							if err != nil {
-								errs <- err
-								return
-							}
-							if xml, _ := res.XML(); xml != "<c/><d/><c/>" {
-								errs <- fmt.Errorf("per-goroutine query: %q", xml)
-								return
-							}
-						}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if g%2 == 0 {
+					res, err := shared.Execute()
+					if err != nil {
+						errs <- err
+						return
 					}
-				}(g)
+					if xml, _ := res.XML(); xml != wantXML {
+						errs <- fmt.Errorf("shared query: got %q, want %q", xml, wantXML)
+						return
+					}
+				} else {
+					res, err := eng.Query(`doc("t.xml")/a//(c|d)`)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if xml, _ := res.XML(); xml != "<c/><d/><c/>" {
+						errs <- fmt.Errorf("per-goroutine query: %q", xml)
+						return
+					}
+				}
 			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

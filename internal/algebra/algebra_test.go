@@ -256,7 +256,7 @@ func TestInternKeyInjective(t *testing.T) {
 			func(n *Node) { n.Tmpl = []Tmpl{{Kind: TElem, Text: "a"}, {Kind: TEnd}} },
 		},
 	}
-	notStructural := map[string]bool{"ID": true, "Origin": true, "Par": true, "schema": true}
+	notStructural := map[string]bool{"ID": true, "Origin": true, "schema": true}
 	typ := reflect.TypeOf(Node{})
 	for i := 0; i < typ.NumField(); i++ {
 		if f := typ.Field(i).Name; !notStructural[f] && variants[f] == nil {

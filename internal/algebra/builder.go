@@ -56,7 +56,7 @@ func (b *Builder) mk(n Node) *Node {
 }
 
 // appendKey appends the intern key of n: every structural parameter
-// (all of Node but ID, Origin, Par and the derived schema) in a fixed
+// (all of Node but ID, Origin and the derived schema) in a fixed
 // field order, scalars as varints, strings and lists prefixed by their
 // length. The encoding decodes unambiguously, so it is injective: no
 // user-supplied name, URI or literal can make two different nodes

@@ -277,14 +277,6 @@ type Node struct {
 	// Table 2. Not part of the structural signature.
 	Origin string
 
-	// Par marks the operator as parallel-safe: the plan provably does not
-	// observe the physical row order of this operator's output, so a
-	// partitioned (morsel-wise) evaluation is admissible. Set by the
-	// optimizer's parallel region analysis (opt.MarkParallel) when a
-	// parallel execution is requested; not part of the structural
-	// signature.
-	Par bool
-
 	schema []string
 }
 

@@ -165,15 +165,11 @@ func PrintAnnotated(root *Node, annotate func(n *Node) string) string {
 		if n.Origin != "" {
 			origin = "  (" + n.Origin + ")"
 		}
-		par := ""
-		if n.Par {
-			par = " [par]"
-		}
 		annot := ""
 		if annotate != nil {
 			annot = annotate(n)
 		}
-		fmt.Fprintf(&sb, "%s#%d %s%s%s%s\n", indent, n.ID, label(n), par, origin, annot)
+		fmt.Fprintf(&sb, "%s#%d %s%s%s\n", indent, n.ID, label(n), origin, annot)
 		for _, in := range n.Ins {
 			rec(in, depth+1)
 		}

@@ -398,7 +398,7 @@ func BenchmarkTable2(b *testing.B) {
 			if !ok {
 				return
 			}
-			join, reorder, _, all := table2(res.Stats, func(op obs.OpStats) int64 { return int64(max(op.Wall, op.Busy)) })
+			join, reorder, _, all := table2(res.Stats, func(op obs.OpStats) int64 { return int64(op.Wall) })
 			ordered, indifferent = append(ordered, o), append(indifferent, d)
 			share = append(share, 100*float64(join+reorder)/float64(all))
 		}

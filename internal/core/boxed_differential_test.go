@@ -21,7 +21,7 @@ func TestDifferentialTypedVsBoxed(t *testing.T) {
 	ucfg := DefaultConfig()
 	ucfg.ForceOrdering = &unordered
 	pcfg := DefaultConfig()
-	pcfg.Parallelism = 4
+	pcfg.Parallelism = 4 // the inert facade, see TestDifferentialParallel
 	configs := []struct {
 		name string
 		cfg  Config

@@ -3,8 +3,9 @@
 // run on pooled frames) must produce byte-identical serialized results to
 // the same plan flattened afresh at each Run ("walked", a name the test
 // IDs keep from the executor that setting used to select), across the
-// whole XMark corpus, every ordering mode, serial and morsel-pool
-// execution, typed and boxed column storage. Both go through the one
+// whole XMark corpus, every ordering mode, with and without the inert
+// Config.Parallelism facade ("parallel", see TestDifferentialParallel),
+// typed and boxed column storage. Both go through the one
 // executor loop in the same deterministic order (see algebra.Nodes), so
 // equality is exact — no bag comparison, no exceptions.
 package core_test

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/algebra"
@@ -54,9 +53,9 @@ type Config struct {
 	// exceeding it aborts with a cutoff error, like the gaps in the
 	// paper's Figure 12.
 	MaxCells int64
-	// Parallelism offers order-dead plan regions (opt.MarkParallel) to a
-	// morsel worker pool of this size. 0 or 1 keeps every operator serial
-	// (the paper's configuration); negative means runtime.GOMAXPROCS(0).
+	// Parallelism is accepted and ignored: the executor is serial, so
+	// any value prepares and runs exactly what 0 does. Pinned by
+	// benchmark/; goes with ROADMAP 1(f).
 	Parallelism int
 	// Compiled says when the optimized plan is flattened into the
 	// executor's program (internal/vm): true (DefaultConfig) flattens once
@@ -71,17 +70,14 @@ type Config struct {
 	// against the plan. Off (the default) skips only that copy.
 	Collect bool
 	// Tracer, when non-nil, receives a span per pipeline phase (category
-	// "phase") and per executed operator ("op"); the parallel executor adds
-	// per-morsel spans ("morsel") on worker tracks. obs.NewJSONTrace writes
+	// "phase") and per executed operator ("op"). obs.NewJSONTrace writes
 	// chrome://tracing-compatible output.
 	Tracer obs.Tracer
 	// Governor, when non-nil, routes every execution through the
 	// process-wide resource governor: admission control (possibly
-	// queueing, possibly shedding with qerr.ErrOverload), a shared byte
-	// ledger charged alongside the per-query cell budget, and graceful
-	// degradation — a lease admitted under pressure runs its Par-marked
-	// plan regions serially. Shared across Configs/Engines by design; the
-	// budgets are process-global.
+	// queueing, possibly shedding with qerr.ErrOverload) and a shared
+	// byte ledger charged alongside the per-query cell budget. Shared
+	// across Configs/Engines by design; the budgets are process-global.
 	Governor *governor.Governor
 	// StoreProbe, when non-nil, is a per-execution probe factory: it is
 	// invoked once at the start of every RunContext and the closure it
@@ -222,8 +218,8 @@ func compilePlan(nm *xquery.Module, cfg Config) (plan *compile.Plan, err error) 
 	return plan, nil
 }
 
-// optimize runs the plan rewrites and the parallel region analysis with
-// panic isolation; a failing rewrite reports the pre-optimization plan.
+// optimize runs the plan rewrites with panic isolation; a failing
+// rewrite reports the pre-optimization plan.
 func optimize(p *Prepared, cfg Config) (err error) {
 	defer func() {
 		if err != nil {
@@ -235,23 +231,7 @@ func optimize(p *Prepared, cfg Config) (err error) {
 		p.Plan.Root = opt.Optimize(p.Plan.Root, p.Plan.Builder, cfg.Opt)
 	}
 	p.StatsAfter = planCounts(p.Plan)
-	if parallelWorkers(cfg.Parallelism) > 1 {
-		// Parallel region analysis: mark the order-dead regions the
-		// morsel-wise executor may partition. Runs for the baseline
-		// compiler too — order-deadness is a plan property, not an
-		// optimizer rewrite — but only when parallel execution is on, so
-		// serial Explain output matches the seed.
-		opt.MarkParallel(p.Plan.Root)
-	}
 	return nil
-}
-
-// parallelWorkers resolves the Config.Parallelism knob to a pool size.
-func parallelWorkers(p int) int {
-	if p < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p
 }
 
 func planCounts(plan *compile.Plan) struct{ Operators, RowNums, RowIDs int } {
@@ -265,7 +245,7 @@ func (p *Prepared) Run(store *xmltree.Store, docs map[string][]uint32) (*engine.
 }
 
 // RunContext is Run under a context: ctx.Done() aborts the execution
-// cooperatively (morsel workers poll it too), returning an
+// cooperatively, returning an
 // error that wraps qerr.ErrCanceled (or qerr.ErrTimeout for a context
 // deadline) and the context's own error. Internal failures during
 // execution come back as qerr.ErrInternal carrying the optimized plan's
@@ -273,14 +253,9 @@ func (p *Prepared) Run(store *xmltree.Store, docs map[string][]uint32) (*engine.
 func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs map[string][]uint32) (*engine.Result, error) {
 	// Admission control: with a governor configured, every execution
 	// first claims a slot (possibly queueing, possibly being shed with
-	// qerr.ErrOverload) and draws its memory from the shared ledger. A
-	// lease admitted under pressure degrades the run: Par-marked plan
-	// regions run serially — safe because the morsel pool only ever
-	// touches order-indifferent regions, whose results are identical
-	// either way.
+	// qerr.ErrOverload) and draws its memory from the shared ledger.
 	var lease *governor.Lease
 	var memory *xdm.Account
-	degraded := false
 	if g := p.cfg.Governor; g != nil {
 		var err error
 		lease, err = g.Admit(ctx)
@@ -289,7 +264,6 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 		}
 		defer lease.Release()
 		memory = lease.Account()
-		degraded = lease.Degraded()
 	}
 	// The time limit starts after admission: queue wait does not count.
 	if p.cfg.Timeout > 0 {
@@ -303,7 +277,7 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 	beat := resilience.HeartbeatFrom(ctx)
 	// Storage health: one probe closure per execution, so per-execution
 	// fault-injection state (and suspect-part observation) is scoped to
-	// this run and shared by all its workers.
+	// this run.
 	var storeProbe func() error
 	if p.cfg.StoreProbe != nil {
 		storeProbe = p.cfg.StoreProbe()
@@ -315,10 +289,6 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 			return nil, err
 		}
 	}
-	workers := parallelWorkers(p.cfg.Parallelism)
-	if degraded {
-		workers = 1
-	}
 	end := p.cfg.span("execute")
 	res, err := vm.Run(prog, store, docs, vm.Options{
 		Options: engine.Options{
@@ -329,7 +299,6 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 			Heartbeat:  beat,
 			StoreProbe: storeProbe,
 		},
-		Workers: workers,
 		Collect: p.cfg.Collect,
 	})
 	end()
@@ -340,10 +309,8 @@ func (p *Prepared) RunContext(ctx context.Context, store *xmltree.Store, docs ma
 		return nil, err
 	}
 	if lease != nil {
-		res.Degraded = degraded
 		res.QueueWait = lease.QueueWait()
 		if res.Stats != nil {
-			res.Stats.Degraded = degraded
 			res.Stats.QueueWait = lease.QueueWait()
 		}
 	}
@@ -398,9 +365,6 @@ func (p *Prepared) ExplainAnalyze(st *obs.RunStats) string {
 		s := fmt.Sprintf("  [rows=%d wall=%s", op.RowsOut, op.Wall.Round(time.Microsecond))
 		if op.MemoHits > 0 {
 			s += fmt.Sprintf(" memo=%d", op.MemoHits)
-		}
-		if op.Morsels > 0 {
-			s += fmt.Sprintf(" morsels=%d/%dw busy=%s", op.Morsels, len(op.Workers), op.Busy.Round(time.Microsecond))
 		}
 		return s + "]"
 	})

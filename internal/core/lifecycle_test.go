@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,8 +22,8 @@ import (
 )
 
 // lifecycleConfigs are the two configurations every lifecycle guarantee
-// must hold on: every operator serial, and Par-marked operators on a
-// morsel pool.
+// must hold on: the default, and the default with the inert
+// Config.Parallelism facade set (see TestDifferentialParallel).
 func lifecycleConfigs() map[string]Config {
 	serial := DefaultConfig()
 	par := DefaultConfig()
@@ -31,8 +32,7 @@ func lifecycleConfigs() map[string]Config {
 }
 
 // TestCutoffTaxonomy checks that both cutoff classes surface through
-// errors.Is on serial and morsel-pool runs, and that the legacy
-// engine.ErrCutoff identity still holds.
+// errors.Is, and that the legacy engine.ErrCutoff identity still holds.
 func TestCutoffTaxonomy(t *testing.T) {
 	store, docs := buildStoreWith(t, map[string]string{"f.xml": fuzzDoc})
 	const q = `for $a in doc("f.xml")//e, $b in doc("f.xml")//e, $c in doc("f.xml")//e return $a/@k + $b/@k + $c/@k`
@@ -132,9 +132,8 @@ func TestContextDeadline(t *testing.T) {
 }
 
 // TestCancelMidFlight is the headline robustness guarantee: canceling a
-// long-running XMark join mid-execution unwinds promptly on both engines,
-// the error wraps context.Canceled, and no worker goroutines are left
-// behind. "Promptly" is structural, not wall-clock: the execution's store
+// long-running XMark join mid-execution unwinds promptly, the error wraps
+// context.Canceled, and no goroutines are left behind. "Promptly" is structural, not wall-clock: the execution's store
 // probe runs at every cooperative CheckCancel poll, so the test cancels
 // from inside poll number cancelAt and bounds the polls begun and cells
 // materialized once cancel() has returned. Wall-clock time between polls is
@@ -153,13 +152,12 @@ func TestCancelMidFlight(t *testing.T) {
 	q := xmarkq.Get(11).Text
 	const (
 		cancelAt = 150
-		// A serial run sees the cancellation at the poll that raised
-		// it; each of the 4 parallel workers, and the coordinator behind
-		// them, at its next poll.
+		// The run sees the cancellation at the poll that raised it; the
+		// slack covers the polls that return the error.
 		maxPollsAfter = 8
 		// Cells are charged when an operator completes, behind a poll, so
-		// nothing should complete after cancel; the slack is one morsel's
-		// output (a 32k-row chunk, 32 columns wide).
+		// nothing should complete after cancel; the slack is one chunk of
+		// a kernel's output (32k rows, 32 columns wide).
 		maxCellsAfter = 1 << 20
 	)
 
@@ -219,7 +217,7 @@ func TestCancelMidFlight(t *testing.T) {
 			if c := obs.CellsTotal.Load() - cellsAtCancel.Load(); c > maxCellsAfter {
 				t.Errorf("%d cells materialized after cancel, want <= %d", c, maxCellsAfter)
 			}
-			// All morsel workers must drain; poll because goroutine exit
+			// The run's goroutine must exit; poll because goroutine exit
 			// is asynchronous with the error delivery.
 			deadline := time.Now().Add(2 * time.Second)
 			for {
@@ -275,6 +273,68 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestDescendantScanCutoffs: the cell budget and the deadline both abort
+// a count over one large descendant scan — the shape of a //-path from
+// a single document root, one region scanned at once.
+func TestDescendantScanCutoffs(t *testing.T) {
+	store := xmltree.NewStore()
+	docs := map[string][]uint32{"auction.xml": {store.Add(xmark.Generate(xmark.Config{Factor: 0.02}))}}
+	const q = `count(doc("auction.xml")//keyword)`
+	unordered := xquery.Unordered
+	for name, limit := range map[string]func(*Config){
+		"memory":  func(c *Config) { c.MaxCells = 64 },
+		"timeout": func(c *Config) { c.Timeout = time.Nanosecond },
+	} {
+		cfg := DefaultConfig()
+		cfg.ForceOrdering = &unordered
+		limit(&cfg)
+		p, err := Prepare(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(store, docs); !errors.Is(err, engine.ErrCutoff) {
+			t.Errorf("%s cutoff: got %v, want ErrCutoff", name, err)
+		}
+	}
+}
+
+// TestKernelPanicIsolated arms the fault plane's panic class on every
+// operator evaluation of an XMark join and requires the query to fail
+// with a diagnostic internal error that names the execute phase and
+// keeps the panic value, while the process lives on with no goroutine
+// left behind.
+func TestKernelPanicIsolated(t *testing.T) {
+	store := xmltree.NewStore()
+	docs := map[string][]uint32{"auction.xml": {store.Add(xmark.Generate(xmark.Config{Factor: 0.01}))}}
+	p, err := Prepare(xmarkq.Get(8).Text, DefaultConfig())
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	defer fault.Arm(&fault.Plan{Every: fault.PerClass{fault.Panic: 1}})()
+	before := runtime.NumGoroutine()
+	_, err = p.Run(store, docs)
+	if !errors.Is(err, qerr.ErrInternal) {
+		t.Fatalf("kernel panic not classified internal: %v", err)
+	}
+	var qe *qerr.Error
+	if !errors.As(err, &qe) {
+		t.Fatalf("no *qerr.Error in chain: %v", err)
+	}
+	if !strings.Contains(qe.Phase, "execute") {
+		t.Errorf("phase %q does not identify execution", qe.Phase)
+	}
+	if !strings.Contains(err.Error(), fault.InjectedPanic) {
+		t.Errorf("panic value lost from message: %v", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak after kernel panic: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // opSpanCounter counts operator spans opened and closed.
 type opSpanCounter struct{ opened, closed atomic.Int64 }
 
@@ -290,13 +350,14 @@ func (c *opSpanCounter) StartSpan(_ int, cat, _ string) func() {
 // tracer span — JSONTrace writes an event only on close, so an unclosed
 // span is an operator missing from the trace, and the failed operator is
 // the one a reader of the trace is looking for. The failure is injected
-// inside a Par-marked step, by a cell budget the morsels overrun and by a
-// panicking morsel kernel.
+// at a descendant step, by a cell budget it overruns and by a panicking
+// kernel. workers is the inert Config.Parallelism facade (see
+// TestDifferentialParallel).
 func TestOpSpanClosedOnFailure(t *testing.T) {
 	store := xmltree.NewStore()
 	docs := map[string][]uint32{"auction.xml": {store.Add(xmark.Generate(xmark.Config{Factor: 0.02}))}}
 	unordered := xquery.Unordered
-	for _, inject := range []string{"maxcells", "morselpanic"} {
+	for _, inject := range []string{"maxcells", "panic"} {
 		for _, workers := range []int{1, 4} {
 			for _, compiled := range []bool{true, false} {
 				t.Run(fmt.Sprintf("%s/workers=%d/compiled=%t", inject, workers, compiled), func(t *testing.T) {
@@ -309,15 +370,13 @@ func TestOpSpanClosedOnFailure(t *testing.T) {
 					if inject == "maxcells" {
 						cfg.MaxCells = 64
 					} else {
-						defer fault.Arm(&fault.Plan{Every: fault.PerClass{fault.MorselPanic: 1}})()
+						defer fault.Arm(&fault.Plan{Every: fault.PerClass{fault.Panic: 1}})()
 					}
 					p, err := Prepare(`count(doc("auction.xml")//keyword)`, cfg)
 					if err != nil {
 						t.Fatalf("prepare: %v", err)
 					}
-					_, err = p.Run(store, docs)
-					// A pool of one runs no morsels, so the hook never fires.
-					if wantErr := inject == "maxcells" || workers > 1; wantErr && err == nil {
+					if _, err = p.Run(store, docs); err == nil {
 						t.Fatal("injected failure produced a result")
 					}
 					if o, c := tr.opened.Load(), tr.closed.Load(); o == 0 || o != c {

@@ -14,10 +14,9 @@ import (
 )
 
 // Golden-plan snapshots: the optimized Explain rendering of every XMark
-// query, in the baseline (ordered) and the order-indifferent (unordered,
-// parallel-marked) configuration. The plans carry the paper's claims —
-// which ρ sorts survive, which collapse to #, where [par] regions open —
-// so an optimizer change that moves any of them must show up as a
+// query, in the baseline (ordered) and the order-indifferent (unordered)
+// configuration. The plans carry the paper's claims — which ρ sorts
+// survive, which collapse to # — so an optimizer change that moves any of them must show up as a
 // reviewed diff here, not as a silent plan drift. Node ids count how many
 // intermediate nodes the builder happened to intern, which is optimizer
 // traffic, not plan shape: the snapshots hold normalizeIDs' rendering.
@@ -30,13 +29,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden plan files und
 
 // goldenConfigs are the two plan-shaping configurations worth pinning:
 // the order-ignorant baseline and the full order-indifference pipeline
-// under unordered mode with parallel marking on (Parallelism 2 makes
-// opt.MarkParallel run; the marks are a plan property, not a timing).
+// under unordered mode.
 func goldenConfigs() map[string]Config {
 	un := xquery.Unordered
 	unordered := DefaultConfig()
 	unordered.ForceOrdering = &un
-	unordered.Parallelism = 2
 	return map[string]Config{
 		"ordered":   BaselineConfig(),
 		"unordered": unordered,

@@ -19,9 +19,9 @@ import (
 
 // Options configures an execution.
 type Options struct {
-	// Context, when non-nil, cancels evaluation cooperatively: workers and
-	// the serial evaluator poll ctx.Done() before every operator and
-	// morsel and inside the heavy operator loops, so cancellation aborts
+	// Context, when non-nil, cancels evaluation cooperatively: the
+	// executor polls ctx.Done() before every operator and inside the
+	// heavy operator loops, so cancellation aborts
 	// a running query promptly. The resulting error wraps
 	// qerr.ErrCanceled and the context's own cause, so
 	// errors.Is(err, context.Canceled) holds. A context deadline is the
@@ -86,10 +86,6 @@ type Result struct {
 	Profile []ProfileEntry
 	Elapsed time.Duration
 	Stats   *obs.RunStats
-	// Degraded reports that the resource governor downgraded this
-	// execution under pressure (a Par-marked plan ran serial). Set by
-	// package core after the run; always false without a governor.
-	Degraded bool
 	// QueueWait is the time the query spent in the governor's admission
 	// queue before executing (zero without a governor, or when a slot
 	// was free immediately).
@@ -105,19 +101,18 @@ func (r *Result) SerializeXML() (string, error) {
 // receiving constructed fragments and the shared time/memory budget. It
 // evaluates one operator at a time (EvalOp); which operator runs next,
 // where its inputs live and what it measured are the driver's business
-// (internal/vm). The budget counters are atomic so that morsel workers
-// (package parallel) can charge them cooperatively.
+// (internal/vm).
 type Exec struct {
 	store    *xmltree.Store
 	docs     map[string][]uint32
 	ctx      context.Context
 	done     <-chan struct{}
 	maxCells int64
-	cells    atomic.Int64
+	cells    int64
 	mem      *xdm.Account
 	tracer   obs.Tracer
 	// beat is the watchdog heartbeat (Options.Heartbeat); nil when no one
-	// is watching. Bumped in CheckCancel, shared with parallel workers.
+	// is watching. Bumped in CheckCancel.
 	beat *atomic.Int64
 	// storeProbe surfaces storage faults at poll points
 	// (Options.StoreProbe); nil when no store is mounted.
@@ -142,16 +137,12 @@ func NewExec(base *xmltree.Store, docs map[string][]uint32, opts Options) *Exec 
 	return ex
 }
 
-// Store returns the execution's derived store.
-func (ex *Exec) Store() *xmltree.Store { return ex.store }
-
 // CheckCancel reports a cancellation error once the execution's context
-// is done. Safe for concurrent use (the done channel is immutable); a
-// single select on a cached channel, cheap enough for per-chunk polling
-// inside operator kernels. Reaching any poll point is also the query's
-// proof of life: the watchdog heartbeat, when armed, is bumped here —
-// before the done check, so heartbeats flow even for executions with no
-// cancellable context.
+// is done: a single select on a cached channel, cheap enough for
+// per-chunk polling inside operator kernels. Reaching any poll point is
+// also the query's proof of life: the watchdog heartbeat, when armed, is
+// bumped here — before the done check, so heartbeats flow even for
+// executions with no cancellable context.
 func (ex *Exec) CheckCancel() error {
 	if ex.beat != nil {
 		ex.beat.Add(1)
@@ -202,18 +193,18 @@ func (ex *Exec) ledgerLimitErr(ob *xdm.OverBudget) error {
 			scope, ob.Need, ob.Used, ob.Limit, ErrCutoff))
 }
 
-// CheckCells verifies a prospective allocation of rows*cols cells against
+// checkCells verifies a prospective allocation of rows*cols cells against
 // the memory cutoff before materializing it (large joins and products
 // would otherwise overshoot the budget in a single operator). It also
 // polls for cancellation, so the budget-check sites double as the
 // cooperative cancellation points.
-func (ex *Exec) CheckCells(rows, cols int) error {
+func (ex *Exec) checkCells(rows, cols int) error {
 	if err := ex.CheckCancel(); err != nil {
 		return err
 	}
 	cells := int64(rows) * int64(cols)
-	if ex.maxCells > 0 && ex.cells.Load()+cells > ex.maxCells {
-		return ex.memoryLimitErr(ex.cells.Load() + cells)
+	if ex.maxCells > 0 && ex.cells+cells > ex.maxCells {
+		return ex.memoryLimitErr(ex.cells + cells)
 	}
 	if ex.mem != nil {
 		if ob := ex.mem.CanReserve(cells * xdm.NominalCellBytes); ob != nil {
@@ -223,18 +214,19 @@ func (ex *Exec) CheckCells(rows, cols int) error {
 	return nil
 }
 
-// ChargeCells adds n materialized cells to the shared budget — the
+// ChargeCells adds n materialized cells to the budget — the
 // per-execution cell cutoff and, when a governor account is attached, the
-// process-wide byte ledger — and reports a cutoff error on overrun. Safe
-// for concurrent use. Like CheckCells it polls for cancellation first.
+// process-wide byte ledger — and reports a cutoff error on overrun. Like
+// checkCells it polls for cancellation first.
 func (ex *Exec) ChargeCells(n int64) error {
 	obs.CellsTotal.Add(n)
 	if err := ex.CheckCancel(); err != nil {
 		return err
 	}
 	if ex.maxCells > 0 {
-		if used := ex.cells.Add(n); used > ex.maxCells {
-			return ex.memoryLimitErr(used)
+		ex.cells += n
+		if ex.cells > ex.maxCells {
+			return ex.memoryLimitErr(ex.cells)
 		}
 	}
 	if ex.mem != nil {
@@ -260,18 +252,14 @@ func (ex *Exec) Finish(t *Table, start time.Time) *Result {
 	return res
 }
 
-// Errf formats an operator-attributed evaluation error, so serial and
-// morsel kernels report identically.
-func (ex *Exec) Errf(n *algebra.Node, format string, args ...any) error {
+// errf formats an operator-attributed evaluation error.
+func (ex *Exec) errf(n *algebra.Node, format string, args ...any) error {
 	origin := n.Origin
 	if origin == "" {
 		origin = n.Kind.String()
 	}
 	return fmt.Errorf("engine: %s: %s", origin, fmt.Sprintf(format, args...))
 }
-
-// Tracer returns the execution's span sink (nil when tracing is off).
-func (ex *Exec) Tracer() obs.Tracer { return ex.tracer }
 
 // StartOpSpan opens a tracer span for one kernel evaluation of n; the
 // returned func (nil when tracing is off) closes it.
@@ -364,7 +352,7 @@ func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 	case algebra.OpDoc:
 		ids, ok := ex.docs[n.URI]
 		if !ok {
-			return nil, ex.Errf(n, "unknown document %q", n.URI)
+			return nil, ex.errf(n, "unknown document %q", n.URI)
 		}
 		// One row per registered root, in registration (shard part)
 		// order: downstream steps preserve this order, so a sharded
@@ -388,7 +376,7 @@ func (ex *Exec) EvalOp(n *algebra.Node, ins []*Table) (*Table, error) {
 		return ex.evalCheckCard(n, ins)
 
 	default:
-		return nil, ex.Errf(n, "unimplemented operator")
+		return nil, ex.errf(n, "unimplemented operator")
 	}
 }
 
@@ -409,7 +397,7 @@ func (ex *Exec) evalFilter(n *algebra.Node, in *Table) (*Table, error) {
 		for r, it := range items {
 			if it.Kind != xdm.KBoolean {
 				xdm.PutInt32s(buf)
-				return nil, ex.Errf(n, "selection over non-boolean %s", it.Kind)
+				return nil, ex.errf(n, "selection over non-boolean %s", it.Kind)
 			}
 			if it.I != 0 {
 				keep = append(keep, int32(r))
@@ -417,7 +405,7 @@ func (ex *Exec) evalFilter(n *algebra.Node, in *Table) (*Table, error) {
 		}
 	} else if rows > 0 {
 		xdm.PutInt32s(buf)
-		return nil, ex.Errf(n, "selection over non-boolean %s", cond.Get(0).Kind)
+		return nil, ex.errf(n, "selection over non-boolean %s", cond.Get(0).Kind)
 	}
 	out := in.Filter(keep)
 	xdm.PutInt32s(buf)
@@ -426,11 +414,11 @@ func (ex *Exec) evalFilter(n *algebra.Node, in *Table) (*Table, error) {
 
 // --- Joins and products ---
 
-// MaterializeJoin builds the join output table from row-pair
+// materializeJoin builds the join output table from row-pair
 // permutations via typed gathers, polling for cancellation between
 // column chunks — a multi-million-row join output is otherwise a
 // cancellation blind spot.
-func (ex *Exec) MaterializeJoin(n *algebra.Node, l, r *Table, lperm, rperm []int32) (*Table, error) {
+func (ex *Exec) materializeJoin(n *algebra.Node, l, r *Table, lperm, rperm []int32) (*Table, error) {
 	t := NewTable(n.Schema())
 	for c, name := range l.Cols {
 		col, err := l.Col(name).GatherChunked(lperm, probeChunk, ex.CheckCancel)
@@ -455,16 +443,16 @@ func (ex *Exec) MaterializeJoin(n *algebra.Node, l, r *Table, lperm, rperm []int
 // operator is the whole query.
 const probeChunk = 1 << 15
 
-// ProbeJoin probes left rows [lo, hi) against ix and returns the matching
-// (left, right) row pairs. The rows probed between cancellation and
+// probeJoin probes every left key in lk against ix and returns the
+// matching (left, right) row pairs. The rows probed between cancellation and
 // budget polls are sized by the index's fan-out, so that about probeChunk
 // pairs are emitted per poll whether each left row matches one right row
 // or thousands. width is the join output's column count.
-func (ex *Exec) ProbeJoin(ix *JoinIndex, lk *xdm.Column, lo, hi, width int) (lperm, rperm []int32, err error) {
+func (ex *Exec) probeJoin(ix *JoinIndex, lk *xdm.Column, width int) (lperm, rperm []int32, err error) {
 	step := max(probeChunk/ix.fanout, 1)
-	for ; lo < hi; lo += step {
+	for lo, hi := 0, lk.Len(); lo < hi; lo += step {
 		lperm, rperm = ix.Probe(lk, lo, min(lo+step, hi), lperm, rperm)
-		if err := ex.CheckCells(len(lperm), width); err != nil {
+		if err := ex.checkCells(len(lperm), width); err != nil {
 			xdm.PutInt32s(lperm)
 			xdm.PutInt32s(rperm)
 			return nil, nil, err
@@ -483,17 +471,17 @@ func (ex *Exec) evalJoin(n *algebra.Node, l, r *Table) (*Table, error) {
 			return nil, err
 		}
 	} else {
-		ix, err := ex.BuildJoinIndex(rk)
+		ix, err := buildJoinIndex(rk, ex.CheckCancel)
 		if err != nil {
 			return nil, err
 		}
-		lperm, rperm, err = ex.ProbeJoin(ix, lk, 0, lk.Len(), width)
+		lperm, rperm, err = ex.probeJoin(ix, lk, width)
 		ix.Release()
 		if err != nil {
 			return nil, err
 		}
 	}
-	t, err := ex.MaterializeJoin(n, l, r, lperm, rperm)
+	t, err := ex.materializeJoin(n, l, r, lperm, rperm)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +493,7 @@ func (ex *Exec) evalJoin(n *algebra.Node, l, r *Table) (*Table, error) {
 func (ex *Exec) evalCross(n *algebra.Node, l, r *Table) (*Table, error) {
 	ln, rn := l.NumRows(), r.NumRows()
 	if ln > 1 && rn > 1 {
-		if err := ex.CheckCells(ln*rn, len(l.Cols)+len(r.Cols)); err != nil {
+		if err := ex.checkCells(ln*rn, len(l.Cols)+len(r.Cols)); err != nil {
 			return nil, err
 		}
 	}

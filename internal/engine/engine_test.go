@@ -162,7 +162,7 @@ func TestJoinPollsByPairsEmitted(t *testing.T) {
 
 	const buildRows = 4 * probeChunk
 	rk := xdm.IntColumn(make([]int64, buildRows)) // one key: fan-out = buildRows
-	ix, err := ex.BuildJoinIndex(rk)
+	ix, err := buildJoinIndex(rk, ex.CheckCancel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestJoinPollsByPairsEmitted(t *testing.T) {
 
 	const leftRows = 8
 	polls = 0
-	lperm, rperm, err := ex.ProbeJoin(ix, xdm.IntColumn(make([]int64, leftRows)), 0, leftRows, 2)
+	lperm, rperm, err := ex.probeJoin(ix, xdm.IntColumn(make([]int64, leftRows)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,12 +261,6 @@ func BuildJoinIndex(rk *xdm.Column) *JoinIndex {
 	return ix
 }
 
-// BuildJoinIndex is the package-level BuildJoinIndex polling for
-// cancellation every probeChunk rows.
-func (ex *Exec) BuildJoinIndex(rk *xdm.Column) (*JoinIndex, error) {
-	return buildJoinIndex(rk, ex.CheckCancel)
-}
-
 func buildJoinIndex(rk *xdm.Column, poll func() error) (*JoinIndex, error) {
 	var g *groupIndex
 	var err error

@@ -43,7 +43,7 @@ func (ex *Exec) evalBinOp(n *algebra.Node, in *Table) (*Table, error) {
 		}
 		if err != nil {
 			xdm.PutItems(out)
-			return nil, ex.Errf(n, "%v", err)
+			return nil, ex.errf(n, "%v", err)
 		}
 		out[i] = v
 	}
@@ -115,7 +115,7 @@ func (ex *Exec) intArith(n *algebra.Node, li, ri []int64) (*xdm.Column, bool, er
 		v, err := xdm.IntArith(li[i], ri[i], op)
 		if err != nil {
 			xdm.PutInts(out)
-			return nil, true, ex.Errf(n, "%v", err)
+			return nil, true, ex.errf(n, "%v", err)
 		}
 		out[i] = v
 	}
@@ -285,7 +285,7 @@ func (ex *Exec) applyTernFn(n *algebra.Node, a, b, c xdm.Item) (xdm.Item, error)
 	case algebra.BSubstr3:
 		return xdm.Substring(a.StringValue(), b, c)
 	default:
-		return xdm.Item{}, ex.Errf(n, "unknown ternary function")
+		return xdm.Item{}, ex.errf(n, "unknown ternary function")
 	}
 }
 
@@ -316,12 +316,12 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 		return xdm.NewBool(ok), nil
 	case algebra.BNodeBefore:
 		if !a.IsNode() || !b.IsNode() {
-			return xdm.Item{}, ex.Errf(n, "node comparison over atomic value")
+			return xdm.Item{}, ex.errf(n, "node comparison over atomic value")
 		}
 		return xdm.NewBool(a.N.Before(b.N)), nil
 	case algebra.BNodeIs:
 		if !a.IsNode() || !b.IsNode() {
-			return xdm.Item{}, ex.Errf(n, "node comparison over atomic value")
+			return xdm.Item{}, ex.errf(n, "node comparison over atomic value")
 		}
 		return xdm.NewBool(a.N == b.N), nil
 	case algebra.BAnd:
@@ -339,7 +339,7 @@ func (ex *Exec) applyBinFn(n *algebra.Node, a, b xdm.Item) (xdm.Item, error) {
 	case algebra.BSubstr2:
 		return xdm.Substring(a.StringValue(), b)
 	default:
-		return xdm.Item{}, ex.Errf(n, "unknown binary function")
+		return xdm.Item{}, ex.errf(n, "unknown binary function")
 	}
 }
 
@@ -442,19 +442,19 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 		return xdm.NewInt(int64(len([]rune(fr.atomize(it).StringValue())))), nil
 	case algebra.UnNot:
 		if it.Kind != xdm.KBoolean {
-			return xdm.Item{}, ex.Errf(n, "not over non-boolean")
+			return xdm.Item{}, ex.errf(n, "not over non-boolean")
 		}
 		return xdm.NewBool(it.I == 0), nil
 	case algebra.UnNeg:
 		return xdm.Negate(it)
 	case algebra.UnNameOf:
 		if !it.IsNode() {
-			return xdm.Item{}, ex.Errf(n, "name() over atomic value")
+			return xdm.Item{}, ex.errf(n, "name() over atomic value")
 		}
 		return xdm.NewString(fr.frag(it.N.Frag).NodeName(it.N.Pre)), nil
 	case algebra.UnRoot:
 		if !it.IsNode() {
-			return xdm.Item{}, ex.Errf(n, "root() over atomic value")
+			return xdm.Item{}, ex.errf(n, "root() over atomic value")
 		}
 		return xdm.NewNode(xdm.NodeID{Frag: it.N.Frag, Pre: 0}), nil
 	case algebra.UnToDouble:
@@ -478,7 +478,7 @@ func (ex *Exec) applyUnFn(n *algebra.Node, it xdm.Item, fr *fragRun) (xdm.Item, 
 	case algebra.UnAbs:
 		return xdm.Abs(it)
 	default:
-		return xdm.Item{}, ex.Errf(n, "unknown unary function")
+		return xdm.Item{}, ex.errf(n, "unknown unary function")
 	}
 }
 
@@ -569,11 +569,11 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 			case g.nodes == 0 && g.atomics == 1:
 				b, err := xdm.EffectiveBooleanValue([]xdm.Item{g.item})
 				if err != nil {
-					return nil, ex.Errf(n, "%v", err)
+					return nil, ex.errf(n, "%v", err)
 				}
 				rb.Append(xdm.NewBool(b))
 			default:
-				return nil, ex.Errf(n, "effective boolean value of a mixed multi-item sequence")
+				return nil, ex.errf(n, "effective boolean value of a mixed multi-item sequence")
 			}
 		}
 		res = rb.Finish()
@@ -588,7 +588,7 @@ func (ex *Exec) evalAggr(n *algebra.Node, in *Table) (*Table, error) {
 				}
 			}
 			if err := aggs[ix.ids[r]].Add(op, val.Get(r)); err != nil {
-				return nil, ex.Errf(n, "%v", err)
+				return nil, ex.errf(n, "%v", err)
 			}
 		}
 		var rb xdm.ColumnBuilder
@@ -706,7 +706,7 @@ func (ex *Exec) evalElem(n *algebra.Node, ins []*Table) (*Table, error) {
 				}
 				for _, r := range rows(t.Slot, li) {
 					if err := content.Add(slots[t.Slot].items.Get(int(r))); err != nil {
-						return nil, ex.Errf(n, "%v", err)
+						return nil, ex.errf(n, "%v", err)
 					}
 				}
 				content.Flush()
@@ -742,17 +742,17 @@ func (ex *Exec) evalRange(n *algebra.Node, in *Table) (*Table, error) {
 	for r := range iters {
 		lo, err := los.Get(r).AsInteger()
 		if err != nil {
-			return nil, ex.Errf(n, "%v", err)
+			return nil, ex.errf(n, "%v", err)
 		}
 		hi, err := his.Get(r).AsInteger()
 		if err != nil {
-			return nil, ex.Errf(n, "%v", err)
+			return nil, ex.errf(n, "%v", err)
 		}
 		if hi < lo {
 			continue
 		}
 		if total += int(hi - lo + 1); total > maxRangeSize {
-			return nil, ex.Errf(n, "range result larger than %d items", maxRangeSize)
+			return nil, ex.errf(n, "range result larger than %d items", maxRangeSize)
 		}
 		for i := lo; i <= hi; i++ {
 			outIter = append(outIter, iters[r])
@@ -782,15 +782,15 @@ func (ex *Exec) evalCheckCard(n *algebra.Node, ins []*Table) (*Table, error) {
 	}
 	check := func(c int) error {
 		if c < n.Min {
-			return ex.Errf(n, "sequence with %d items where at least %d required", c, n.Min)
+			return ex.errf(n, "sequence with %d items where at least %d required", c, n.Min)
 		}
 		if n.Max == 0 && c > 0 {
 			// Max 0 is the error-witness pattern: any row proves a
 			// dynamic error the relational mapping deferred.
-			return ex.Errf(n, "dynamic error witnessed (e.g. comparison of incomparable values)")
+			return ex.errf(n, "dynamic error witnessed (e.g. comparison of incomparable values)")
 		}
 		if n.Max >= 0 && c > n.Max {
-			return ex.Errf(n, "sequence with %d items where at most %d allowed", c, n.Max)
+			return ex.errf(n, "sequence with %d items where at most %d allowed", c, n.Max)
 		}
 		return nil
 	}

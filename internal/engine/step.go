@@ -11,31 +11,30 @@ import (
 	"repro/internal/xquery"
 )
 
-// StepRuns is a step operator's context table clustered for the staircase
+// stepRuns is a step operator's context table clustered for the staircase
 // join: rows ordered by (first-occurrence rank of their iteration,
 // fragment, preorder rank) with duplicates dropped, walked as maximal runs
 // of one iteration and one fragment. Scanning the runs in order and
 // concatenating the results reproduces the operator output — per
-// iteration duplicate-free and in document order — exactly, so the serial
-// and the morsel executor both start here. Nothing is allocated per
-// iteration or per run.
-type StepRuns struct {
+// iteration duplicate-free and in document order — exactly. Nothing is
+// allocated per iteration or per run.
+type stepRuns struct {
 	iters  []int64
 	nodes  []xdm.NodeID
 	pooled bool // iters and nodes are reordered copies to hand back, not the input columns
 	pos    int
 
-	// The current run, set by Next: the iteration and its sorted,
-	// duplicate-free context nodes in one fragment (valid until Release).
-	Iter int64
-	Ctx  []xdm.NodeID
+	// The current run, set by next: the iteration and its sorted,
+	// duplicate-free context nodes in one fragment (valid until release).
+	iter int64
+	ctx  []xdm.NodeID
 }
 
-// GroupStep clusters the (iter, item) rows of a step input. Input that a
+// groupStep clusters the (iter, item) rows of a step input. Input that a
 // preceding step or a loop-lifted numbering left clustered (iterations
 // non-decreasing, nodes strictly ascending within each) is walked in
 // place; anything else is reordered through one row permutation.
-func GroupStep(in *Table) (StepRuns, error) {
+func groupStep(in *Table) (stepRuns, error) {
 	itemCol := in.Col("item")
 	iters := iterInts(in.Col("iter"))
 	// A flat node column needs no per-row kind checks; the boxed fallback
@@ -46,19 +45,19 @@ func GroupStep(in *Table) (StepRuns, error) {
 		defer xdm.PutNodes(nodes) // scratch: boxed input always takes the reordering path, which copies
 		for r := range its {
 			if !its[r].IsNode() {
-				return StepRuns{}, fmt.Errorf("path step over atomic value %s", its[r].Kind)
+				return stepRuns{}, fmt.Errorf("path step over atomic value %s", its[r].Kind)
 			}
 			nodes[r] = its[r].N
 		}
 	} else if !flat && in.NumRows() > 0 {
-		return StepRuns{}, fmt.Errorf("path step over atomic value %s", itemCol.Get(0).Kind)
+		return stepRuns{}, fmt.Errorf("path step over atomic value %s", itemCol.Get(0).Kind)
 	}
 	clustered := flat
 	for r := 1; r < len(nodes) && clustered; r++ {
 		clustered = iters[r] > iters[r-1] || iters[r] == iters[r-1] && nodes[r-1].Before(nodes[r])
 	}
 	if clustered {
-		return StepRuns{iters: iters, nodes: nodes}, nil
+		return stepRuns{iters: iters, nodes: nodes}, nil
 	}
 	// Order by the first occurrence of the iteration, then by node.
 	ix, _ := groupInts(iters, func() error { return nil })
@@ -70,7 +69,7 @@ func GroupStep(in *Table) (StepRuns, error) {
 	perm, _, _ := sortByKeys(len(nodes), [][]int64{rank, keys}, nil) // no poll, so no error
 	xdm.PutInts(rank)
 	xdm.PutInts(keys)
-	g := StepRuns{iters: xdm.GetInts(len(nodes))[:0], nodes: xdm.GetNodes(len(nodes))[:0], pooled: true}
+	g := stepRuns{iters: xdm.GetInts(len(nodes))[:0], nodes: xdm.GetNodes(len(nodes))[:0], pooled: true}
 	for _, r := range perm {
 		if n := len(g.nodes); n > 0 && g.iters[n-1] == iters[r] && g.nodes[n-1] == nodes[r] {
 			continue // duplicate context node
@@ -81,8 +80,8 @@ func GroupStep(in *Table) (StepRuns, error) {
 	return g, nil
 }
 
-// Next advances to the next run; false after the last one.
-func (g *StepRuns) Next() bool {
+// next advances to the next run; false after the last one.
+func (g *stepRuns) next() bool {
 	start := g.pos
 	if start >= len(g.nodes) {
 		return false
@@ -91,12 +90,12 @@ func (g *StepRuns) Next() bool {
 	for end < len(g.nodes) && g.iters[end] == g.iters[start] && g.nodes[end].Frag == g.nodes[start].Frag {
 		end++
 	}
-	g.pos, g.Iter, g.Ctx = end, g.iters[start], g.nodes[start:end]
+	g.pos, g.iter, g.ctx = end, g.iters[start], g.nodes[start:end]
 	return true
 }
 
-// Release hands pooled buffers back; Ctx slices are dead afterwards.
-func (g *StepRuns) Release() {
+// release hands pooled buffers back; ctx slices are dead afterwards.
+func (g *stepRuns) release() {
 	if g.pooled {
 		xdm.PutInts(g.iters)
 		xdm.PutNodes(g.nodes)
@@ -113,16 +112,16 @@ func (g *StepRuns) Release() {
 // deliberately left arbitrary by #. Both output columns are flat (iter
 // ids and node refs) and the scans append straight into them.
 func (ex *Exec) evalStep(n *algebra.Node, in *Table) (*Table, error) {
-	runs, err := GroupStep(in)
+	runs, err := groupStep(in)
 	if err != nil {
-		return nil, ex.Errf(n, "%v", err)
+		return nil, ex.errf(n, "%v", err)
 	}
-	defer runs.Release()
+	defer runs.release()
 	outIter := xdm.GetInts(in.NumRows())[:0]
 	outItem := xdm.GetNodes(in.NumRows())[:0]
 	fr := fragRun{store: ex.store}
-	m := NewMatcher(n.Axis, n.Test)
-	for i := 0; runs.Next(); i++ {
+	m := newMatcher(n.Axis, n.Test)
+	for i := 0; runs.next(); i++ {
 		if i&(probeChunk-1) == 0 {
 			if err := ex.CheckCancel(); err != nil {
 				xdm.PutInts(outIter)
@@ -130,24 +129,19 @@ func (ex *Exec) evalStep(n *algebra.Node, in *Table) (*Table, error) {
 				return nil, err
 			}
 		}
-		if f := fr.frag(runs.Ctx[0].Frag); m.Bind(f) {
-			outItem = AppendAxis(outItem, f, runs.Ctx, &m)
-			outIter = AppendIter(outIter, runs.Iter, len(outItem))
+		if f := fr.frag(runs.ctx[0].Frag); m.bind(f) {
+			outItem = appendAxis(outItem, f, runs.ctx, &m)
+			outIter = appendIter(outIter, runs.iter, len(outItem))
 		}
 	}
-	return StepTable(outIter, outItem), nil
-}
-
-// StepTable wraps a step's output columns.
-func StepTable(iters []int64, items []xdm.NodeID) *Table {
 	t := NewTable([]string{"iter", "item"})
-	t.Data[0] = xdm.IntColumn(iters)
-	t.Data[1] = xdm.NodeColumn(items)
-	return t
+	t.Data[0] = xdm.IntColumn(outIter)
+	t.Data[1] = xdm.NodeColumn(outItem)
+	return t, nil
 }
 
-// AppendIter pads out with iter up to length n, growing through the pool.
-func AppendIter(out []int64, iter int64, n int) []int64 {
+// appendIter pads out with iter up to length n, growing through the pool.
+func appendIter(out []int64, iter int64, n int) []int64 {
 	old := len(out)
 	out = xdm.GrowInts(out, n)[:n]
 	for i := old; i < n; i++ {
@@ -165,9 +159,9 @@ func pushNode(out []xdm.NodeID, frag uint32, pre int32) []xdm.NodeID {
 	return append(out, xdm.NodeID{Frag: frag, Pre: pre})
 }
 
-// DedupSorted sorts node references of one fragment by preorder rank and
+// dedupSorted sorts node references of one fragment by preorder rank and
 // removes duplicates, in place.
-func DedupSorted(ns []xdm.NodeID) []xdm.NodeID {
+func dedupSorted(ns []xdm.NodeID) []xdm.NodeID {
 	byPre := func(a, b xdm.NodeID) int { return cmp.Compare(a.Pre, b.Pre) }
 	if !slices.IsSortedFunc(ns, byPre) {
 		slices.SortFunc(ns, byPre)
@@ -175,12 +169,11 @@ func DedupSorted(ns []xdm.NodeID) []xdm.NodeID {
 	return slices.Compact(ns)
 }
 
-// Staircase prunes a sorted duplicate-free context set of fragment f for
+// staircase prunes a sorted duplicate-free context set of fragment f for
 // the descendant or descendant-or-self axis and calls scan with each
-// region the staircase join walks: the preorder range [lo, hi] dominated
-// by context ctx. Regions are disjoint and ascending, so they may be
-// scanned independently (and subdivided) without changing the result.
-func Staircase(f *xmltree.Fragment, ctx []xdm.NodeID, axis xquery.Axis, scan func(ctx, lo, hi int32)) {
+// region the staircase join walks, in ascending order: the preorder range
+// [lo, hi] dominated by context ctx.
+func staircase(f *xmltree.Fragment, ctx []xdm.NodeID, axis xquery.Axis, scan func(ctx, lo, hi int32)) {
 	orSelf := axis == xquery.AxisDescendantOrSelf
 	var root, lo, hi int32 = 0, 0, -1 // the region not yet handed to scan
 	for _, cn := range ctx {
@@ -208,14 +201,12 @@ func Staircase(f *xmltree.Fragment, ctx []xdm.NodeID, axis xquery.Axis, scan fun
 	}
 }
 
-// ScanRegionRange scans the preorder subrange [lo, hi] of a descendant
+// scanRegionRange scans the preorder subrange [lo, hi] of a descendant
 // region rooted at ctx, appending the nodes m (bound to f) matches, as
-// nodes of fragment frag, to out. Subdividing a region into consecutive
-// subranges and concatenating the outputs yields exactly the full-region
-// scan. A name test over a document with element postings costs a
-// binary search plus the matches instead of a visit to every node of
-// the range.
-func ScanRegionRange(out []xdm.NodeID, f *xmltree.Fragment, frag uint32, ctx, lo, hi int32, m *Matcher) []xdm.NodeID {
+// nodes of fragment frag, to out. A name test over a document with
+// element postings costs a binary search plus the matches instead of a
+// visit to every node of the range.
+func scanRegionRange(out []xdm.NodeID, f *xmltree.Fragment, frag uint32, ctx, lo, hi int32, m *matcher) []xdm.NodeID {
 	if m.byName {
 		// Postings hold elements only, which is all a name test matches
 		// here — even an attribute context on its own -or-self axis fails it.
@@ -237,18 +228,18 @@ func ScanRegionRange(out []xdm.NodeID, f *xmltree.Fragment, frag uint32, ctx, lo
 	return out
 }
 
-// AppendAxis evaluates m's axis over a sorted, duplicate-free context set
+// appendAxis evaluates m's axis over a sorted, duplicate-free context set
 // within fragment f, appending the nodes m (bound to f) matches to out in
 // document order.
-func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, m *Matcher) []xdm.NodeID {
+func appendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, m *matcher) []xdm.NodeID {
 	if len(ctx) == 0 {
 		return out
 	}
 	base, frag, axis := len(out), ctx[0].Frag, m.axis
 	switch axis {
 	case xquery.AxisDescendant, xquery.AxisDescendantOrSelf:
-		Staircase(f, ctx, axis, func(ctx, lo, hi int32) {
-			out = ScanRegionRange(out, f, frag, ctx, lo, hi, m)
+		staircase(f, ctx, axis, func(ctx, lo, hi int32) {
+			out = scanRegionRange(out, f, frag, ctx, lo, hi, m)
 		})
 	case xquery.AxisChild:
 		sorted, last := true, int32(-1)
@@ -265,7 +256,7 @@ func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, m *Matc
 			}
 		}
 		if !sorted {
-			DedupSorted(out[base:]) // children of distinct contexts are disjoint; nested contexts only leave them out of document order
+			dedupSorted(out[base:]) // children of distinct contexts are disjoint; nested contexts only leave them out of document order
 		}
 	case xquery.AxisAttribute:
 		for _, cn := range ctx {
@@ -289,22 +280,22 @@ func AppendAxis(out []xdm.NodeID, f *xmltree.Fragment, ctx []xdm.NodeID, m *Matc
 				out = pushNode(out, frag, p)
 			}
 		}
-		out = out[:base+len(DedupSorted(out[base:]))]
+		out = out[:base+len(dedupSorted(out[base:]))]
 	}
 	return out
 }
 
-// AxisScan is AppendAxis over bare preorder ranks.
+// AxisScan is appendAxis over bare preorder ranks.
 func AxisScan(f *xmltree.Fragment, ctx []int32, axis xquery.Axis, test xquery.NodeTest) []int32 {
-	m := NewMatcher(axis, test)
-	if !m.Bind(f) {
+	m := newMatcher(axis, test)
+	if !m.bind(f) {
 		return []int32{}
 	}
 	cs := make([]xdm.NodeID, len(ctx))
 	for i, v := range ctx {
 		cs[i].Pre = v
 	}
-	ns := AppendAxis(nil, f, cs, &m)
+	ns := appendAxis(nil, f, cs, &m)
 	out := make([]int32, len(ns))
 	for i := range ns {
 		out[i] = ns[i].Pre
@@ -313,11 +304,11 @@ func AxisScan(f *xmltree.Fragment, ctx []int32, axis xquery.Axis, test xquery.No
 	return out
 }
 
-// Matcher is a step's axis and node test bound to one name dictionary.
+// matcher is a step's axis and node test bound to one name dictionary.
 // A name test holds its name's id there, so a node matches on integer
 // compares alone. The principal node kind is attribute on the attribute
 // axis and element elsewhere.
-type Matcher struct {
+type matcher struct {
 	axis    xquery.Axis
 	name    string
 	kind    xmltree.NodeKind // the kind a match needs, unless anyKind
@@ -328,10 +319,10 @@ type Matcher struct {
 	names   []string // the dictionary id was resolved in
 }
 
-// NewMatcher compiles a step's node test; Bind it to a fragment before
+// newMatcher compiles a step's node test; bind it to a fragment before
 // use.
-func NewMatcher(axis xquery.Axis, test xquery.NodeTest) Matcher {
-	m := Matcher{axis: axis, name: test.Name, kind: xmltree.KindElem}
+func newMatcher(axis xquery.Axis, test xquery.NodeTest) matcher {
+	m := matcher{axis: axis, name: test.Name, kind: xmltree.KindElem}
 	if axis == xquery.AxisAttribute {
 		m.kind = xmltree.KindAttr
 	}
@@ -346,11 +337,11 @@ func NewMatcher(axis xquery.Axis, test xquery.NodeTest) Matcher {
 	return m
 }
 
-// Bind resolves a name test in f's dictionary — only when that is not
+// bind resolves a name test in f's dictionary — only when that is not
 // the dictionary it was last resolved in, the way fragRun keeps the last
 // fragment — and reports whether any node of f can match: a name the
 // dictionary lacks matches nothing, so the scan is skipped.
-func (m *Matcher) Bind(f *xmltree.Fragment) bool {
+func (m *matcher) bind(f *xmltree.Fragment) bool {
 	if !m.byName {
 		return true
 	}
@@ -361,6 +352,6 @@ func (m *Matcher) Bind(f *xmltree.Fragment) bool {
 	return m.found
 }
 
-func (m *Matcher) match(f *xmltree.Fragment, v int32) bool {
+func (m *matcher) match(f *xmltree.Fragment, v int32) bool {
 	return (m.anyKind || f.Kind[v] == m.kind) && (!m.byName || f.Name[v] == m.id)
 }

@@ -1,4 +1,4 @@
-package engine_test
+package engine
 
 import (
 	"fmt"
@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/engine"
-	"repro/internal/parallel"
 	"repro/internal/xdm"
 	"repro/internal/xmark"
 	"repro/internal/xmltree"
@@ -191,7 +189,7 @@ func ctxTables(store *xmltree.Store, rng *rand.Rand) []ctxTable {
 	}
 
 	// What a preceding step leaves: iterations ascending, nodes strictly
-	// ascending within each — and enough contexts for morsels to split.
+	// ascending within each.
 	clustered := ctxTable{name: "clustered"}
 	for it := int64(1); it <= 2; it++ {
 		for frag := uint32(0); frag < 3; frag++ {
@@ -211,8 +209,8 @@ func ctxTables(store *xmltree.Store, rng *rand.Rand) []ctxTable {
 	return []ctxTable{unsorted, dups, nested, inter, clustered, shuffled, roots, {name: "empty"}}
 }
 
-func (c ctxTable) table(boxed bool) *engine.Table {
-	t := engine.NewTable([]string{"iter", "item"})
+func (c ctxTable) table(boxed bool) *Table {
+	t := NewTable([]string{"iter", "item"})
 	t.Data[0] = xdm.IntColumn(slices.Clone(c.iters))
 	if boxed {
 		items := make([]xdm.Item, len(c.nodes))
@@ -226,7 +224,7 @@ func (c ctxTable) table(boxed bool) *engine.Table {
 	return t
 }
 
-func stepCells(t *engine.Table) ([]int64, []xdm.NodeID) {
+func stepCells(t *Table) ([]int64, []xdm.NodeID) {
 	iters, items := []int64{}, []xdm.NodeID{}
 	for r := 0; r < t.NumRows(); r++ {
 		iters = append(iters, t.Col("iter").Get(r).I)
@@ -236,13 +234,12 @@ func stepCells(t *engine.Table) ([]int64, []xdm.NodeID) {
 }
 
 // TestStepKernelMatchesNaive is the seeded property: every table shape ×
-// flat/boxed × axis × node test, through the serial kernel and through the
-// morsel executor with one-row morsels, equals the naive reference.
+// flat/boxed × axis × node test, through the step kernel, equals the
+// naive reference.
 func TestStepKernelMatchesNaive(t *testing.T) {
 	store := stepStore(t)
 	b := algebra.NewBuilder()
 	in := b.EmptyLit("iter", "item")
-	morselled := 0
 	for seed := int64(1); seed <= 2; seed++ {
 		for _, ct := range ctxTables(store, rand.New(rand.NewSource(seed))) {
 			for _, axis := range stepAxes {
@@ -251,8 +248,8 @@ func TestStepKernelMatchesNaive(t *testing.T) {
 					n := b.Step(in, axis, test)
 					for _, boxed := range []bool{false, true} {
 						label := fmt.Sprintf("seed %d, %s (boxed=%v), %s::%s", seed, ct.name, boxed, axis, test)
-						ex := engine.NewExec(store, nil, engine.Options{})
-						got, err := ex.EvalOp(n, []*engine.Table{ct.table(boxed)})
+						ex := NewExec(store, nil, Options{})
+						got, err := ex.EvalOp(n, []*Table{ct.table(boxed)})
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -260,47 +257,29 @@ func TestStepKernelMatchesNaive(t *testing.T) {
 						if !slices.Equal(gotIter, wantIter) || !slices.Equal(gotItem, wantItem) {
 							t.Fatalf("%s: kernel differs from the naive reference\n got %v %v\nwant %v %v", label, gotIter, gotItem, wantIter, wantItem)
 						}
-						par, _, _, err := parallel.EvalParOp(ex, 4, 1, n, []*engine.Table{ct.table(boxed)})
-						if err != nil {
-							t.Fatalf("%s: morsel executor: %v", label, err)
-						}
-						if par == nil {
-							continue // too little work to split
-						}
-						morselled++
-						parIter, parItem := stepCells(par)
-						if !slices.Equal(parIter, wantIter) || !slices.Equal(parItem, wantItem) {
-							t.Fatalf("%s: morsel executor differs from the serial kernel\n got %v %v\nwant %v %v", label, parIter, parItem, wantIter, wantItem)
-						}
 					}
 				}
 			}
 		}
 	}
-	if morselled == 0 {
-		t.Error("no case was large enough for the morsel executor to split")
-	}
 }
 
 // TestStepOverAtomic: an atomic among the context items is the existing
-// error, from both executors, whatever the column representation.
+// error, whatever the column representation.
 func TestStepOverAtomic(t *testing.T) {
 	store := stepStore(t)
 	b := algebra.NewBuilder()
 	n := b.Step(b.EmptyLit("iter", "item"), xquery.AxisChild, xquery.NodeTest{Kind: xquery.TestWild})
-	tab := func(items ...xdm.Item) *engine.Table {
-		t := engine.NewTable([]string{"iter", "item"})
+	tab := func(items ...xdm.Item) *Table {
+		t := NewTable([]string{"iter", "item"})
 		t.Data[0] = xdm.IntColumn(make([]int64, len(items)))
 		t.Data[1] = xdm.ItemColumn(items)
 		return t
 	}
 	mixed := tab(xdm.NewNode(xdm.NodeID{Frag: 1, Pre: 1}), xdm.NewInt(4), xdm.NewNode(xdm.NodeID{Frag: 1, Pre: 2}))
-	ex := engine.NewExec(store, nil, engine.Options{})
-	if _, err := ex.EvalOp(n, []*engine.Table{mixed}); err == nil || !strings.Contains(err.Error(), "path step over atomic value") {
-		t.Errorf("serial: got %v, want the path-step-over-atomic error", err)
-	}
-	if _, _, _, err := parallel.EvalParOp(ex, 4, 1, n, []*engine.Table{mixed}); err == nil || !strings.Contains(err.Error(), "path step over atomic value") {
-		t.Errorf("morsel executor: got %v, want the path-step-over-atomic error", err)
+	ex := NewExec(store, nil, Options{})
+	if _, err := ex.EvalOp(n, []*Table{mixed}); err == nil || !strings.Contains(err.Error(), "path step over atomic value") {
+		t.Errorf("got %v, want the path-step-over-atomic error", err)
 	}
 }
 
@@ -320,11 +299,11 @@ func TestElemPostingsScan(t *testing.T) {
 	}
 	scan := func(f *xmltree.Fragment, lo, hi int32, test xquery.NodeTest) []int32 {
 		out := []int32{}
-		m := engine.NewMatcher(xquery.AxisDescendant, test)
-		if !m.Bind(f) {
+		m := newMatcher(xquery.AxisDescendant, test)
+		if !m.bind(f) {
 			return out
 		}
-		for _, n := range engine.ScanRegionRange(nil, f, 0, lo, lo, hi, &m) {
+		for _, n := range scanRegionRange(nil, f, 0, lo, lo, hi, &m) {
 			out = append(out, n.Pre)
 		}
 		return out
@@ -351,7 +330,7 @@ func TestElemPostingsScan(t *testing.T) {
 	// descendant-or-self from an attribute context named like the test.
 	attr := doc.Attributes(1)[1] // r/@x
 	for _, test := range stepTests("x") {
-		got := engine.AxisScan(doc, []int32{attr}, xquery.AxisDescendantOrSelf, test)
+		got := AxisScan(doc, []int32{attr}, xquery.AxisDescendantOrSelf, test)
 		if want := naiveAxis(doc, []int32{attr}, xquery.AxisDescendantOrSelf, test); !slices.Equal(got, want) {
 			t.Errorf("descendant-or-self::%s from @x: got %v, want %v", test, got, want)
 		}
@@ -372,7 +351,7 @@ func TestStaircaseKeepsCoveredAttribute(t *testing.T) {
 	x := doc.Children(1)[0]
 	ctx := []int32{x, doc.Attributes(x)[0]}
 	test := xquery.NodeTest{Kind: xquery.TestNode}
-	got := engine.AxisScan(doc, ctx, xquery.AxisDescendantOrSelf, test)
+	got := AxisScan(doc, ctx, xquery.AxisDescendantOrSelf, test)
 	if want := naiveAxis(doc, ctx, xquery.AxisDescendantOrSelf, test); !slices.Equal(got, want) {
 		t.Errorf("descendant-or-self::node() from x and x/@id: got %v, want %v", got, want)
 	}
@@ -392,7 +371,7 @@ func TestElemPostingsFirstUseRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if got := engine.AxisScan(doc, []int32{0}, xquery.AxisDescendant, test); !slices.Equal(got, want) {
+			if got := AxisScan(doc, []int32{0}, xquery.AxisDescendant, test); !slices.Equal(got, want) {
 				t.Errorf("raced first use: %d items, want %d", len(got), len(want))
 			}
 		}()
@@ -442,15 +421,15 @@ func FuzzAxisScan(f *testing.F) {
 		axis := stepAxes[int(axisSel)%len(stepAxes)]
 		test := stepTests("a", "b", "nosuchname")[int(testSel)%6]
 
-		got := engine.AxisScan(doc, ctx, axis, test)
+		got := AxisScan(doc, ctx, axis, test)
 		if want := naiveAxis(doc, ctx, axis, test); !slices.Equal(got, want) {
 			t.Fatalf("%s::%s over %v: got %v, want %v", axis, test, ctx, got, want)
 		}
 		// Rank 0 is a document node in one and an element in the other.
 		isRoot := func(v int32) bool { return v == 0 }
 		ctx = slices.DeleteFunc(ctx, isRoot)
-		indexed := slices.DeleteFunc(engine.AxisScan(doc, ctx, axis, test), isRoot)
-		scanned := slices.DeleteFunc(engine.AxisScan(plain, ctx, axis, test), isRoot)
+		indexed := slices.DeleteFunc(AxisScan(doc, ctx, axis, test), isRoot)
+		scanned := slices.DeleteFunc(AxisScan(plain, ctx, axis, test), isRoot)
 		if !slices.Equal(indexed, scanned) {
 			t.Fatalf("%s::%s over %v: indexed %v, unindexed %v", axis, test, ctx, indexed, scanned)
 		}

@@ -221,7 +221,7 @@ func (o *thetaOut) closeRow(l int32, work int) error {
 		return nil
 	}
 	o.work = 0
-	return o.ex.CheckCells(len(o.lperm), o.width)
+	return o.ex.checkCells(len(o.lperm), o.width)
 }
 
 func (o *thetaOut) release() {
@@ -257,7 +257,7 @@ func (ex *Exec) thetaJoin(n *algebra.Node, lk, rk *xdm.Column, width int) (lperm
 		}
 	}
 	if err == nil {
-		err = ex.CheckCells(len(o.lperm), width)
+		err = ex.checkCells(len(o.lperm), width)
 	}
 	if err != nil {
 		o.release()

@@ -157,7 +157,7 @@ func checkTyped(t *testing.T, op typedOp, l, r *xdm.Column) {
 		if op.bin {
 			v, err = ex.applyBinFn(n, l.Get(i), r.Get(i))
 			if err != nil {
-				err = ex.Errf(n, "%v", err)
+				err = ex.errf(n, "%v", err)
 			}
 		} else {
 			v, err = ex.applyUnFn(n, l.Get(i), &fr)

@@ -12,8 +12,7 @@
 //	site        event                          classes, in precedence order
 //	Requests    one /query HTTP request        reset truncate err500 err503 latency (internal/resilience)
 //	Admissions  one governor admission         shed starve (internal/governor)
-//	Kernels     one serial operator evaluation panic (internal/engine)
-//	Morsels     one morsel task                morselpanic (internal/parallel)
+//	Kernels     one operator evaluation        panic (internal/engine)
 //	Queries     one store-backed execution     eio badcrc (internal/store)
 //	Opens       one store part open            shortread mmap (internal/store)
 //	Writes      one WriteDoc                   torn (internal/store)
@@ -41,21 +40,20 @@ type Class int
 
 // The fault classes, grouped by the site that injects them.
 const (
-	Latency     Class = iota // delay the request by Arg (default 2ms), then serve it
-	Err500                   // answer 500 without running the handler
-	Err503                   // answer 503 without running the handler
-	Reset                    // abort the connection before the handler runs
-	Truncate                 // cut the response body after Arg bytes (default 16) and abort
-	Shed                     // shed the admission with ErrOverload (an injected queue timeout)
-	Starve                   // admit with an Arg-byte ledger quota (default 4096)
-	Panic                    // panic in the serial kernel
-	MorselPanic              // panic in the morsel task
-	Cancel                   // the soak test cancels the query mid-flight
-	EIO                      // mark one part of a mounted store suspect with an I/O error
-	BadCRC                   // as EIO, reading as a checksum mismatch
-	ShortRead                // the part open sees a file truncated mid-section
-	Mmap                     // the part open fails to map the file
-	Torn                     // WriteDoc crashes after the part files, before any manifest
+	Latency   Class = iota // delay the request by Arg (default 2ms), then serve it
+	Err500                 // answer 500 without running the handler
+	Err503                 // answer 503 without running the handler
+	Reset                  // abort the connection before the handler runs
+	Truncate               // cut the response body after Arg bytes (default 16) and abort
+	Shed                   // shed the admission with ErrOverload (an injected queue timeout)
+	Starve                 // admit with an Arg-byte ledger quota (default 4096)
+	Panic                  // panic in the operator kernel
+	Cancel                 // the soak test cancels the query mid-flight
+	EIO                    // mark one part of a mounted store suspect with an I/O error
+	BadCRC                 // as EIO, reading as a checksum mismatch
+	ShortRead              // the part open sees a file truncated mid-section
+	Mmap                   // the part open fails to map the file
+	Torn                   // WriteDoc crashes after the part files, before any manifest
 	NumClasses
 )
 
@@ -66,21 +64,20 @@ var classes = [NumClasses]struct {
 	arg  func(string) (int64, error) // nil: the class takes no :suffix
 	def  int64
 }{
-	Latency:     {"latency", parseDuration, int64(2 * time.Millisecond)},
-	Err500:      {name: "err500"},
-	Err503:      {name: "err503"},
-	Reset:       {name: "reset"},
-	Truncate:    {"truncate", parseInt, 16},
-	Shed:        {name: "shed"},
-	Starve:      {"starve", parseInt, 4096},
-	Panic:       {name: "panic"},
-	MorselPanic: {name: "morselpanic"},
-	Cancel:      {name: "cancel"},
-	EIO:         {name: "eio"},
-	BadCRC:      {name: "badcrc"},
-	ShortRead:   {name: "shortread"},
-	Mmap:        {name: "mmap"},
-	Torn:        {name: "torn"},
+	Latency:   {"latency", parseDuration, int64(2 * time.Millisecond)},
+	Err500:    {name: "err500"},
+	Err503:    {name: "err503"},
+	Reset:     {name: "reset"},
+	Truncate:  {"truncate", parseInt, 16},
+	Shed:      {name: "shed"},
+	Starve:    {"starve", parseInt, 4096},
+	Panic:     {name: "panic"},
+	Cancel:    {name: "cancel"},
+	EIO:       {name: "eio"},
+	BadCRC:    {name: "badcrc"},
+	ShortRead: {name: "shortread"},
+	Mmap:      {name: "mmap"},
+	Torn:      {name: "torn"},
 }
 
 // Site is one stream of events a plan numbers (see the package comment).
@@ -91,7 +88,6 @@ const (
 	Requests Site = iota
 	Admissions
 	Kernels
-	Morsels
 	Queries
 	Opens
 	Writes
@@ -159,7 +155,7 @@ func (p *Plan) Arg(c Class) int64 {
 	return classes[c].def
 }
 
-// InjectedPanic is the value the kernel and morsel sites panic with; the
+// InjectedPanic is the value the kernel site panics with; the
 // recover barriers turn it into qerr.ErrInternal like any other panic.
 const InjectedPanic = "fault: injected kernel panic"
 

@@ -35,8 +35,8 @@ func TestParseFaults(t *testing.T) {
 				fault.PerClass{fault.EIO: 11, fault.BadCRC: 13, fault.ShortRead: 17, fault.Mmap: 19, fault.Torn: 23},
 				fault.PerClass{}},
 			// admission and kernel classes
-			{" seed=-3 , shed=5,starve=7:64,panic=701,morselpanic=211,cancel=11", -3,
-				fault.PerClass{fault.Shed: 5, fault.Starve: 7, fault.Panic: 701, fault.MorselPanic: 211, fault.Cancel: 11},
+			{" seed=-3 , shed=5,starve=7:64,panic=701,cancel=11", -3,
+				fault.PerClass{fault.Shed: 5, fault.Starve: 7, fault.Panic: 701, fault.Cancel: 11},
 				fault.PerClass{fault.Starve: 64}},
 		} {
 			p, err := fault.Parse(tc.spec)
@@ -101,6 +101,7 @@ func TestParseFaults(t *testing.T) {
 	t.Run("rejects", func(t *testing.T) {
 		for _, tc := range []struct{ spec, names string }{
 			{"bogus=3", "bogus"},                     // unknown class
+			{"morselpanic=1", "morselpanic"},         //
 			{"err500=1:5ms", "err500"},               // :suffix on a class that takes none
 			{"eio=3:1", "eio"},                       //
 			{"seed=7:1", "seed"},                     //
@@ -192,7 +193,7 @@ func FuzzParseFaults(f *testing.F) {
 	for _, s := range []string{
 		"seed=7,err500=11,reset=17,truncate=23:48,latency=5:2ms",
 		"seed=7,eio=11,badcrc=13,shortread=17,mmap=19,torn=23",
-		"seed=-3,shed=5,starve=7:64,panic=701,morselpanic=211,cancel=11",
+		"seed=-3,shed=5,starve=7:64,panic=701,cancel=11",
 		"", "eio", "eio=3,", "=", ":", "seed=9223372036854775807,err503=9223372036854775807",
 		"seed=-9223372036854775808,latency=1:-5s",
 	} {

@@ -1,15 +1,15 @@
 // Package governor is the process-wide resource governor every query
 // passes through when multi-query governance is enabled: admission
-// control in front of the execution pipeline, one shared memory ledger
-// behind it, and graceful degradation between the two.
+// control in front of the execution pipeline and one shared memory
+// ledger behind it.
 //
 // The per-query guards introduced earlier in the repository's history
 // (cell budgets, deadlines, cancellation, panic barriers) protect one
 // execution from itself; none of them bounds the *aggregate*. N
-// concurrent ExecuteContext calls each get their own cell budget and
-// their own morsel workers, so heavy concurrent traffic can OOM-kill or
-// oversubscribe a process that any single query would leave healthy. The
-// governor closes that gap with three mechanisms:
+// concurrent ExecuteContext calls each get their own cell budget, so
+// heavy concurrent traffic can OOM-kill or oversubscribe a process that
+// any single query would leave healthy. The governor closes that gap
+// with two mechanisms:
 //
 //   - Admission control: a fixed number of execution slots with a
 //     bounded FIFO wait queue. A query that finds no free slot waits its
@@ -24,22 +24,11 @@
 //     surfaces as the existing qerr.ErrMemoryLimit, naming the bound and
 //     the observed usage — a failed query, never an OOM kill.
 //
-//   - Graceful degradation: when the process is under pressure (ledger
-//     above its high-water mark, or queries waiting in the admission
-//     queue) newly admitted queries are downgraded — their Par-marked
-//     plan regions run their serial kernels instead of fanning out
-//     morsel workers. The paper's own analysis makes this safe: the only
-//     regions the morsel pool touches are the order-indifferent
-//     ones (# instead of ρ), which by construction produce identical
-//     results serial or parallel, so degradation changes resource
-//     consumption and nothing else. The downgrade is recorded in the
-//     governor metrics and in the run's statistics.
-//
 // Admission is the fault.Admissions site of the process's fault plane
 // (internal/fault): an armed plan's shed and starve classes inject
 // queue-timeout sheds and starved quotas, which — with the plan's kernel
 // panics and cancel storms — drive the same machinery in soak tests,
-// asserting that the process degrades instead of dying
+// asserting that the process sheds and fails queries instead of dying
 // and that the ledger drains back to zero.
 package governor
 
@@ -70,8 +59,7 @@ const queueBeatInterval = 100 * time.Millisecond
 type Config struct {
 	// MaxConcurrent is the number of queries allowed to execute
 	// simultaneously (admission slots). <= 0 means 2×GOMAXPROCS — enough
-	// to keep every core busy with a mix of serial and degraded queries
-	// without goroutine blowup.
+	// to keep every core busy without goroutine blowup.
 	MaxConcurrent int
 	// MaxQueue bounds the FIFO admission queue. A query arriving with
 	// the queue full is shed with qerr.ErrOverload. <= 0 means
@@ -85,17 +73,12 @@ type Config struct {
 	// MaxBytes is the global memory ledger: the byte budget all admitted
 	// queries share for intermediate materialization (at
 	// xdm.NominalCellBytes per table cell). Zero means unlimited — the
-	// ledger still tracks usage for the pressure signal and metrics.
+	// ledger still tracks usage for the metrics.
 	MaxBytes int64
 	// QueryBytes is the per-query quota drawn against the global ledger
 	// (zero = bounded only by MaxBytes). Keeping it a fraction of
 	// MaxBytes stops one runaway query from starving the fleet.
 	QueryBytes int64
-	// HighWaterPct is the degradation threshold as a percentage of
-	// MaxBytes: once the ledger is fuller than this, newly admitted
-	// queries run degraded (serial). <= 0 means 75. Ignored when
-	// MaxBytes is zero (queue pressure still degrades).
-	HighWaterPct int
 }
 
 // Stats is a point-in-time snapshot of a governor.
@@ -107,7 +90,6 @@ type Stats struct {
 	Admitted    int64 // cumulative admissions
 	QueuedTotal int64 // cumulative queries that had to wait
 	Shed        int64 // cumulative overload rejections
-	Downgrades  int64 // cumulative degraded admissions
 }
 
 // Governor is the process-wide gate. One Governor is typically shared by
@@ -115,9 +97,8 @@ type Stats struct {
 // but nothing stops scoping one per tenant. All methods are safe for
 // concurrent use.
 type Governor struct {
-	cfg       Config
-	highWater int64
-	ledger    *xdm.Ledger
+	cfg    Config
+	ledger *xdm.Ledger
 
 	mu      sync.Mutex
 	running int
@@ -128,7 +109,6 @@ type Governor struct {
 	admitted    atomic.Int64
 	queuedTotal atomic.Int64
 	shed        atomic.Int64
-	downgrades  atomic.Int64
 }
 
 // waiter is one queued admission request.
@@ -146,18 +126,11 @@ func New(cfg Config) *Governor {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 8 * cfg.MaxConcurrent
 	}
-	if cfg.HighWaterPct <= 0 {
-		cfg.HighWaterPct = 75
-	}
-	g := &Governor{
+	return &Governor{
 		cfg:    cfg,
 		ledger: xdm.NewLedger(cfg.MaxBytes),
 		queue:  list.New(),
 	}
-	if cfg.MaxBytes > 0 {
-		g.highWater = cfg.MaxBytes * int64(cfg.HighWaterPct) / 100
-	}
-	return g
 }
 
 // Ledger exposes the shared byte ledger (read-mostly: tests and serving
@@ -177,7 +150,6 @@ func (g *Governor) Stats() Stats {
 		Admitted:    g.admitted.Load(),
 		QueuedTotal: g.queuedTotal.Load(),
 		Shed:        g.shed.Load(),
-		Downgrades:  g.downgrades.Load(),
 	}
 }
 
@@ -189,16 +161,6 @@ func (g *Governor) retryHint() time.Duration {
 		return g.cfg.QueueTimeout
 	}
 	return 100 * time.Millisecond
-}
-
-// underPressureLocked decides degradation for a query admitted now:
-// ledger above the high-water mark, or queries waiting behind this one.
-// Callers hold g.mu.
-func (g *Governor) underPressureLocked() bool {
-	if g.highWater > 0 && g.ledger.Used() >= g.highWater {
-		return true
-	}
-	return g.queue.Len() > 0
 }
 
 // quotaKey carries a per-admission ledger-quota override in a context.
@@ -345,24 +307,18 @@ func (g *Governor) abandonWait(w *waiter, quota int64, enqueued time.Time) *Leas
 
 // newLeaseLocked builds the lease for a query that holds a slot; quota is
 // the per-query ledger quota (a WithQuota override, the configured
-// default or an injected starved quota). Callers hold g.mu (the pressure
-// check reads queue depth).
+// default or an injected starved quota). Callers hold g.mu (the gauge
+// reads the running count).
 func (g *Governor) newLeaseLocked(quota int64, wait time.Duration) *Lease {
-	degraded := g.underPressureLocked()
 	l := &Lease{
 		g:         g,
 		acct:      g.ledger.NewAccount(quota),
-		degraded:  degraded,
 		queueWait: wait,
 	}
 	g.admitted.Add(1)
 	obs.AdmittedTotal.Inc()
 	obs.ActiveQueries.Set(int64(g.running))
 	obs.LedgerBytes.Set(g.ledger.Used())
-	if degraded {
-		g.downgrades.Add(1)
-		obs.DowngradesTotal.Inc()
-	}
 	return l
 }
 
@@ -372,7 +328,6 @@ func (g *Governor) newLeaseLocked(quota int64, wait time.Duration) *Lease {
 type Lease struct {
 	g         *Governor
 	acct      *xdm.Account
-	degraded  bool
 	queueWait time.Duration
 	released  atomic.Bool
 }
@@ -380,10 +335,6 @@ type Lease struct {
 // Account returns the query's ledger account (never nil; with no byte
 // budget configured the account is unbounded but still tracks usage).
 func (l *Lease) Account() *xdm.Account { return l.acct }
-
-// Degraded reports whether the governor downgraded this query: its
-// Par-marked plan regions must run their serial kernels.
-func (l *Lease) Degraded() bool { return l.degraded }
 
 // QueueWait returns how long the query waited for admission.
 func (l *Lease) QueueWait() time.Duration { return l.queueWait }

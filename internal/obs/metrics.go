@@ -6,7 +6,7 @@
 // span interface with a chrome://tracing-compatible JSON sink (JSONTrace).
 //
 // The package sits below every other engine layer (it imports only the
-// standard library), so xdm, engine, parallel and core can all report
+// standard library), so xdm, engine, vm and core can all report
 // into it without cycles. Process-wide engine metrics live in the Default
 // registry; the per-operator records live in the executor's frame
 // (internal/vm), which writes each once per operator on every run.
@@ -212,7 +212,7 @@ var Default = NewRegistry()
 // Engine metrics. Handles are resolved once at init, so hot-path updates
 // are single atomic adds — no map lookups, no allocations.
 var (
-	// QueriesTotal counts completed engine executions (serial + parallel).
+	// QueriesTotal counts completed engine executions.
 	QueriesTotal = Default.Counter("engine_queries_total")
 	// QueryErrorsTotal counts executions that returned an error.
 	QueryErrorsTotal = Default.Counter("engine_query_errors_total")
@@ -220,14 +220,12 @@ var (
 	CellsTotal = Default.Counter("engine_cells_materialized_total")
 	// MemoHitsTotal counts memoized plan-node reuses.
 	MemoHitsTotal = Default.Counter("engine_memo_hits_total")
-	// MorselsTotal counts morsel tasks executed by the parallel pool.
-	MorselsTotal = Default.Counter("parallel_morsels_total")
 	// QueryNanos is the query wall-clock latency distribution in ns.
 	QueryNanos = Default.Histogram("engine_query_latency_ns")
 )
 
 // Governor metrics (internal/governor): admission control, queueing,
-// load shedding, degradation and the shared byte ledger.
+// load shedding and the shared byte ledger.
 var (
 	// AdmittedTotal counts queries admitted past the governor's gate.
 	AdmittedTotal = Default.Counter("governor_admitted_total")
@@ -236,9 +234,6 @@ var (
 	// ShedTotal counts queries rejected with ErrOverload (queue full or
 	// queue deadline exceeded).
 	ShedTotal = Default.Counter("governor_shed_total")
-	// DowngradesTotal counts admitted queries executed degraded (parallel
-	// plan forced serial) because the process was under pressure.
-	DowngradesTotal = Default.Counter("governor_downgrades_total")
 	// ActiveQueries gauges the queries currently holding an admission slot.
 	ActiveQueries = Default.Gauge("governor_active_queries")
 	// QueueDepth gauges the current admission-queue length.
@@ -252,7 +247,7 @@ var (
 )
 
 // FaultsInjected counts faults an armed fault.Plan injected, at every
-// site: HTTP requests, governor admissions, kernel and morsel panics,
+// site: HTTP requests, governor admissions, kernel panics,
 // store opens, writes and query probes (zero in production).
 var FaultsInjected = Default.Counter("faults_injected_total")
 
@@ -323,8 +318,4 @@ var (
 	// StoreRereplicatedTotal counts part files restored from a healthy
 	// replica after quarantine.
 	StoreRereplicatedTotal = Default.Counter("store_rereplicated_total")
-	// StoreMorselFaultsTotal counts parallel-executor task batches
-	// aborted by a retryable storage fault — the morsels order
-	// indifference lets the engine re-execute against a replica.
-	StoreMorselFaultsTotal = Default.Counter("store_morsel_faults_total")
 )

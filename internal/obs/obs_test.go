@@ -81,14 +81,14 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 // TestCollectorAggregation: the profile is the operator records rolled
-// up by origin — Duration sums max(Wall, Busy), Ops counts records, Rows
+// up by origin — Duration sums Wall, Ops counts records, Rows
 // sums RowsOut, entries come by descending Duration with ties in origin
 // order — and RunStats.Op finds a record by plan node id.
 func TestCollectorAggregation(t *testing.T) {
 	ms := time.Millisecond
 	ops := []OpRecord{
 		{Wall: 2 * ms, RowsOut: 20},
-		{Wall: ms, Busy: 4 * ms, Morsels: 3, RowsOut: 10}, // parallel: busy exceeds wall
+		{Wall: 4 * ms, RowsOut: 10},
 		{Wall: 3 * ms, RowsOut: 1},
 		{Wall: ms, RowsOut: 5},
 		{Wall: 2 * ms, RowsOut: 2},
@@ -117,7 +117,7 @@ func TestCollectorAggregation(t *testing.T) {
 	for i, node := range []int{1, 3, 4, 7, 9} {
 		st.Ops[i] = OpStats{Node: node, OpRecord: ops[i]}
 	}
-	if op := st.Op(3); op == nil || op.Morsels != 3 {
+	if op := st.Op(3); op == nil || op.RowsOut != 10 {
 		t.Errorf("Op(3) = %+v", op)
 	}
 	if st.Op(2) != nil || st.Op(99) != nil {
@@ -170,7 +170,7 @@ func TestJSONTraceConcurrentSpans(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tr.StartSpan(w+1, "op", "morsel")()
+				tr.StartSpan(w+1, "op", "span")()
 			}
 		}(w)
 	}

@@ -7,14 +7,6 @@ import (
 	"time"
 )
 
-// WorkerStats is one worker's share of a parallel operator: how many
-// morsel tasks it pulled and how long it was busy with them.
-type WorkerStats struct {
-	Worker  int           `json:"worker"`
-	Morsels int64         `json:"morsels"`
-	Busy    time.Duration `json:"busy_ns"`
-}
-
 // OpStats is the measured execution of one plan node: EXPLAIN ANALYZE
 // attaches it to the Explain tree. Node is the plan node id (the "#id"
 // prefix Explain prints), so stats join the rendered plan by id; the
@@ -24,7 +16,6 @@ type OpStats struct {
 	Kind   string `json:"kind"`
 	Label  string `json:"label"`
 	Origin string `json:"origin,omitempty"`
-	Par    bool   `json:"par,omitempty"`
 	// Calls counts kernel evaluations (1 for every reachable node: shared
 	// DAG nodes are evaluated once); MemoHits counts the reuses, the
 	// node's consumers beyond the first.
@@ -35,23 +26,15 @@ type OpStats struct {
 
 // OpRecord is the record the executor loop writes once per operator, and
 // all a pooled frame holds per instruction: RollUp sums the records into
-// the profile, and a collected run copies them into OpStats. For
-// operators evaluated morsel-wise, Busy sums the workers' morsel times
-// (it exceeds Wall on a multicore pool) and Workers carries the split.
+// the profile, and a collected run copies them into OpStats.
 type OpRecord struct {
 	RowsIn  int64 `json:"rows_in"`
 	RowsOut int64 `json:"rows_out"`
 	// Cells is rows×columns materialized for the node's output table —
 	// the quantity the engine's memory cutoff charges.
 	Cells int64 `json:"cells"`
-	// Wall is coordinator wall-clock time spent evaluating the node.
+	// Wall is wall-clock time spent evaluating the node.
 	Wall time.Duration `json:"wall_ns"`
-	// Busy, Morsels and Workers are only set for morsel-parallel
-	// evaluations: summed per-worker busy time, morsel task count, and
-	// the per-worker split.
-	Busy    time.Duration `json:"busy_ns,omitempty"`
-	Morsels int64         `json:"morsels,omitempty"`
-	Workers []WorkerStats `json:"workers,omitempty"`
 }
 
 // RunStats is the collected observability record of one execution:
@@ -66,11 +49,8 @@ type RunStats struct {
 	// other's deltas, so treat these as exact only for isolated runs.
 	PoolHits   int64 `json:"pool_hits"`
 	PoolMisses int64 `json:"pool_misses"`
-	// Degraded and QueueWait record the resource governor's admission
-	// decision for this run: whether execution was downgraded (parallel
-	// plan forced serial under pressure) and how long the query waited
-	// for an admission slot. Zero without a governor.
-	Degraded  bool          `json:"degraded,omitempty"`
+	// QueueWait records how long the resource governor kept the query
+	// waiting for an admission slot. Zero without a governor.
 	QueueWait time.Duration `json:"queue_wait_ns,omitempty"`
 }
 
@@ -87,8 +67,7 @@ func (s *RunStats) Op(node int) *OpStats {
 
 // ProfileEntry is one row of the per-origin profile (the paper's Table 2
 // sub-expression rows): the operator records charged to one origin.
-// Duration sums max(Wall, Busy) over them, so under parallel execution
-// it accounts for the work performed, not the wall clock.
+// Duration sums their Wall times.
 type ProfileEntry struct {
 	Origin   string
 	Duration time.Duration
@@ -107,7 +86,7 @@ func RollUp(ops []OpRecord, of []int32, origins []string) []ProfileEntry {
 	}
 	for i := range ops {
 		e := &prof[of[i]]
-		e.Duration += max(ops[i].Wall, ops[i].Busy)
+		e.Duration += ops[i].Wall
 		e.Ops++
 		e.Rows += int(ops[i].RowsOut)
 	}

@@ -12,12 +12,10 @@ import (
 // "phase": parse, normalize, compile, optimize, execute) and one per
 // operator kernel evaluation (category "op"). StartSpan opens a span and
 // returns the closure that closes it; implementations must tolerate
-// concurrent calls — morsel workers trace from their own goroutines.
+// concurrent calls — concurrent executions may share one tracer.
 //
-// tid groups spans into horizontal tracks for timeline viewers: the
-// executor loop uses track 0, morsel workers pass their worker index + 1,
-// so a staircase region's per-worker split is visible as parallel
-// slices.
+// tid groups spans into horizontal tracks for timeline viewers; the
+// pipeline and the executor loop use track 0.
 type Tracer interface {
 	StartSpan(tid int, cat, name string) func()
 }

@@ -64,3 +64,7 @@ func PlanStats(root *algebra.Node) algebra.Stats { return algebra.PlanStats(root
 
 // Explain renders a plan as indented text.
 func Explain(root *algebra.Node) string { return algebra.Print(root) }
+
+// MarkParallel marks no plan region and returns 0: the executor is
+// serial. Pinned by benchmark/; goes with ROADMAP 1(f).
+func MarkParallel(*algebra.Node) int { return 0 }

@@ -37,8 +37,7 @@
 // A query killed by the watchdog and retried, a request hedged against
 // the same engine, a response re-requested after an injected reset: each
 // re-execution yields byte-identical results, so the serving layer may
-// retry, hedge and degrade freely without changing answers (the same
-// argument that licensed morsel parallelism and serial degradation).
+// retry, hedge and degrade freely without changing answers.
 //
 // Metric handles live in internal/obs alongside the engine/governor
 // families (ratelimit_*, watchdog_*, breaker_*; injected faults count in

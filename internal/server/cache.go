@@ -24,8 +24,7 @@ var (
 	cacheScopedDropTotal  = obs.Default.Counter("server_plan_cache_scoped_dropped_total")
 )
 
-// planCache is an LRU of compiled queries keyed on normalized query text
-// (plus the server's engine-config fingerprint, prepended by the caller).
+// planCache is an LRU of compiled queries keyed on normalized query text.
 // The expensive part of serving a repeated query — parse → normalize →
 // loop-lifting compile → optimize, the spine/join analysis of the paper —
 // is reusable across requests because prepared plans are document-

@@ -62,24 +62,6 @@ func TestNormalizeQueryPreservesMeaning(t *testing.T) {
 	}
 }
 
-// TestCacheKeyConfigFingerprint pins that the engine-config knob that
-// changes what a prepared plan *is* — parallelism, which marks plan
-// regions — lands in the plan-cache key, while equivalent query texts
-// still collapse to one entry.
-func TestCacheKeyConfigFingerprint(t *testing.T) {
-	key := func(cfg Config, q string) string {
-		return (&Server{cfg: cfg}).cacheKey(q)
-	}
-	const q = "1 + 2"
-	base := Config{}
-	if a, b := key(base, q), key(Config{Parallelism: 4}, q); a == b {
-		t.Errorf("serial and parallel configs share cache key %q", a)
-	}
-	if a, b := key(base, q), key(base, "1  (: same :)  + 2"); a != b {
-		t.Errorf("equivalent texts under one config got distinct keys %q vs %q", a, b)
-	}
-}
-
 func TestPlanCacheLRU(t *testing.T) {
 	eng := exrquy.New()
 	mk := func(i int) *exrquy.Query {

@@ -172,7 +172,7 @@ func (s *Server) deadlineFor(r *http.Request) (time.Duration, error) {
 // parse→normalize→compile→optimize→flatten entirely and goes straight
 // to executing it.
 func (s *Server) plan(query string) (q *exrquy.Query, hit bool, err error) {
-	key := s.cacheKey(query)
+	key := normalizeQuery(query)
 	if q, ok := s.cache.get(key); ok {
 		return q, true, nil
 	}
@@ -182,14 +182,6 @@ func (s *Server) plan(query string) (q *exrquy.Query, hit bool, err error) {
 	}
 	s.cache.put(key, q, q.Documents())
 	return q, false, nil
-}
-
-// cacheKey prefixes the normalized query text with the engine-config
-// fingerprint: a cache entry is only reusable for the exact pipeline
-// configuration that compiled it (one Server has one configuration, but
-// the key says so rather than assumes so).
-func (s *Server) cacheKey(query string) string {
-	return fmt.Sprintf("par=%d\x00%s", s.cfg.Parallelism, normalizeQuery(query))
 }
 
 // finishQuery records the request's outcome with the client's circuit
@@ -313,9 +305,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	w.Header().Set("X-Query-Cache", cacheHdr)
 	w.Header().Set("X-Query-Elapsed", res.Elapsed().String())
-	if res.Degraded() {
-		w.Header().Set("X-Query-Degraded", "1")
-	}
 	io.WriteString(w, xml) //nolint:errcheck
 }
 

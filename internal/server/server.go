@@ -57,10 +57,6 @@ type Config struct {
 	// Governor configures the admission/ledger governor every query runs
 	// through. The zero value takes the governor package defaults.
 	Governor exrquy.GovernorConfig
-	// Parallelism enables morsel-parallel execution with this pool size
-	// (0 = serial, the default; -1 = GOMAXPROCS). The governor degrades
-	// parallel plans to serial under pressure either way.
-	Parallelism int
 	// StoreBudget gives attached on-disk stores a dedicated paging
 	// ledger of this many bytes (exrquy.WithStoreBudget). 0 means store
 	// residency is charged to the governor's shared ledger instead.
@@ -161,9 +157,6 @@ func New(cfg Config) *Server {
 	}
 	gov := exrquy.NewGovernor(cfg.Governor)
 	opts := []exrquy.Option{exrquy.WithGovernor(gov)}
-	if cfg.Parallelism != 0 {
-		opts = append(opts, exrquy.WithParallelism(cfg.Parallelism))
-	}
 	if cfg.StoreBudget > 0 {
 		opts = append(opts, exrquy.WithStoreBudget(cfg.StoreBudget))
 	}

@@ -1,20 +1,15 @@
 // Package vm is the executor: it flattens an optimized algebra DAG into a
 // linear program — one instruction per plan node, in algebra.Nodes order,
 // with registers and buffer release points resolved once — and runs that
-// program in the one loop every execution goes through, serial or
-// parallel, flattened at Prepare time (what the daemon's plan cache
-// reuses) or at Run time.
+// program in the one loop every execution goes through, flattened at
+// Prepare time (what the daemon's plan cache reuses) or at Run time.
 //
 // The loop owns everything that happens once per operator: the
 // cancel/heartbeat poll, the tracer span, the operator's record (one
 // obs.OpRecord per instruction, written once: the profile rolls the
 // records up by origin, EXPLAIN ANALYZE reads them by plan #id), the
 // cell charge and the buffer release. The operators themselves
-// are the kernels of internal/engine; a Par-marked operator — a staircase
-// step or an equi-join, the only kinds opt.MarkParallel marks — is first
-// offered to the morsel pool of internal/parallel: order indifference
-// licenses the parallel run, the pool's deterministic serial merge keeps
-// the bytes.
+// are the kernels of internal/engine.
 package vm
 
 import (
@@ -25,24 +20,18 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/qerr"
 	"repro/internal/xdm"
 	"repro/internal/xmltree"
 )
 
 // Options configures one execution of a program. The embedded
-// engine.Options carry the budget/cancel/heartbeat/observability hooks;
-// Workers > 1 offers Par-marked steps and equi-joins to a morsel pool of
-// that size (a degraded governor admission passes 1 to keep the run
-// serial), and MinMorselRows is the pool's smallest per-morsel work unit
-// (zero means the default). Collect attaches the operator records to the
-// Result as an obs.RunStats (the profile is built from them either way).
+// engine.Options carry the budget/cancel/heartbeat/observability hooks.
+// Collect attaches the operator records to the Result as an obs.RunStats
+// (the profile is built from them either way).
 type Options struct {
 	engine.Options
-	Workers       int
-	MinMorselRows int
-	Collect       bool
+	Collect bool
 }
 
 // frame is the per-execution state of a program: the register file, the
@@ -92,7 +81,7 @@ func Run(p *Program, base *xmltree.Store, docs map[string][]uint32, opts Options
 	f := p.frames.Get().(*frame)
 	defer p.putFrame(f)
 	start := time.Now()
-	t, err := p.exec(f, ex, opts.Workers, opts.MinMorselRows)
+	t, err := p.exec(f, ex)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +96,16 @@ func Run(p *Program, base *xmltree.Store, docs map[string][]uint32, opts Options
 }
 
 // exec is the executor loop.
-func (p *Program) exec(f *frame, ex *engine.Exec, workers, minMorselRows int) (*engine.Table, error) {
+func (p *Program) exec(f *frame, ex *engine.Exec) (*engine.Table, error) {
+	// Close the open span on every way out, a kernel panic included:
+	// tracers write an event on close, and the operator that failed is the
+	// one a trace reader is looking for.
+	var endSpan func()
+	defer func() {
+		if endSpan != nil {
+			endSpan()
+		}
+	}()
 	for ii := range p.instrs {
 		ins := &p.instrs[ii]
 		n := ins.node
@@ -115,43 +113,24 @@ func (p *Program) exec(f *frame, ex *engine.Exec, workers, minMorselRows int) (*
 			return nil, err
 		}
 		tables := f.inputs(ins)
-		endSpan := ex.StartOpSpan(n)
+		endSpan = ex.StartOpSpan(n)
 		start := time.Now()
-		var (
-			t       *engine.Table
-			split   []obs.WorkerStats
-			charged bool
-			err     error
-		)
-		if n.Par && workers > 1 {
-			t, split, charged, err = parallel.EvalParOp(ex, workers, minMorselRows, n, tables)
-		}
-		if t == nil && err == nil {
-			t, err = ex.EvalOp(n, tables)
-		}
-		// Close the span before looking at the error: tracers write an
-		// event on close, and the operator that failed is the one a trace
-		// reader is looking for.
+		t, err := ex.EvalOp(n, tables)
 		if endSpan != nil {
 			endSpan()
+			endSpan = nil
 		}
 		if err != nil {
 			return nil, err
 		}
 		rows := int64(t.NumRows())
 		rec := &f.ops[ii]
-		*rec = obs.OpRecord{Wall: time.Since(start), RowsOut: rows, Cells: rows * int64(len(t.Cols)), Workers: split}
+		*rec = obs.OpRecord{Wall: time.Since(start), RowsOut: rows, Cells: rows * int64(len(t.Cols))}
 		for _, in := range tables {
 			rec.RowsIn += int64(in.NumRows())
 		}
-		for _, w := range split {
-			rec.Morsels += w.Morsels
-			rec.Busy += w.Busy
-		}
-		if !charged {
-			if err := ex.ChargeCells(rec.Cells); err != nil {
-				return nil, err
-			}
+		if err := ex.ChargeCells(rec.Cells); err != nil {
+			return nil, err
 		}
 		f.store(ins, t)
 	}
@@ -167,7 +146,7 @@ func (p *Program) runStats(ops []obs.OpRecord, elapsed time.Duration, hits0, mis
 		PoolHits: hits - hits0, PoolMisses: misses - misses0}
 	for i, rec := range ops {
 		n := p.instrs[i].node
-		st.Ops[i] = obs.OpStats{Node: n.ID, Kind: n.Kind.String(), Label: algebra.Label(n), Origin: n.Origin, Par: n.Par,
+		st.Ops[i] = obs.OpStats{Node: n.ID, Kind: n.Kind.String(), Label: algebra.Label(n), Origin: n.Origin,
 			Calls: 1, MemoHits: int64(p.instrs[i].extraUses), OpRecord: rec}
 	}
 	slices.SortFunc(st.Ops, func(a, b obs.OpStats) int { return cmp.Compare(a.Node, b.Node) })

@@ -3,9 +3,8 @@ package vm
 // Structural invariants of Compile, independent of the end-to-end
 // differential suite in internal/core: register discipline (topological
 // sources, last-consumer release, root never released), extra-use counts
-// on shared nodes, and a program executed through Run — serial and with
-// forced morsels — agreeing with the engine's kernels applied by hand to
-// the same DAG.
+// on shared nodes, and a program executed through Run agreeing with the
+// engine's kernels applied by hand to the same DAG.
 
 import (
 	"strings"
@@ -100,8 +99,6 @@ func TestRunMatchesEngineOnHandBuiltPlan(t *testing.T) {
 	s := b.Step(ctx, xquery.AxisDescendant, xquery.NodeTest{Kind: xquery.TestName, Name: "b"})
 	root := b.Keep(b.RowID(s, "pos"), "pos", "item")
 
-	s.Par = true // what opt.MarkParallel would do: # makes the step order-dead
-
 	// The reference: every kernel applied once, in plan order, nothing
 	// released.
 	ex := engine.NewExec(store, docs, engine.Options{})
@@ -117,18 +114,16 @@ func TestRunMatchesEngineOnHandBuiltPlan(t *testing.T) {
 	}
 	want := ex.Finish(out[root], time.Now())
 
-	for _, opts := range []Options{{}, {Workers: 4, MinMorselRows: 1}} {
-		got, err := Run(Compile(root), store, docs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Items) != len(want.Items) || len(got.Items) != 2 {
-			t.Fatalf("workers=%d: program %d items, kernels %d items, want 2", opts.Workers, len(got.Items), len(want.Items))
-		}
-		for i := range want.Items {
-			if got.Items[i] != want.Items[i] {
-				t.Fatalf("workers=%d item %d: program %v, kernels %v", opts.Workers, i, got.Items[i], want.Items[i])
-			}
+	got, err := Run(Compile(root), store, docs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Items) != len(want.Items) || len(got.Items) != 2 {
+		t.Fatalf("program %d items, kernels %d items, want 2", len(got.Items), len(want.Items))
+	}
+	for i := range want.Items {
+		if got.Items[i] != want.Items[i] {
+			t.Fatalf("item %d: program %v, kernels %v", i, got.Items[i], want.Items[i])
 		}
 	}
 }
@@ -143,11 +138,11 @@ func TestRunUnknownDocumentError(t *testing.T) {
 }
 
 // TestFrameRecordSize pins the per-instruction record a pooled frame
-// holds: only the fields the executor loop writes (72 bytes), not the
-// plan node's static fields a collected run adds to its copy.
+// holds: only the four fields the executor loop writes (32 bytes), not
+// the plan node's static fields a collected run adds to its copy.
 func TestFrameRecordSize(t *testing.T) {
 	var f frame
-	if n := unsafe.Sizeof(f.ops[0]); n > 72 {
-		t.Errorf("a frame holds %d bytes per instruction record, want at most 72", n)
+	if n := unsafe.Sizeof(f.ops[0]); n > 32 {
+		t.Errorf("a frame holds %d bytes per instruction record, want at most 32", n)
 	}
 }

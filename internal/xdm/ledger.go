@@ -80,7 +80,7 @@ type OverBudget struct {
 // Close releases everything the account reserved, so a query's ledger
 // footprint provably drains when its execution ends — success, error and
 // panic paths alike (callers Close in a defer). Reserve is safe for
-// concurrent use (parallel morsel workers charge one shared account).
+// concurrent use.
 type Account struct {
 	ledger *Ledger
 	quota  int64 // 0 = no per-query cap

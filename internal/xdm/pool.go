@@ -8,11 +8,11 @@ import (
 
 // Size-classed buffer pool for column backing slices.
 //
-// The morsel-parallel workers allocate and drop column buffers at a rate
-// that makes the Go allocator the bottleneck on join-heavy plans; the
-// engine instead returns a column's backing slice here when the memoized
-// intermediate that owns it provably dies (see engine.Exec recycling) and
-// the builders draw replacement buffers from the same classes.
+// The executor allocates and drops column buffers at a rate that makes
+// the Go allocator the bottleneck on join-heavy plans; the engine
+// instead returns a column's backing slice here when the memoized
+// intermediate that owns it provably dies (see engine.Exec recycling)
+// and the builders draw replacement buffers from the same classes.
 //
 // Classes are powers of two: Put files a buffer under the floor class of
 // its capacity, Get asks for the ceiling class of the requested length, so
