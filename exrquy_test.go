@@ -568,57 +568,60 @@ func TestExternalVariablesAcrossModes(t *testing.T) {
 // goroutines — mixed Query and compile-once/Execute-many — against shared
 // documents. Run under -race in CI.
 func TestConcurrentQueries(t *testing.T) {
-	eng := New()
-	if err := eng.LoadDocumentString("t.xml", `<a><b><c/><d/></b><c/></a>`); err != nil {
-		t.Fatal(err)
-	}
-	eng.LoadXMark("auction.xml", 0.002)
-	shared, err := eng.Compile(`count(doc("auction.xml")//keyword)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := shared.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantXML, _ := want.XML()
+	// The executor is serial; the subtest keeps the mode name it ran under.
+	t.Run("serial", func(t *testing.T) {
+		eng := New()
+		if err := eng.LoadDocumentString("t.xml", `<a><b><c/><d/></b><c/></a>`); err != nil {
+			t.Fatal(err)
+		}
+		eng.LoadXMark("auction.xml", 0.002)
+		shared, err := eng.Compile(`count(doc("auction.xml")//keyword)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := shared.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantXML, _ := want.XML()
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				if g%2 == 0 {
-					res, err := shared.Execute()
-					if err != nil {
-						errs <- err
-						return
-					}
-					if xml, _ := res.XML(); xml != wantXML {
-						errs <- fmt.Errorf("shared query: got %q, want %q", xml, wantXML)
-						return
-					}
-				} else {
-					res, err := eng.Query(`doc("t.xml")/a//(c|d)`)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if xml, _ := res.XML(); xml != "<c/><d/><c/>" {
-						errs <- fmt.Errorf("per-goroutine query: %q", xml)
-						return
+		var wg sync.WaitGroup
+		errs := make(chan error, 64)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					if g%2 == 0 {
+						res, err := shared.Execute()
+						if err != nil {
+							errs <- err
+							return
+						}
+						if xml, _ := res.XML(); xml != wantXML {
+							errs <- fmt.Errorf("shared query: got %q, want %q", xml, wantXML)
+							return
+						}
+					} else {
+						res, err := eng.Query(`doc("t.xml")/a//(c|d)`)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if xml, _ := res.XML(); xml != "<c/><d/><c/>" {
+							errs <- fmt.Errorf("per-goroutine query: %q", xml)
+							return
+						}
 					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 }
 
 // TestConstructedNodesAreRoots: elements and attributes one constructor
